@@ -7,6 +7,14 @@ outward, and measures the admixture of the growing mode at an outer radius
 deep in the classically forbidden tail via a cross product with the decaying
 asymptotic solution.  Bound levels are roots of that mismatch in the energy.
 
+The mismatch is the growing-mode coefficient times a smooth positive scale:
+the cross product divided by the free growth factor exp(lambda*(r_max -
+r_seed)), with the integrators carrying the log of every renormalization so
+that the division neither under- nor overflows.  It is a smooth function of E
+with the sign of the coefficient, so Brent's interpolation steps converge on a
+root in a few evaluations; dividing by the cross product's own size would
+make it a step function of E that Brent can only bisect.
+
 Integrators: an adaptive embedded Cash-Karp Runge-Kutta pair for the 2x2
 Dirac system, and Numerov on a logarithmic grid for the reduced Schroedinger
 form.  Mismatch-function errors at the outer radius are damped by
@@ -49,6 +57,12 @@ class ShootingConfig:
     energy_bracket (in units of m) overrides the default scan window;
     n_scan grid points locate the sign change; diagnostics enables the
     nested-cutoff re-solves.
+
+    r_min is a lower limit on the radius where the template series seeds the
+    integration, r_seed = min(max(r_min, 0.05/lambda), 0.2*r_max) with lambda
+    the decay constant of the tail, so it only acts when r_min > 0.05/lambda.
+    When halving it cannot move r_seed anywhere in the probe window, the
+    r_min probe is skipped and r_min_sensitivity is exactly 0.0.
     """
 
     r_min: float = 1e-6
@@ -70,10 +84,14 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """A shot level; evaluations counts the mismatch evaluations of the whole
+    shoot, diagnostic probes included."""
+
     E: float
     match_residual: float
     convergence_order_estimate: float
     r_min_sensitivity: float
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -118,14 +136,16 @@ def _rk45_2d(
     y0: tuple[float, float],
     r1: float,
     rel_tol: float,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Adaptive Cash-Karp integration of a 2-component system from r0 to r1.
 
-    The state is renormalized when it grows past 1e250; callers must only use
-    projective quantities (ratios, cross products) of the result.
+    The state is renormalized when it grows past 1e250; the returned
+    log_scale is the sum of the logs of those divisors, so the true state is
+    (y1, y2) * exp(log_scale).
     """
     r = r0
     y1, y2 = y0
+    log_scale = 0.0
     h = 0.25 * r0
     while r < r1:
         h = min(h, r1 - r)
@@ -155,12 +175,13 @@ def _rk45_2d(
             if mag > 1e250:
                 y1 /= mag
                 y2 /= mag
+                log_scale += math.log(mag)
             h *= min(5.0, 0.9 * err ** -0.2 if err > 0.0 else 5.0)
         else:
             h *= max(0.2, 0.9 * err ** -0.25)
         if h < 1e-14 * max(r, 1.0):  # pragma: no cover
             raise nk.ConvergenceError("rk45: step collapse (stiffness)")
-    return y1, y2
+    return y1, y2, log_scale
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +230,12 @@ def _dirac_seed(ch: DiracChannel, xi_int: float, r: float, E: float):
 
 
 def _dirac_miss(ch: DiracChannel, xi_int: float, cfg: ShootingConfig, E: float) -> float:
-    """Normalized growing-mode admixture at the outer matching radius (m = 1 units)."""
+    """Growing-mode admixture at the outer matching radius (m = 1 units).
+
+    The cross product of the shot solution with the unit decaying asymptote,
+    times exp(-lambda*(r_max - r_seed)): the growing-mode coefficient times a
+    smooth positive scale, so the root in E is a simple zero.
+    """
     nut, s = ch.nu_tilde, ch.s
     lam = math.sqrt((1.0 - E) * (1.0 + E))
     r_max = cfg.r_max if cfg.r_max is not None else max(40.0 / lam, 30.0)
@@ -226,13 +252,12 @@ def _dirac_miss(ch: DiracChannel, xi_int: float, cfg: ShootingConfig, E: float) 
     # microscopic regular-branch share (relative error / r^(2 nu))
     r_seed = min(max(cfg.r_min, 0.05 / lam), 0.2 * r_max)
     y0 = _dirac_seed(ch, xi_int, r_seed, E)
-    f1, f2 = _rk45_2d(rhs, r_seed, y0, r_max, cfg.step_control)
+    f1, f2, log_scale = _rk45_2d(rhs, r_seed, y0, r_max, cfg.step_control)
     # decaying asymptote, two terms of the large-r expansion
     g1 = 1.0 + nut * (nut - s) / (2.0 * lam * r_max)
     g2 = (s * lam / (E + 1.0)) * (1.0 + nut * (nut + s) / (2.0 * lam * r_max))
     num = f1 * g2 - f2 * g1
-    den = abs(f1 * g2) + abs(f2 * g1) + 1e-300
-    return num / den
+    return num * math.exp(log_scale - lam * (r_max - r_seed)) / math.hypot(g1, g2)
 
 
 def _scan_roots(
@@ -290,9 +315,12 @@ def dirac_shoot(
     m = ch.m
     xi_int = ch.s * xi
     tau = ch.tau
+    evals = 0
 
     def solve_at(config: ShootingConfig, window: tuple[float, float]) -> Optional[tuple[float, float]]:
         def miss_u(u: float) -> float:
+            nonlocal evals
+            evals += 1
             return _dirac_miss(ch, xi_int, config, tau * u)
 
         lo, hi = window
@@ -314,23 +342,26 @@ def dirac_shoot(
         return None
     u0, resid = base
     if not cfg.diagnostics:
-        return OracleResult(m * tau * u0, m * resid, _DIAG_NAN, _DIAG_NAN)
+        return OracleResult(m * tau * u0, m * resid, _DIAG_NAN, _DIAG_NAN, evals)
     narrow = (max(window[0], u0 - 1e-3), min(window[1], u0 + 1e-3))
     # nested inner cutoffs at fixed discretization -> r_min sensitivity;
-    # discretization ladder at fixed r_min -> observed order
+    # discretization ladder at fixed r_min -> observed order.  lambda <= 1,
+    # so r_min <= 0.05 leaves every seed radius at 0.05/lambda: the halved
+    # cutoff would re-solve the same problem
     probes = [
-        replace(cfg, r_min=cfg.r_min / 2.0, n_scan=9, diagnostics=False),
         replace(cfg, step_control=cfg.step_control / 32.0, n_scan=9, diagnostics=False),
         replace(cfg, step_control=cfg.step_control / 32.0**2, n_scan=9, diagnostics=False),
     ]
+    if cfg.r_min > 0.05:
+        probes.append(replace(cfg, r_min=cfg.r_min / 2.0, n_scan=9, diagnostics=False))
     got = [solve_at(c, narrow) for c in probes]
     if any(g is None for g in got):  # pragma: no cover - root stays in the window
-        return OracleResult(m * tau * u0, m * resid, _DIAG_NAN, _DIAG_NAN)
-    sens = abs(u0 - got[0][0])
-    d1 = abs(u0 - got[1][0])
-    d2 = abs(got[1][0] - got[2][0])
+        return OracleResult(m * tau * u0, m * resid, _DIAG_NAN, _DIAG_NAN, evals)
+    sens = abs(u0 - got[2][0]) if len(got) == 3 else 0.0
+    d1 = abs(u0 - got[0][0])
+    d2 = abs(got[0][0] - got[1][0])
     order = math.log2(d1 / d2) if (d1 > 1e-15 and d2 > 1e-15) else _DIAG_NAN
-    return OracleResult(m * tau * u0, m * resid, order, m * sens)
+    return OracleResult(m * tau * u0, m * resid, order, m * sens, evals)
 
 
 def count_dirac_levels(
@@ -359,6 +390,9 @@ def count_dirac_levels(
 # ---------------------------------------------------------------------------
 
 
+_LOG_1E250 = math.log(1e250)
+
+
 def _numerov_pass(
     w_of: Callable[[float], float],
     y0: float,
@@ -366,9 +400,15 @@ def _numerov_pass(
     x0: float,
     h: float,
     n: int,
-) -> tuple[float, float]:
-    """n Numerov steps for y'' = w(x) y from (y0, y1); returns the last two values."""
+) -> tuple[float, float, float]:
+    """n Numerov steps for y'' = w(x) y from (y0, y1).
+
+    Returns the last two values and log_scale, the sum of the logs of the
+    1e250 renormalizations: the true values are the returned ones times
+    exp(log_scale).
+    """
     h2_12 = h * h / 12.0
+    log_scale = 0.0
     w_prev = w_of(x0)
     w_cur = w_of(x0 + h)
     t_prev = y0 * (1.0 - h2_12 * w_prev)
@@ -386,11 +426,16 @@ def _numerov_pass(
             y_cur /= 1e250
             t_prev /= 1e250
             t_cur /= 1e250
-    return y_prev, y_cur
+            log_scale += _LOG_1E250
+    return y_prev, y_cur, log_scale
 
 
 def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> float:
     """Tail mismatch for u'' = [(g^2 - 1/4)/r^2 + kappa^2] u, two-segment Numerov.
+
+    The mismatch is the cross product of the last two tail values with the
+    decaying asymptote, times exp(-kappa*(r_max - r_seed)): the growing-mode
+    coefficient times a smooth positive scale.
 
     Segment 1 covers the power-law zone on a logarithmic grid via
     v(x) = e^(-x/2) u(e^x), v'' = [g^2 + kappa^2 e^(2x)] v, seeded from the
@@ -475,7 +520,7 @@ def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> 
         u_next = (
             u_j + h_r * up_j + h_r**2 / 2.0 * u2 + h_r**3 / 6.0 * u3 + h_r**4 / 24.0 * u4
         )
-    ub, ua = _numerov_pass(w_lin, u_j, u_next, r_joint, h_r, n_lin)
+    ub, ua, log_scale = _numerov_pass(w_lin, u_j, u_next, r_joint, h_r, n_lin)
     rb = r_joint + (n_lin - 1) * h_r
     ra = r_max
     w1 = (4.0 * g2 - 1.0) / 8.0
@@ -486,8 +531,7 @@ def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> 
         return math.exp(-kappa * (r - rb)) * (1.0 + w1 / zr + w2 / (zr * zr))
 
     num = ua * asym(rb) - ub * asym(ra)
-    den = abs(ua * asym(rb)) + abs(ub * asym(ra)) + 1e-300
-    return num / den
+    return num * math.exp(log_scale - kappa * (r_max - r_seed))
 
 
 def schrodinger_shoot(
@@ -507,9 +551,12 @@ def schrodinger_shoot(
     m = ch.m
     g = ch.gamma
     xi_int = -xi  # AC internal template weight; bound side has xi_int > 0
+    evals = 0
 
     def solve_at(config: ShootingConfig, window: tuple[float, float]) -> Optional[tuple[float, float]]:
         def miss_y(y: float) -> float:
+            nonlocal evals
+            evals += 1
             return _numerov_ac_miss(g, xi_int, config, -math.exp(y))
 
         lo, hi = window
@@ -535,22 +582,25 @@ def schrodinger_shoot(
     y0, resid = base
     e0 = -math.exp(y0)
     if not cfg.diagnostics:
-        return OracleResult(m * e0, m * resid * abs(e0), _DIAG_NAN, _DIAG_NAN)
+        return OracleResult(m * e0, m * resid * abs(e0), _DIAG_NAN, _DIAG_NAN, evals)
     narrow = (y0 - 1e-3, y0 + 1e-3)
     probes = [
-        replace(cfg, r_min=cfg.r_min / 2.0, n_scan=9, diagnostics=False),
         replace(cfg, numerov_dx=cfg.numerov_dx / 2.0, n_scan=9, diagnostics=False),
         replace(cfg, numerov_dx=cfg.numerov_dx / 4.0, n_scan=9, diagnostics=False),
     ]
+    # the seed radius is max(r_min, 0.05/kappa), capped; kappa is largest at
+    # the deep end of the window
+    if cfg.r_min > 0.05 / math.sqrt(2.0 * math.exp(narrow[1])):
+        probes.append(replace(cfg, r_min=cfg.r_min / 2.0, n_scan=9, diagnostics=False))
     got = [solve_at(c, narrow) for c in probes]
     if any(item is None for item in got):  # pragma: no cover
-        return OracleResult(m * e0, m * resid * abs(e0), _DIAG_NAN, _DIAG_NAN)
+        return OracleResult(m * e0, m * resid * abs(e0), _DIAG_NAN, _DIAG_NAN, evals)
     levels = [-math.exp(item[0]) for item in got]
-    sens = abs(e0 - levels[0])
-    d1 = abs(e0 - levels[1])
-    d2 = abs(levels[1] - levels[2])
+    sens = abs(e0 - levels[2]) if len(levels) == 3 else 0.0
+    d1 = abs(e0 - levels[0])
+    d2 = abs(levels[0] - levels[1])
     order = math.log2(d1 / d2) if (d1 > 1e-15 and d2 > 1e-15) else _DIAG_NAN
-    return OracleResult(m * e0, m * resid * abs(e0), order, m * sens)
+    return OracleResult(m * e0, m * resid * abs(e0), order, m * sens, evals)
 
 
 # ---------------------------------------------------------------------------

@@ -95,13 +95,22 @@ class TestDiracShoot:
         assert res.convergence_order_estimate >= 1.5
 
     def test_r_min_insensitivity(self):
-        # halving the inner cutoff moves E by less than 10x the match residual
+        # halving the inner cutoff moves E by less than 10x the match residual;
+        # at the default r_min every seed radius is 0.05/lambda, which the
+        # halved cutoff cannot move, so the probe is skipped and reads exactly 0
         for shoot, ch in (
             (orc.dirac_shoot, dirac_channel(0.25)),
             (orc.schrodinger_shoot, ac_channel(0.4)),
         ):
             res = shoot(ch, ab.Extension.from_xi(-1.0))
             assert res.r_min_sensitivity < 10.0 * res.match_residual
+            assert res.r_min_sensitivity == 0.0
+
+    def test_r_min_probe_runs_when_r_min_sets_seed_radius(self):
+        res = orc.schrodinger_shoot(
+            ac_channel(0.15), ab.Extension.from_xi(-0.3), orc.ShootingConfig(r_min=0.01)
+        )
+        assert 0.0 < res.r_min_sensitivity < 1e-4 * abs(res.E)
 
     def test_uniqueness_scan(self):
         for mu, xi in ((0.25, -1.0), (0.4, -0.3), (0.7, -2.0)):
@@ -166,3 +175,53 @@ class TestDeepLevelRelativeAccuracy:
         cfg = orc.ShootingConfig(r_min=0.01, diagnostics=False)
         res = orc.schrodinger_shoot(ch, ext, cfg)
         assert res.E == pytest.approx(analytic, rel=1e-4)
+
+
+class TestSmoothMismatch:
+    """The mismatch is the growing-mode coefficient times a smooth scale."""
+
+    DELTA = 1e-6
+
+    @pytest.mark.parametrize("mu, xi", [(0.1, -3.0), (0.4, -0.5), (0.85, -0.2)])
+    def test_dirac_mismatch_linear_at_root(self, mu, xi):
+        ch = dirac_channel(mu)
+        e_star = ab.solve_bound_energy(ch, ab.Extension.from_xi(xi)).E
+
+        def miss(E):
+            return orc._dirac_miss(ch, ch.s * xi, FAST, E)
+
+        ratio = miss(e_star + self.DELTA) / miss(e_star + 2.0 * self.DELTA)
+        assert 0.4 <= ratio <= 0.6
+
+    @pytest.mark.parametrize("gamma, xi", [(0.25, -5.0), (0.55, -1.2), (0.85, -0.8)])
+    def test_ac_mismatch_linear_at_root(self, gamma, xi):
+        e_star = ac.ac_bound_energy(ac_channel(gamma), ab.Extension.from_xi(xi)).E_n
+
+        def miss(E):
+            return orc._numerov_ac_miss(gamma, -xi, FAST, E)
+
+        ratio = miss(e_star + self.DELTA) / miss(e_star + 2.0 * self.DELTA)
+        assert 0.4 <= ratio <= 0.6
+
+    def test_golden_shoot_evaluation_count(self):
+        # a step-like mismatch made Brent bisect: 48 scan + 39 refine
+        res = orc.dirac_shoot(dirac_channel(0.25), ab.Extension.from_xi(-1.0), FAST)
+        assert res.evaluations <= 60
+        assert res.evaluations - FAST.n_scan <= 12
+
+
+class TestRenormalization:
+    """Shoots whose state crosses the 1e250 renormalization in the tail."""
+
+    def test_dirac_long_tail(self):
+        cfg = orc.ShootingConfig(r_max=2000.0, n_scan=24, diagnostics=False)
+        res = orc.dirac_shoot(dirac_channel(0.25), ab.Extension.from_xi(-1.0), cfg)
+        assert res.E == pytest.approx(E_GOLDEN, abs=1e-6)
+
+    def test_ac_long_tail(self):
+        cfg = orc.ShootingConfig(
+            r_max=600.0, numerov_dx=0.05, energy_bracket=(-0.6, -0.4), diagnostics=False
+        )
+        res = orc.schrodinger_shoot(ac_channel(0.5), ab.Extension.from_xi(-1.0), cfg)
+        assert res.E == pytest.approx(-0.5, abs=1e-6)
+
