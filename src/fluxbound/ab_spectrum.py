@@ -266,6 +266,16 @@ def _gamma_ratio(nu: float) -> float:
     return nk.gamma_fn(0.5 + nu) / nk.gamma_fn(0.5 - nu)
 
 
+def _wronskian_gamma_ratio(nu: float, s: int) -> float:
+    # Gamma(2 nu) Gamma(-nu+(1-s)/2) / [Gamma(-2 nu) Gamma(nu+(1-s)/2)], the
+    # prefactor of the printed Wronskian
+    return (
+        nk.gamma_fn(2.0 * nu)
+        * nk.gamma_fn(-nu + 0.5 * (1 - s))
+        / (nk.gamma_fn(-2.0 * nu) * nk.gamma_fn(nu + 0.5 * (1 - s)))
+    )
+
+
 def log_abs_master_xi(ch: DiracChannel, E: float) -> float:
     """ln|xi(E)| of the master curve; cheap and overflow-free near the edges."""
     _require_extended(ch, "log_abs_master_xi")
@@ -349,11 +359,7 @@ def paper_omega(ch: DiracChannel, E: float) -> float:
         raise EnergyDomainError(f"paper_omega: need |E| < m, got E={E}")
     nu, s = ch.nu, ch.s
     lam = math.sqrt((m - E) * (m + E))
-    ratio = (
-        nk.gamma_fn(2.0 * nu)
-        * nk.gamma_fn(-nu + 0.5 * (1 - s))
-        / (nk.gamma_fn(-2.0 * nu) * nk.gamma_fn(nu + 0.5 * (1 - s)))
-    )
+    ratio = _wronskian_gamma_ratio(nu, s)
     return ratio * (2.0 * lam / m) ** (-2.0 * nu) * 4.0 * s * lam
 
 
@@ -387,12 +393,7 @@ def paper_level_lhs(ch: DiracChannel, E: float, variant: str) -> float:
     nu = ch.nu
     lam = math.sqrt((m - E) * (m + E))
     if variant == "levab":
-        ratio = (
-            nk.gamma_fn(2.0 * nu)
-            * nk.gamma_fn(-nu + 0.5 * (1 - ch.s))
-            / (nk.gamma_fn(-2.0 * nu) * nk.gamma_fn(nu + 0.5 * (1 - ch.s)))
-        )
-        return ratio * (lam / m) ** (-2.0 * nu)
+        return _wronskian_gamma_ratio(nu, ch.s) * (lam / m) ** (-2.0 * nu)
     n, beta = ch.flux_parts
     family = (ch.l + n == 0 and ch.s == -1) or (ch.l + n == -1 and ch.s == 1)
     if not family:
@@ -443,11 +444,7 @@ def omega_xi_continued(ch: DiracChannel, ext: Extension, E: float) -> complex:
         raise EnergyDomainError(f"omega_xi_continued: need |E| > m, got E={E}")
     k = math.sqrt((abs(E) - m) * (abs(E) + m))
     lam_c = complex(0.0, -math.copysign(1.0, E)) * k
-    ratio = (
-        nk.gamma_fn(2.0 * nu)
-        * nk.gamma_fn(-nu + 0.5 * (1 - s))
-        / (nk.gamma_fn(-2.0 * nu) * nk.gamma_fn(nu + 0.5 * (1 - s)))
-    )
+    ratio = _wronskian_gamma_ratio(nu, s)
     omega_c = ratio * (2.0 * lam_c / m) ** (-2.0 * nu) * 4.0 * s * lam_c
     return omega_c + 4.0 * s * lam_c * (s * xi)
 
@@ -477,6 +474,15 @@ def _k_orders(ch: DiracChannel) -> tuple[float, float]:
     return abs(ch.nu_tilde - 0.5 * ch.s), abs(ch.nu_tilde + 0.5 * ch.s)
 
 
+def _squared_norm_density(f: Callable[[float], tuple[float, float]]) -> Callable[[float], float]:
+    # f1(r)^2 + f2(r)^2 from one evaluation of the doublet per node
+    def density(r: float) -> float:
+        f1, f2 = f(r)
+        return f1**2 + f2**2
+
+    return density
+
+
 def bound_doublet(level: BoundLevel) -> RadialDoublet:
     """Normalized bound-state doublet F(r) = C sqrt(lam r) (K_a(lam r), w_s K_b(lam r)).
 
@@ -499,7 +505,7 @@ def bound_doublet(level: BoundLevel) -> RadialDoublet:
 
     nu = ch.nu
     sq = nk.integrate_semiline(
-        lambda r: raw(r)[0] ** 2 + raw(r)[1] ** 2,
+        _squared_norm_density(raw),
         decay_rate=lam,
         singular_exponent=2.0 * nu,
         rel_tol=1e-11,
@@ -615,7 +621,7 @@ def normalize_doublet(d: RadialDoublet) -> RadialDoublet:
     mn = min(p for p in d.small_r_exponents if not math.isnan(p))
     sing = max(0.0, -2.0 * mn)
     sq = nk.integrate_semiline(
-        lambda r: d.evaluator(r)[0] ** 2 + d.evaluator(r)[1] ** 2,
+        _squared_norm_density(d.evaluator),
         decay_rate=d.decay_rate,
         singular_exponent=sing,
         rel_tol=1e-11,

@@ -3,8 +3,7 @@
 Emits CSV (17 significant digits, '\\n' line endings) or JSON tables with
 deterministic, byte-identical output for identical inputs.  Exit codes:
 0 success, 2 domain/usage errors (critical or regular regime requests,
-bad flags), 1 internal failure.  Sweep grid points are evaluated by a thread
-pool capped by FLUXBOUND_THREADS (default 1) and assembled in grid order.
+bad flags), 1 internal failure.
 
 A flat ``key = value`` config file (# comments) can prefill any long flag;
 explicit flags win.
@@ -15,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -236,23 +233,6 @@ def emit_table(rows: list[dict], columns: Sequence[str], fmt: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _workers() -> int:
-    env = os.environ.get("FLUXBOUND_THREADS", "")
-    try:
-        n = int(env) if env else 1
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _map_ordered(fn, items):
-    n = _workers()
-    if n == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _solve_with_variant(ch: ab.DiracChannel, ext: ab.Extension, variant: str):
     """Bound level per the selected printed equation (comparison modes share
     the master solution's energy sign, since the printed forms see only
@@ -264,27 +244,18 @@ def _solve_with_variant(ch: ab.DiracChannel, ext: ab.Extension, variant: str):
         return None
     xi = ext.xi
     sign = 1.0 if master.E >= 0.0 else -1.0
+    if variant == "lev0lev1":
+        variant = "lev0" if ch.flux_parts.beta < 0.5 else "lev1"
 
-    if variant == "wr00":
-        def eqn(lam_log: float) -> float:
-            lam = math.exp(lam_log)
-            e_abs = math.sqrt(max(ch.m**2 - lam * lam, 0.0))
-            return ab.paper_omega_xi(ch, ext, sign * e_abs)
+    def lhs(E: float) -> float:
+        if variant == "wr00":
+            return ab.paper_omega_xi(ch, ext, E)
+        return ab.paper_level_lhs(ch, E, variant) - xi
 
-    elif variant == "levab":
-        def eqn(lam_log: float) -> float:
-            lam = math.exp(lam_log)
-            e_abs = math.sqrt(max(ch.m**2 - lam * lam, 0.0))
-            return ab.paper_level_lhs(ch, sign * e_abs, "levab") - xi
-
-    else:  # lev0lev1
-        beta = ch.flux_parts.beta
-        which = "lev0" if beta < 0.5 else "lev1"
-
-        def eqn(lam_log: float) -> float:
-            lam = math.exp(lam_log)
-            e_abs = math.sqrt(max(ch.m**2 - lam * lam, 0.0))
-            return ab.paper_level_lhs(ch, sign * e_abs, which) - xi
+    def eqn(lam_log: float) -> float:
+        lam = math.exp(lam_log)
+        e_abs = math.sqrt(max(ch.m**2 - lam * lam, 0.0))
+        return lhs(sign * e_abs)
 
     lo = math.log(ch.m) - 13.0
     hi = math.log(ch.m * (1.0 - 1e-9))
@@ -304,7 +275,10 @@ def _solve_with_variant(ch: ab.DiracChannel, ext: ab.Extension, variant: str):
 
 
 def _sweep_row(ch: ab.DiracChannel, ext: ab.Extension, variant: str) -> dict:
-    level = _solve_with_variant(ch, ext, variant)
+    """One sweep row; a channel outside the extended regime has no level and
+    gives tau = 0 and NaN level columns."""
+    extended = ch.regime is ab.Regime.EXTENDED
+    level = _solve_with_variant(ch, ext, variant) if extended else None
     n, beta = ch.flux_parts
     row = {
         "beta": beta,
@@ -312,7 +286,7 @@ def _sweep_row(ch: ab.DiracChannel, ext: ab.Extension, variant: str) -> dict:
         "s": ch.s,
         "mu": ch.mu,
         "nu": ch.nu,
-        "tau": ch.tau,
+        "tau": ch.tau if extended else 0,
         "xi": ext.xi,
         "E_over_m": math.nan,
         "lambda_over_m": math.nan,
@@ -359,10 +333,7 @@ def run(spec: RunSpec) -> int:
     """Execute a RunSpec, write the table, return the exit code."""
     try:
         rows, columns = _dispatch(spec)
-    except (ab.RegimeError, ab.EnergyDomainError, UsageError, nk.KernelDomainError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": "domain"}) + "\n")
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # every domain and usage error subclasses ValueError
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "domain"}) + "\n")
         return 2
     except Exception as exc:  # pragma: no cover - defensive
@@ -396,15 +367,11 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         lo, hi, n = _parse_grid(params["beta_grid"])
         variant = params.get("level_eq", "master")
 
-        def one(beta: float) -> dict:
-            ch = ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=beta)
-            if ch.regime is not ab.Regime.EXTENDED:
-                row = _sweep_row_placeholder(ch, ext)
-            else:
-                row = _sweep_row(ch, ext, variant)
-            return row
-
-        return _map_ordered(one, _grid_points(lo, hi, n)), _SWEEP_COLUMNS
+        rows = [
+            _sweep_row(ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=beta), ext, variant)
+            for beta in _grid_points(lo, hi, n)
+        ]
+        return rows, _SWEEP_COLUMNS
 
     if spec.command == "ab-density":
         if params.get("mu") is None:
@@ -412,11 +379,11 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         ch = ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=params["mu"])
         lo, hi, n = _parse_grid(params["energy_grid"])
 
-        def one_e(e_over_m: float) -> dict:
-            pt = ab.spectral_density(ch, ext, e_over_m * mass)
-            return {"E_over_m": e_over_m, "density": pt.density}
-
-        return _map_ordered(one_e, _grid_points(lo, hi, n)), _DENSITY_COLUMNS
+        rows = [
+            {"E_over_m": e, "density": ab.spectral_density(ch, ext, e * mass).density}
+            for e in _grid_points(lo, hi, n)
+        ]
+        return rows, _DENSITY_COLUMNS
 
     if spec.command == "ab-wavefunction":
         if params.get("mu") is None:
@@ -444,10 +411,11 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
     if spec.command == "ac-sweep":
         lo, hi, n = _parse_grid(params["gamma_grid"])
 
-        def one_g(g: float) -> dict:
-            return _ac_row(ac.ACChannel(m=mass, coupling=-g, l=0, zeta=1), ext)
-
-        return _map_ordered(one_g, _grid_points(lo, hi, n)), _AC_COLUMNS
+        rows = [
+            _ac_row(ac.ACChannel(m=mass, coupling=-g, l=0, zeta=1), ext)
+            for g in _grid_points(lo, hi, n)
+        ]
+        return rows, _AC_COLUMNS
 
     if spec.command == "oracle-check":
         cfg_kwargs = {"r_min": params.get("r_min", 1e-6)}
@@ -459,15 +427,16 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
             if params.get("mu") is None:
                 raise UsageError("oracle-check --sector ab needs --mu")
             chd = ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=params["mu"])
-            analytic = ab.solve_bound_energy(chd, ext)
+            level = ab.solve_bound_energy(chd, ext)
+            e_an = None if level is None else level.E
             numeric = orc.dirac_shoot(chd, ext, cfg)
         else:
             cha = _ac_channel(params)
-            analytic = ac.ac_bound_energy(cha, ext)
+            ac_level = ac.ac_bound_energy(cha, ext)
+            e_an = None if ac_level is None else ac_level.E_n
             numeric = orc.schrodinger_shoot(cha, ext, cfg)
-        if analytic is None or numeric is None:
+        if e_an is None or numeric is None:
             return [], _ORACLE_COLUMNS
-        e_an = analytic.E if hasattr(analytic, "E") else analytic.E_n
         return (
             [
                 {
@@ -483,22 +452,6 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         )
 
     raise UsageError(f"unknown command {spec.command!r}")
-
-
-def _sweep_row_placeholder(ch: ab.DiracChannel, ext: ab.Extension) -> dict:
-    n, beta = ch.flux_parts
-    return {
-        "beta": beta,
-        "l": ch.l,
-        "s": ch.s,
-        "mu": ch.mu,
-        "nu": ch.nu,
-        "tau": 0,
-        "xi": ext.xi,
-        "E_over_m": math.nan,
-        "lambda_over_m": math.nan,
-        "residual": math.nan,
-    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -22,7 +22,12 @@ exp(-2*lambda*(r_max - r)), so the dominant error is integrator truncation;
 the shoot therefore carries resolution knobs and reports nested-cutoff
 diagnostics.
 
-Each shoot is a pure computation; energy scans parallelize trivially.
+Both sectors run one skeleton, ``_shoot``: scan a grid of the sector's scan
+variable (u = tau*E/m for Dirac, y = ln(-E/m) for Schroedinger) for the first
+sign change, refine it with Brent, and re-solve in a narrow window for the
+discretization ladder and the halved inner cutoff.  A sector supplies only its
+mismatch, window, scan-variable-to-energy map and refined configs.  Each shoot
+is a pure computation.
 """
 
 from __future__ import annotations
@@ -260,6 +265,12 @@ def _dirac_miss(ch: DiracChannel, xi_int: float, cfg: ShootingConfig, E: float) 
     return num * math.exp(log_scale - lam * (r_max - r_seed)) / math.hypot(g1, g2)
 
 
+def _scan_grid(window: tuple[float, float], n_scan: int) -> list[float]:
+    lo, hi = window
+    n = max(3, n_scan)
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
 def _scan_roots(
     miss: Callable[[float], float], grid: Sequence[float]
 ) -> list[tuple[float, float, float, float]]:
@@ -297,6 +308,74 @@ def _refine_root(
 _DIAG_NAN = float("nan")
 
 
+def _shoot(
+    cfg: ShootingConfig,
+    m: float,
+    window: tuple[float, float],
+    miss: Callable[[ShootingConfig, float], float],
+    to_e: Callable[[float], tuple[float, float]],
+    ladder: tuple[str, float],
+    decay_max: Callable[[tuple[float, float]], float],
+) -> Optional[OracleResult]:
+    """Scan, refine and diagnose the first level of a sector, or None.
+
+    miss(config, x) is the sector's mismatch at scan variable x, scanned over
+    window; to_e(x) gives E/m and |d(E/m)/dx|, which turn the root, its
+    residual and the diagnostic differences into energies.  ladder = (knob,
+    ratio) names the sector's discretization knob, which the two refined
+    probes divide by ratio and ratio**2.  decay_max(window) is the largest
+    tail decay constant over a probe window: when r_min <= 0.05/decay_max,
+    halving r_min cannot move any seed radius and the r_min probe is skipped.
+    Each solve memoizes its mismatch, so evaluations counts integrations, not
+    calls.
+    """
+    evals = 0
+
+    def solve_at(config: ShootingConfig, win: tuple[float, float]) -> Optional[tuple[float, float]]:
+        memo: dict[float, float] = {}
+
+        def miss_x(x: float) -> float:
+            nonlocal evals
+            if x not in memo:
+                evals += 1
+                memo[x] = miss(config, x)
+            return memo[x]
+
+        roots = _scan_roots(miss_x, _scan_grid(win, config.n_scan))
+        if not roots:
+            return None
+        return _refine_root(miss_x, *roots[0], tol_x=1e-12)
+
+    base = solve_at(cfg, window)
+    if base is None:
+        return None
+    x0, resid = base
+    e0, de_dx = to_e(x0)
+    resid_e = m * resid * de_dx
+    if not cfg.diagnostics:
+        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
+    # discretization ladder at fixed r_min -> observed order; halved inner
+    # cutoff at fixed discretization -> r_min sensitivity
+    narrow = (max(window[0], x0 - 1e-3), min(window[1], x0 + 1e-3))
+    knob, ratio = ladder
+    probe = replace(cfg, n_scan=9, diagnostics=False)
+    probes = [replace(probe, **{knob: getattr(cfg, knob) / ratio**k}) for k in (1, 2)]
+    if cfg.r_min > 0.05 / decay_max(narrow):
+        probes.append(replace(probe, r_min=cfg.r_min / 2.0))
+    got = [solve_at(c, narrow) for c in probes]
+    if any(g is None for g in got):  # pragma: no cover - root stays in the window
+        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
+    levels = [to_e(g[0])[0] for g in got]
+    sens = abs(e0 - levels[2]) if len(levels) == 3 else 0.0
+    d1 = abs(e0 - levels[0])
+    d2 = abs(levels[0] - levels[1])
+    order = math.log2(d1 / d2) if (d1 > 1e-15 and d2 > 1e-15) else _DIAG_NAN
+    return OracleResult(m * e0, resid_e, order, m * sens, evals)
+
+
+_GAP_WINDOW = (-1.0 + 1e-9, 1.0 - 1e-9)
+
+
 def dirac_shoot(
     ch: DiracChannel, ext: Extension, cfg: ShootingConfig = ShootingConfig()
 ) -> Optional[OracleResult]:
@@ -315,53 +394,21 @@ def dirac_shoot(
     m = ch.m
     xi_int = ch.s * xi
     tau = ch.tau
-    evals = 0
-
-    def solve_at(config: ShootingConfig, window: tuple[float, float]) -> Optional[tuple[float, float]]:
-        def miss_u(u: float) -> float:
-            nonlocal evals
-            evals += 1
-            return _dirac_miss(ch, xi_int, config, tau * u)
-
-        lo, hi = window
-        n = max(3, config.n_scan)
-        grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-        roots = _scan_roots(miss_u, grid)
-        if not roots:
-            return None
-        u, resid = _refine_root(miss_u, *roots[0], tol_x=1e-12)
-        return u, resid
-
     if cfg.energy_bracket is not None:
         window = (cfg.energy_bracket[0] / m * tau, cfg.energy_bracket[1] / m * tau)
         window = (min(window), max(window))
     else:
-        window = (-1.0 + 1e-9, 1.0 - 1e-9)
-    base = solve_at(cfg, window)
-    if base is None:
-        return None
-    u0, resid = base
-    if not cfg.diagnostics:
-        return OracleResult(m * tau * u0, m * resid, _DIAG_NAN, _DIAG_NAN, evals)
-    narrow = (max(window[0], u0 - 1e-3), min(window[1], u0 + 1e-3))
-    # nested inner cutoffs at fixed discretization -> r_min sensitivity;
-    # discretization ladder at fixed r_min -> observed order.  lambda <= 1,
-    # so r_min <= 0.05 leaves every seed radius at 0.05/lambda: the halved
-    # cutoff would re-solve the same problem
-    probes = [
-        replace(cfg, step_control=cfg.step_control / 32.0, n_scan=9, diagnostics=False),
-        replace(cfg, step_control=cfg.step_control / 32.0**2, n_scan=9, diagnostics=False),
-    ]
-    if cfg.r_min > 0.05:
-        probes.append(replace(cfg, r_min=cfg.r_min / 2.0, n_scan=9, diagnostics=False))
-    got = [solve_at(c, narrow) for c in probes]
-    if any(g is None for g in got):  # pragma: no cover - root stays in the window
-        return OracleResult(m * tau * u0, m * resid, _DIAG_NAN, _DIAG_NAN, evals)
-    sens = abs(u0 - got[2][0]) if len(got) == 3 else 0.0
-    d1 = abs(u0 - got[0][0])
-    d2 = abs(got[0][0] - got[1][0])
-    order = math.log2(d1 / d2) if (d1 > 1e-15 and d2 > 1e-15) else _DIAG_NAN
-    return OracleResult(m * tau * u0, m * resid, order, m * sens, evals)
+        window = _GAP_WINDOW
+    return _shoot(
+        cfg,
+        m,
+        window,
+        lambda config, u: _dirac_miss(ch, xi_int, config, tau * u),
+        lambda u: (tau * u, 1.0),
+        ("step_control", 32.0),
+        # lambda <= 1, so r_min <= 0.05 leaves every seed radius at 0.05/lambda
+        lambda narrow: 1.0,
+    )
 
 
 def count_dirac_levels(
@@ -379,10 +426,7 @@ def count_dirac_levels(
     def miss_u(u: float) -> float:
         return _dirac_miss(ch, xi_int, cfg, tau * u)
 
-    lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
-    n = max(3, cfg.n_scan)
-    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    return len(_scan_roots(miss_u, grid))
+    return len(_scan_roots(miss_u, _scan_grid(_GAP_WINDOW, cfg.n_scan)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,23 +595,6 @@ def schrodinger_shoot(
     m = ch.m
     g = ch.gamma
     xi_int = -xi  # AC internal template weight; bound side has xi_int > 0
-    evals = 0
-
-    def solve_at(config: ShootingConfig, window: tuple[float, float]) -> Optional[tuple[float, float]]:
-        def miss_y(y: float) -> float:
-            nonlocal evals
-            evals += 1
-            return _numerov_ac_miss(g, xi_int, config, -math.exp(y))
-
-        lo, hi = window
-        n = max(3, config.n_scan)
-        grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-        roots = _scan_roots(miss_y, grid)
-        if not roots:
-            return None
-        y, resid = _refine_root(miss_y, *roots[0], tol_x=1e-12)
-        return y, resid
-
     if cfg.energy_bracket is not None:
         e_lo, e_hi = cfg.energy_bracket
         if not (e_lo < 0 and e_hi < 0):
@@ -576,31 +603,16 @@ def schrodinger_shoot(
         window = (min(window), max(window))
     else:
         window = (math.log(1e-8), math.log(1e6))
-    base = solve_at(cfg, window)
-    if base is None:
-        return None
-    y0, resid = base
-    e0 = -math.exp(y0)
-    if not cfg.diagnostics:
-        return OracleResult(m * e0, m * resid * abs(e0), _DIAG_NAN, _DIAG_NAN, evals)
-    narrow = (y0 - 1e-3, y0 + 1e-3)
-    probes = [
-        replace(cfg, numerov_dx=cfg.numerov_dx / 2.0, n_scan=9, diagnostics=False),
-        replace(cfg, numerov_dx=cfg.numerov_dx / 4.0, n_scan=9, diagnostics=False),
-    ]
-    # the seed radius is max(r_min, 0.05/kappa), capped; kappa is largest at
-    # the deep end of the window
-    if cfg.r_min > 0.05 / math.sqrt(2.0 * math.exp(narrow[1])):
-        probes.append(replace(cfg, r_min=cfg.r_min / 2.0, n_scan=9, diagnostics=False))
-    got = [solve_at(c, narrow) for c in probes]
-    if any(item is None for item in got):  # pragma: no cover
-        return OracleResult(m * e0, m * resid * abs(e0), _DIAG_NAN, _DIAG_NAN, evals)
-    levels = [-math.exp(item[0]) for item in got]
-    sens = abs(e0 - levels[2]) if len(levels) == 3 else 0.0
-    d1 = abs(e0 - levels[0])
-    d2 = abs(levels[0] - levels[1])
-    order = math.log2(d1 / d2) if (d1 > 1e-15 and d2 > 1e-15) else _DIAG_NAN
-    return OracleResult(m * e0, m * resid * abs(e0), order, m * sens, evals)
+    return _shoot(
+        cfg,
+        m,
+        window,
+        lambda config, y: _numerov_ac_miss(g, xi_int, config, -math.exp(y)),
+        lambda y: (-math.exp(y), math.exp(y)),
+        ("numerov_dx", 2.0),
+        # kappa is largest at the deep end of the window
+        lambda narrow: math.sqrt(2.0 * math.exp(narrow[1])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +621,14 @@ def schrodinger_shoot(
 
 
 def convergence_study(
-    kind: str,
-    ch,
+    ch: DiracChannel | ACChannel,
     ext: Extension,
     configs: Sequence[ShootingConfig],
 ) -> ConvergenceReport:
     """Richardson study over a ladder of at least three nested configs.
 
+    The shoot follows the channel: dirac_shoot for a DiracChannel,
+    schrodinger_shoot for an ACChannel; any other channel is a TypeError.
     Each rung is expected to halve r_min and refine the discretization; the
     observed order is log2 of the ratio of successive differences, and the
     extrapolated energy removes the leading error term.  Non-monotone
@@ -623,7 +636,9 @@ def convergence_study(
     """
     if len(configs) < 3:
         raise ValueError("convergence_study: need at least 3 nested configs")
-    shoot = {"dirac": dirac_shoot, "schrodinger": schrodinger_shoot}[kind]
+    if not isinstance(ch, (DiracChannel, ACChannel)):
+        raise TypeError(f"convergence_study: no shoot for a {type(ch).__name__}")
+    shoot = dirac_shoot if isinstance(ch, DiracChannel) else schrodinger_shoot
     energies = []
     for cfg in configs:
         res = shoot(ch, ext, replace(cfg, diagnostics=False))

@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -15,15 +14,10 @@ from fluxbound import cli
 E_GOLDEN = -0.56600199969254444
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("FLUXBOUND_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     proc = subprocess.run(
         [sys.executable, "-m", "fluxbound", *args],
         capture_output=True,
-        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -193,12 +187,6 @@ class TestDeterminism:
         args = ["ab-sweep", "--beta-grid", "0.05:0.95:13", "--xi", "-1"]
         outs = {run_cli(args)[1] for _ in range(3)}
         assert len(outs) == 1
-
-    def test_threaded_sweep_matches_serial(self):
-        args = ["ab-sweep", "--beta-grid", "0.05:0.95:13", "--xi", "-1"]
-        serial = run_cli(args)[1]
-        threaded = run_cli(args, env_extra={"FLUXBOUND_THREADS": "4"})[1]
-        assert serial == threaded
 
     def test_json_determinism(self):
         args = ["ac-sweep", "--gamma-grid", "0.1:0.9:9", "--xi", "-1", "--format", "json"]

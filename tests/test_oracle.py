@@ -133,7 +133,7 @@ class TestConvergenceStudy:
 
     def test_ac_half_gamma_ladder(self):
         report = orc.convergence_study(
-            "schrodinger", ac_channel(0.5), ab.Extension.from_xi(-1.0), self.ladder()
+            ac_channel(0.5), ab.Extension.from_xi(-1.0), self.ladder()
         )
         assert report.extrapolated_E == pytest.approx(-0.5, abs=1e-8)
         assert report.observed_order >= 1.5
@@ -141,7 +141,6 @@ class TestConvergenceStudy:
 
     def test_dirac_zero_mode_ladder(self):
         report = orc.convergence_study(
-            "dirac",
             dirac_channel(0.5 - 1e-8),
             ab.Extension.from_xi(-1.0),
             self.ladder(),
@@ -151,7 +150,15 @@ class TestConvergenceStudy:
     def test_requires_three_rungs(self):
         with pytest.raises(ValueError):
             orc.convergence_study(
-                "dirac", dirac_channel(0.25), ab.Extension.from_xi(-1.0), self.ladder()[:2]
+                dirac_channel(0.25), ab.Extension.from_xi(-1.0), self.ladder()[:2]
+            )
+
+    def test_shoot_follows_channel_type(self):
+        with pytest.raises(TypeError):
+            orc.convergence_study(
+                ab.classify_channel(dirac_channel(0.25)),
+                ab.Extension.from_xi(-1.0),
+                self.ladder(),
             )
 
 
@@ -225,3 +232,37 @@ class TestRenormalization:
         res = orc.schrodinger_shoot(ac_channel(0.5), ab.Extension.from_xi(-1.0), cfg)
         assert res.E == pytest.approx(-0.5, abs=1e-6)
 
+
+
+class TestGoldenShoots:
+    """Every OracleResult field of the golden AB (l=0, s=-1, mu=0.25) and AC
+    (gamma=0.5) shoots at xi=-1, with diagnostics off and on."""
+
+    NAN = math.nan
+    # E, match_residual, convergence_order_estimate, r_min_sensitivity, evaluations
+    CASES = {
+        "ab-off": (-0.5660019994861645, 1e-12, NAN, NAN, 54),
+        "ac-off": (-0.499999999968014, 4.99999999968014e-13, NAN, NAN, 58),
+        "ab-on": (-0.5660019994861645, 1e-12, 4.8708839669526975, 0.0, 80),
+        "ac-on": (-0.499999999968014, 4.99999999968014e-13, 7.267754405159166, 0.0, 90),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_golden_shoot(self, case):
+        sector, diag = case.split("-")
+        cfg = orc.ShootingConfig(diagnostics=diag == "on")
+        ext = ab.Extension.from_xi(-1.0)
+        if sector == "ab":
+            res = orc.dirac_shoot(dirac_channel(0.25), ext, cfg)
+        else:
+            res = orc.schrodinger_shoot(ac_channel(0.5), ext, cfg)
+        *floats, evaluations = self.CASES[case]
+        got = (res.E, res.match_residual, res.convergence_order_estimate, res.r_min_sensitivity)
+        for value, want in zip(got, floats):
+            if math.isnan(want):
+                assert math.isnan(value)
+            else:
+                assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+        # the residual probe's miss(root) repeats Brent's last evaluation and
+        # is served from the per-solve memo, not integrated again
+        assert res.evaluations == evaluations
