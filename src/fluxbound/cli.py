@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -161,7 +162,7 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
     """Parse and validate argv into a RunSpec; config-file values are
     overridden by explicit flags."""
     parser = _build_parser()
-    ns = parser.parse_args(list(argv))
+    ns = parser.parse_args(_join_negative_values(argv))
     params = vars(ns)
     config_path = params.pop("config", None)
     if config_path:
@@ -169,20 +170,7 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
         given = _given_flags(argv)
         for key, raw in file_vals.items():
             if key in params and key not in given:
-                current = params[key]
-                if isinstance(current, bool):
-                    params[key] = raw.lower() in ("1", "true", "yes")
-                elif isinstance(current, int) and not isinstance(current, bool):
-                    params[key] = int(raw)
-                elif isinstance(current, float):
-                    params[key] = float(raw)
-                elif current is None:
-                    try:
-                        params[key] = float(raw)
-                    except ValueError:
-                        params[key] = raw
-                else:
-                    params[key] = raw
+                params[key] = _config_value(config_path, key, raw, params[key])
     if params.get("xi") is not None and params.get("theta") is not None:
         raise UsageError("give exactly one of --xi / --theta, not both")
     if params.get("xi") is None and params.get("theta") is None:
@@ -191,6 +179,46 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
     fmt = params.pop("format")
     out_path = params.pop("output")
     return RunSpec(command=command, params=params, fmt=fmt, out_path=out_path)
+
+
+def _config_value(path: str, key: str, raw: str, current):
+    """A config-file string typed like its flag: int and float flags (and the
+    float flags whose default is None) must parse, string flags take it as is."""
+    if isinstance(current, str) or key == "output":
+        return raw
+    kind = float if current is None else type(current)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise UsageError(
+            f"config file {path}: {key} = {raw!r} is not a valid {kind.__name__}"
+        ) from None
+
+
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite '--flag -1e-3' as '--flag=-1e-3'.
+
+    argparse takes a token that starts with '-' for a flag unless it is a
+    plain negative number, so negative values in scientific notation and grids
+    with a negative bound ('-1.5:1.5:61') would need the '=' form.  Every long
+    flag but --help takes one value, so a '-digit' token after one is its value.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (
+            _NEGATIVE_VALUE.match(token)
+            and prev.startswith("--")
+            and "=" not in prev
+            and not "--help".startswith(prev)
+        ):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _given_flags(argv: Sequence[str]) -> set[str]:
@@ -300,7 +328,9 @@ def _sweep_row(ch: ab.DiracChannel, ext: ab.Extension, variant: str) -> dict:
 
 
 def _ac_row(ch: ac.ACChannel, ext: ab.Extension) -> dict:
-    level = ac.ac_bound_energy(ch, ext)
+    """One AC sweep row; a regular channel (gamma >= 1) has no level and gives
+    NaN level columns."""
+    level = None if ch.regime is ac.ACRegime.REGULAR else ac.ac_bound_energy(ch, ext)
     row = {
         "gamma": ch.gamma,
         "l": ch.l,

@@ -111,67 +111,94 @@ class ConvergenceReport:
 # Cash-Karp RK45
 # ---------------------------------------------------------------------------
 
-_CK_B = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (0.3, -0.9, 1.2),
-    (-11.0 / 54.0, 2.5, -70.0 / 27.0, 35.0 / 27.0),
-    (
-        1631.0 / 55296.0,
-        175.0 / 512.0,
-        575.0 / 13824.0,
-        44275.0 / 110592.0,
-        253.0 / 4096.0,
-    ),
-)
-_CK_C5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
-_CK_CE = (
-    37.0 / 378.0 - 2825.0 / 27648.0,
-    0.0,
-    250.0 / 621.0 - 18575.0 / 48384.0,
-    125.0 / 594.0 - 13525.0 / 55296.0,
-    -277.0 / 14336.0,
-    512.0 / 1771.0 - 0.25,
-)
 
-
-def _rk45_2d(
-    f: Callable[[float, float, float], tuple[float, float]],
+def _rk45_dirac(
+    a: float,
+    p: float,
+    q: float,
     r0: float,
-    y0: tuple[float, float],
+    y1: float,
+    y2: float,
     r1: float,
     rel_tol: float,
 ) -> tuple[float, float, float]:
-    """Adaptive Cash-Karp integration of a 2-component system from r0 to r1.
+    """Adaptive Cash-Karp integration of the radial Dirac system from r0 to r1.
+
+    The system is f1' = (a/r) f1 - p f2, f2' = q f1 - (a/r) f2 with
+    a = s*nu_tilde, p = s*(E + 1), q = s*(E - 1); folding the sign s = +-1
+    into the coefficients is exact.  The six stages of the Cash-Karp pair
+    (Cash & Karp, ACM TOMS 16 (1990)) are unrolled with the right-hand side
+    inline; each h*b product is formed once for both components, the
+    zero-weight terms of the 5th-order and error sums are dropped, and every
+    sum runs left to right in stage order.
 
     The state is renormalized when it grows past 1e250; the returned
     log_scale is the sum of the logs of those divisors, so the true state is
     (y1, y2) * exp(log_scale).
     """
     r = r0
-    y1, y2 = y0
     log_scale = 0.0
     h = 0.25 * r0
     while r < r1:
         h = min(h, r1 - r)
-        k = [(0.0, 0.0)] * 6
-        k[0] = f(r, y1, y2)
-        for stage in range(1, 6):
-            b = _CK_B[stage - 1]
-            z1, z2 = y1, y2
-            for j, bj in enumerate(b):
-                z1 += h * bj * k[j][0]
-                z2 += h * bj * k[j][1]
-            a = (0.2, 0.3, 0.6, 1.0, 0.875)[stage - 1]
-            k[stage] = f(r + a * h, z1, z2)
-        n1, n2 = y1, y2
-        e1 = e2 = 0.0
-        for j in range(6):
-            n1 += h * _CK_C5[j] * k[j][0]
-            n2 += h * _CK_C5[j] * k[j][1]
-            e1 += h * _CK_CE[j] * k[j][0]
-            e2 += h * _CK_CE[j] * k[j][1]
-        scale = abs(y1) + abs(y2) + abs(h) * (abs(k[0][0]) + abs(k[0][1])) + 1e-300
+        w = a / r
+        k11 = w * y1 - p * y2
+        k12 = q * y1 - w * y2
+        c1 = h * 0.2
+        z1 = y1 + c1 * k11
+        z2 = y2 + c1 * k12
+        w = a / (r + 0.2 * h)
+        k21 = w * z1 - p * z2
+        k22 = q * z1 - w * z2
+        c1 = h * (3.0 / 40.0)
+        c2 = h * (9.0 / 40.0)
+        z1 = y1 + c1 * k11 + c2 * k21
+        z2 = y2 + c1 * k12 + c2 * k22
+        w = a / (r + 0.3 * h)
+        k31 = w * z1 - p * z2
+        k32 = q * z1 - w * z2
+        c1 = h * 0.3
+        c2 = h * -0.9
+        c3 = h * 1.2
+        z1 = y1 + c1 * k11 + c2 * k21 + c3 * k31
+        z2 = y2 + c1 * k12 + c2 * k22 + c3 * k32
+        w = a / (r + 0.6 * h)
+        k41 = w * z1 - p * z2
+        k42 = q * z1 - w * z2
+        c1 = h * (-11.0 / 54.0)
+        c2 = h * 2.5
+        c3 = h * (-70.0 / 27.0)
+        c4 = h * (35.0 / 27.0)
+        z1 = y1 + c1 * k11 + c2 * k21 + c3 * k31 + c4 * k41
+        z2 = y2 + c1 * k12 + c2 * k22 + c3 * k32 + c4 * k42
+        w = a / (r + h)
+        k51 = w * z1 - p * z2
+        k52 = q * z1 - w * z2
+        c1 = h * (1631.0 / 55296.0)
+        c2 = h * (175.0 / 512.0)
+        c3 = h * (575.0 / 13824.0)
+        c4 = h * (44275.0 / 110592.0)
+        c5 = h * (253.0 / 4096.0)
+        z1 = y1 + c1 * k11 + c2 * k21 + c3 * k31 + c4 * k41 + c5 * k51
+        z2 = y2 + c1 * k12 + c2 * k22 + c3 * k32 + c4 * k42 + c5 * k52
+        w = a / (r + 0.875 * h)
+        k61 = w * z1 - p * z2
+        k62 = q * z1 - w * z2
+        # 5th-order weights (b2 = b5 = 0) and embedded-error weights (e2 = 0)
+        c1 = h * (37.0 / 378.0)
+        c3 = h * (250.0 / 621.0)
+        c4 = h * (125.0 / 594.0)
+        c6 = h * (512.0 / 1771.0)
+        n1 = y1 + c1 * k11 + c3 * k31 + c4 * k41 + c6 * k61
+        n2 = y2 + c1 * k12 + c3 * k32 + c4 * k42 + c6 * k62
+        c1 = h * (37.0 / 378.0 - 2825.0 / 27648.0)
+        c3 = h * (250.0 / 621.0 - 18575.0 / 48384.0)
+        c4 = h * (125.0 / 594.0 - 13525.0 / 55296.0)
+        c5 = h * (-277.0 / 14336.0)
+        c6 = h * (512.0 / 1771.0 - 0.25)
+        e1 = c1 * k11 + c3 * k31 + c4 * k41 + c5 * k51 + c6 * k61
+        e2 = c1 * k12 + c3 * k32 + c4 * k42 + c5 * k52 + c6 * k62
+        scale = abs(y1) + abs(y2) + abs(h) * (abs(k11) + abs(k12)) + 1e-300
         err = max(abs(e1), abs(e2)) / (rel_tol * scale)
         if err <= 1.0:
             r += h
@@ -244,20 +271,15 @@ def _dirac_miss(ch: DiracChannel, xi_int: float, cfg: ShootingConfig, E: float) 
     nut, s = ch.nu_tilde, ch.s
     lam = math.sqrt((1.0 - E) * (1.0 + E))
     r_max = cfg.r_max if cfg.r_max is not None else max(40.0 / lam, 30.0)
-
-    def rhs(r: float, f1: float, f2: float) -> tuple[float, float]:
-        return (
-            s * ((nut / r) * f1 - (E + 1.0) * f2),
-            s * ((E - 1.0) * f1 - (nut / r) * f2),
-        )
-
     # evaluate the template's series continuation as far out as its truncation
     # allows before handing to the integrator: transporting the mixture
     # numerically from deep inside the power-law zone would erode the
     # microscopic regular-branch share (relative error / r^(2 nu))
     r_seed = min(max(cfg.r_min, 0.05 / lam), 0.2 * r_max)
-    y0 = _dirac_seed(ch, xi_int, r_seed, E)
-    f1, f2, log_scale = _rk45_2d(rhs, r_seed, y0, r_max, cfg.step_control)
+    y1, y2 = _dirac_seed(ch, xi_int, r_seed, E)
+    f1, f2, log_scale = _rk45_dirac(
+        s * nut, s * (E + 1.0), s * (E - 1.0), r_seed, y1, y2, r_max, cfg.step_control
+    )
     # decaying asymptote, two terms of the large-r expansion
     g1 = 1.0 + nut * (nut - s) / (2.0 * lam * r_max)
     g2 = (s * lam / (E + 1.0)) * (1.0 + nut * (nut + s) / (2.0 * lam * r_max))
@@ -438,29 +460,32 @@ _LOG_1E250 = math.log(1e250)
 
 
 def _numerov_pass(
-    w_of: Callable[[float], float],
+    c: float,
+    k2: float,
     y0: float,
     y1: float,
     x0: float,
     h: float,
     n: int,
 ) -> tuple[float, float, float]:
-    """n Numerov steps for y'' = w(x) y from (y0, y1).
+    """n Numerov steps for y'' = (c/x^2 + k2) y on x = x0 + i*h from (y0, y1).
 
     Returns the last two values and log_scale, the sum of the logs of the
     1e250 renormalizations: the true values are the returned ones times
     exp(log_scale).
     """
-    h2_12 = h * h / 12.0
+    hh = h * h
+    h2_12 = hh / 12.0
     log_scale = 0.0
-    w_prev = w_of(x0)
-    w_cur = w_of(x0 + h)
-    t_prev = y0 * (1.0 - h2_12 * w_prev)
+    x1 = x0 + h
+    w_cur = c / (x1 * x1) + k2
+    t_prev = y0 * (1.0 - h2_12 * (c / (x0 * x0) + k2))
     t_cur = y1 * (1.0 - h2_12 * w_cur)
     y_prev, y_cur = y0, y1
     for i in range(2, n + 1):
-        t_next = 2.0 * t_cur - t_prev + h * h * w_cur * y_cur
-        w_next = w_of(x0 + i * h)
+        t_next = 2.0 * t_cur - t_prev + hh * w_cur * y_cur
+        x = x0 + i * h
+        w_next = c / (x * x) + k2
         y_next = t_next / (1.0 - h2_12 * w_next)
         t_prev, t_cur = t_cur, t_next
         y_prev, y_cur = y_cur, y_next
@@ -522,14 +547,20 @@ def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> 
 
         # integrate keeping the last three values; extract v' at the interior
         # point x_c = x1 - h with the Numerov-consistent centered formula
-        h2_12 = h_log * h_log / 12.0
+        hh = h_log * h_log
+        h2_12 = hh / 12.0
+        exp = math.exp
         y_prev, y_cur = seed(math.exp(x0)), seed(math.exp(x0 + h_log))
+        w_cur = w_log(x0 + h_log)
         t_prev = y_prev * (1.0 - h2_12 * w_log(x0))
-        t_cur = y_cur * (1.0 - h2_12 * w_log(x0 + h_log))
+        t_cur = y_cur * (1.0 - h2_12 * w_cur)
         y_mm = y_prev
         for i in range(2, n_log + 1):
-            t_next = 2.0 * t_cur - t_prev + h_log * h_log * w_log(x0 + (i - 1) * h_log) * y_cur
-            y_next = t_next / (1.0 - h2_12 * w_log(x0 + i * h_log))
+            # w at x0 + (i-1)*h_log was the previous step's w_next
+            w_next = g2 + k2 * exp(2.0 * (x0 + i * h_log))
+            t_next = 2.0 * t_cur - t_prev + hh * w_cur * y_cur
+            y_next = t_next / (1.0 - h2_12 * w_next)
+            w_cur = w_next
             t_prev, t_cur = t_cur, t_next
             y_mm, y_prev, y_cur = y_prev, y_cur, y_next
         x_c = x1 - h_log
@@ -547,15 +578,11 @@ def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> 
     h_r = dx / kappa
     n_lin = max(8, int(math.ceil((r_max - r_joint) / h_r)))
     h_r = (r_max - r_joint) / n_lin
-
-    def w_lin(r: float) -> float:
-        return (g2 - 0.25) / (r * r) + k2
-
+    c = g2 - 0.25
     if seed_directly:
         u_next = math.sqrt(r_joint + h_r) * seed(r_joint + h_r)
     else:
-        c = g2 - 0.25
-        w0 = w_lin(r_joint)
+        w0 = c / (r_joint * r_joint) + k2
         wp = -2.0 * c / r_joint**3
         wpp = 6.0 * c / r_joint**4
         u2 = w0 * u_j
@@ -564,7 +591,7 @@ def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> 
         u_next = (
             u_j + h_r * up_j + h_r**2 / 2.0 * u2 + h_r**3 / 6.0 * u3 + h_r**4 / 24.0 * u4
         )
-    ub, ua, log_scale = _numerov_pass(w_lin, u_j, u_next, r_joint, h_r, n_lin)
+    ub, ua, log_scale = _numerov_pass(c, k2, u_j, u_next, r_joint, h_r, n_lin)
     rb = r_joint + (n_lin - 1) * h_r
     ra = r_max
     w1 = (4.0 * g2 - 1.0) / 8.0

@@ -55,6 +55,31 @@ class TestParseArgs:
         assert spec.params["mu"] == 0.3  # from file
         assert spec.params["xi"] == -1.0  # flag wins
 
+    @pytest.mark.parametrize(
+        "key, raw", [("l", "abc"), ("mass", "heavy"), ("l", "1.5"), ("mu", "abc")]
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, key, raw):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        with pytest.raises(cli.UsageError) as info:
+            cli.parse_args(["ab-solve", "--config", str(cfg), "--xi", "-1"])
+        assert key in str(info.value)
+        assert str(cfg) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ab-solve", "--mu", "0.25", "--xi", "-1e-3"],
+            ["ab-solve", "--mu", "0.25", "--xi", "-1e-300"],
+            ["ab-solve", "--mu", "-.25", "--s", "-1", "--xi", "-1"],
+            ["ab-sweep", "--beta-grid", "-1.5:1.5:61", "--xi", "-1"],
+            ["ab-density", "--mu", "0.25", "--xi", "-1", "--energy-grid", "-5:-1.001:100"],
+        ],
+    )
+    def test_negative_value_after_space(self, argv):
+        joined = [f"{a}={b}" for a, b in zip(argv[1::2], argv[2::2])]
+        assert cli.parse_args(argv) == cli.parse_args(argv[:1] + joined)
+
 
 class TestEmitTable:
     def test_sweep_schema_columns(self):
@@ -171,6 +196,35 @@ class TestRunCommands:
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out.decode())))
         assert abs(float(row["E_over_m"])) < 1.0
+
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("l = abc\n")
+        code, out, err = run_cli(["ab-solve", "--config", str(cfg), "--mu", "0.25", "--xi", "-1"])
+        assert code == 2
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["kind"] == "usage"
+
+    def test_negative_grid_after_space_matches_equals_form(self):
+        args = ["ab-sweep", "--xi", "-1", "--beta-grid"]
+        code, out, _ = run_cli(args + ["-1.5:1.5:61"])
+        assert code == 0
+        assert out == run_cli(args[:-1] + ["--beta-grid=-1.5:1.5:61"])[1]
+        assert len(out.decode().splitlines()) == 62
+
+    def test_ac_sweep_across_regular_channels(self):
+        code, out, _ = run_cli(["ac-sweep", "--gamma-grid", "0.05:1.5:40", "--xi", "-0.5"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.decode())))
+        assert len(rows) == 40
+        for row in rows:
+            level_cols = [float(row[c]) for c in ("E_over_m", "kappa_over_m", "residual")]
+            if float(row["gamma"]) < 1.0:
+                assert all(math.isfinite(v) for v in level_cols)
+            else:
+                assert all(math.isnan(v) for v in level_cols)
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.csv"

@@ -266,3 +266,86 @@ class TestGoldenShoots:
         # the residual probe's miss(root) repeats Brent's last evaluation and
         # is served from the per-solve memo, not integrated again
         assert res.evaluations == evaluations
+
+
+class TestIntegratorKernels:
+    """The two integrators against closed-form solutions of the systems they
+    solve; a mistyped coefficient in the unrolled stages shows here as a lost
+    order, not only as a far-off level."""
+
+    @pytest.mark.parametrize("s", [1, -1])
+    @pytest.mark.parametrize("y2", [0.3, -0.4995])
+    def test_cash_karp_exponential_through_renormalization(self, s, y2):
+        # nu_tilde = 0: f1'' = lam^2 f1, so (f1, f2) is cosh/sinh in lam*(r - r0).
+        # lam*(r1 - r0) = 639 crosses the 1e250 renormalization once; the
+        # local error control allows about one rel_tol per e-fold of growth
+        # (measured 0.61-0.72)
+        E, y1, r0, r1 = 0.6, 1.0, 1.0, 800.0
+        lam = math.sqrt(1.0 - E * E)
+        p, q = s * (E + 1.0), s * (E - 1.0)
+        for rel_tol in (1e-10, 1e-8):
+            f1, f2, log_scale = orc._rk45_dirac(0.0, p, q, r0, y1, y2, r1, rel_tol)
+            assert max(abs(f1), abs(f2)) < 1e250
+            assert 575.0 < log_scale < 577.0
+            d = lam * (r1 - r0)
+            exact1 = y1 * math.cosh(d) - p * y2 / lam * math.sinh(d)
+            exact2 = y2 * math.cosh(d) - y1 * lam / p * math.sinh(d)
+            bound = rel_tol * d
+            assert abs(f1 * math.exp(log_scale) / exact1 - 1.0) <= bound
+            assert abs(f2 * math.exp(log_scale) / exact2 - 1.0) <= bound
+
+    @pytest.mark.parametrize("a", [0.75, -0.3, 1.4])
+    def test_cash_karp_power_law(self, a):
+        # E = -1 (p = 0): f1 = y1 (r/r0)^a and f2 solves r^a f2' + a r^(a-1) f2
+        # = q y1 r0^-a r^(2a); this exercises the a/r term at every stage radius
+        q, r0, r1, y1, y2 = -2.0, 0.01, 50.0, 0.7, -0.2
+        rel_tol = 1e-10
+        f1, f2, log_scale = orc._rk45_dirac(a, 0.0, q, r0, y1, y2, r1, rel_tol)
+        assert log_scale == 0.0
+        drive = q * y1 * r0**-a / (2.0 * a + 1.0)
+        exact1 = y1 * (r1 / r0) ** a
+        exact2 = r1**-a * (y2 * r0**a + drive * (r1 ** (2.0 * a + 1.0) - r0 ** (2.0 * a + 1.0)))
+        # measured 8.6-34 rel_tol over the 8.5 e-folds of r
+        assert abs(f1 / exact1 - 1.0) <= 100.0 * rel_tol
+        assert abs(f2 / exact2 - 1.0) <= 100.0 * rel_tol
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_numerov_exponentials(self, sign):
+        # c = 0: y'' = kappa^2 y.  Numerov's phase error is (kappa h)^5/480 per
+        # step, so exp(+kappa x) is off by kappa L (kappa h)^4/480 after a
+        # span L; exact seeds of exp(-kappa x) also carry a discrete growing
+        # mode of relative size (kappa h)^4/960, amplified by exp(2 kappa L)
+        kappa, x0, span = 1.5, 0.5, 3.0
+        errs = []
+        for h in (0.02, 0.01):
+            n = round(span / h)
+            k = sign * kappa
+            _, y_n, log_scale = orc._numerov_pass(
+                0.0, kappa * kappa, math.exp(k * x0), math.exp(k * (x0 + h)), x0, h, n
+            )
+            assert log_scale == 0.0
+            err = abs(math.log(y_n) - k * (x0 + n * h))
+            kh4 = (kappa * h) ** 4
+            bound = kh4 * kappa * span / 480.0
+            if sign < 0:
+                bound += kh4 * math.exp(2.0 * kappa * span) / 960.0
+            assert err <= 2.0 * bound
+            errs.append(err)
+        assert 14.0 <= errs[0] / errs[1] <= 18.0
+
+    def test_numerov_exponential_through_renormalization(self):
+        kappa, x0, h, n = 2.0, 0.5, 0.02, 15000
+        _, y_n, log_scale = orc._numerov_pass(
+            0.0, kappa * kappa, math.exp(kappa * x0), math.exp(kappa * (x0 + h)), x0, h, n
+        )
+        assert log_scale == math.log(1e250)
+        err = abs(math.log(y_n) + log_scale - kappa * (x0 + n * h))
+        assert err <= 2.0 * kappa * (n * h) * (kappa * h) ** 4 / 480.0
+
+    def test_numerov_power_law_exact(self):
+        # c = 2, k2 = 0: y = x^2 solves y'' = (2/x^2) y, and Numerov is exact
+        # for it, so only rounding remains
+        x0, h, n = 1.0, 0.01, 500
+        y_prev, y_n, _ = orc._numerov_pass(2.0, 0.0, x0 * x0, (x0 + h) ** 2, x0, h, n)
+        assert y_n == pytest.approx((x0 + n * h) ** 2, rel=1e-12)
+        assert y_prev == pytest.approx((x0 + (n - 1) * h) ** 2, rel=1e-12)
