@@ -474,15 +474,6 @@ def _k_orders(ch: DiracChannel) -> tuple[float, float]:
     return abs(ch.nu_tilde - 0.5 * ch.s), abs(ch.nu_tilde + 0.5 * ch.s)
 
 
-def _squared_norm_density(f: Callable[[float], tuple[float, float]]) -> Callable[[float], float]:
-    # f1(r)^2 + f2(r)^2 from one evaluation of the doublet per node
-    def density(r: float) -> float:
-        f1, f2 = f(r)
-        return f1**2 + f2**2
-
-    return density
-
-
 def bound_doublet(level: BoundLevel) -> RadialDoublet:
     """Normalized bound-state doublet F(r) = C sqrt(lam r) (K_a(lam r), w_s K_b(lam r)).
 
@@ -490,32 +481,26 @@ def bound_doublet(level: BoundLevel) -> RadialDoublet:
     weight w_s = s * sqrt((m-E)/(m+E)) follow from row-wise substitution into
     the first-order system (equal weights hold only at E = 0).  The leading
     small-r powers are (nu, -nu) for tau = +1 and (-nu, nu) for tau = -1,
-    matching the extension domain template; decay rate is lambda.
+    matching the extension domain template; decay rate is lambda.  The squared
+    norm is (I(a) + w_s^2 I(b)) / lambda with I(a) = int_0^inf z K_a(z)^2 dz in
+    closed form, so C = sqrt(lambda / (I(a) + w_s^2 I(b))).
     """
     ch = level.channel
     _require_extended(ch, "bound_doublet")
     m, s, lam, E = ch.m, ch.s, level.lam, level.E
     a1, a2 = _k_orders(ch)
-    w = s * math.sqrt((m - E) / (m + E))
-
-    def raw(r: float) -> tuple[float, float]:
-        z = lam * r
-        pref = math.sqrt(z)
-        return pref * nk.bessel_k(a1, z), pref * w * nk.bessel_k(a2, z)
-
-    nu = ch.nu
-    sq = nk.integrate_semiline(
-        _squared_norm_density(raw),
-        decay_rate=lam,
-        singular_exponent=2.0 * nu,
-        rel_tol=1e-11,
+    w2 = (m - E) / (m + E)
+    c1 = math.sqrt(
+        lam / (nk.bessel_k_square_integral(a1) + w2 * nk.bessel_k_square_integral(a2))
     )
-    c_norm = 1.0 / math.sqrt(sq.value)
+    c2 = c1 * s * math.sqrt(w2)
 
     def evaluator(r: float) -> tuple[float, float]:
-        f1, f2 = raw(r)
-        return c_norm * f1, c_norm * f2
+        z = lam * r
+        pref = math.sqrt(z)
+        return c1 * pref * nk.bessel_k(a1, z), c2 * pref * nk.bessel_k(a2, z)
 
+    nu = ch.nu
     expo = (nu, -nu) if ch.tau == 1 else (-nu, nu)
     return RadialDoublet(
         evaluator=evaluator, small_r_exponents=expo, decay_rate=lam, norm=1.0
@@ -620,14 +605,16 @@ def normalize_doublet(d: RadialDoublet) -> RadialDoublet:
         raise NonNormalizableError("normalize_doublet: doublet has no decaying tail")
     mn = min(p for p in d.small_r_exponents if not math.isnan(p))
     sing = max(0.0, -2.0 * mn)
+    ev = d.evaluator
+
+    def density(r: float) -> float:
+        f1, f2 = ev(r)
+        return f1**2 + f2**2
+
     sq = nk.integrate_semiline(
-        _squared_norm_density(d.evaluator),
-        decay_rate=d.decay_rate,
-        singular_exponent=sing,
-        rel_tol=1e-11,
+        density, decay_rate=d.decay_rate, singular_exponent=sing, rel_tol=1e-11
     )
     scale = 1.0 / math.sqrt(sq.value)
-    ev = d.evaluator
 
     def evaluator(r: float) -> tuple[float, float]:
         f1, f2 = ev(r)

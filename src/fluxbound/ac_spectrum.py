@@ -219,22 +219,15 @@ def ac_wavefunction(level: ACLevel) -> RadialDoublet:
 
     The second doublet slot is identically zero; the leading small-r power is
     1/2 - gamma, the subleading 1/2 + gamma, matching the domain template of
-    the extension family.
+    the extension family.  The squared norm (m / kappa^2) I(gamma), with
+    I(a) = int_0^inf z K_a(z)^2 dz in closed form, gives N = kappa / sqrt(m I),
+    so f(r) = kappa sqrt(r / I) K_gamma(kappa r) for every mass.
     """
-    ch = level.channel
-    g, m, kappa = ch.gamma, ch.m, level.kappa
-
-    def raw(r: float) -> float:
-        return math.sqrt(m * r) * nk.bessel_k(g, kappa * r)
-
-    sing = max(0.0, 2.0 * g - 1.0)
-    sq = nk.integrate_semiline(
-        lambda r: raw(r) ** 2, decay_rate=kappa, singular_exponent=sing, rel_tol=1e-11
-    )
-    n_const = 1.0 / math.sqrt(sq.value)
+    g, kappa = level.channel.gamma, level.kappa
+    scale = kappa / math.sqrt(nk.bessel_k_square_integral(g))
 
     def evaluator(r: float) -> tuple[float, float]:
-        return n_const * raw(r), 0.0
+        return scale * math.sqrt(r) * nk.bessel_k(g, kappa * r), 0.0
 
     return RadialDoublet(
         evaluator=evaluator,

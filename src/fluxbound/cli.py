@@ -2,11 +2,19 @@
 
 Emits CSV (17 significant digits, '\\n' line endings) or JSON tables with
 deterministic, byte-identical output for identical inputs.  Exit codes:
-0 success, 2 domain/usage errors (critical or regular regime requests,
-bad flags), 1 internal failure.
+0 success, 2 with one JSON line ``{"error", "kind"}`` on stderr for a usage
+error (kind "usage": bad or missing flags, grids, config values, a mass whose
+square is not a finite normal float) or a domain error (kind "domain":
+critical or regular regime requests), 1 internal failure.
+
+Rows hold NaN only in the level columns of a row without a level (sweeps,
+printed level-equation variants) and in ``oracle-check``'s
+``convergence_order`` when a difference of its resolution ladder sits at the
+1e-15 floor, so no order can be read off the ladder.
 
 A flat ``key = value`` config file (# comments) can prefill any long flag;
-explicit flags win.
+its values pass the flag's own type and choices checks, and explicit flags
+win.
 """
 
 from __future__ import annotations
@@ -25,16 +33,6 @@ from . import numkernel as nk
 from . import oracle as orc
 
 __all__ = ["main", "parse_args", "run", "emit_table", "RunSpec"]
-
-_COMMANDS = (
-    "ab-solve",
-    "ab-sweep",
-    "ab-density",
-    "ab-wavefunction",
-    "ac-solve",
-    "ac-sweep",
-    "oracle-check",
-)
 
 _SWEEP_COLUMNS = ("beta", "l", "s", "mu", "nu", "tau", "xi", "E_over_m", "lambda_over_m", "residual")
 _DENSITY_COLUMNS = ("E_over_m", "density")
@@ -99,8 +97,16 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its failures raised as UsageError instead of printing
+    usage text and exiting; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fluxbound",
         description="Bound states and spectral densities in point-flux backgrounds.",
     )
@@ -162,37 +168,38 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
     """Parse and validate argv into a RunSpec; config-file values are
     overridden by explicit flags."""
     parser = _build_parser()
-    ns = parser.parse_args(_join_negative_values(argv))
-    params = vars(ns)
-    config_path = params.pop("config", None)
+    argv = _join_negative_values(argv)
+    params = vars(parser.parse_args(argv))
+    config_path = params.pop("config")
     if config_path:
-        file_vals = _read_config(config_path)
-        given = _given_flags(argv)
-        for key, raw in file_vals.items():
-            if key in params and key not in given:
-                params[key] = _config_value(config_path, key, raw, params[key])
+        # each value passes its flag's type and choices checks; config flags
+        # go ahead of the explicit ones so that those win
+        known = params.keys() - {"command"}
+        flags: list[str] = []
+        for key, raw in _read_config(config_path).items():
+            if key not in known:
+                continue
+            flags.append(f"--{key.replace('_', '-')}={raw}")
+            try:
+                params = vars(parser.parse_args([argv[0], *flags, *argv[1:]]))
+            except UsageError as exc:
+                raise UsageError(
+                    f"config file {config_path}: {key} = {raw!r}: {exc}"
+                ) from None
+            params.pop("config")
     if params.get("xi") is not None and params.get("theta") is not None:
         raise UsageError("give exactly one of --xi / --theta, not both")
     if params.get("xi") is None and params.get("theta") is None:
         raise UsageError("one of --xi / --theta is required")
+    mass = params["mass"]
+    if not (mass > 0.0 and sys.float_info.min <= mass * mass < math.inf):
+        raise UsageError(
+            f"--mass must be positive with mass**2 a finite normal float, got {mass!r}"
+        )
     command = params.pop("command")
     fmt = params.pop("format")
     out_path = params.pop("output")
     return RunSpec(command=command, params=params, fmt=fmt, out_path=out_path)
-
-
-def _config_value(path: str, key: str, raw: str, current):
-    """A config-file string typed like its flag: int and float flags (and the
-    float flags whose default is None) must parse, string flags take it as is."""
-    if isinstance(current, str) or key == "output":
-        return raw
-    kind = float if current is None else type(current)
-    try:
-        return kind(raw)
-    except ValueError:
-        raise UsageError(
-            f"config file {path}: {key} = {raw!r} is not a valid {kind.__name__}"
-        ) from None
 
 
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
@@ -218,14 +225,6 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
             out[-1] = f"{prev}={token}"
         else:
             out.append(token)
-    return out
-
-
-def _given_flags(argv: Sequence[str]) -> set[str]:
-    out = set()
-    for token in argv:
-        if token.startswith("--"):
-            out.add(token[2:].split("=", 1)[0].replace("-", "_"))
     return out
 
 
@@ -364,7 +363,8 @@ def run(spec: RunSpec) -> int:
     try:
         rows, columns = _dispatch(spec)
     except ValueError as exc:  # every domain and usage error subclasses ValueError
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": "domain"}) + "\n")
+        kind = "usage" if isinstance(exc, UsageError) else "domain"
+        sys.stderr.write(json.dumps({"error": str(exc), "kind": kind}) + "\n")
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "internal"}) + "\n")
@@ -491,8 +491,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "usage"}) + "\n")
         return 2
-    except SystemExit as exc:  # argparse's own usage failures
-        return int(exc.code or 0) and 2
+    except SystemExit:  # --help printed its text
+        return 0
     return run(spec)
 
 

@@ -3,7 +3,8 @@
 Provides the four primitives everything else is built on:
 
 * real-argument gamma functions (``gamma_fn``, ``log_gamma``, ``rgamma``),
-* Bessel functions of real order (``bessel_j``, ``bessel_k``),
+* Bessel functions of real order (``bessel_j``, ``bessel_k``) and the
+  closed-form norm integral of K squared (``bessel_k_square_integral``),
 * bracketed root finding (``find_root_bracketed`` on a validated ``Bracket``),
 * semi-infinite quadrature with endpoint grading (``integrate_semiline``).
 
@@ -36,6 +37,7 @@ __all__ = [
     "rgamma",
     "bessel_j",
     "bessel_k",
+    "bessel_k_square_integral",
     "find_root_bracketed",
     "integrate_semiline",
 ]
@@ -371,6 +373,23 @@ def bessel_k(order: float, z: float) -> float:
     if math.isinf(cur):
         raise OverflowError(f"bessel_k: K_{a}({z}) exceeds double range")
     return cur
+
+
+def bessel_k_square_integral(order: float) -> float:
+    """int_0^inf z K_order(z)^2 dz = pi a / (2 sin(pi a)), a = |order| < 1.
+
+    The mu = 2 case of the Mellin transform of K_a^2 (DLMF 10.43); the limit
+    at a = 0 is 1/2.  The integrand behaves like z^(1 - 2a) at the origin, so
+    the integral diverges for |order| >= 1.
+    """
+    a = abs(order)
+    if not a < 1.0:
+        raise KernelDomainError(
+            f"bessel_k_square_integral: requires |order| < 1, got {order}"
+        )
+    if a == 0.0:
+        return 0.5
+    return 0.5 * math.pi * a / _sinpi(a)
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,17 @@ class TestBoundDoublet:
         want = math.sqrt(lam * r) * nk.bessel_k(0.25, lam * r) / math.sqrt(norm_c1_sq)
         assert abs(f1) == pytest.approx(abs(want), rel=1e-9)
 
+    def test_normalized_without_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("bound_doublet must normalize in closed form")
+
+        monkeypatch.setattr(nk, "integrate_semiline", no_quadrature)
+        for mu, xi in ((0.25, -1.0), (0.05, -5.0), (0.45, -0.2)):
+            level = ab.solve_bound_energy(channel(mu=mu), ab.Extension.from_xi(xi))
+            f1, f2 = ab.bound_doublet(level)(1.3)
+            assert math.isfinite(f1) and math.isfinite(f2)
+            assert f1 != 0.0 and f2 != 0.0
+
 
 class TestContinuumDoublet:
     def test_regular_regime_leading_power(self):

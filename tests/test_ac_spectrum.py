@@ -172,6 +172,16 @@ class TestWavefunction:
         assert wf.norm == 1.0
         assert wf(1.0)[1] == 0.0
 
+    @pytest.mark.parametrize("gamma", [0.0, 1e-10, 0.5, 0.95])
+    def test_normalized_without_quadrature(self, monkeypatch, gamma):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("ac_wavefunction must normalize in closed form")
+
+        monkeypatch.setattr(nk, "integrate_semiline", no_quadrature)
+        level = ac.ac_bound_energy(channel(gamma, m=2.5), Extension.from_xi(-1.0))
+        value = ac.ac_wavefunction(level)(0.7)[0]
+        assert math.isfinite(value) and value > 0.0
+
     def test_half_gamma_pure_exponential_shape(self):
         level = ac.ac_bound_energy(channel(0.5), Extension.from_xi(-1.0))
         wf = ac.ac_wavefunction(level)

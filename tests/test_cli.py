@@ -56,7 +56,16 @@ class TestParseArgs:
         assert spec.params["xi"] == -1.0  # flag wins
 
     @pytest.mark.parametrize(
-        "key, raw", [("l", "abc"), ("mass", "heavy"), ("l", "1.5"), ("mu", "abc")]
+        "key, raw",
+        [
+            ("l", "abc"),
+            ("mass", "heavy"),
+            ("l", "1.5"),
+            ("mu", "abc"),
+            ("format", "xml"),
+            ("level_eq", "bogus"),
+            ("s", "3"),
+        ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, key, raw):
         cfg = tmp_path / "run.cfg"
@@ -65,6 +74,27 @@ class TestParseArgs:
             cli.parse_args(["ab-solve", "--config", str(cfg), "--xi", "-1"])
         assert key in str(info.value)
         assert str(cfg) in str(info.value)
+
+    def test_config_value_outside_choices(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sector = zz\n")
+        with pytest.raises(cli.UsageError) as info:
+            cli.parse_args(["oracle-check", "--config", str(cfg), "--mu", "0.25", "--xi", "-1"])
+        assert "sector" in str(info.value)
+        assert str(cfg) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "mass, ok",
+        [("1.5e-154", True), ("1e153", True), ("0", False), ("-1", False), ("nan", False),
+         ("inf", False), ("1.4e-154", False), ("2e154", False)],
+    )
+    def test_mass_needs_finite_normal_square(self, mass, ok):
+        argv = ["ac-solve", "--gamma", "0.5", "--xi", "-1", "--mass", mass]
+        if ok:
+            assert cli.parse_args(argv).params["mass"] == float(mass)
+        else:
+            with pytest.raises(cli.UsageError, match="--mass"):
+                cli.parse_args(argv)
 
     @pytest.mark.parametrize(
         "argv",
@@ -79,6 +109,35 @@ class TestParseArgs:
     def test_negative_value_after_space(self, argv):
         joined = [f"{a}={b}" for a, b in zip(argv[1::2], argv[2::2])]
         assert cli.parse_args(argv) == cli.parse_args(argv[:1] + joined)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ab-solve", "--mu", "0.25", "--xi", "-1", "--bogus", "3"],
+            ["ab-solve", "--mu", "0.25", "--xi", "-1", "--s", "3"],
+            ["ab-solve", "--mu", "abc", "--xi", "-1"],
+            ["ab-sweep", "--xi", "-1"],
+            ["no-such-command", "--xi", "-1"],
+            [],
+            ["ab-solve", "--xi", "-1"],
+            ["ab-sweep", "--xi", "-1", "--beta-grid", "0.9:0.1:5"],
+            ["ac-solve", "--gamma", "0.5", "--xi", "-1", "--mass", "1e-200"],
+        ],
+    )
+    def test_one_json_usage_line(self, capsys, argv):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["kind"] == "usage"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["ab-solve", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestEmitTable:
@@ -162,6 +221,23 @@ class TestRunCommands:
         rows = list(csv.DictReader(io.StringIO(out.decode())))
         assert len(rows) == 7
         assert set(rows[0]) == {"r_times_m", "f1", "f2"}
+
+    def test_wavefunction_rows_scale_with_mass(self):
+        args = ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", "0.1:2:3"]
+
+        def rows(mass):
+            code, out, _ = run_cli(args + ["--mass", mass])
+            assert code == 0
+            return [[float(v) for v in line.split(",")] for line in out.decode().splitlines()[1:]]
+
+        base = rows("1")
+        assert len(base) == 3
+        for mass in ("1e-100", "1e-20", "1e-8", "1e8", "1e150"):
+            root_m = math.sqrt(float(mass))
+            for got, want in zip(rows(mass), base):
+                assert got[0] == want[0]
+                for g, w in zip(got[1:], want[1:]):
+                    assert g / root_m == pytest.approx(w, rel=1e-13)
 
     def test_oracle_check_ac(self):
         code, out, _ = run_cli(

@@ -331,3 +331,23 @@ class TestIntegrateSemiline:
             nk.integrate_semiline(lambda r: 1.0, decay_rate=0.0)
         with pytest.raises(nk.KernelDomainError):
             nk.integrate_semiline(lambda r: 1.0, decay_rate=1.0, singular_exponent=1.0)
+
+
+class TestBesselKSquareIntegral:
+    @pytest.mark.parametrize("a", [0.0, 1e-10] + [0.05 * k for k in range(1, 20)])
+    def test_matches_quadrature(self, a):
+        # the graded quadrature is the independent numerical route to the
+        # closed form pi a / (2 sin(pi a))
+        res = nk.integrate_semiline(
+            lambda z: z * nk.bessel_k(a, z) ** 2,
+            decay_rate=1.0,
+            singular_exponent=max(0.0, 2.0 * a - 1.0),
+            rel_tol=1e-12,
+        )
+        assert nk.bessel_k_square_integral(a) == pytest.approx(res.value, rel=1e-10)
+        assert nk.bessel_k_square_integral(-a) == nk.bessel_k_square_integral(a)
+
+    @pytest.mark.parametrize("a", [1.0, -1.3])
+    def test_diverges_from_order_one(self, a):
+        with pytest.raises(nk.KernelDomainError):
+            nk.bessel_k_square_integral(a)
