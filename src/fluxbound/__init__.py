@@ -26,6 +26,7 @@ from .ab_spectrum import (
     paper_level_lhs,
     paper_omega,
     paper_omega_xi,
+    printed_level,
     solve_bound_energy,
     spectral_density,
 )

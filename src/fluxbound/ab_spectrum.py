@@ -51,6 +51,7 @@ __all__ = [
     "paper_omega",
     "paper_omega_xi",
     "paper_level_lhs",
+    "printed_level",
     "omega_xi_continued",
     "spectral_density",
     "bound_doublet",
@@ -332,7 +333,7 @@ def solve_bound_energy(ch: DiracChannel, ext: Extension) -> Optional[BoundLevel]
         u_root = hi
     else:
         bracket = nk.Bracket(lo, hi, h_lo, h_hi)
-        u_root = nk.find_root_bracketed(h, bracket, tol_x=1e-14 * m, tol_f=0.0)
+        u_root = nk.find_root_bracketed(h, bracket, tol_x=1e-14 * m)
     E = tau * u_root
     lam = math.sqrt((m - E) * (m + E))
     residual = abs(master_xi_of_energy(ch, E) - xi)
@@ -342,6 +343,13 @@ def solve_bound_energy(ch: DiracChannel, ext: Extension) -> Optional[BoundLevel]
 # ---------------------------------------------------------------------------
 # printed Wronskian forms (comparison mode)
 # ---------------------------------------------------------------------------
+
+
+def _printed_omega(ch: DiracChannel, lam: complex) -> complex:
+    # ratio * (2 lambda / m)^(-2 nu) * 4 s lambda, the same expression for a
+    # real gap lambda and a complex continuum one
+    nu, s = ch.nu, ch.s
+    return _wronskian_gamma_ratio(nu, s) * (2.0 * lam / ch.m) ** (-2.0 * nu) * 4.0 * s * lam
 
 
 def paper_omega(ch: DiracChannel, E: float) -> float:
@@ -357,10 +365,7 @@ def paper_omega(ch: DiracChannel, E: float) -> float:
     m = ch.m
     if not abs(E) < m:
         raise EnergyDomainError(f"paper_omega: need |E| < m, got E={E}")
-    nu, s = ch.nu, ch.s
-    lam = math.sqrt((m - E) * (m + E))
-    ratio = _wronskian_gamma_ratio(nu, s)
-    return ratio * (2.0 * lam / m) ** (-2.0 * nu) * 4.0 * s * lam
+    return _printed_omega(ch, math.sqrt((m - E) * (m + E)))
 
 
 def paper_omega_xi(ch: DiracChannel, ext: Extension, E: float) -> float:
@@ -374,6 +379,37 @@ def paper_omega_xi(ch: DiracChannel, ext: Extension, E: float) -> float:
 
 
 _LEVEL_VARIANTS = ("levab", "lev0", "lev1")
+
+
+def _printed_power_law(ch: DiracChannel, variant: str) -> tuple[float, float]:
+    """(ratio, p) of a printed level equation ratio * (lambda/m)^p = xi.
+
+    "levab" has the Wronskian prefactor and p = -2 nu; "lev0" and "lev1" are
+    printed for one channel family only, and lev1 at beta is lev0 at 1 - beta,
+    bit for bit, since 1 - beta is exact for 1/2 < beta < 1.
+    """
+    if variant == "levab":
+        return _wronskian_gamma_ratio(ch.nu, ch.s), -2.0 * ch.nu
+    n, beta = ch.flux_parts
+    family = (ch.l + n == 0 and ch.s == -1) or (ch.l + n == -1 and ch.s == 1)
+    if not family:
+        raise RegimeError(
+            "paper_level_lhs: lev0/lev1 are printed for the l+n=0, s=-1 "
+            "(equivalently l+n=-1, s=+1) channels only"
+        )
+    if abs(beta - 0.5) < CRITICAL_TOL:
+        raise nk.PoleError("paper_level_lhs: Gamma pole at beta = 1/2")
+    if variant == "lev0" and not 0.0 < beta < 0.5:
+        raise RegimeError("paper_level_lhs: lev0 requires 0 < beta < 1/2")
+    if variant == "lev1" and not 0.5 < beta < 1.0:
+        raise RegimeError("paper_level_lhs: lev1 requires 1/2 < beta < 1")
+    b = beta if variant == "lev0" else 1.0 - beta
+    ratio = (
+        nk.gamma_fn(1.0 - 2.0 * b)
+        * nk.gamma_fn(0.5 + b)
+        / (nk.gamma_fn(2.0 * b - 1.0) * nk.gamma_fn(1.5 - b))
+    )
+    return ratio, 1.0 - 2.0 * b
 
 
 def paper_level_lhs(ch: DiracChannel, E: float, variant: str) -> float:
@@ -390,36 +426,38 @@ def paper_level_lhs(ch: DiracChannel, E: float, variant: str) -> float:
     m = ch.m
     if not abs(E) < m:
         raise EnergyDomainError(f"paper_level_lhs: need |E| < m, got E={E}")
-    nu = ch.nu
-    lam = math.sqrt((m - E) * (m + E))
-    if variant == "levab":
-        return _wronskian_gamma_ratio(nu, ch.s) * (lam / m) ** (-2.0 * nu)
-    n, beta = ch.flux_parts
-    family = (ch.l + n == 0 and ch.s == -1) or (ch.l + n == -1 and ch.s == 1)
-    if not family:
-        raise RegimeError(
-            "paper_level_lhs: lev0/lev1 are printed for the l+n=0, s=-1 "
-            "(equivalently l+n=-1, s=+1) channels only"
-        )
-    if abs(beta - 0.5) < CRITICAL_TOL:
-        raise nk.PoleError("paper_level_lhs: Gamma pole at beta = 1/2")
-    if variant == "lev0":
-        if not 0.0 < beta < 0.5:
-            raise RegimeError("paper_level_lhs: lev0 requires 0 < beta < 1/2")
-        ratio = (
-            nk.gamma_fn(1.0 - 2.0 * beta)
-            * nk.gamma_fn(0.5 + beta)
-            / (nk.gamma_fn(2.0 * beta - 1.0) * nk.gamma_fn(1.5 - beta))
-        )
-        return ratio * (m / lam) ** (2.0 * beta - 1.0)
-    if not 0.5 < beta < 1.0:
-        raise RegimeError("paper_level_lhs: lev1 requires 1/2 < beta < 1")
-    ratio = (
-        nk.gamma_fn(2.0 * beta - 1.0)
-        * nk.gamma_fn(1.5 - beta)
-        / (nk.gamma_fn(1.0 - 2.0 * beta) * nk.gamma_fn(0.5 + beta))
+    ratio, p = _printed_power_law(ch, variant)
+    return ratio * (math.sqrt((m - E) * (m + E)) / m) ** p
+
+
+def printed_level(ch: DiracChannel, ext: Extension, variant: str) -> Optional[BoundLevel]:
+    """Gap level of a printed level equation in closed form, for comparison only.
+
+    Each is a power law ratio * (lambda/scale)^p = target in lambda: "wr00"
+    (omega_xi = 0) is "levab"'s with scale m/2 and target -xi, the others have
+    scale m and target xi.  The printed forms see only lambda, so E takes the
+    sign of the master level.  None without a master level or a root with
+    0 < lambda < m; the residual is |ratio (lambda/scale)^p - target|.
+    """
+    if variant != "wr00" and variant not in _LEVEL_VARIANTS:
+        raise ValueError(f"printed_level: unknown variant {variant!r}")
+    master = solve_bound_energy(ch, ext)
+    if master is None:
+        return None
+    m, xi = ch.m, ext.xi
+    ratio, p = _printed_power_law(ch, "levab" if variant == "wr00" else variant)
+    scale, target = (0.5 * m, -xi) if variant == "wr00" else (m, xi)
+    q = target / ratio
+    # ln(lambda/scale) = ln(q)/p; above 1 it already puts lambda above m, so
+    # capping it there keeps exp finite without admitting a root
+    lam = scale * math.exp(min(math.log(q) / p, 1.0)) if q > 0.0 else 0.0
+    if not 0.0 < lam < m:
+        return None
+    e = math.sqrt((m - lam) * (m + lam))
+    residual = abs(ratio * (lam / scale) ** p - target)
+    return BoundLevel(
+        E=e if master.E >= 0.0 else -e, lam=lam, xi=xi, channel=ch, residual=residual
     )
-    return ratio * (m / lam) ** (1.0 - 2.0 * beta)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +477,12 @@ def omega_xi_continued(ch: DiracChannel, ext: Extension, E: float) -> complex:
     xi = ext.xi
     if math.isinf(xi):
         raise ValueError("omega_xi_continued: xi must be finite")
-    m, s, nu = ch.m, ch.s, ch.nu
+    m, s = ch.m, ch.s
     if not abs(E) > m:
         raise EnergyDomainError(f"omega_xi_continued: need |E| > m, got E={E}")
     k = math.sqrt((abs(E) - m) * (abs(E) + m))
     lam_c = complex(0.0, -math.copysign(1.0, E)) * k
-    ratio = _wronskian_gamma_ratio(nu, s)
-    omega_c = ratio * (2.0 * lam_c / m) ** (-2.0 * nu) * 4.0 * s * lam_c
-    return omega_c + 4.0 * s * lam_c * (s * xi)
+    return _printed_omega(ch, lam_c) + 4.0 * s * lam_c * (s * xi)
 
 
 def spectral_density(ch: DiracChannel, ext: Extension, E: float) -> SpectralPoint:
@@ -512,48 +548,30 @@ def _continuum_pieces(ch: DiracChannel, E: float):
 
     Each is scaled so its leading small-r behavior is (m r)^(+-nu) with unit
     coefficient in the carrying component, real for both rims of the
-    continuum.
+    continuum.  Built in u = tau*E with the r^(+nu) carrying component first;
+    continuum_doublet swaps the components of a tau = -1 channel.
     """
     m, s, nu = ch.m, ch.s, ch.nu
     k = math.sqrt(abs(E * E - m * m))
-    tau = ch.tau
+    u = ch.tau * E
     n_reg = 2.0 * m**nu * nk.gamma_fn(0.5 + nu) * (0.5 * k) ** (0.5 - nu)
     n_irr = 2.0 * m ** (-nu) * nk.gamma_fn(0.5 - nu) * (0.5 * k) ** (0.5 + nu)
-    if tau == 1:
-        rho_reg = s * k / (E + m)
-        rho_irr = -s * (E + m) / k
+    rho_reg = s * k / (u + m)
+    rho_irr = -s * (u + m) / k
 
-        def u1(r: float) -> tuple[float, float]:
-            sq = math.sqrt(r)
-            return (
-                n_reg * sq * nk.bessel_j(nu - 0.5, k * r),
-                n_reg * rho_reg * sq * nk.bessel_j(nu + 0.5, k * r),
-            )
+    def u1(r: float) -> tuple[float, float]:
+        sq = math.sqrt(r)
+        return (
+            n_reg * sq * nk.bessel_j(nu - 0.5, k * r),
+            n_reg * rho_reg * sq * nk.bessel_j(nu + 0.5, k * r),
+        )
 
-        def u2(r: float) -> tuple[float, float]:
-            sq = math.sqrt(r)
-            return (
-                n_irr * rho_irr * sq * nk.bessel_j(0.5 - nu, k * r),
-                n_irr * sq * nk.bessel_j(-nu - 0.5, k * r),
-            )
-
-    else:
-        rho_reg = -s * k / (E - m)
-        rho_irr = s * k / (E + m)
-
-        def u1(r: float) -> tuple[float, float]:
-            sq = math.sqrt(r)
-            return (
-                n_reg * rho_reg * sq * nk.bessel_j(nu + 0.5, k * r),
-                n_reg * sq * nk.bessel_j(nu - 0.5, k * r),
-            )
-
-        def u2(r: float) -> tuple[float, float]:
-            sq = math.sqrt(r)
-            return (
-                n_irr * sq * nk.bessel_j(-nu - 0.5, k * r),
-                n_irr * rho_irr * sq * nk.bessel_j(0.5 - nu, k * r),
-            )
+    def u2(r: float) -> tuple[float, float]:
+        sq = math.sqrt(r)
+        return (
+            n_irr * rho_irr * sq * nk.bessel_j(0.5 - nu, k * r),
+            n_irr * sq * nk.bessel_j(-nu - 0.5, k * r),
+        )
 
     return u1, u2
 
@@ -563,7 +581,8 @@ def continuum_doublet(ch: DiracChannel, ext: Extension, E: float) -> RadialDoubl
 
     Extended regime: U1 - (s xi) U2 in the internal template weight (xi = 0
     gives the pure regular branch, xi = infinity the pure irregular branch
-    -U2); Regular regime: the regular branch alone, xi ignored.
+    -U2); Regular regime: the regular branch alone, xi ignored.  A tau = -1
+    channel is the tau = +1 one at -E with its two components swapped.
     """
     m = ch.m
     if not abs(E) > m:
@@ -573,27 +592,22 @@ def continuum_doublet(ch: DiracChannel, ext: Extension, E: float) -> RadialDoubl
     regime = ch.regime
     if regime is Regime.CRITICAL:
         raise RegimeError("continuum_doublet: critical channel")
-    nu, tau = ch.nu, ch.tau
+    nu = ch.nu
     u1, u2 = _continuum_pieces(ch, E)
-    if regime is Regime.REGULAR:
+    xi_int = 0.0 if regime is Regime.REGULAR else ch.s * ext.xi
+    if xi_int == 0.0:
         evaluator = u1
-        expo = (nu, nu + 1.0) if tau == 1 else (nu + 1.0, nu)
-    elif ext.is_infinite:
+        expo = (nu, nu + 1.0)
+    elif math.isinf(xi_int):
         evaluator = lambda r: tuple(-v for v in u2(r))
-        expo = (1.0 - nu, -nu) if tau == 1 else (-nu, 1.0 - nu)
+        expo = (1.0 - nu, -nu)
     else:
-        xi_int = ch.s * ext.xi
-        if xi_int == 0.0:
-            evaluator = u1
-            expo = (nu, nu + 1.0) if tau == 1 else (nu + 1.0, nu)
-        else:
-
-            def evaluator(r: float) -> tuple[float, float]:
-                a = u1(r)
-                b = u2(r)
-                return a[0] - xi_int * b[0], a[1] - xi_int * b[1]
-
-            expo = (nu, -nu) if tau == 1 else (-nu, nu)
+        evaluator = lambda r: tuple(a - xi_int * b for a, b in zip(u1(r), u2(r)))
+        expo = (nu, -nu)
+    if ch.tau == -1:
+        carrying_first = evaluator
+        evaluator = lambda r: carrying_first(r)[::-1]
+        expo = expo[::-1]
     return RadialDoublet(
         evaluator=evaluator, small_r_exponents=expo, decay_rate=0.0, norm=math.nan
     )

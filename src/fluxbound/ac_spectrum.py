@@ -189,7 +189,7 @@ def ac_solve_cross_check(ch: ACChannel, ext: Extension) -> ACLevel:
         return lng + 2.0 * g * (math.log(2.0) - y) - target
 
     bracket = nk.Bracket.from_function(h, -60.0, 60.0)
-    y = nk.find_root_bracketed(h, bracket, tol_x=1e-14, tol_f=0.0)
+    y = nk.find_root_bracketed(h, bracket, tol_x=1e-14)
     kappa = m * math.exp(y)
     E_n = -kappa * kappa / (2.0 * m)
     return ACLevel(

@@ -4,8 +4,9 @@ Emits CSV (17 significant digits, '\\n' line endings) or JSON tables with
 deterministic, byte-identical output for identical inputs.  Exit codes:
 0 success, 2 with one JSON line ``{"error", "kind"}`` on stderr for a usage
 error (kind "usage": bad or missing flags, grids, config values, a mass whose
-square is not a finite normal float) or a domain error (kind "domain":
-critical or regular regime requests), 1 internal failure.
+square is not a finite normal float, shooting settings that ``ShootingConfig``
+rejects) or a domain error (kind "domain": critical or regular regime
+requests), 1 internal failure.
 
 Rows hold NaN only in the level columns of a row without a level (sweeps,
 printed level-equation variants) and in ``oracle-check``'s
@@ -29,7 +30,6 @@ from typing import Optional, Sequence
 
 from . import ab_spectrum as ab
 from . import ac_spectrum as ac
-from . import numkernel as nk
 from . import oracle as orc
 
 __all__ = ["main", "parse_args", "run", "emit_table", "RunSpec"]
@@ -119,12 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="path, defaults to stdout")
-        if ab_channel:
+        if ab_channel or ac_channel:
             p.add_argument("--l", type=int, default=0)
+        if ab_channel:
             p.add_argument("--s", type=int, choices=(-1, 1), default=-1)
             p.add_argument("--mu", type=float, default=None)
         if ac_channel:
-            p.add_argument("--l", type=int, default=0)
             p.add_argument("--zeta", type=int, choices=(-1, 1), default=1)
             p.add_argument("--coupling", type=float, default=None, help="M*a product")
             p.add_argument("--gamma", type=float, default=None, help="shortcut: coupling=-gamma, l=0, zeta=1")
@@ -154,11 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-grid", required=True, help="lo:hi:n over gamma")
 
     p = sub.add_parser("oracle-check", help="ODE eigensolver vs analytic level")
-    common(p, ab_channel=True)
+    common(p, ab_channel=True, ac_channel=True)
     p.add_argument("--sector", choices=("ab", "ac"), default="ab")
-    p.add_argument("--zeta", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--coupling", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None, help="shortcut: coupling=-gamma, l=0, zeta=1")
     p.add_argument("--r-min", type=float, default=1e-6)
     p.add_argument("--resolution", type=float, default=None, help="override integrator resolution")
     return parser
@@ -187,9 +184,9 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
                     f"config file {config_path}: {key} = {raw!r}: {exc}"
                 ) from None
             params.pop("config")
-    if params.get("xi") is not None and params.get("theta") is not None:
+    if params["xi"] is not None and params["theta"] is not None:
         raise UsageError("give exactly one of --xi / --theta, not both")
-    if params.get("xi") is None and params.get("theta") is None:
+    if params["xi"] is None and params["theta"] is None:
         raise UsageError("one of --xi / --theta is required")
     mass = params["mass"]
     if not (mass > 0.0 and sys.float_info.min <= mass * mass < math.inf):
@@ -229,10 +226,9 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def _extension(params: dict) -> ab.Extension:
-    if params.get("theta") is not None:
+    if params["theta"] is not None:
         return ab.Extension(params["theta"])
-    xi = params["xi"]
-    return ab.Extension.from_xi(xi)
+    return ab.Extension.from_xi(params["xi"])
 
 
 def _fmt_float(x: float) -> str:
@@ -260,53 +256,19 @@ def emit_table(rows: list[dict], columns: Sequence[str], fmt: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _solve_with_variant(ch: ab.DiracChannel, ext: ab.Extension, variant: str):
-    """Bound level per the selected printed equation (comparison modes share
-    the master solution's energy sign, since the printed forms see only
-    lambda)."""
-    if variant == "master":
-        return ab.solve_bound_energy(ch, ext)
-    master = ab.solve_bound_energy(ch, ext)
-    if master is None:
-        return None
-    xi = ext.xi
-    sign = 1.0 if master.E >= 0.0 else -1.0
-    if variant == "lev0lev1":
-        variant = "lev0" if ch.flux_parts.beta < 0.5 else "lev1"
-
-    def lhs(E: float) -> float:
-        if variant == "wr00":
-            return ab.paper_omega_xi(ch, ext, E)
-        return ab.paper_level_lhs(ch, E, variant) - xi
-
-    def eqn(lam_log: float) -> float:
-        lam = math.exp(lam_log)
-        e_abs = math.sqrt(max(ch.m**2 - lam * lam, 0.0))
-        return lhs(sign * e_abs)
-
-    lo = math.log(ch.m) - 13.0
-    hi = math.log(ch.m * (1.0 - 1e-9))
-    f_lo, f_hi = eqn(lo), eqn(hi)
-    if f_lo * f_hi > 0.0:
-        return None
-    lam = math.exp(nk.find_root_bracketed(eqn, nk.Bracket(lo, hi, f_lo, f_hi), tol_x=1e-14))
-    e_val = sign * math.sqrt(max(ch.m**2 - lam * lam, 0.0))
-    return ab.BoundLevel(
-        E=e_val,
-        lam=lam,
-        xi=xi,
-        channel=ch,
-        residual=abs(eqn(math.log(lam))),
-        provenance="analytic",
-    )
-
-
 def _sweep_row(ch: ab.DiracChannel, ext: ab.Extension, variant: str) -> dict:
     """One sweep row; a channel outside the extended regime has no level and
     gives tau = 0 and NaN level columns."""
     extended = ch.regime is ab.Regime.EXTENDED
-    level = _solve_with_variant(ch, ext, variant) if extended else None
     n, beta = ch.flux_parts
+    if variant == "lev0lev1":  # lev0 is printed for beta < 1/2, lev1 above
+        variant = "lev0" if beta < 0.5 else "lev1"
+    if not extended:
+        level = None
+    elif variant == "master":
+        level = ab.solve_bound_energy(ch, ext)
+    else:
+        level = ab.printed_level(ch, ext, variant)
     row = {
         "beta": beta,
         "l": ch.l,
@@ -347,11 +309,17 @@ def _ac_row(ch: ac.ACChannel, ext: ab.Extension) -> dict:
     return row
 
 
+def _dirac_channel(params: dict, what: str) -> ab.DiracChannel:
+    if params["mu"] is None:
+        raise UsageError(f"{what} needs --mu")
+    return ab.DiracChannel(m=params["mass"], l=params["l"], s=params["s"], mu=params["mu"])
+
+
 def _ac_channel(params: dict) -> ac.ACChannel:
     mass = params["mass"]
-    if params.get("gamma") is not None:
+    if params["gamma"] is not None:
         return ac.ACChannel(m=mass, coupling=-params["gamma"], l=0, zeta=1)
-    if params.get("coupling") is None:
+    if params["coupling"] is None:
         raise UsageError("ac commands need --coupling (or --gamma)")
     return ac.ACChannel(
         m=mass, coupling=params["coupling"], l=params["l"], zeta=params["zeta"]
@@ -381,21 +349,19 @@ def run(spec: RunSpec) -> int:
 def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
     params = spec.params
     ext = _extension(params)
-    mass = params.get("mass", 1.0)
+    mass = params["mass"]
 
     if spec.command == "ab-solve":
-        if params.get("mu") is None:
-            raise UsageError("ab-solve needs --mu")
-        ch = ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=params["mu"])
+        ch = _dirac_channel(params, "ab-solve")
         if ch.regime is not ab.Regime.EXTENDED:
             raise ab.RegimeError(
                 f"channel nu={ch.nu:.6g} is {ch.regime.value}: no extension family"
             )
-        return [_sweep_row(ch, ext, params.get("level_eq", "master"))], _SWEEP_COLUMNS
+        return [_sweep_row(ch, ext, params["level_eq"])], _SWEEP_COLUMNS
 
     if spec.command == "ab-sweep":
         lo, hi, n = _parse_grid(params["beta_grid"])
-        variant = params.get("level_eq", "master")
+        variant = params["level_eq"]
 
         rows = [
             _sweep_row(ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=beta), ext, variant)
@@ -404,9 +370,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         return rows, _SWEEP_COLUMNS
 
     if spec.command == "ab-density":
-        if params.get("mu") is None:
-            raise UsageError("ab-density needs --mu")
-        ch = ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=params["mu"])
+        ch = _dirac_channel(params, "ab-density")
         lo, hi, n = _parse_grid(params["energy_grid"])
 
         rows = [
@@ -416,9 +380,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         return rows, _DENSITY_COLUMNS
 
     if spec.command == "ab-wavefunction":
-        if params.get("mu") is None:
-            raise UsageError("ab-wavefunction needs --mu")
-        ch = ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=params["mu"])
+        ch = _dirac_channel(params, "ab-wavefunction")
         level = ab.solve_bound_energy(ch, ext)
         if level is None:
             return [], _WAVEFUNCTION_COLUMNS
@@ -448,15 +410,16 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         return rows, _AC_COLUMNS
 
     if spec.command == "oracle-check":
-        cfg_kwargs = {"r_min": params.get("r_min", 1e-6)}
-        if params.get("resolution") is not None:
+        cfg_kwargs = {"r_min": params["r_min"]}
+        if params["resolution"] is not None:
             cfg_kwargs["numerov_dx"] = params["resolution"]
             cfg_kwargs["step_control"] = min(params["resolution"] ** 2, 1e-8)
-        cfg = orc.ShootingConfig(**cfg_kwargs)
-        if params.get("sector", "ab") == "ab":
-            if params.get("mu") is None:
-                raise UsageError("oracle-check --sector ab needs --mu")
-            chd = ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=params["mu"])
+        try:
+            cfg = orc.ShootingConfig(**cfg_kwargs)
+        except ValueError as exc:
+            raise UsageError(f"--r-min/--resolution: {exc}") from None
+        if params["sector"] == "ab":
+            chd = _dirac_channel(params, "oracle-check --sector ab")
             level = ab.solve_bound_energy(chd, ext)
             e_an = None if level is None else level.E
             numeric = orc.dirac_shoot(chd, ext, cfg)
@@ -473,8 +436,8 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
                     "E_analytic_over_m": e_an / mass,
                     "E_oracle_over_m": numeric.E / mass,
                     "abs_diff_over_m": abs(e_an - numeric.E) / mass,
-                    "match_residual": numeric.match_residual,
-                    "r_min_sensitivity": numeric.r_min_sensitivity,
+                    "match_residual": numeric.match_residual / mass,
+                    "r_min_sensitivity": numeric.r_min_sensitivity / mass,
                     "convergence_order": numeric.convergence_order_estimate,
                 }
             ],

@@ -10,10 +10,11 @@ Provides the four primitives everything else is built on:
 
 No external special-function library is used.  The gamma function is a
 fixed-coefficient Lanczos rational approximation plus reflection; J uses the
-ascending series below a crossover and the Bessel/Schlaefli integral
-representation above it; K uses a Temme-style cancellation-free series below
-the crossover and the cosh integral representation above it.  Seams are
-covered by continuity tests in the test suite.
+ascending series below a crossover in z or at orders above 1.3 z, and the
+Bessel/Schlaefli integral representation elsewhere; K uses a Temme-style
+cancellation-free series below the crossover and the cosh integral
+representation above it.  Seams are covered by continuity tests in the test
+suite.
 
 All functions are pure and hold no global mutable state (the Gauss-Legendre
 node cache is append-only and thread-safe for CPython usage patterns).
@@ -141,6 +142,9 @@ def rgamma(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 _J_SERIES_MAX_Z = 10.0
+# above z = 10 the series still serves orders >= 1.3 z, where the Schlaefli
+# integral cancels: J is far below the O(1) integrand there
+_J_SERIES_MIN_ORDER_RATIO = 1.3
 
 _gauss_cache: dict[int, tuple[list[float], list[float]]] = {}
 
@@ -251,7 +255,7 @@ def bessel_j(order: float, z: float) -> float:
         if n < 0:
             val = bessel_j(float(-n), z)
             return -val if n % 2 else val
-    if z <= _J_SERIES_MAX_Z:
+    if z <= _J_SERIES_MAX_Z or order >= _J_SERIES_MIN_ORDER_RATIO * z:
         return _bessel_j_series(order, z)
     return _bessel_j_integral(order, z)
 
@@ -262,13 +266,11 @@ def bessel_j(order: float, z: float) -> float:
 
 _K_SERIES_MAX_Z = 2.0
 
-# Taylor coefficients of 1/Gamma(1+x) = 1 + c2 x + c3 x^2 + ... (A&S 6.1.34)
+# Taylor coefficients of 1/Gamma(1+x) = 1 + c2 x + c3 x^2 + ... (A&S 6.1.34);
+# only the even ones enter (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu)
 _RG_C2 = 0.5772156649015328606
-_RG_C3 = -0.6558780715202538811
 _RG_C4 = -0.0420026350340952355
-_RG_C5 = 0.1665386113822914895
 _RG_C6 = -0.0421977345555443368
-_RG_C8 = 0.0072189432466630995
 
 
 def _k_temme(mu: float, z: float) -> tuple[float, float]:
@@ -424,14 +426,12 @@ def find_root_bracketed(
     f: Callable[[float], float],
     bracket: Bracket,
     tol_x: float = 1e-13,
-    tol_f: float = 0.0,
-    max_iter: int = 200,
 ) -> float:
     """Brent's method: bisection with secant/inverse-quadratic acceleration.
 
-    Returns x* inside the initial bracket with |f(x*)| <= tol_f or bracket
-    width below tol_x (plus the inevitable ~eps*|x| floor).  Deterministic
-    for fixed inputs.
+    Returns x* inside the initial bracket with f(x*) = 0 or bracket width
+    below tol_x (plus the inevitable ~eps*|x| floor), within 200 iterations.
+    Deterministic for fixed inputs.
     """
     a, b = bracket.lo, bracket.hi
     fa, fb = bracket.f_lo, bracket.f_hi
@@ -441,13 +441,13 @@ def find_root_bracketed(
         return b
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(200):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         tol = 2.0 * _EPS * abs(b) + 0.5 * tol_x
         m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0 or abs(fb) <= tol_f:
+        if abs(m) <= tol or fb == 0.0:
             return b
         if abs(e) < tol or abs(fa) <= abs(fb):
             d = e = m

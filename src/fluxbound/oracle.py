@@ -85,6 +85,8 @@ class ShootingConfig:
             raise ValueError("ShootingConfig: r_max must exceed r_min")
         if not 1e-14 < self.step_control < 1e-4:
             raise ValueError("ShootingConfig: step_control out of (1e-14, 1e-4)")
+        if not 0.0 < self.numerov_dx < math.inf:
+            raise ValueError("ShootingConfig: numerov_dx must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -233,32 +235,25 @@ def _frobenius_factor(a: float, z2: float) -> float:
 
 
 def _dirac_seed(ch: DiracChannel, xi_int: float, r: float, E: float):
-    """Frobenius continuation of the domain template to r (four terms/branch)."""
+    """Frobenius continuation of the domain template to r (four terms/branch).
+
+    The pair is built in u = tau*E with the r^(+nu) carrying component first;
+    a tau = -1 channel is the tau = +1 one at -E with its components swapped,
+    bit for bit, since -E - 1 = -(E + 1) in floating point.
+    """
     nu, s, tau = ch.nu, ch.s, ch.tau
+    u = tau * E
     z2 = (1.0 - E * E) * r * r
-    f_reg = _frobenius_factor(nu - 0.5, z2)
-    f_reg_c = _frobenius_factor(nu + 0.5, z2)
-    f_irr = _frobenius_factor(-nu - 0.5, z2)
-    f_irr_c = _frobenius_factor(0.5 - nu, z2)
-    if tau == 1:
-        reg = (
-            r**nu * f_reg,
-            (E - 1.0) / (s * (2.0 * nu + 1.0)) * r ** (nu + 1.0) * f_reg_c,
-        )
-        irr = (
-            (E + 1.0) / (s * (2.0 * nu - 1.0)) * r ** (1.0 - nu) * f_irr_c,
-            r ** (-nu) * f_irr,
-        )
-    else:
-        reg = (
-            -(E + 1.0) / (s * (2.0 * nu + 1.0)) * r ** (nu + 1.0) * f_reg_c,
-            r**nu * f_reg,
-        )
-        irr = (
-            r ** (-nu) * f_irr,
-            (E - 1.0) / (s * (1.0 - 2.0 * nu)) * r ** (1.0 - nu) * f_irr_c,
-        )
-    return reg[0] - xi_int * irr[0], reg[1] - xi_int * irr[1]
+    reg = (
+        r**nu * _frobenius_factor(nu - 0.5, z2),
+        (u - 1.0) / (s * (2.0 * nu + 1.0)) * r ** (nu + 1.0) * _frobenius_factor(nu + 0.5, z2),
+    )
+    irr = (
+        (u + 1.0) / (s * (2.0 * nu - 1.0)) * r ** (1.0 - nu) * _frobenius_factor(0.5 - nu, z2),
+        r ** (-nu) * _frobenius_factor(-nu - 0.5, z2),
+    )
+    carrying, companion = reg[0] - xi_int * irr[0], reg[1] - xi_int * irr[1]
+    return (carrying, companion) if tau == 1 else (companion, carrying)
 
 
 def _dirac_miss(ch: DiracChannel, xi_int: float, cfg: ShootingConfig, E: float) -> float:
@@ -319,7 +314,7 @@ def _refine_root(
     if f_lo == 0.0:
         return lo, tol_x
     bracket = nk.Bracket(lo, hi, f_lo, f_hi)
-    root = nk.find_root_bracketed(miss, bracket, tol_x=tol_x, tol_f=0.0)
+    root = nk.find_root_bracketed(miss, bracket, tol_x=tol_x)
     delta = 64.0 * tol_x
     m_val = miss(root)
     slope = (miss(min(root + delta, hi)) - miss(max(root - delta, lo))) / (2.0 * delta)

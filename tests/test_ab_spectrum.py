@@ -287,6 +287,71 @@ class TestPaperLevelVariants:
             ab.paper_level_lhs(channel(mu=0.7), 0.1, "lev0")
 
 
+class TestPrintedLevel:
+    """printed_level's closed form against a Brent solve of each printed
+    equation, written out here with math.gamma and evaluated in ln(lambda)."""
+
+    @staticmethod
+    def printed_equation(ch, variant, xi):
+        m, nu, s = ch.m, ch.nu, ch.s
+        beta = ch.flux_parts.beta
+        g = math.gamma
+        w = g(2 * nu) * g(-nu + (1 - s) / 2) / (g(-2 * nu) * g(nu + (1 - s) / 2))
+        if variant == "wr00":  # omega_xi / (4 s lambda)
+            return lambda y: w * (2 * math.exp(y) / m) ** (-2 * nu) + xi
+        if variant == "levab":
+            return lambda y: w * (math.exp(y) / m) ** (-2 * nu) - xi
+        g0 = g(1 - 2 * beta) * g(0.5 + beta) / (g(2 * beta - 1) * g(1.5 - beta))
+        if variant == "lev0":
+            return lambda y: g0 * (m / math.exp(y)) ** (2 * beta - 1) - xi
+        return lambda y: (1 / g0) * (m / math.exp(y)) ** (1 - 2 * beta) - xi
+
+    @pytest.mark.parametrize(
+        "variant, l, s, mu",
+        [
+            (v, l, s, mu)
+            for v in ("wr00", "levab", "lev0", "lev1")
+            for l, s in ((0, -1), (-1, 1))
+            for mu in (0.3, 0.7)
+            if not (v == "lev0" and mu > 0.5 or v == "lev1" and mu < 0.5)
+        ],
+    )
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_closed_form_matches_brent(self, variant, l, s, mu, m):
+        ch = ab.DiracChannel(m=m, l=l, s=s, mu=mu)
+        for xi in (-0.05, -0.4, -1.0, -4.0):
+            ext = ab.Extension.from_xi(xi)
+            level = ab.printed_level(ch, ext, variant)
+            f = self.printed_equation(ch, variant, ext.xi)
+            lo, hi = math.log(m) - 60.0, math.log(m) - 1e-12
+            if f(lo) * f(hi) > 0.0:
+                assert level is None
+                continue
+            lam = math.exp(nk.find_root_bracketed(f, nk.Bracket.from_function(f, lo, hi), tol_x=1e-15))
+            sign = math.copysign(1.0, ab.solve_bound_energy(ch, ext).E)
+            assert level.lam == pytest.approx(lam, rel=1e-12)
+            assert level.E == pytest.approx(sign * math.sqrt(m * m - lam * lam), rel=1e-12)
+            assert level.residual <= 1e-14 * abs(xi)
+
+    def test_every_variant_has_a_level_somewhere(self):
+        # levab and lev0/lev1 have roots on s = -1 channels, wr00 on s = +1;
+        # wr00/levab need |xi| above the prefactor, lev0/lev1 below it
+        found = {
+            v: ab.printed_level(channel(l=l, s=s, mu=mu), ab.Extension.from_xi(xi), v)
+            for v, l, s, mu, xi in (("wr00", -1, 1, 0.3, -1.0), ("levab", 0, -1, 0.3, -1.0),
+                                    ("lev0", 0, -1, 0.3, -0.4), ("lev1", 0, -1, 0.7, -0.4))
+        }
+        assert all(level is not None and 0.0 < level.lam < 1.0 for level in found.values())
+
+    def test_no_master_level_means_none(self):
+        for v in ("wr00", "levab", "lev0"):
+            assert ab.printed_level(channel(mu=0.3), ab.Extension.from_xi(0.5), v) is None
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError):
+            ab.printed_level(channel(), ab.Extension.from_xi(-1.0), "lev0lev1")
+
+
 class TestSpectralDensity:
     def test_omega_xi_nonvanishing_on_continuum(self):
         ch = channel(mu=0.25)
@@ -482,6 +547,22 @@ class TestContinuumDoublet:
 
         for r in (0.7, 1.9):
             assert resid(r) <= 1e-6
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("xi", [-1.0, 0.0, 0.5, math.inf])
+    def test_mirror_flux_swaps_components(self, beta, xi):
+        # the 1 - beta channel has the opposite tau: it is the beta channel at
+        # -E with its two components swapped
+        ext = ab.Extension.from_xi(xi)
+        for e_val in (-4.0, -1.5, 1.5, 4.0):
+            d = ab.continuum_doublet(channel(mu=1.0 - beta), ext, e_val)
+            mirror = ab.continuum_doublet(channel(mu=beta), ext, -e_val)
+            assert d.small_r_exponents == pytest.approx(mirror.small_r_exponents[::-1], rel=1e-14)
+            for r in (1e-4, 0.05, 0.4, 1.3, 3.7, 9.0):
+                got, want = d(r), mirror(r)[::-1]
+                scale = math.hypot(*want)
+                assert abs(got[0] - want[0]) <= 1e-12 * scale
+                assert abs(got[1] - want[1]) <= 1e-12 * scale
 
     def test_edge_energy_rejected(self):
         with pytest.raises(ab.EnergyDomainError):

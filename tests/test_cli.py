@@ -124,6 +124,10 @@ class TestUsageErrors:
             ["ab-solve", "--xi", "-1"],
             ["ab-sweep", "--xi", "-1", "--beta-grid", "0.9:0.1:5"],
             ["ac-solve", "--gamma", "0.5", "--xi", "-1", "--mass", "1e-200"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=-0.01"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=inf"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--r-min=0"],
         ],
     )
     def test_one_json_usage_line(self, capsys, argv):
@@ -246,6 +250,28 @@ class TestRunCommands:
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out.decode())))
         assert float(row["abs_diff_over_m"]) <= 1e-5
+
+    def test_oracle_check_columns_in_units_of_m(self, capsys):
+        def row(mass):
+            assert cli.main(["oracle-check", "--mu", "0.25", "--xi", "-1", "--mass", mass]) == 0
+            return [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")]
+
+        base = row("1")
+        assert base[3] > 0.0  # match_residual
+        got = row("1e8")
+        # abs_diff_over_m is a difference of two energies that each move by an ulp
+        assert got[2] == pytest.approx(base[2], abs=1e-15)
+        del got[2], base[2]
+        assert got == pytest.approx(base, rel=1e-12, abs=0.0)
+
+    def test_shallow_printed_level(self):
+        code, out, _ = run_cli(
+            ["ab-solve", "--mu", "0.25", "--xi", "-1e-3", "--level-eq", "lev0lev1"]
+        )
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out.decode())))
+        assert float(row["E_over_m"]) == pytest.approx(0.99999999999760536, rel=1e-15)
+        assert float(row["lambda_over_m"]) == pytest.approx(2.1884396152274765e-06, rel=1e-12)
 
     def test_level_eq_comparison_modes(self):
         base = ["ab-solve", "--l", "0", "--s", "-1", "--mu", "0.25", "--xi", "-1"]

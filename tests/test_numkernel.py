@@ -138,9 +138,24 @@ class TestBesselJ:
             (-12.3, 35.0, J_M123_35),
             (40.0, 1000.0, J_40_1000),
             (-40.25, 990.0, J_M4025_990),
+            (44.09, 10.587, 1.1616863233891305e-23),
+            (40.937, 10.2, 1.8704620018661874e-21),
         ]
         for order, z, want in cases:
             assert nk.bessel_j(order, z) == pytest.approx(want, rel=1e-10)
+
+    def test_high_order_above_the_series_crossover(self):
+        # past z = 10 the Schlaefli integral cancels when the order is well
+        # above z, where J is tiny; pytest.approx's default abs=1e-12 would
+        # hide that, so the check is purely relative (mpmath values)
+        cases = [
+            (44.09, 10.587, 1.1616863233891306e-23),
+            (40.937, 10.2, 1.8704620018661875e-21),
+            (49.037, 10.05, 2.0631841932624244e-29),
+            (25.5, 15.0, 2.860770862975686e-05),
+        ]
+        for order, z, want in cases:
+            assert nk.bessel_j(order, z) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_negative_integer_order(self):
         assert nk.bessel_j(-3.0, 2.5) == pytest.approx(-nk.bessel_j(3.0, 2.5), rel=1e-12)
