@@ -25,7 +25,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import ab_spectrum as ab
@@ -410,12 +410,14 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         return rows, _AC_COLUMNS
 
     if spec.command == "oracle-check":
-        cfg_kwargs = {"r_min": params["r_min"]}
-        if params["resolution"] is not None:
-            cfg_kwargs["numerov_dx"] = params["resolution"]
-            cfg_kwargs["step_control"] = min(params["resolution"] ** 2, 1e-8)
+        resolution = params["resolution"]
         try:
-            cfg = orc.ShootingConfig(**cfg_kwargs)
+            cfg = orc.ShootingConfig(r_min=params["r_min"])
+            if resolution is not None:
+                # the config bounds numerov_dx below 1 before it is squared,
+                # so the square cannot overflow
+                cfg = replace(cfg, numerov_dx=resolution)
+                cfg = replace(cfg, step_control=min(resolution**2, 1e-8))
         except ValueError as exc:
             raise UsageError(f"--r-min/--resolution: {exc}") from None
         if params["sector"] == "ab":

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import numkernel as nk
 from .ab_spectrum import DiracChannel, Extension, Regime, RegimeError
@@ -58,7 +58,9 @@ class ShootingConfig:
     r_min/r_max in units of 1/m (r_max = None selects max(40/lambda, 30)/m
     per energy); step_control is the relative local tolerance of the Dirac
     integrator; numerov_dx the Schroedinger grid step (logarithmic inner
-    segment, and in units of 1/kappa on the linear tail segment);
+    segment, and in units of 1/kappa on the linear tail segment), below 1:
+    at 1 the shoot is already 5e-4 m off, and from about 177 the seed-radius
+    test's exp(4*numerov_dx) overflows;
     energy_bracket (in units of m) overrides the default scan window;
     n_scan grid points locate the sign change; diagnostics enables the
     nested-cutoff re-solves.
@@ -85,14 +87,15 @@ class ShootingConfig:
             raise ValueError("ShootingConfig: r_max must exceed r_min")
         if not 1e-14 < self.step_control < 1e-4:
             raise ValueError("ShootingConfig: step_control out of (1e-14, 1e-4)")
-        if not 0.0 < self.numerov_dx < math.inf:
-            raise ValueError("ShootingConfig: numerov_dx must be finite and > 0")
+        if not 0.0 < self.numerov_dx < 1.0:
+            raise ValueError("ShootingConfig: numerov_dx out of (0, 1)")
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """A shot level; evaluations counts the mismatch evaluations of the whole
-    shoot, diagnostic probes included."""
+    shoot, diagnostic probes included.  Each solve's scan stops at the first
+    sign change, so the count covers the grid only up to that bracket."""
 
     E: float
     match_residual: float
@@ -288,18 +291,19 @@ def _scan_grid(window: tuple[float, float], n_scan: int) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _scan_roots(
+def _sign_changes(
     miss: Callable[[float], float], grid: Sequence[float]
-) -> list[tuple[float, float, float, float]]:
-    out = []
+) -> Iterator[tuple[float, float, float, float]]:
+    """Brackets (x_lo, x_hi, f_lo, f_hi) of the mismatch's sign changes over
+    the grid, in order, each yielded as soon as the scan reaches its upper
+    end; a grid point where the mismatch is exactly zero opens a bracket."""
     prev_x = grid[0]
     prev_f = miss(prev_x)
     for x in grid[1:]:
         fx = miss(x)
         if prev_f == 0.0 or prev_f * fx < 0.0:
-            out.append((prev_x, x, prev_f, fx))
+            yield prev_x, x, prev_f, fx
         prev_x, prev_f = x, fx
-    return out
 
 
 def _refine_root(
@@ -358,10 +362,10 @@ def _shoot(
                 memo[x] = miss(config, x)
             return memo[x]
 
-        roots = _scan_roots(miss_x, _scan_grid(win, config.n_scan))
-        if not roots:
+        first = next(_sign_changes(miss_x, _scan_grid(win, config.n_scan)), None)
+        if first is None:
             return None
-        return _refine_root(miss_x, *roots[0], tol_x=1e-12)
+        return _refine_root(miss_x, *first, tol_x=1e-12)
 
     base = solve_at(cfg, window)
     if base is None:
@@ -431,7 +435,10 @@ def dirac_shoot(
 def count_dirac_levels(
     ch: DiracChannel, ext: Extension, cfg: ShootingConfig = ShootingConfig()
 ) -> int:
-    """Number of mismatch sign changes over the whole gap (uniqueness probe)."""
+    """Number of mismatch sign changes over the whole gap (uniqueness probe).
+
+    Unlike a shoot, whose scan stops at the first sign change, the count
+    evaluates every one of the n_scan grid points."""
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("count_dirac_levels: requires an extended-regime channel")
     xi = ext.xi
@@ -443,7 +450,7 @@ def count_dirac_levels(
     def miss_u(u: float) -> float:
         return _dirac_miss(ch, xi_int, cfg, tau * u)
 
-    return len(_scan_roots(miss_u, _scan_grid(_GAP_WINDOW, cfg.n_scan)))
+    return sum(1 for _ in _sign_changes(miss_u, _scan_grid(_GAP_WINDOW, cfg.n_scan)))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ class TestUsageErrors:
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=inf"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--r-min=0"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e200"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=5"],
         ],
     )
     def test_one_json_usage_line(self, capsys, argv):

@@ -142,7 +142,7 @@ class TestBesselJ:
             (40.937, 10.2, 1.8704620018661874e-21),
         ]
         for order, z, want in cases:
-            assert nk.bessel_j(order, z) == pytest.approx(want, rel=1e-10)
+            assert nk.bessel_j(order, z) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_high_order_above_the_series_crossover(self):
         # past z = 10 the Schlaefli integral cancels when the order is well
@@ -226,7 +226,7 @@ class TestBesselK:
             (0.25, 2.5, K_025_25),
         ]
         for order, z, want in cases:
-            assert nk.bessel_k(order, z) == pytest.approx(want, rel=1e-10)
+            assert nk.bessel_k(order, z) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_seam_continuity(self):
         from fluxbound.numkernel import _k_integral

@@ -241,10 +241,10 @@ class TestGoldenShoots:
     NAN = math.nan
     # E, match_residual, convergence_order_estimate, r_min_sensitivity, evaluations
     CASES = {
-        "ab-off": (-0.5660019994861645, 1e-12, NAN, NAN, 54),
-        "ac-off": (-0.499999999968014, 4.99999999968014e-13, NAN, NAN, 58),
-        "ab-on": (-0.5660019994861645, 1e-12, 4.8708839669526975, 0.0, 80),
-        "ac-on": (-0.499999999968014, 4.99999999968014e-13, 7.267754405159166, 0.0, 90),
+        "ab-off": (-0.5660019994861645, 1e-12, NAN, NAN, 18),
+        "ac-off": (-0.499999999968014, 4.99999999968014e-13, NAN, NAN, 37),
+        "ab-on": (-0.5660019994861645, 1e-12, 4.8708839669526975, 0.0, 36),
+        "ac-on": (-0.499999999968014, 4.99999999968014e-13, 7.267754405159166, 0.0, 63),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -266,6 +266,77 @@ class TestGoldenShoots:
         # the residual probe's miss(root) repeats Brent's last evaluation and
         # is served from the per-solve memo, not integrated again
         assert res.evaluations == evaluations
+
+
+class TestSignScan:
+    """A shoot's scan stops at the first sign change; the level count scans
+    the whole grid."""
+
+    @staticmethod
+    def record(monkeypatch, name):
+        calls = []
+        original = getattr(orc, name)
+
+        def wrapped(a, xi_int, cfg, E):
+            calls.append(E)
+            return original(a, xi_int, cfg, E)
+
+        monkeypatch.setattr(orc, name, wrapped)
+        return calls, original
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    def test_shoot_stops_at_first_bracket(self, monkeypatch, sector):
+        ext = ab.Extension.from_xi(-1.0)
+        if sector == "ab":
+            ch = dirac_channel(0.25)
+            calls, miss = self.record(monkeypatch, "_dirac_miss")
+            grid_e = [ch.tau * u for u in orc._scan_grid(orc._GAP_WINDOW, FAST.n_scan)]
+            args = (ch, ch.s * -1.0, FAST)
+        else:
+            ch = ac_channel(0.5)
+            calls, miss = self.record(monkeypatch, "_numerov_ac_miss")
+            window = (math.log(1e-8), math.log(1e6))
+            grid_e = [-math.exp(y) for y in orc._scan_grid(window, FAST.n_scan)]
+            args = (ch.gamma, 1.0, FAST)
+        # the first bracket from the mismatch on the full grid
+        signs = [miss(*args, E) > 0.0 for E in grid_e]
+        upper = next(i for i in range(1, len(signs)) if signs[i] != signs[i - 1])
+        assert upper < len(grid_e) - 1
+
+        shoot = orc.dirac_shoot if sector == "ab" else orc.schrodinger_shoot
+        res = shoot(ch, ext, FAST)
+        evaluated = set(calls)
+        assert evaluated.isdisjoint(grid_e[upper + 1 :])
+        assert evaluated.issuperset(grid_e[: upper + 1])
+        lo, hi = sorted((grid_e[upper - 1], grid_e[upper]))
+        assert all(lo <= E <= hi for E in evaluated.difference(grid_e))
+        assert res.evaluations == len(evaluated)
+
+    def test_count_scans_every_grid_point(self, monkeypatch):
+        calls, _ = self.record(monkeypatch, "_dirac_miss")
+        cases = ((0.25, -1.0), (0.4, -0.3), (0.6, -2.0), (0.85, -1.0))
+        for k, (mu, xi) in enumerate(cases, start=1):
+            n = orc.count_dirac_levels(dirac_channel(mu), ab.Extension.from_xi(xi), FAST)
+            assert n == 1
+            assert len(calls) == k * FAST.n_scan
+
+    def test_sign_changes_yields_every_bracket_in_order(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return (x - 1.5) * (x - 3.5) * (x - 6.5)
+
+        scan = orc._sign_changes(f, [float(i) for i in range(9)])
+        assert next(scan) == (1.0, 2.0, f(1.0), f(2.0))
+        assert max(seen) == 2.0
+        assert list(scan) == [(3.0, 4.0, f(3.0), f(4.0)), (6.0, 7.0, f(6.0), f(7.0))]
+
+    def test_sign_changes_exact_zero_opens_a_bracket(self):
+        def f(x):
+            return x - 2.0
+
+        assert list(orc._sign_changes(f, [0.0, 1.0, 2.0, 3.0, 4.0])) == [(2.0, 3.0, 0.0, 1.0)]
 
 
 class TestIntegratorKernels:
