@@ -4,9 +4,9 @@ Emits CSV (17 significant digits, '\\n' line endings) or JSON tables with
 deterministic, byte-identical output for identical inputs.  Exit codes:
 0 success, 2 with one JSON line ``{"error", "kind"}`` on stderr for a usage
 error (kind "usage": bad or missing flags, grids, config values, a mass whose
-square is not a finite normal float, shooting settings that ``ShootingConfig``
-rejects) or a domain error (kind "domain": critical or regular regime
-requests), 1 internal failure.
+square is not a finite normal float, an ``--r-min`` that ``ShootingConfig``
+rejects, a ``--resolution`` outside (1e-7, 1)) or a domain error (kind
+"domain": critical or regular regime requests), 1 internal failure.
 
 Rows hold NaN only in the level columns of a row without a level (sweeps,
 printed level-equation variants) and in ``oracle-check``'s
@@ -413,13 +413,14 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         resolution = params["resolution"]
         try:
             cfg = orc.ShootingConfig(r_min=params["r_min"])
-            if resolution is not None:
-                # the config bounds numerov_dx below 1 before it is squared,
-                # so the square cannot overflow
-                cfg = replace(cfg, numerov_dx=resolution)
-                cfg = replace(cfg, step_control=min(resolution**2, 1e-8))
         except ValueError as exc:
-            raise UsageError(f"--r-min/--resolution: {exc}") from None
+            raise UsageError(f"--r-min: {exc}") from None
+        if resolution is not None:
+            # it sets numerov_dx, which must stay below 1, and squared the
+            # step_control, which must stay above 1e-14
+            if not 1e-7 < resolution < 1.0:
+                raise UsageError(f"--resolution must lie in (1e-7, 1), got {resolution!r}")
+            cfg = replace(cfg, numerov_dx=resolution, step_control=min(resolution**2, 1e-8))
         if params["sector"] == "ab":
             chd = _dirac_channel(params, "oracle-check --sector ab")
             level = ab.solve_bound_energy(chd, ext)

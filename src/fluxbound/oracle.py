@@ -28,6 +28,17 @@ sign change, refine it with Brent, and re-solve in a narrow window for the
 discretization ladder and the halved inner cutoff.  A sector supplies only its
 mismatch, window, scan-variable-to-energy map and refined configs.  Each shoot
 is a pure computation.
+
+The scan runs in two stages, since it needs only the mismatch's sign.  It
+first integrates at loose settings (step_control at least 1e-6, numerov_dx at
+least 0.04) up to the first sign change; the two ends of that bracket are
+then integrated at the working settings, and Brent starts from their working
+values, so it gets the bracket a working scan would hand it.  If the loose
+scan finds no sign change, or the working signs at the ends differ from the
+loose ones, the working scan runs after all.  The narrow diagnostic probes
+and count_dirac_levels scan at the working settings only.
+``OracleResult.evaluations`` counts working integrations and
+``scan_evaluations`` loose ones.
 """
 
 from __future__ import annotations
@@ -65,6 +76,13 @@ class ShootingConfig:
     n_scan grid points locate the sign change; diagnostics enables the
     nested-cutoff re-solves.
 
+    step_control and numerov_dx are the working settings: every reported
+    number comes from integrations at them.  A shoot's first sign scan only
+    reads signs, so it runs with the sector's knob coarsened to at least
+    1e-6 (step_control) or 0.04 (numerov_dx), and the bracket it finds is
+    re-evaluated at the working settings before refinement.  These floors
+    are fixed, not config fields.
+
     r_min is a lower limit on the radius where the template series seeds the
     integration, r_seed = min(max(r_min, 0.05/lambda), 0.2*r_max) with lambda
     the decay constant of the tail, so it only acts when r_min > 0.05/lambda.
@@ -93,15 +111,23 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """A shot level; evaluations counts the mismatch evaluations of the whole
-    shoot, diagnostic probes included.  Each solve's scan stops at the first
-    sign change, so the count covers the grid only up to that bracket."""
+    """A shot level with the mismatch integrations it took.
+
+    evaluations counts integrations at the working settings over the whole
+    shoot, diagnostic probes included: the base solve's two bracket ends and
+    its refinement, plus any fallback scan, and each probe's scan and
+    refinement.  scan_evaluations counts the base solve's loose sign-scan
+    integrations; it is 0 when the config's knob is already at least as
+    coarse as the scan's, and the one scan then counts in evaluations.  Each
+    scan stops at the first sign change, so the counts cover the grid only
+    up to that bracket."""
 
     E: float
     match_residual: float
     convergence_order_estimate: float
     r_min_sensitivity: float
     evaluations: int = 0
+    scan_evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -328,6 +354,13 @@ def _refine_root(
 
 _DIAG_NAN = float("nan")
 
+# Floors of each sector's discretization knob for the sign scan of a shoot's
+# base solve.  The scan needs only the mismatch's sign; on all 50 A3 channels
+# the first sign change falls in the same grid interval at these settings as
+# at the defaults, for a quarter (AC) to a sixth (Dirac) of the integration
+# cost.
+_SCAN_FLOOR = {"step_control": 1e-6, "numerov_dx": 0.04}
+
 
 def _shoot(
     cfg: ShootingConfig,
@@ -347,51 +380,78 @@ def _shoot(
     probes divide by ratio and ratio**2.  decay_max(window) is the largest
     tail decay constant over a probe window: when r_min <= 0.05/decay_max,
     halving r_min cannot move any seed radius and the r_min probe is skipped.
-    Each solve memoizes its mismatch, so evaluations counts integrations, not
-    calls.
+
+    Only the base solve scans with the knob raised to its _SCAN_FLOOR (the
+    two stages and their fallbacks are in the module docstring).  The narrow
+    probes' window is centred on the base root, so the root sits on their
+    middle grid point, and a loose scan there brackets the other side of it:
+    on 256 measured shoots every probe solve fell back to the working scan.
+    Each solve memoizes its mismatch per config, so evaluations counts
+    working integrations and scan_evals loose ones, not calls.
     """
     evals = 0
+    scan_evals = 0
 
-    def solve_at(config: ShootingConfig, win: tuple[float, float]) -> Optional[tuple[float, float]]:
+    def memoized(config: ShootingConfig, loose: bool) -> Callable[[float], float]:
         memo: dict[float, float] = {}
 
         def miss_x(x: float) -> float:
-            nonlocal evals
+            nonlocal evals, scan_evals
             if x not in memo:
-                evals += 1
+                if loose:
+                    scan_evals += 1
+                else:
+                    evals += 1
                 memo[x] = miss(config, x)
             return memo[x]
 
-        first = next(_sign_changes(miss_x, _scan_grid(win, config.n_scan)), None)
+        return miss_x
+
+    def solve_at(
+        config: ShootingConfig, win: tuple[float, float], loose_scan: bool = False
+    ) -> Optional[tuple[float, float]]:
+        miss_x = memoized(config, loose=False)
+        grid = _scan_grid(win, config.n_scan)
+        first = None
+        if loose_scan and getattr(config, knob) < _SCAN_FLOOR[knob]:
+            scan_cfg = replace(config, **{knob: _SCAN_FLOOR[knob]})
+            found = next(_sign_changes(memoized(scan_cfg, loose=True), grid), None)
+            if found is not None:
+                lo, hi, f_lo, f_hi = found
+                w_lo, w_hi = miss_x(lo), miss_x(hi)
+                if w_lo * f_lo > 0.0 and w_hi * f_hi > 0.0:
+                    first = (lo, hi, w_lo, w_hi)
+        if first is None:
+            first = next(_sign_changes(miss_x, grid), None)
         if first is None:
             return None
         return _refine_root(miss_x, *first, tol_x=1e-12)
 
-    base = solve_at(cfg, window)
+    knob, ratio = ladder
+    base = solve_at(cfg, window, loose_scan=True)
     if base is None:
         return None
     x0, resid = base
     e0, de_dx = to_e(x0)
     resid_e = m * resid * de_dx
     if not cfg.diagnostics:
-        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
+        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals, scan_evals)
     # discretization ladder at fixed r_min -> observed order; halved inner
     # cutoff at fixed discretization -> r_min sensitivity
     narrow = (max(window[0], x0 - 1e-3), min(window[1], x0 + 1e-3))
-    knob, ratio = ladder
     probe = replace(cfg, n_scan=9, diagnostics=False)
     probes = [replace(probe, **{knob: getattr(cfg, knob) / ratio**k}) for k in (1, 2)]
     if cfg.r_min > 0.05 / decay_max(narrow):
         probes.append(replace(probe, r_min=cfg.r_min / 2.0))
     got = [solve_at(c, narrow) for c in probes]
     if any(g is None for g in got):  # pragma: no cover - root stays in the window
-        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
+        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals, scan_evals)
     levels = [to_e(g[0])[0] for g in got]
     sens = abs(e0 - levels[2]) if len(levels) == 3 else 0.0
     d1 = abs(e0 - levels[0])
     d2 = abs(levels[0] - levels[1])
     order = math.log2(d1 / d2) if (d1 > 1e-15 and d2 > 1e-15) else _DIAG_NAN
-    return OracleResult(m * e0, resid_e, order, m * sens, evals)
+    return OracleResult(m * e0, resid_e, order, m * sens, evals, scan_evals)
 
 
 _GAP_WINDOW = (-1.0 + 1e-9, 1.0 - 1e-9)

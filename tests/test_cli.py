@@ -130,6 +130,7 @@ class TestUsageErrors:
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--r-min=0"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e200"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=5"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e-8"],
         ],
     )
     def test_one_json_usage_line(self, capsys, argv):
@@ -138,7 +139,11 @@ class TestUsageErrors:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["kind"] == "usage"
+        report = json.loads(lines[0])
+        assert report["kind"] == "usage"
+        # a bad --resolution is reported under its own name and range
+        if any(arg.startswith("--resolution") for arg in argv):
+            assert report["error"].startswith("--resolution must lie in (1e-7, 1)")
 
     @pytest.mark.parametrize("argv", [["--help"], ["ab-solve", "--help"]])
     def test_help_exits_0(self, capsys, argv):

@@ -7,6 +7,7 @@ regression test.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -211,10 +212,12 @@ class TestSmoothMismatch:
         assert 0.4 <= ratio <= 0.6
 
     def test_golden_shoot_evaluation_count(self):
-        # a step-like mismatch made Brent bisect: 48 scan + 39 refine
+        # a step-like mismatch made Brent bisect: 48 scan + 39 refine.  The
+        # working integrations are the two bracket ends plus the refinement
         res = orc.dirac_shoot(dirac_channel(0.25), ab.Extension.from_xi(-1.0), FAST)
-        assert res.evaluations <= 60
-        assert res.evaluations - FAST.n_scan <= 12
+        assert res.evaluations + res.scan_evaluations <= 60
+        assert res.evaluations - 2 <= 12
+        assert res.scan_evaluations <= FAST.n_scan
 
 
 class TestRenormalization:
@@ -239,12 +242,13 @@ class TestGoldenShoots:
     (gamma=0.5) shoots at xi=-1, with diagnostics off and on."""
 
     NAN = math.nan
-    # E, match_residual, convergence_order_estimate, r_min_sensitivity, evaluations
+    # E, match_residual, convergence_order_estimate, r_min_sensitivity,
+    # evaluations, scan_evaluations
     CASES = {
-        "ab-off": (-0.5660019994861645, 1e-12, NAN, NAN, 18),
-        "ac-off": (-0.499999999968014, 4.99999999968014e-13, NAN, NAN, 37),
-        "ab-on": (-0.5660019994861645, 1e-12, 4.8708839669526975, 0.0, 36),
-        "ac-on": (-0.499999999968014, 4.99999999968014e-13, 7.267754405159166, 0.0, 63),
+        "ab-off": (-0.5660019994861645, 1e-12, NAN, NAN, 8, 12),
+        "ac-off": (-0.499999999968014, 4.99999999968014e-13, NAN, NAN, 12, 27),
+        "ab-on": (-0.5660019994861645, 1e-12, 4.8708839669526975, 0.0, 26, 12),
+        "ac-on": (-0.499999999968014, 4.99999999968014e-13, 7.267754405159166, 0.0, 38, 27),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -256,7 +260,7 @@ class TestGoldenShoots:
             res = orc.dirac_shoot(dirac_channel(0.25), ext, cfg)
         else:
             res = orc.schrodinger_shoot(ac_channel(0.5), ext, cfg)
-        *floats, evaluations = self.CASES[case]
+        *floats, evaluations, scan_evaluations = self.CASES[case]
         got = (res.E, res.match_residual, res.convergence_order_estimate, res.r_min_sensitivity)
         for value, want in zip(got, floats):
             if math.isnan(want):
@@ -266,59 +270,139 @@ class TestGoldenShoots:
         # the residual probe's miss(root) repeats Brent's last evaluation and
         # is served from the per-solve memo, not integrated again
         assert res.evaluations == evaluations
+        assert res.scan_evaluations == scan_evaluations
 
 
 class TestSignScan:
-    """A shoot's scan stops at the first sign change; the level count scans
-    the whole grid."""
+    """A shoot's base solve scans at loose settings up to the first sign
+    change and refines from that bracket's ends at the working settings; the
+    level count and the diagnostic probes scan at the working settings."""
 
     @staticmethod
-    def record(monkeypatch, name):
+    def sector(monkeypatch, sector, transform=None):
+        """(channel, shoot, mismatch calls as (config, E), unwrapped
+        mismatch, its leading arguments, base grid in E, knob); transform
+        (config, E, value) rewrites the mismatch the shoot sees."""
+        if sector == "ab":
+            ch = dirac_channel(0.25)
+            name, shoot, knob = "_dirac_miss", orc.dirac_shoot, "step_control"
+            grid_e = [ch.tau * u for u in orc._scan_grid(orc._GAP_WINDOW, FAST.n_scan)]
+            lead = (ch, ch.s * -1.0)
+        else:
+            ch = ac_channel(0.5)
+            name, shoot, knob = "_numerov_ac_miss", orc.schrodinger_shoot, "numerov_dx"
+            window = (math.log(1e-8), math.log(1e6))
+            grid_e = [-math.exp(y) for y in orc._scan_grid(window, FAST.n_scan)]
+            lead = (ch.gamma, 1.0)
         calls = []
         original = getattr(orc, name)
 
         def wrapped(a, xi_int, cfg, E):
-            calls.append(E)
-            return original(a, xi_int, cfg, E)
+            calls.append((cfg, E))
+            value = original(a, xi_int, cfg, E)
+            return value if transform is None else transform(cfg, E, value)
 
         monkeypatch.setattr(orc, name, wrapped)
-        return calls, original
+        return ch, shoot, calls, original, lead, grid_e, knob
+
+    @staticmethod
+    def loose(cfg, knob):
+        return replace(cfg, **{knob: orc._SCAN_FLOOR[knob]})
+
+    @staticmethod
+    def floats(res):
+        fields = (res.E, res.match_residual, res.convergence_order_estimate, res.r_min_sensitivity)
+        return [float.hex(x) for x in fields]
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_shoot_stops_at_first_bracket(self, monkeypatch, sector):
-        ext = ab.Extension.from_xi(-1.0)
-        if sector == "ab":
-            ch = dirac_channel(0.25)
-            calls, miss = self.record(monkeypatch, "_dirac_miss")
-            grid_e = [ch.tau * u for u in orc._scan_grid(orc._GAP_WINDOW, FAST.n_scan)]
-            args = (ch, ch.s * -1.0, FAST)
-        else:
-            ch = ac_channel(0.5)
-            calls, miss = self.record(monkeypatch, "_numerov_ac_miss")
-            window = (math.log(1e-8), math.log(1e6))
-            grid_e = [-math.exp(y) for y in orc._scan_grid(window, FAST.n_scan)]
-            args = (ch.gamma, 1.0, FAST)
-        # the first bracket from the mismatch on the full grid
-        signs = [miss(*args, E) > 0.0 for E in grid_e]
-        upper = next(i for i in range(1, len(signs)) if signs[i] != signs[i - 1])
+        ch, shoot, calls, miss, lead, grid_e, knob = self.sector(monkeypatch, sector)
+        loose_cfg = self.loose(FAST, knob)
+        # the first bracket of the loose mismatch on the full grid, which is
+        # also the working one on this channel
+        uppers = []
+        for cfg in (loose_cfg, FAST):
+            signs = [miss(*lead, cfg, E) > 0.0 for E in grid_e]
+            uppers.append(next(i for i in range(1, len(signs)) if signs[i] != signs[i - 1]))
+        upper = uppers[0]
+        assert uppers == [upper, upper]
         assert upper < len(grid_e) - 1
 
-        shoot = orc.dirac_shoot if sector == "ab" else orc.schrodinger_shoot
-        res = shoot(ch, ext, FAST)
-        evaluated = set(calls)
-        assert evaluated.isdisjoint(grid_e[upper + 1 :])
-        assert evaluated.issuperset(grid_e[: upper + 1])
+        res = shoot(ch, ab.Extension.from_xi(-1.0), FAST)
+        assert {cfg for cfg, _ in calls} == {loose_cfg, FAST}
+        loose = [E for cfg, E in calls if cfg == loose_cfg]
+        working = {E for cfg, E in calls if cfg == FAST}
+        # the loose scan touches the grid up to the bracket's upper end only
+        assert loose == grid_e[: upper + 1]
+        # the working integrations are the bracket's ends and points inside it
         lo, hi = sorted((grid_e[upper - 1], grid_e[upper]))
-        assert all(lo <= E <= hi for E in evaluated.difference(grid_e))
-        assert res.evaluations == len(evaluated)
+        assert working.intersection(grid_e) == {lo, hi}
+        assert all(lo < E < hi for E in working.difference(grid_e))
+        assert res.evaluations == len(working)
+        assert res.scan_evaluations == len(loose)
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    @pytest.mark.parametrize("fault", ["no-sign-change", "flipped", "shifted"])
+    def test_fallback_is_the_working_scan(self, monkeypatch, sector, fault):
+        # the loose scan finds no sign change; or its bracket's ends carry
+        # the opposite signs of the working ones; or it brackets the first
+        # grid interval, where the working mismatch keeps its sign
+        def transform(cfg, E, value):
+            if getattr(cfg, knob) != orc._SCAN_FLOOR[knob]:
+                return value
+            if fault == "no-sign-change":
+                return abs(value)
+            if fault == "flipped":
+                return -value
+            return -abs(value) if E == grid_e[0] else abs(value)
+
+        ch, shoot, calls, _, _, grid_e, knob = self.sector(monkeypatch, sector, transform)
+        ext = ab.Extension.from_xi(-1.0)
+        with monkeypatch.context() as mp:
+            mp.setitem(orc._SCAN_FLOOR, knob, 0.0)
+            want = shoot(ch, ext, FAST)
+        assert want.scan_evaluations == 0
+        assert {cfg for cfg, _ in calls} == {FAST}
+        got = shoot(ch, ext, FAST)
+        assert self.floats(got) == self.floats(want)
+        # the working scan finds the bracket ends in the solve's memo
+        assert got.evaluations == want.evaluations
+        n_loose = sum(cfg == self.loose(FAST, knob) for cfg, _ in calls)
+        assert got.scan_evaluations == n_loose
+        if fault == "no-sign-change":
+            assert n_loose == FAST.n_scan
+        elif fault == "shifted":
+            assert n_loose == 2
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    def test_probes_scan_at_working_settings(self, monkeypatch, sector):
+        ch, shoot, calls, _, _, grid_e, knob = self.sector(monkeypatch, sector)
+        cfg = orc.ShootingConfig()
+        res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
+        loose = [E for c, E in calls if c == self.loose(cfg, knob)]
+        assert loose == grid_e[: len(loose)]
+        assert res.scan_evaluations == len(loose)
+        probes = [c for c, _ in calls if c.n_scan == 9]
+        assert probes
+        assert all(getattr(c, knob) < getattr(cfg, knob) for c in probes)
+        assert {c for c, _ in calls} == {cfg, self.loose(cfg, knob), *probes}
+
+    def test_config_at_scan_floor_scans_once(self, monkeypatch):
+        ch, shoot, calls, *_, knob = self.sector(monkeypatch, "ab")
+        cfg = replace(FAST, step_control=orc._SCAN_FLOOR[knob])
+        res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
+        assert {c for c, _ in calls} == {cfg}
+        assert res.scan_evaluations == 0
+        assert res.evaluations == len({E for _, E in calls})
 
     def test_count_scans_every_grid_point(self, monkeypatch):
-        calls, _ = self.record(monkeypatch, "_dirac_miss")
+        _, _, calls, *_ = self.sector(monkeypatch, "ab")
         cases = ((0.25, -1.0), (0.4, -0.3), (0.6, -2.0), (0.85, -1.0))
         for k, (mu, xi) in enumerate(cases, start=1):
             n = orc.count_dirac_levels(dirac_channel(mu), ab.Extension.from_xi(xi), FAST)
             assert n == 1
             assert len(calls) == k * FAST.n_scan
+        assert {cfg for cfg, _ in calls} == {FAST}
 
     def test_sign_changes_yields_every_bracket_in_order(self):
         seen = []
