@@ -214,7 +214,6 @@ class BoundLevel:
     xi: float
     channel: DiracChannel
     residual: float
-    provenance: str = "analytic"
 
 
 @dataclass(frozen=True)
@@ -244,9 +243,6 @@ class RadialDoublet:
 
     def __call__(self, r: float) -> tuple[float, float]:
         return self.evaluator(r)
-
-    def table(self, radii) -> list[tuple[float, float, float]]:
-        return [(float(r), *self.evaluator(float(r))) for r in radii]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +476,9 @@ def omega_xi_continued(ch: DiracChannel, ext: Extension, E: float) -> complex:
     m, s = ch.m, ch.s
     if not abs(E) > m:
         raise EnergyDomainError(f"omega_xi_continued: need |E| > m, got E={E}")
-    k = math.sqrt((abs(E) - m) * (abs(E) + m))
+    # (|E| - m)(|E| + m) overflows for m near the largest accepted masses
+    e = abs(E) / m
+    k = m * math.sqrt((e - 1.0) * (e + 1.0))
     lam_c = complex(0.0, -math.copysign(1.0, E)) * k
     return _printed_omega(ch, lam_c) + 4.0 * s * lam_c * (s * xi)
 

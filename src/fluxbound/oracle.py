@@ -8,19 +8,25 @@ deep in the classically forbidden tail via a cross product with the decaying
 asymptotic solution.  Bound levels are roots of that mismatch in the energy.
 
 The mismatch is the growing-mode coefficient times a smooth positive scale:
-the cross product divided by the free growth factor exp(lambda*(r_max -
-r_seed)), with the integrators carrying the log of every renormalization so
-that the division neither under- nor overflows.  It is a smooth function of E
-with the sign of the coefficient, so Brent's interpolation steps converge on a
-root in a few evaluations; dividing by the cross product's own size would
-make it a step function of E that Brent can only bisect.
+the cross product divided by the free growth factor exp(k*(r_max - r_seed)),
+with k the tail decay constant and the integrator carrying the log of every
+renormalization so that the division neither under- nor overflows.  It is a
+smooth function of E with the sign of the coefficient, so Brent's
+interpolation steps converge on a root in a few evaluations; dividing by the
+cross product's own size would make it a step function of E that Brent can
+only bisect.
 
-Integrators: an adaptive embedded Cash-Karp Runge-Kutta pair for the 2x2
-Dirac system, and Numerov on a logarithmic grid for the reduced Schroedinger
-form.  Mismatch-function errors at the outer radius are damped by
-exp(-2*lambda*(r_max - r)), so the dominant error is integrator truncation;
-the shoot therefore carries resolution knobs and reports nested-cutoff
-diagnostics.
+One integrator serves both sectors.  The radial Dirac coefficients are
+constant in the pure Aharonov-Bohm field, so eliminating the lower component
+is exact: f1'' = [a(a - 1)/r^2 + lambda^2] f1 with a = s*nu_tilde and
+lambda^2 = 1 - E^2.  That is the reduced Schroedinger form
+u'' = [(g^2 - 1/4)/r^2 + k^2] u of the neutral-fermion sector, with
+g = |a - 1/2| = |l + mu| and k = lambda, and both are integrated by Numerov,
+first on a logarithmic grid through the power-law zone, then on a linear
+grid through the tail.  Mismatch-function errors at the outer radius are
+damped by exp(-2*k*(r_max - r)), so the dominant error is integrator
+truncation, of order numerov_dx^4; the shoot therefore carries that one
+resolution knob and reports nested-cutoff diagnostics.
 
 Both sectors run one skeleton, ``_shoot``: scan a grid of the sector's scan
 variable (u = tau*E/m for Dirac, y = ln(-E/m) for Schroedinger) for the first
@@ -30,13 +36,13 @@ mismatch, window, scan-variable-to-energy map and refined configs.  Each shoot
 is a pure computation.
 
 The scan runs in two stages, since it needs only the mismatch's sign.  It
-first integrates at loose settings (step_control at least 1e-6, numerov_dx at
-least 0.04) up to the first sign change; the two ends of that bracket are
-then integrated at the working settings, and Brent starts from their working
-values, so it gets the bracket a working scan would hand it.  If the loose
-scan finds no sign change, or the working signs at the ends differ from the
-loose ones, the working scan runs after all.  The narrow diagnostic probes
-and count_dirac_levels scan at the working settings only.
+first integrates at a loose step (numerov_dx at least 0.04) up to the first
+sign change; the two ends of that bracket are then integrated at the working
+step, and Brent starts from their working values, so it gets the bracket a
+working scan would hand it.  If the loose scan finds no sign change, or the
+working signs at the ends differ from the loose ones, the working scan runs
+after all.  The narrow diagnostic probes and count_dirac_levels scan at the
+working step only.
 ``OracleResult.evaluations`` counts working integrations and
 ``scan_evaluations`` loose ones.
 """
@@ -66,33 +72,31 @@ __all__ = [
 class ShootingConfig:
     """Numerical controls for one shoot.
 
-    r_min/r_max in units of 1/m (r_max = None selects max(40/lambda, 30)/m
-    per energy); step_control is the relative local tolerance of the Dirac
-    integrator; numerov_dx the Schroedinger grid step (logarithmic inner
-    segment, and in units of 1/kappa on the linear tail segment), below 1:
-    at 1 the shoot is already 5e-4 m off, and from about 177 the seed-radius
-    test's exp(4*numerov_dx) overflows;
+    r_min/r_max in units of 1/m (r_max = None selects 40/k per energy, with
+    k the tail decay constant: lambda = sqrt(1 - E^2) for Dirac, kappa =
+    sqrt(-2E) for Schroedinger); numerov_dx is the Numerov grid step of both
+    sectors (logarithmic inner segment, and in units of 1/k on the linear
+    tail segment), below 1: at 1 the shoot is already 5e-4 m off, and from
+    about 177 the seed-radius test's exp(4*numerov_dx) overflows;
     energy_bracket (in units of m) overrides the default scan window;
     n_scan grid points locate the sign change; diagnostics enables the
     nested-cutoff re-solves.
 
-    step_control and numerov_dx are the working settings: every reported
-    number comes from integrations at them.  A shoot's first sign scan only
-    reads signs, so it runs with the sector's knob coarsened to at least
-    1e-6 (step_control) or 0.04 (numerov_dx), and the bracket it finds is
-    re-evaluated at the working settings before refinement.  These floors
-    are fixed, not config fields.
+    numerov_dx is the working setting: every reported number comes from
+    integrations at it.  A shoot's first sign scan only reads signs, so it
+    runs with numerov_dx coarsened to at least 0.04, and the bracket it
+    finds is re-evaluated at the working step before refinement.  This floor
+    is fixed, not a config field.
 
     r_min is a lower limit on the radius where the template series seeds the
-    integration, r_seed = min(max(r_min, 0.05/lambda), 0.2*r_max) with lambda
-    the decay constant of the tail, so it only acts when r_min > 0.05/lambda.
+    integration, r_seed = min(max(r_min, 0.05/k), 0.2*r_max), so it only
+    acts when r_min > 0.05/k.
     When halving it cannot move r_seed anywhere in the probe window, the
     r_min probe is skipped and r_min_sensitivity is exactly 0.0.
     """
 
     r_min: float = 1e-6
     r_max: Optional[float] = None
-    step_control: float = 1e-10
     energy_bracket: Optional[tuple[float, float]] = None
     n_scan: int = 48
     numerov_dx: float = 0.01
@@ -103,8 +107,6 @@ class ShootingConfig:
             raise ValueError("ShootingConfig: r_min must be > 0")
         if self.r_max is not None and not self.r_max > self.r_min:
             raise ValueError("ShootingConfig: r_max must exceed r_min")
-        if not 1e-14 < self.step_control < 1e-4:
-            raise ValueError("ShootingConfig: step_control out of (1e-14, 1e-4)")
         if not 0.0 < self.numerov_dx < 1.0:
             raise ValueError("ShootingConfig: numerov_dx out of (0, 1)")
 
@@ -113,12 +115,12 @@ class ShootingConfig:
 class OracleResult:
     """A shot level with the mismatch integrations it took.
 
-    evaluations counts integrations at the working settings over the whole
+    evaluations counts integrations at the working step over the whole
     shoot, diagnostic probes included: the base solve's two bracket ends and
     its refinement, plus any fallback scan, and each probe's scan and
     refinement.  scan_evaluations counts the base solve's loose sign-scan
-    integrations; it is 0 when the config's knob is already at least as
-    coarse as the scan's, and the one scan then counts in evaluations.  Each
+    integrations; it is 0 when the config's numerov_dx is already at least
+    as coarse as the scan's, and the one scan then counts in evaluations.  Each
     scan stops at the first sign change, so the counts cover the grid only
     up to that bracket."""
 
@@ -136,115 +138,6 @@ class ConvergenceReport:
     extrapolated_E: float
     observed_order: float
     monotone: bool
-
-
-# ---------------------------------------------------------------------------
-# Cash-Karp RK45
-# ---------------------------------------------------------------------------
-
-
-def _rk45_dirac(
-    a: float,
-    p: float,
-    q: float,
-    r0: float,
-    y1: float,
-    y2: float,
-    r1: float,
-    rel_tol: float,
-) -> tuple[float, float, float]:
-    """Adaptive Cash-Karp integration of the radial Dirac system from r0 to r1.
-
-    The system is f1' = (a/r) f1 - p f2, f2' = q f1 - (a/r) f2 with
-    a = s*nu_tilde, p = s*(E + 1), q = s*(E - 1); folding the sign s = +-1
-    into the coefficients is exact.  The six stages of the Cash-Karp pair
-    (Cash & Karp, ACM TOMS 16 (1990)) are unrolled with the right-hand side
-    inline; each h*b product is formed once for both components, the
-    zero-weight terms of the 5th-order and error sums are dropped, and every
-    sum runs left to right in stage order.
-
-    The state is renormalized when it grows past 1e250; the returned
-    log_scale is the sum of the logs of those divisors, so the true state is
-    (y1, y2) * exp(log_scale).
-    """
-    r = r0
-    log_scale = 0.0
-    h = 0.25 * r0
-    while r < r1:
-        h = min(h, r1 - r)
-        w = a / r
-        k11 = w * y1 - p * y2
-        k12 = q * y1 - w * y2
-        c1 = h * 0.2
-        z1 = y1 + c1 * k11
-        z2 = y2 + c1 * k12
-        w = a / (r + 0.2 * h)
-        k21 = w * z1 - p * z2
-        k22 = q * z1 - w * z2
-        c1 = h * (3.0 / 40.0)
-        c2 = h * (9.0 / 40.0)
-        z1 = y1 + c1 * k11 + c2 * k21
-        z2 = y2 + c1 * k12 + c2 * k22
-        w = a / (r + 0.3 * h)
-        k31 = w * z1 - p * z2
-        k32 = q * z1 - w * z2
-        c1 = h * 0.3
-        c2 = h * -0.9
-        c3 = h * 1.2
-        z1 = y1 + c1 * k11 + c2 * k21 + c3 * k31
-        z2 = y2 + c1 * k12 + c2 * k22 + c3 * k32
-        w = a / (r + 0.6 * h)
-        k41 = w * z1 - p * z2
-        k42 = q * z1 - w * z2
-        c1 = h * (-11.0 / 54.0)
-        c2 = h * 2.5
-        c3 = h * (-70.0 / 27.0)
-        c4 = h * (35.0 / 27.0)
-        z1 = y1 + c1 * k11 + c2 * k21 + c3 * k31 + c4 * k41
-        z2 = y2 + c1 * k12 + c2 * k22 + c3 * k32 + c4 * k42
-        w = a / (r + h)
-        k51 = w * z1 - p * z2
-        k52 = q * z1 - w * z2
-        c1 = h * (1631.0 / 55296.0)
-        c2 = h * (175.0 / 512.0)
-        c3 = h * (575.0 / 13824.0)
-        c4 = h * (44275.0 / 110592.0)
-        c5 = h * (253.0 / 4096.0)
-        z1 = y1 + c1 * k11 + c2 * k21 + c3 * k31 + c4 * k41 + c5 * k51
-        z2 = y2 + c1 * k12 + c2 * k22 + c3 * k32 + c4 * k42 + c5 * k52
-        w = a / (r + 0.875 * h)
-        k61 = w * z1 - p * z2
-        k62 = q * z1 - w * z2
-        # 5th-order weights (b2 = b5 = 0) and embedded-error weights (e2 = 0)
-        c1 = h * (37.0 / 378.0)
-        c3 = h * (250.0 / 621.0)
-        c4 = h * (125.0 / 594.0)
-        c6 = h * (512.0 / 1771.0)
-        n1 = y1 + c1 * k11 + c3 * k31 + c4 * k41 + c6 * k61
-        n2 = y2 + c1 * k12 + c3 * k32 + c4 * k42 + c6 * k62
-        c1 = h * (37.0 / 378.0 - 2825.0 / 27648.0)
-        c3 = h * (250.0 / 621.0 - 18575.0 / 48384.0)
-        c4 = h * (125.0 / 594.0 - 13525.0 / 55296.0)
-        c5 = h * (-277.0 / 14336.0)
-        c6 = h * (512.0 / 1771.0 - 0.25)
-        e1 = c1 * k11 + c3 * k31 + c4 * k41 + c5 * k51 + c6 * k61
-        e2 = c1 * k12 + c3 * k32 + c4 * k42 + c5 * k52 + c6 * k62
-        scale = abs(y1) + abs(y2) + abs(h) * (abs(k11) + abs(k12)) + 1e-300
-        err = max(abs(e1), abs(e2)) / (rel_tol * scale)
-        if err <= 1.0:
-            r += h
-            y1, y2 = n1, n2
-            mag = max(abs(y1), abs(y2))
-            if mag > 1e250:
-                y1 /= mag
-                y2 /= mag
-                log_scale += math.log(mag)
-            h *= min(5.0, 0.9 * err ** -0.2 if err > 0.0 else 5.0)
-        else:
-            h *= max(0.2, 0.9 * err ** -0.25)
-        if h < 1e-14 * max(r, 1.0):  # pragma: no cover
-            raise nk.ConvergenceError("rk45: step collapse (stiffness)")
-    return y1, y2, log_scale
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +181,21 @@ def _dirac_seed(ch: DiracChannel, xi_int: float, r: float, E: float):
 def _dirac_miss(ch: DiracChannel, xi_int: float, cfg: ShootingConfig, E: float) -> float:
     """Growing-mode admixture at the outer matching radius (m = 1 units).
 
-    The cross product of the shot solution with the unit decaying asymptote,
-    times exp(-lambda*(r_max - r_seed)): the growing-mode coefficient times a
-    smooth positive scale, so the root in E is a simple zero.
+    With a = s*nu_tilde the radial system is f1' = (a/r) f1 - s(E + 1) f2,
+    f2' = s(E - 1) f1 - (a/r) f2; its coefficients are constant, so
+    eliminating f2 is exact: f1'' = [a(a - 1)/r^2 + lambda^2] f1, with
+    lambda^2 = 1 - E^2.  That is the reduced Schroedinger form with index
+    |a - 1/2| = |l + mu|.  Since s(E + 1) does not vanish in the gap, f2 =
+    ((a/r) f1 - f1')/(s(E + 1)) decays exactly when f1 does, so the Numerov
+    mismatch of f1, seeded from the template's f1 component, has the Dirac
+    levels as its simple zeros.
     """
-    nut, s = ch.nu_tilde, ch.s
     lam = math.sqrt((1.0 - E) * (1.0 + E))
-    r_max = cfg.r_max if cfg.r_max is not None else max(40.0 / lam, 30.0)
-    # evaluate the template's series continuation as far out as its truncation
-    # allows before handing to the integrator: transporting the mixture
-    # numerically from deep inside the power-law zone would erode the
-    # microscopic regular-branch share (relative error / r^(2 nu))
-    r_seed = min(max(cfg.r_min, 0.05 / lam), 0.2 * r_max)
-    y1, y2 = _dirac_seed(ch, xi_int, r_seed, E)
-    f1, f2, log_scale = _rk45_dirac(
-        s * nut, s * (E + 1.0), s * (E - 1.0), r_seed, y1, y2, r_max, cfg.step_control
-    )
-    # decaying asymptote, two terms of the large-r expansion
-    g1 = 1.0 + nut * (nut - s) / (2.0 * lam * r_max)
-    g2 = (s * lam / (E + 1.0)) * (1.0 + nut * (nut + s) / (2.0 * lam * r_max))
-    num = f1 * g2 - f2 * g1
-    return num * math.exp(log_scale - lam * (r_max - r_seed)) / math.hypot(g1, g2)
+
+    def seed(r: float) -> float:
+        return _dirac_seed(ch, xi_int, r, E)[0] / math.sqrt(r)
+
+    return _numerov_miss(abs(ch.l + ch.mu), lam, seed, cfg)
 
 
 def _scan_grid(window: tuple[float, float], n_scan: int) -> list[float]:
@@ -354,12 +241,11 @@ def _refine_root(
 
 _DIAG_NAN = float("nan")
 
-# Floors of each sector's discretization knob for the sign scan of a shoot's
-# base solve.  The scan needs only the mismatch's sign; on all 50 A3 channels
-# the first sign change falls in the same grid interval at these settings as
-# at the defaults, for a quarter (AC) to a sixth (Dirac) of the integration
-# cost.
-_SCAN_FLOOR = {"step_control": 1e-6, "numerov_dx": 0.04}
+# numerov_dx floor for the sign scan of a shoot's base solve.  The scan needs
+# only the mismatch's sign; on all 50 A3 channels the first sign change falls
+# in the same grid interval at this step as at the default one, for a
+# quarter of the integration cost.
+_SCAN_DX = 0.04
 
 
 def _shoot(
@@ -368,20 +254,18 @@ def _shoot(
     window: tuple[float, float],
     miss: Callable[[ShootingConfig, float], float],
     to_e: Callable[[float], tuple[float, float]],
-    ladder: tuple[str, float],
     decay_max: Callable[[tuple[float, float]], float],
 ) -> Optional[OracleResult]:
     """Scan, refine and diagnose the first level of a sector, or None.
 
     miss(config, x) is the sector's mismatch at scan variable x, scanned over
     window; to_e(x) gives E/m and |d(E/m)/dx|, which turn the root, its
-    residual and the diagnostic differences into energies.  ladder = (knob,
-    ratio) names the sector's discretization knob, which the two refined
-    probes divide by ratio and ratio**2.  decay_max(window) is the largest
+    residual and the diagnostic differences into energies.  The two refined
+    probes halve and quarter numerov_dx.  decay_max(window) is the largest
     tail decay constant over a probe window: when r_min <= 0.05/decay_max,
     halving r_min cannot move any seed radius and the r_min probe is skipped.
 
-    Only the base solve scans with the knob raised to its _SCAN_FLOOR (the
+    Only the base solve scans with numerov_dx raised to _SCAN_DX (the
     two stages and their fallbacks are in the module docstring).  The narrow
     probes' window is centred on the base root, so the root sits on their
     middle grid point, and a loose scan there brackets the other side of it:
@@ -413,8 +297,8 @@ def _shoot(
         miss_x = memoized(config, loose=False)
         grid = _scan_grid(win, config.n_scan)
         first = None
-        if loose_scan and getattr(config, knob) < _SCAN_FLOOR[knob]:
-            scan_cfg = replace(config, **{knob: _SCAN_FLOOR[knob]})
+        if loose_scan and config.numerov_dx < _SCAN_DX:
+            scan_cfg = replace(config, numerov_dx=_SCAN_DX)
             found = next(_sign_changes(memoized(scan_cfg, loose=True), grid), None)
             if found is not None:
                 lo, hi, f_lo, f_hi = found
@@ -427,7 +311,6 @@ def _shoot(
             return None
         return _refine_root(miss_x, *first, tol_x=1e-12)
 
-    knob, ratio = ladder
     base = solve_at(cfg, window, loose_scan=True)
     if base is None:
         return None
@@ -440,7 +323,7 @@ def _shoot(
     # cutoff at fixed discretization -> r_min sensitivity
     narrow = (max(window[0], x0 - 1e-3), min(window[1], x0 + 1e-3))
     probe = replace(cfg, n_scan=9, diagnostics=False)
-    probes = [replace(probe, **{knob: getattr(cfg, knob) / ratio**k}) for k in (1, 2)]
+    probes = [replace(probe, numerov_dx=cfg.numerov_dx / 2**k) for k in (1, 2)]
     if cfg.r_min > 0.05 / decay_max(narrow):
         probes.append(replace(probe, r_min=cfg.r_min / 2.0))
     got = [solve_at(c, narrow) for c in probes]
@@ -462,10 +345,11 @@ def dirac_shoot(
 ) -> Optional[OracleResult]:
     """Bound level of the Dirac channel from outward shooting, or None.
 
-    Seeds F(r_min) from the domain template with the channel-sign component
-    pairing and internal weight s*xi, integrates the first-order system to
-    r_max, and root-finds the growing-mode admixture over u = tau*E.  Returns
-    None when the scan shows no sign change (e.g. xi >= 0).
+    Seeds f1 from the domain template with the channel-sign component
+    pairing and internal weight s*xi, integrates its exact second-order
+    equation (see _dirac_miss) to r_max, and root-finds the growing-mode
+    admixture over u = tau*E.  Returns None when the scan shows no sign
+    change (e.g. xi >= 0).
     """
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("dirac_shoot: requires an extended-regime channel")
@@ -486,7 +370,6 @@ def dirac_shoot(
         window,
         lambda config, u: _dirac_miss(ch, xi_int, config, tau * u),
         lambda u: (tau * u, 1.0),
-        ("step_control", 32.0),
         # lambda <= 1, so r_min <= 0.05 leaves every seed radius at 0.05/lambda
         lambda narrow: 1.0,
     )
@@ -514,7 +397,7 @@ def count_dirac_levels(
 
 
 # ---------------------------------------------------------------------------
-# Schroedinger (Numerov) shoot
+# Numerov kernel (both sectors) and Schroedinger shoot
 # ---------------------------------------------------------------------------
 
 
@@ -561,36 +444,32 @@ def _numerov_pass(
     return y_prev, y_cur, log_scale
 
 
-def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> float:
-    """Tail mismatch for u'' = [(g^2 - 1/4)/r^2 + kappa^2] u, two-segment Numerov.
+def _numerov_miss(
+    g: float, k: float, seed: Callable[[float], float], cfg: ShootingConfig
+) -> float:
+    """Tail mismatch for u'' = [(g^2 - 1/4)/r^2 + k^2] u, two-segment Numerov.
 
     The mismatch is the cross product of the last two tail values with the
-    decaying asymptote, times exp(-kappa*(r_max - r_seed)): the growing-mode
-    coefficient times a smooth positive scale.
+    decaying asymptote sqrt(r) K_g(k r), times exp(-k*(r_max - r_seed)): the
+    growing-mode coefficient times a smooth positive scale.
 
     Segment 1 covers the power-law zone on a logarithmic grid via
-    v(x) = e^(-x/2) u(e^x), v'' = [g^2 + kappa^2 e^(2x)] v, seeded from the
-    domain template f ~ (m r)^g - xi_int (m r)^(-g) continued by its series
-    corrections (v = f exactly).  Segment 2 integrates u directly on a linear
-    grid out to r_max; the handoff error at the segment joint is damped by
-    exp(-2 kappa (r_max - r_joint)) like any boundary perturbation there.
+    v(x) = e^(-x/2) u(e^x), v'' = [g^2 + k^2 e^(2x)] v, seeded from
+    seed(r) = r^(-1/2) u(r), the sector's domain template continued by its
+    series corrections.  Segment 2 integrates u directly on a linear grid out
+    to r_max; the handoff error at the segment joint is damped by
+    exp(-2 k (r_max - r_joint)) like any boundary perturbation there.
     """
-    kappa = math.sqrt(-2.0 * E)
-    r_max = cfg.r_max if cfg.r_max is not None else 40.0 / kappa
+    r_max = cfg.r_max if cfg.r_max is not None else 40.0 / k
     g2 = g * g
-    k2 = kappa * kappa
-
-    def seed(r: float) -> float:
-        z2 = (kappa * r) ** 2
-        reg = r**g * _frobenius_factor(g, z2)
-        irr = r**-g * _frobenius_factor(-g, z2)
-        return reg - xi_int * irr
-
+    k2 = k * k
     dx = cfg.numerov_dx
-    # same seed-radius policy as the Dirac shoot: push the exact series
-    # continuation out of the deep power-law zone before integrating
-    r_seed = min(max(cfg.r_min, 0.05 / kappa), 0.2 * r_max)
-    r_joint = min(0.5 / kappa, 0.25 * r_max)
+    # evaluate the template's series continuation as far out as its
+    # truncation allows before integrating: transporting the mixture
+    # numerically from deep inside the power-law zone would erode the
+    # microscopic regular-branch share (relative error / r^(2 g))
+    r_seed = min(max(cfg.r_min, 0.05 / k), 0.2 * r_max)
+    r_joint = min(0.5 / k, 0.25 * r_max)
     seed_directly = r_joint <= r_seed * math.exp(4.0 * dx)
     if seed_directly:
         # the template series already reaches the tail grid: seed the linear
@@ -637,7 +516,7 @@ def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> 
         up_j = math.exp(-0.5 * x_c) * (v_prime + 0.5 * y_prev)
 
     # linear tail segment from r_joint to r_max
-    h_r = dx / kappa
+    h_r = dx / k
     n_lin = max(8, int(math.ceil((r_max - r_joint) / h_r)))
     h_r = (r_max - r_joint) / n_lin
     c = g2 - 0.25
@@ -660,11 +539,29 @@ def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> 
     w2 = (4.0 * g2 - 1.0) * (4.0 * g2 - 9.0) / 128.0
 
     def asym(r: float) -> float:
-        zr = kappa * r
-        return math.exp(-kappa * (r - rb)) * (1.0 + w1 / zr + w2 / (zr * zr))
+        zr = k * r
+        return math.exp(-k * (r - rb)) * (1.0 + w1 / zr + w2 / (zr * zr))
 
     num = ua * asym(rb) - ub * asym(ra)
-    return num * math.exp(log_scale - kappa * (r_max - r_seed))
+    return num * math.exp(log_scale - k * (r_max - r_seed))
+
+
+def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> float:
+    """Tail mismatch of the reduced Schroedinger form at E (m = 1 units).
+
+    kappa = sqrt(-2E); the seed is the domain template
+    f ~ (m r)^g - xi_int (m r)^(-g) continued by its series corrections
+    (v = f exactly on the logarithmic segment).
+    """
+    kappa = math.sqrt(-2.0 * E)
+
+    def seed(r: float) -> float:
+        z2 = (kappa * r) ** 2
+        reg = r**g * _frobenius_factor(g, z2)
+        irr = r**-g * _frobenius_factor(-g, z2)
+        return reg - xi_int * irr
+
+    return _numerov_miss(g, kappa, seed, cfg)
 
 
 def schrodinger_shoot(
@@ -698,7 +595,6 @@ def schrodinger_shoot(
         window,
         lambda config, y: _numerov_ac_miss(g, xi_int, config, -math.exp(y)),
         lambda y: (-math.exp(y), math.exp(y)),
-        ("numerov_dx", 2.0),
         # kappa is largest at the deep end of the window
         lambda narrow: math.sqrt(2.0 * math.exp(narrow[1])),
     )

@@ -131,6 +131,7 @@ class TestUsageErrors:
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e200"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=5"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e-8"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=9e-4"],
         ],
     )
     def test_one_json_usage_line(self, capsys, argv):
@@ -143,7 +144,7 @@ class TestUsageErrors:
         assert report["kind"] == "usage"
         # a bad --resolution is reported under its own name and range
         if any(arg.startswith("--resolution") for arg in argv):
-            assert report["error"].startswith("--resolution must lie in (1e-7, 1)")
+            assert report["error"].startswith("--resolution must lie in [1e-3, 1)")
 
     @pytest.mark.parametrize("argv", [["--help"], ["ab-solve", "--help"]])
     def test_help_exits_0(self, capsys, argv):
@@ -224,6 +225,22 @@ class TestRunCommands:
         assert len(rows) == 9
         assert all(float(r["density"]) >= 0.0 for r in rows)
 
+    def test_density_rows_scale_with_mass(self, capsys):
+        # the density is 1/m times a function of E/m; forming (|E| - m)(|E| + m)
+        # overflowed near the largest accepted mass
+        def rows(mass):
+            argv = ["ab-density", "--mu", "0.25", "--xi", "-1", "--energy-grid", "1.1:3:3"]
+            assert cli.main(argv + ["--mass", mass]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            return [[float(v) for v in line.split(",")] for line in lines]
+
+        base = rows("1")
+        assert len(base) == 3
+        for mass in ("1.5e-154", "1e150", "1.3e154"):
+            for got, want in zip(rows(mass), base, strict=True):
+                assert got[0] == want[0]
+                assert got[1] * float(mass) == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
     def test_wavefunction_table(self):
         code, out, _ = run_cli(
             ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", "0.1:5:7"]
@@ -257,6 +274,13 @@ class TestRunCommands:
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out.decode())))
         assert float(row["abs_diff_over_m"]) <= 1e-5
+
+    def test_oracle_check_at_finest_resolution(self, capsys):
+        # the floor of --resolution is accepted and pays off
+        argv = ["oracle-check", "--mu", "0.25", "--xi", "-1", "--resolution=1e-3"]
+        assert cli.main(argv) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert float(row["abs_diff_over_m"]) <= 1e-10
 
     def test_oracle_check_columns_in_units_of_m(self, capsys):
         def row(mass):

@@ -13,6 +13,7 @@ import pytest
 
 from fluxbound import ab_spectrum as ab
 from fluxbound import ac_spectrum as ac
+from fluxbound import numkernel as nk
 from fluxbound import oracle as orc
 
 E_GOLDEN = -0.56600199969254444
@@ -113,6 +114,26 @@ class TestDiracShoot:
         )
         assert 0.0 < res.r_min_sensitivity < 1e-4 * abs(res.E)
 
+    @pytest.mark.parametrize(
+        "l, s, mu, tau",
+        [
+            (-1, 1, 0.25, -1),
+            (-1, 1, 0.75, 1),
+            (0, 1, -0.25, 1),
+            (0, 1, -0.75, -1),
+            (1, -1, -0.25, -1),
+            (1, -1, -0.75, 1),
+        ],
+    )
+    def test_every_channel_family(self, l, s, mu, tau):
+        # each (l, s) family with both tau; the f1 equation's index is
+        # |l + mu|, which differs from |nu_tilde - 1/2| when s = -1
+        ch = dirac_channel(mu, l=l, s=s)
+        assert ch.tau == tau
+        ext = ab.Extension.from_xi(-1.0)
+        res = orc.dirac_shoot(ch, ext, FAST)
+        assert abs(res.E - ab.solve_bound_energy(ch, ext).E) <= 1e-7
+
     def test_uniqueness_scan(self):
         for mu, xi in ((0.25, -1.0), (0.4, -0.3), (0.7, -2.0)):
             n = orc.count_dirac_levels(
@@ -127,7 +148,6 @@ class TestConvergenceStudy:
             orc.ShootingConfig(
                 r_min=1e-6 / 2**k,
                 numerov_dx=base_dx / 2**k,
-                step_control=1e-8 / 32**k,
             )
             for k in range(3)
         ]
@@ -237,6 +257,33 @@ class TestRenormalization:
 
 
 
+class TestIndependence:
+    """The oracle reaches its levels from the ODE and its Frobenius template
+    alone: no level formula, bound profile or Bessel function."""
+
+    def test_shoots_without_the_analytic_route(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle called the analytic route")
+
+        for module, name in (
+            (ab, "solve_bound_energy"),
+            (ab, "master_xi_of_energy"),
+            (ab, "bound_doublet"),
+            (ac, "ac_bound_energy"),
+            (ac, "ac_wavefunction"),
+            (nk, "bessel_k"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        ext = ab.Extension.from_xi(-1.0)
+        cfg = orc.ShootingConfig()
+        res = orc.dirac_shoot(dirac_channel(0.25), ext, cfg)
+        assert res.E == pytest.approx(E_GOLDEN, abs=1e-6)
+        assert math.isfinite(res.convergence_order_estimate)
+        res = orc.schrodinger_shoot(ac_channel(0.5), ext, cfg)
+        assert res.E == pytest.approx(-0.5, abs=1e-6)
+        assert math.isfinite(res.convergence_order_estimate)
+
+
 class TestGoldenShoots:
     """Every OracleResult field of the golden AB (l=0, s=-1, mu=0.25) and AC
     (gamma=0.5) shoots at xi=-1, with diagnostics off and on."""
@@ -245,9 +292,9 @@ class TestGoldenShoots:
     # E, match_residual, convergence_order_estimate, r_min_sensitivity,
     # evaluations, scan_evaluations
     CASES = {
-        "ab-off": (-0.5660019994861645, 1e-12, NAN, NAN, 8, 12),
+        "ab-off": (-0.5660020023269642, 1e-12, NAN, NAN, 8, 12),
         "ac-off": (-0.499999999968014, 4.99999999968014e-13, NAN, NAN, 12, 27),
-        "ab-on": (-0.5660019994861645, 1e-12, 4.8708839669526975, 0.0, 26, 12),
+        "ab-on": (-0.5660020023269642, 1e-12, 4.018750437756982, 0.0, 28, 12),
         "ac-on": (-0.499999999968014, 4.99999999968014e-13, 7.267754405159166, 0.0, 38, 27),
     }
 
@@ -281,16 +328,16 @@ class TestSignScan:
     @staticmethod
     def sector(monkeypatch, sector, transform=None):
         """(channel, shoot, mismatch calls as (config, E), unwrapped
-        mismatch, its leading arguments, base grid in E, knob); transform
+        mismatch, its leading arguments, base grid in E); transform
         (config, E, value) rewrites the mismatch the shoot sees."""
         if sector == "ab":
             ch = dirac_channel(0.25)
-            name, shoot, knob = "_dirac_miss", orc.dirac_shoot, "step_control"
+            name, shoot = "_dirac_miss", orc.dirac_shoot
             grid_e = [ch.tau * u for u in orc._scan_grid(orc._GAP_WINDOW, FAST.n_scan)]
             lead = (ch, ch.s * -1.0)
         else:
             ch = ac_channel(0.5)
-            name, shoot, knob = "_numerov_ac_miss", orc.schrodinger_shoot, "numerov_dx"
+            name, shoot = "_numerov_ac_miss", orc.schrodinger_shoot
             window = (math.log(1e-8), math.log(1e6))
             grid_e = [-math.exp(y) for y in orc._scan_grid(window, FAST.n_scan)]
             lead = (ch.gamma, 1.0)
@@ -303,11 +350,11 @@ class TestSignScan:
             return value if transform is None else transform(cfg, E, value)
 
         monkeypatch.setattr(orc, name, wrapped)
-        return ch, shoot, calls, original, lead, grid_e, knob
+        return ch, shoot, calls, original, lead, grid_e
 
     @staticmethod
-    def loose(cfg, knob):
-        return replace(cfg, **{knob: orc._SCAN_FLOOR[knob]})
+    def loose(cfg):
+        return replace(cfg, numerov_dx=orc._SCAN_DX)
 
     @staticmethod
     def floats(res):
@@ -316,8 +363,8 @@ class TestSignScan:
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_shoot_stops_at_first_bracket(self, monkeypatch, sector):
-        ch, shoot, calls, miss, lead, grid_e, knob = self.sector(monkeypatch, sector)
-        loose_cfg = self.loose(FAST, knob)
+        ch, shoot, calls, miss, lead, grid_e = self.sector(monkeypatch, sector)
+        loose_cfg = self.loose(FAST)
         # the first bracket of the loose mismatch on the full grid, which is
         # also the working one on this channel
         uppers = []
@@ -348,7 +395,7 @@ class TestSignScan:
         # the opposite signs of the working ones; or it brackets the first
         # grid interval, where the working mismatch keeps its sign
         def transform(cfg, E, value):
-            if getattr(cfg, knob) != orc._SCAN_FLOOR[knob]:
+            if cfg.numerov_dx != orc._SCAN_DX:
                 return value
             if fault == "no-sign-change":
                 return abs(value)
@@ -356,10 +403,10 @@ class TestSignScan:
                 return -value
             return -abs(value) if E == grid_e[0] else abs(value)
 
-        ch, shoot, calls, _, _, grid_e, knob = self.sector(monkeypatch, sector, transform)
+        ch, shoot, calls, _, _, grid_e = self.sector(monkeypatch, sector, transform)
         ext = ab.Extension.from_xi(-1.0)
         with monkeypatch.context() as mp:
-            mp.setitem(orc._SCAN_FLOOR, knob, 0.0)
+            mp.setattr(orc, "_SCAN_DX", 0.0)
             want = shoot(ch, ext, FAST)
         assert want.scan_evaluations == 0
         assert {cfg for cfg, _ in calls} == {FAST}
@@ -367,7 +414,7 @@ class TestSignScan:
         assert self.floats(got) == self.floats(want)
         # the working scan finds the bracket ends in the solve's memo
         assert got.evaluations == want.evaluations
-        n_loose = sum(cfg == self.loose(FAST, knob) for cfg, _ in calls)
+        n_loose = sum(cfg == self.loose(FAST) for cfg, _ in calls)
         assert got.scan_evaluations == n_loose
         if fault == "no-sign-change":
             assert n_loose == FAST.n_scan
@@ -376,20 +423,20 @@ class TestSignScan:
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_probes_scan_at_working_settings(self, monkeypatch, sector):
-        ch, shoot, calls, _, _, grid_e, knob = self.sector(monkeypatch, sector)
+        ch, shoot, calls, _, _, grid_e = self.sector(monkeypatch, sector)
         cfg = orc.ShootingConfig()
         res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
-        loose = [E for c, E in calls if c == self.loose(cfg, knob)]
+        loose = [E for c, E in calls if c == self.loose(cfg)]
         assert loose == grid_e[: len(loose)]
         assert res.scan_evaluations == len(loose)
         probes = [c for c, _ in calls if c.n_scan == 9]
         assert probes
-        assert all(getattr(c, knob) < getattr(cfg, knob) for c in probes)
-        assert {c for c, _ in calls} == {cfg, self.loose(cfg, knob), *probes}
+        assert all(c.numerov_dx < cfg.numerov_dx for c in probes)
+        assert {c for c, _ in calls} == {cfg, self.loose(cfg), *probes}
 
     def test_config_at_scan_floor_scans_once(self, monkeypatch):
-        ch, shoot, calls, *_, knob = self.sector(monkeypatch, "ab")
-        cfg = replace(FAST, step_control=orc._SCAN_FLOOR[knob])
+        ch, shoot, calls, *_ = self.sector(monkeypatch, "ab")
+        cfg = self.loose(FAST)
         res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
         assert {c for c, _ in calls} == {cfg}
         assert res.scan_evaluations == 0
@@ -424,45 +471,9 @@ class TestSignScan:
 
 
 class TestIntegratorKernels:
-    """The two integrators against closed-form solutions of the systems they
-    solve; a mistyped coefficient in the unrolled stages shows here as a lost
-    order, not only as a far-off level."""
-
-    @pytest.mark.parametrize("s", [1, -1])
-    @pytest.mark.parametrize("y2", [0.3, -0.4995])
-    def test_cash_karp_exponential_through_renormalization(self, s, y2):
-        # nu_tilde = 0: f1'' = lam^2 f1, so (f1, f2) is cosh/sinh in lam*(r - r0).
-        # lam*(r1 - r0) = 639 crosses the 1e250 renormalization once; the
-        # local error control allows about one rel_tol per e-fold of growth
-        # (measured 0.61-0.72)
-        E, y1, r0, r1 = 0.6, 1.0, 1.0, 800.0
-        lam = math.sqrt(1.0 - E * E)
-        p, q = s * (E + 1.0), s * (E - 1.0)
-        for rel_tol in (1e-10, 1e-8):
-            f1, f2, log_scale = orc._rk45_dirac(0.0, p, q, r0, y1, y2, r1, rel_tol)
-            assert max(abs(f1), abs(f2)) < 1e250
-            assert 575.0 < log_scale < 577.0
-            d = lam * (r1 - r0)
-            exact1 = y1 * math.cosh(d) - p * y2 / lam * math.sinh(d)
-            exact2 = y2 * math.cosh(d) - y1 * lam / p * math.sinh(d)
-            bound = rel_tol * d
-            assert abs(f1 * math.exp(log_scale) / exact1 - 1.0) <= bound
-            assert abs(f2 * math.exp(log_scale) / exact2 - 1.0) <= bound
-
-    @pytest.mark.parametrize("a", [0.75, -0.3, 1.4])
-    def test_cash_karp_power_law(self, a):
-        # E = -1 (p = 0): f1 = y1 (r/r0)^a and f2 solves r^a f2' + a r^(a-1) f2
-        # = q y1 r0^-a r^(2a); this exercises the a/r term at every stage radius
-        q, r0, r1, y1, y2 = -2.0, 0.01, 50.0, 0.7, -0.2
-        rel_tol = 1e-10
-        f1, f2, log_scale = orc._rk45_dirac(a, 0.0, q, r0, y1, y2, r1, rel_tol)
-        assert log_scale == 0.0
-        drive = q * y1 * r0**-a / (2.0 * a + 1.0)
-        exact1 = y1 * (r1 / r0) ** a
-        exact2 = r1**-a * (y2 * r0**a + drive * (r1 ** (2.0 * a + 1.0) - r0 ** (2.0 * a + 1.0)))
-        # measured 8.6-34 rel_tol over the 8.5 e-folds of r
-        assert abs(f1 / exact1 - 1.0) <= 100.0 * rel_tol
-        assert abs(f2 / exact2 - 1.0) <= 100.0 * rel_tol
+    """The Numerov kernel against closed-form solutions of the equation it
+    solves; a mistyped coefficient shows here as a lost order, not only as a
+    far-off level."""
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_numerov_exponentials(self, sign):
