@@ -10,8 +10,9 @@ rejects, a ``--resolution`` outside [1e-3, 1)) or a domain error (kind
 
 Rows hold NaN only in the level columns of a row without a level (sweeps,
 printed level-equation variants) and in ``oracle-check``'s
-``convergence_order`` when a difference of its resolution ladder sits at the
-1e-15 floor, so no order can be read off the ladder.
+``convergence_order`` when its resolution ladder does not converge, so no
+order can be read off it: when the second difference is not smaller than the
+first (the ladder is then in rounding noise) or is at the 1e-15 floor.
 
 A flat ``key = value`` config file (# comments) can prefill any long flag;
 its values pass the flag's own type and choices checks, and explicit flags

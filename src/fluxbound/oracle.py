@@ -19,32 +19,45 @@ only bisect.
 One integrator serves both sectors.  The radial Dirac coefficients are
 constant in the pure Aharonov-Bohm field, so eliminating the lower component
 is exact: f1'' = [a(a - 1)/r^2 + lambda^2] f1 with a = s*nu_tilde and
-lambda^2 = 1 - E^2.  That is the reduced Schroedinger form
-u'' = [(g^2 - 1/4)/r^2 + k^2] u of the neutral-fermion sector, with
-g = |a - 1/2| = |l + mu| and k = lambda, and both are integrated by Numerov,
-first on a logarithmic grid through the power-law zone, then on a linear
-grid through the tail.  Mismatch-function errors at the outer radius are
-damped by exp(-2*k*(r_max - r)), so the dominant error is integrator
-truncation, of order numerov_dx^4; the shoot therefore carries that one
-resolution knob and reports nested-cutoff diagnostics.
+lambda^2 = 1 - E^2, the reduced Schroedinger form
+u'' = [(g^2 - 1/4)/r^2 + k^2] u of the neutral-fermion sector with
+g = |l + mu| and k = lambda.  Numerov integrates it on a logarithmic grid
+through the power-law zone, then on a linear grid through the tail; errors at
+the outer radius are damped by exp(-2*k*(r_max - r)), so the one resolution
+knob is the step numerov_dx, and the error falls as its fourth power.
+
+A solve integrates two solutions, not one per energy.  In z = k*r the
+equation u'' = [(g^2 - 1/4)/z^2 + 1] u holds no energy, and at the default
+lengths (seed radius 0.05/k, segment joint 0.5/k, r_max = 40/k, tail step
+numerov_dx/k) the whole grid scales as 1/k.  The template,
+c_reg r^p F_p + c_irr r^-p F_-p in r^(-1/2) u, is two Frobenius branches
+whose coefficients alone carry the energy, and Numerov is linear.  So the
+mismatch at E is, to rounding and up to a positive factor,
+
+    c_reg k^(-p) M_reg + c_irr k^p M_irr,
+
+with M_reg and M_irr the mismatches of the branches z^(+-p) F_(+-p)
+integrated once at k = 1: lambda^(-nu) M_reg - xi_int (u + 1)/(s(2nu - 1))
+lambda^(nu - 1) M_irr for Dirac with tau = +1 (the f1 component; tau = -1
+takes the companion one), kappa^(-g) M_reg - xi_int kappa^g M_irr for the
+neutral fermion.  An explicit r_max, or an r_min above 0.05/k somewhere in a
+solve's window, puts a length into the grid that does not scale with 1/k;
+such a solve integrates the same two branches at each energy's k instead.
+
+The oracle stays independent of the analytic route: it uses the ODE, its
+Frobenius template, linearity and this scaling, and calls no level formula,
+Gamma ratio or Bessel function.  The analytic levels are the zeros of the
+same mix with the Gamma-function connection ratio 2^(-2p) Gamma(1-p)/Gamma(1+p)
+in place of M_irr/M_reg, so the oracle-equivalence check compares the
+integrated connection ratio, through the shared template, with that one.
 
 Both sectors run one skeleton, ``_shoot``: scan a grid of the sector's scan
 variable (u = tau*E/m for Dirac, y = ln(-E/m) for Schroedinger) for the first
 sign change, refine it with Brent, and re-solve in a narrow window for the
-discretization ladder and the halved inner cutoff.  A sector supplies only its
-mismatch, window, scan-variable-to-energy map and refined configs.  Each shoot
-is a pure computation.
-
-The scan runs in two stages, since it needs only the mismatch's sign.  It
-first integrates at a loose step (numerov_dx at least 0.04) up to the first
-sign change; the two ends of that bracket are then integrated at the working
-step, and Brent starts from their working values, so it gets the bracket a
-working scan would hand it.  If the loose scan finds no sign change, or the
-working signs at the ends differ from the loose ones, the working scan runs
-after all.  The narrow diagnostic probes and count_dirac_levels scan at the
-working step only.
-``OracleResult.evaluations`` counts working integrations and
-``scan_evaluations`` loose ones.
+discretization ladder and the halved inner cutoff.  A sector supplies its
+template, window, scan-variable-to-energy map and tail decay bound.  Each
+shoot is a pure computation; ``OracleResult.evaluations`` counts its Numerov
+integrations.
 """
 
 from __future__ import annotations
@@ -82,16 +95,12 @@ class ShootingConfig:
     n_scan grid points locate the sign change; diagnostics enables the
     nested-cutoff re-solves.
 
-    numerov_dx is the working setting: every reported number comes from
-    integrations at it.  A shoot's first sign scan only reads signs, so it
-    runs with numerov_dx coarsened to at least 0.04, and the bracket it
-    finds is re-evaluated at the working step before refinement.  This floor
-    is fixed, not a config field.
-
     r_min is a lower limit on the radius where the template series seeds the
     integration, r_seed = min(max(r_min, 0.05/k), 0.2*r_max), so it only
-    acts when r_min > 0.05/k.
-    When halving it cannot move r_seed anywhere in the probe window, the
+    acts when r_min > 0.05/k.  Such an r_min, or an explicit r_max, makes a
+    solve integrate its two template branches at each energy instead of once
+    (see the module docstring).
+    When halving r_min cannot move r_seed anywhere in the probe window, the
     r_min probe is skipped and r_min_sensitivity is exactly 0.0.
     """
 
@@ -113,23 +122,18 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """A shot level with the mismatch integrations it took.
+    """A shot level with the Numerov integrations it took.
 
-    evaluations counts integrations at the working step over the whole
-    shoot, diagnostic probes included: the base solve's two bracket ends and
-    its refinement, plus any fallback scan, and each probe's scan and
-    refinement.  scan_evaluations counts the base solve's loose sign-scan
-    integrations; it is 0 when the config's numerov_dx is already at least
-    as coarse as the scan's, and the one scan then counts in evaluations.  Each
-    scan stops at the first sign change, so the counts cover the grid only
-    up to that bracket."""
+    evaluations counts integrations over the whole shoot, diagnostic probes
+    included: two (the template's two branches) per solve whose grid scales
+    with 1/k, so 2 for a shoot with diagnostics off and 2 more per probe,
+    and two per mismatch evaluation in a solve whose grid does not."""
 
     E: float
     match_residual: float
     convergence_order_estimate: float
     r_min_sensitivity: float
     evaluations: int = 0
-    scan_evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ class ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# Dirac shoot
+# template branches and the closed-form mismatch
 # ---------------------------------------------------------------------------
 
 
@@ -156,46 +160,59 @@ def _frobenius_factor(a: float, z2: float) -> float:
     )
 
 
-def _dirac_seed(ch: DiracChannel, xi_int: float, r: float, E: float):
-    """Frobenius continuation of the domain template to r (four terms/branch).
+def _branch_misses(p: float, k: float, cfg: ShootingConfig) -> tuple[float, float]:
+    """(M_reg, M_irr): the mismatches of the template branches
+    v = z^(+-p) F_(+-p)(z^2), z = k r, at decay constant k.
 
-    The pair is built in u = tau*E with the r^(+nu) carrying component first;
-    a tau = -1 channel is the tau = +1 one at -E with its components swapped,
-    bit for bit, since -E - 1 = -(E + 1) in floating point.
+    Each is sqrt(k) times the branch's _numerov_miss, which makes it the
+    k = 1 value whenever the grid scales with 1/k (u = sqrt(r) v is
+    k^(-1/2) times the same function of z).
     """
-    nu, s, tau = ch.nu, ch.s, ch.tau
-    u = tau * E
-    z2 = (1.0 - E * E) * r * r
-    reg = (
-        r**nu * _frobenius_factor(nu - 0.5, z2),
-        (u - 1.0) / (s * (2.0 * nu + 1.0)) * r ** (nu + 1.0) * _frobenius_factor(nu + 0.5, z2),
-    )
-    irr = (
-        (u + 1.0) / (s * (2.0 * nu - 1.0)) * r ** (1.0 - nu) * _frobenius_factor(0.5 - nu, z2),
-        r ** (-nu) * _frobenius_factor(-nu - 0.5, z2),
-    )
-    carrying, companion = reg[0] - xi_int * irr[0], reg[1] - xi_int * irr[1]
-    return (carrying, companion) if tau == 1 else (companion, carrying)
+
+    def miss(b: float) -> float:
+        def seed(r: float) -> float:
+            z = k * r
+            return z**b * _frobenius_factor(b, z * z)
+
+        return math.sqrt(k) * _numerov_miss(abs(p), k, seed, cfg)
+
+    return miss(p), miss(-p)
 
 
-def _dirac_miss(ch: DiracChannel, xi_int: float, cfg: ShootingConfig, E: float) -> float:
-    """Growing-mode admixture at the outer matching radius (m = 1 units).
+# mix(x) -> (k, c_reg, c_irr): the tail decay constant and the template's
+# coefficients of r^p F_p and r^-p F_-p at scan variable x
+Mix = Callable[[float], tuple[float, float, float]]
 
-    With a = s*nu_tilde the radial system is f1' = (a/r) f1 - s(E + 1) f2,
-    f2' = s(E - 1) f1 - (a/r) f2; its coefficients are constant, so
-    eliminating f2 is exact: f1'' = [a(a - 1)/r^2 + lambda^2] f1, with
-    lambda^2 = 1 - E^2.  That is the reduced Schroedinger form with index
-    |a - 1/2| = |l + mu|.  Since s(E + 1) does not vanish in the gap, f2 =
-    ((a/r) f1 - f1')/(s(E + 1)) decays exactly when f1 does, so the Numerov
-    mismatch of f1, seeded from the template's f1 component, has the Dirac
-    levels as its simple zeros.
+
+def _mismatch(
+    p: float, mix: Mix, cfg: ShootingConfig, k_max: float, count: Callable[[int], None]
+) -> Callable[[float], float]:
+    """x -> c_reg k^(-p) M_reg + c_irr k^p M_irr, the tail mismatch at scan
+    variable x up to a positive factor.
+
+    k_max bounds k over the scan variables the solve visits.  When the grid
+    scales with 1/k at all of them (r_max is None and r_min <= 0.05/k_max)
+    the branches are integrated once, at k = 1; otherwise at each energy's
+    k.  count(n) hears of every n integrations.
     """
-    lam = math.sqrt((1.0 - E) * (1.0 + E))
 
-    def seed(r: float) -> float:
-        return _dirac_seed(ch, xi_int, r, E)[0] / math.sqrt(r)
+    def pair(k: float) -> tuple[float, float]:
+        count(2)
+        return _branch_misses(p, k, cfg)
 
-    return _numerov_miss(abs(ch.l + ch.mu), lam, seed, cfg)
+    fixed = pair(1.0) if cfg.r_max is None and cfg.r_min <= 0.05 / k_max else None
+
+    def miss_x(x: float) -> float:
+        k, c_reg, c_irr = mix(x)
+        m_reg, m_irr = fixed if fixed is not None else pair(k)
+        return c_reg * k**-p * m_reg + c_irr * k**p * m_irr
+
+    return miss_x
+
+
+# ---------------------------------------------------------------------------
+# the shooting skeleton
+# ---------------------------------------------------------------------------
 
 
 def _scan_grid(window: tuple[float, float], n_scan: int) -> list[float]:
@@ -241,84 +258,48 @@ def _refine_root(
 
 _DIAG_NAN = float("nan")
 
-# numerov_dx floor for the sign scan of a shoot's base solve.  The scan needs
-# only the mismatch's sign; on all 50 A3 channels the first sign change falls
-# in the same grid interval at this step as at the default one, for a
-# quarter of the integration cost.
-_SCAN_DX = 0.04
-
 
 def _shoot(
     cfg: ShootingConfig,
     m: float,
     window: tuple[float, float],
-    miss: Callable[[ShootingConfig, float], float],
+    p: float,
+    mix: Mix,
     to_e: Callable[[float], tuple[float, float]],
     decay_max: Callable[[tuple[float, float]], float],
 ) -> Optional[OracleResult]:
     """Scan, refine and diagnose the first level of a sector, or None.
 
-    miss(config, x) is the sector's mismatch at scan variable x, scanned over
+    p and mix(x) are the sector's template (see _mismatch), scanned over
     window; to_e(x) gives E/m and |d(E/m)/dx|, which turn the root, its
-    residual and the diagnostic differences into energies.  The two refined
-    probes halve and quarter numerov_dx.  decay_max(window) is the largest
-    tail decay constant over a probe window: when r_min <= 0.05/decay_max,
-    halving r_min cannot move any seed radius and the r_min probe is skipped.
-
-    Only the base solve scans with numerov_dx raised to _SCAN_DX (the
-    two stages and their fallbacks are in the module docstring).  The narrow
-    probes' window is centred on the base root, so the root sits on their
-    middle grid point, and a loose scan there brackets the other side of it:
-    on 256 measured shoots every probe solve fell back to the working scan.
-    Each solve memoizes its mismatch per config, so evaluations counts
-    working integrations and scan_evals loose ones, not calls.
+    residual and the diagnostic differences into energies.  decay_max(window)
+    is the largest tail decay constant over a window.  The two refined
+    probes halve and quarter numerov_dx; when r_min <= 0.05/decay_max, halving
+    r_min cannot move any seed radius and the r_min probe is skipped.  The
+    order is NaN unless the ladder converges, that is unless its second
+    difference is smaller than its first and above the 1e-15 floor.
     """
     evals = 0
-    scan_evals = 0
 
-    def memoized(config: ShootingConfig, loose: bool) -> Callable[[float], float]:
-        memo: dict[float, float] = {}
+    def count(n: int) -> None:
+        nonlocal evals
+        evals += n
 
-        def miss_x(x: float) -> float:
-            nonlocal evals, scan_evals
-            if x not in memo:
-                if loose:
-                    scan_evals += 1
-                else:
-                    evals += 1
-                memo[x] = miss(config, x)
-            return memo[x]
-
-        return miss_x
-
-    def solve_at(
-        config: ShootingConfig, win: tuple[float, float], loose_scan: bool = False
-    ) -> Optional[tuple[float, float]]:
-        miss_x = memoized(config, loose=False)
-        grid = _scan_grid(win, config.n_scan)
-        first = None
-        if loose_scan and config.numerov_dx < _SCAN_DX:
-            scan_cfg = replace(config, numerov_dx=_SCAN_DX)
-            found = next(_sign_changes(memoized(scan_cfg, loose=True), grid), None)
-            if found is not None:
-                lo, hi, f_lo, f_hi = found
-                w_lo, w_hi = miss_x(lo), miss_x(hi)
-                if w_lo * f_lo > 0.0 and w_hi * f_hi > 0.0:
-                    first = (lo, hi, w_lo, w_hi)
-        if first is None:
-            first = next(_sign_changes(miss_x, grid), None)
+    def solve_at(config: ShootingConfig, win: tuple[float, float]) -> Optional[tuple[float, float]]:
+        miss_x = _mismatch(p, mix, config, decay_max(win), count)
+        first = next(_sign_changes(miss_x, _scan_grid(win, config.n_scan)), None)
         if first is None:
             return None
         return _refine_root(miss_x, *first, tol_x=1e-12)
 
-    base = solve_at(cfg, window, loose_scan=True)
+    base = solve_at(cfg, window)
     if base is None:
         return None
     x0, resid = base
     e0, de_dx = to_e(x0)
     resid_e = m * resid * de_dx
     if not cfg.diagnostics:
-        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals, scan_evals)
+        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
     # discretization ladder at fixed r_min -> observed order; halved inner
     # cutoff at fixed discretization -> r_min sensitivity
     narrow = (max(window[0], x0 - 1e-3), min(window[1], x0 + 1e-3))
@@ -328,16 +309,45 @@ def _shoot(
         probes.append(replace(probe, r_min=cfg.r_min / 2.0))
     got = [solve_at(c, narrow) for c in probes]
     if any(g is None for g in got):  # pragma: no cover - root stays in the window
-        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals, scan_evals)
+        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
     levels = [to_e(g[0])[0] for g in got]
     sens = abs(e0 - levels[2]) if len(levels) == 3 else 0.0
     d1 = abs(e0 - levels[0])
     d2 = abs(levels[0] - levels[1])
-    order = math.log2(d1 / d2) if (d1 > 1e-15 and d2 > 1e-15) else _DIAG_NAN
-    return OracleResult(m * e0, resid_e, order, m * sens, evals, scan_evals)
+    # a ladder that does not converge sits in rounding noise: no order
+    order = math.log2(d1 / d2) if d1 > d2 > 1e-15 else _DIAG_NAN
+    return OracleResult(m * e0, resid_e, order, m * sens, evals)
+
+
+# ---------------------------------------------------------------------------
+# Dirac shoot
+# ---------------------------------------------------------------------------
 
 
 _GAP_WINDOW = (-1.0 + 1e-9, 1.0 - 1e-9)
+
+
+def _dirac_template(ch: DiracChannel, xi_int: float) -> tuple[float, Mix]:
+    """(p, mix) of the f1 component of the domain template over u = tau*E.
+
+    The template pair, built in u with the r^(+nu) carrying component first,
+    is r^nu - xi_int (u + 1)/(s(2nu - 1)) r^(1 - nu) and
+    (u - 1)/(s(2nu + 1)) r^(nu + 1) - xi_int r^(-nu), each branch continued
+    by its Frobenius factor.  f1 is the carrying component for tau = +1 and
+    the companion one for tau = -1 (a tau = -1 channel is the tau = +1 one
+    at -E with its components swapped); in r^(-1/2) f1 its branches are
+    r^(+-p) with p = nu - 1/2 or nu + 1/2, and |p| = |l + mu|.
+    """
+    nu, s = ch.nu, ch.s
+
+    def lam(u: float) -> float:
+        return math.sqrt((1.0 - u) * (1.0 + u))
+
+    if ch.tau == 1:
+        w = -xi_int / (s * (2.0 * nu - 1.0))
+        return nu - 0.5, lambda u: (lam(u), 1.0, w * (u + 1.0))
+    w = 1.0 / (s * (2.0 * nu + 1.0))
+    return nu + 0.5, lambda u: (lam(u), w * (u - 1.0), -xi_int)
 
 
 def dirac_shoot(
@@ -346,9 +356,11 @@ def dirac_shoot(
     """Bound level of the Dirac channel from outward shooting, or None.
 
     Seeds f1 from the domain template with the channel-sign component
-    pairing and internal weight s*xi, integrates its exact second-order
-    equation (see _dirac_miss) to r_max, and root-finds the growing-mode
-    admixture over u = tau*E.  Returns None when the scan shows no sign
+    pairing and internal weight s*xi (see _dirac_template), integrates its
+    exact second-order equation f1'' = [a(a - 1)/r^2 + lambda^2] f1 to r_max,
+    and root-finds the growing-mode admixture over u = tau*E.  Since
+    s(E + 1) does not vanish in the gap, f2 = ((a/r) f1 - f1')/(s(E + 1))
+    decays exactly when f1 does.  Returns None when the scan shows no sign
     change (e.g. xi >= 0).
     """
     if ch.regime is not Regime.EXTENDED:
@@ -357,7 +369,6 @@ def dirac_shoot(
     if ext.is_infinite or xi >= 0.0:
         return None
     m = ch.m
-    xi_int = ch.s * xi
     tau = ch.tau
     if cfg.energy_bracket is not None:
         window = (cfg.energy_bracket[0] / m * tau, cfg.energy_bracket[1] / m * tau)
@@ -368,7 +379,7 @@ def dirac_shoot(
         cfg,
         m,
         window,
-        lambda config, u: _dirac_miss(ch, xi_int, config, tau * u),
+        *_dirac_template(ch, ch.s * xi),
         lambda u: (tau * u, 1.0),
         # lambda <= 1, so r_min <= 0.05 leaves every seed radius at 0.05/lambda
         lambda narrow: 1.0,
@@ -381,18 +392,14 @@ def count_dirac_levels(
     """Number of mismatch sign changes over the whole gap (uniqueness probe).
 
     Unlike a shoot, whose scan stops at the first sign change, the count
-    evaluates every one of the n_scan grid points."""
+    evaluates every one of the n_scan grid points; when the config's grid
+    scales with 1/k, all from one pair of branch integrations."""
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("count_dirac_levels: requires an extended-regime channel")
     xi = ext.xi
     if ext.is_infinite or xi >= 0.0:
         return 0
-    xi_int = ch.s * xi
-    tau = ch.tau
-
-    def miss_u(u: float) -> float:
-        return _dirac_miss(ch, xi_int, cfg, tau * u)
-
+    miss_u = _mismatch(*_dirac_template(ch, ch.s * xi), cfg, 1.0, lambda n: None)
     return sum(1 for _ in _sign_changes(miss_u, _scan_grid(_GAP_WINDOW, cfg.n_scan)))
 
 
@@ -546,22 +553,11 @@ def _numerov_miss(
     return num * math.exp(log_scale - k * (r_max - r_seed))
 
 
-def _numerov_ac_miss(g: float, xi_int: float, cfg: ShootingConfig, E: float) -> float:
-    """Tail mismatch of the reduced Schroedinger form at E (m = 1 units).
-
-    kappa = sqrt(-2E); the seed is the domain template
-    f ~ (m r)^g - xi_int (m r)^(-g) continued by its series corrections
-    (v = f exactly on the logarithmic segment).
-    """
-    kappa = math.sqrt(-2.0 * E)
-
-    def seed(r: float) -> float:
-        z2 = (kappa * r) ** 2
-        reg = r**g * _frobenius_factor(g, z2)
-        irr = r**-g * _frobenius_factor(-g, z2)
-        return reg - xi_int * irr
-
-    return _numerov_miss(g, kappa, seed, cfg)
+def _ac_template(g: float, xi_int: float) -> tuple[float, Mix]:
+    """(p, mix) of the domain template f ~ (m r)^g - xi_int (m r)^(-g) over
+    y = ln(-E), with kappa = sqrt(-2E); v = f on the logarithmic segment, and
+    the bound side has xi_int = -xi > 0."""
+    return g, lambda y: (math.sqrt(2.0 * math.exp(y)), 1.0, -xi_int)
 
 
 def schrodinger_shoot(
@@ -569,9 +565,10 @@ def schrodinger_shoot(
 ) -> Optional[OracleResult]:
     """Negative level of the neutral-fermion channel from Numerov shooting.
 
-    Scans ln(-E_n) over the energy window (default E_n/m in [-1e6, -1e-8]),
-    root-finds the tail mismatch, and reports nested-cutoff diagnostics.
-    Returns None when no sign change exists (e.g. xi >= 0).
+    Seeds the domain template (see _ac_template), scans ln(-E_n) over the
+    energy window (default E_n/m in [-1e6, -1e-8]), root-finds the tail
+    mismatch, and reports nested-cutoff diagnostics.  Returns None when no
+    sign change exists (e.g. xi >= 0).
     """
     if ch.regime is not ACRegime.EXTENDED:
         raise RegimeError("schrodinger_shoot: requires 0 < gamma < 1")
@@ -579,8 +576,6 @@ def schrodinger_shoot(
     if ext.is_infinite or xi >= 0.0:
         return None
     m = ch.m
-    g = ch.gamma
-    xi_int = -xi  # AC internal template weight; bound side has xi_int > 0
     if cfg.energy_bracket is not None:
         e_lo, e_hi = cfg.energy_bracket
         if not (e_lo < 0 and e_hi < 0):
@@ -589,14 +584,17 @@ def schrodinger_shoot(
         window = (min(window), max(window))
     else:
         window = (math.log(1e-8), math.log(1e6))
+
+    p, mix = _ac_template(ch.gamma, -xi)
     return _shoot(
         cfg,
         m,
         window,
-        lambda config, y: _numerov_ac_miss(g, xi_int, config, -math.exp(y)),
+        p,
+        mix,
         lambda y: (-math.exp(y), math.exp(y)),
         # kappa is largest at the deep end of the window
-        lambda narrow: math.sqrt(2.0 * math.exp(narrow[1])),
+        lambda narrow: mix(narrow[1])[0],
     )
 
 

@@ -282,6 +282,22 @@ class TestRunCommands:
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert float(row["abs_diff_over_m"]) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            ["--mu", "0.25", "--xi", "-1"],
+            ["--mu", "0.7", "--xi", "-2"],
+            ["--sector", "ac", "--gamma", "0.3", "--xi", "-3"],
+        ],
+    )
+    def test_oracle_check_order_is_never_negative(self, capsys, channel):
+        # at the finest resolution the ladder's differences sit in rounding
+        # noise, and an order is printed only where the ladder converges
+        assert cli.main(["oracle-check", *channel, "--resolution=1e-3"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        order = float(row["convergence_order"])
+        assert math.isnan(order) or order > 0.0
+
     def test_oracle_check_columns_in_units_of_m(self, capsys):
         def row(mass):
             assert cli.main(["oracle-check", "--mu", "0.25", "--xi", "-1", "--mass", mass]) == 0

@@ -22,6 +22,12 @@ E_REFEREE = 0.9990435200046799
 FAST = orc.ShootingConfig(diagnostics=False)
 
 
+def closed_form(p, mix, cfg=FAST, k_max=1.0):
+    """The mismatch a solve at cfg scans, without its counter; k_max = inf
+    makes it integrate the branches at each energy's k."""
+    return orc._mismatch(p, mix, cfg, k_max, lambda n: None)
+
+
 def dirac_channel(mu, l=0, s=-1):
     return ab.DiracChannel(m=1.0, l=l, s=s, mu=mu)
 
@@ -214,9 +220,10 @@ class TestSmoothMismatch:
     def test_dirac_mismatch_linear_at_root(self, mu, xi):
         ch = dirac_channel(mu)
         e_star = ab.solve_bound_energy(ch, ab.Extension.from_xi(xi)).E
+        miss_u = closed_form(*orc._dirac_template(ch, ch.s * xi))
 
         def miss(E):
-            return orc._dirac_miss(ch, ch.s * xi, FAST, E)
+            return miss_u(ch.tau * E)
 
         ratio = miss(e_star + self.DELTA) / miss(e_star + 2.0 * self.DELTA)
         assert 0.4 <= ratio <= 0.6
@@ -224,20 +231,114 @@ class TestSmoothMismatch:
     @pytest.mark.parametrize("gamma, xi", [(0.25, -5.0), (0.55, -1.2), (0.85, -0.8)])
     def test_ac_mismatch_linear_at_root(self, gamma, xi):
         e_star = ac.ac_bound_energy(ac_channel(gamma), ab.Extension.from_xi(xi)).E_n
+        miss_y = closed_form(*orc._ac_template(gamma, -xi))
 
         def miss(E):
-            return orc._numerov_ac_miss(gamma, -xi, FAST, E)
+            return miss_y(math.log(-E))
 
         ratio = miss(e_star + self.DELTA) / miss(e_star + 2.0 * self.DELTA)
         assert 0.4 <= ratio <= 0.6
 
-    def test_golden_shoot_evaluation_count(self):
-        # a step-like mismatch made Brent bisect: 48 scan + 39 refine.  The
-        # working integrations are the two bracket ends plus the refinement
-        res = orc.dirac_shoot(dirac_channel(0.25), ab.Extension.from_xi(-1.0), FAST)
-        assert res.evaluations + res.scan_evaluations <= 60
-        assert res.evaluations - 2 <= 12
-        assert res.scan_evaluations <= FAST.n_scan
+    def test_golden_shoot_evaluation_count(self, monkeypatch):
+        # evaluations counts Numerov integrations: a solve whose grid scales
+        # with 1/k integrates the template's two branches once, so the base
+        # solve and each diagnostic probe make 2, and so does a level count;
+        # an explicit r_max makes a solve integrate both branches per energy
+        calls = []
+        original = orc._numerov_miss
+
+        def counted(g, k, seed, cfg):
+            calls.append(cfg)
+            return original(g, k, seed, cfg)
+
+        monkeypatch.setattr(orc, "_numerov_miss", counted)
+        ext = ab.Extension.from_xi(-1.0)
+        assert orc.count_dirac_levels(dirac_channel(0.25), ext, FAST) == 1
+        assert calls == [FAST, FAST]
+        for shoot, ch in (
+            (orc.dirac_shoot, dirac_channel(0.25)),
+            (orc.schrodinger_shoot, ac_channel(0.5)),
+        ):
+            for cfg, want in ((FAST, 2), (orc.ShootingConfig(), 6)):
+                calls.clear()
+                assert shoot(ch, ext, cfg).evaluations == len(calls) == want
+        calls.clear()
+        res = orc.dirac_shoot(dirac_channel(0.25), ext, replace(FAST, r_max=40.0))
+        assert res.E == pytest.approx(E_GOLDEN, abs=1e-6)
+        assert res.evaluations == len(calls) > 2
+        assert len(calls) % 2 == 0
+
+
+def template_f1(ch, xi_int, r, E):
+    """f1 of the Dirac domain template at r, each branch continued by its
+    Frobenius factor: the seed a shoot integrated at each energy before the
+    closed form.  The pair is built in u = tau*E with the r^(+nu) carrying
+    component first; for tau = -1, f1 is the companion component."""
+    frob = orc._frobenius_factor
+    nu, s, u = ch.nu, ch.s, ch.tau * E
+    z2 = (1.0 - E) * (1.0 + E) * r * r
+    reg = (
+        r**nu * frob(nu - 0.5, z2),
+        (u - 1.0) / (s * (2.0 * nu + 1.0)) * r ** (nu + 1.0) * frob(nu + 0.5, z2),
+    )
+    irr = (
+        (u + 1.0) / (s * (2.0 * nu - 1.0)) * r ** (1.0 - nu) * frob(0.5 - nu, z2),
+        r ** (-nu) * frob(-nu - 0.5, z2),
+    )
+    return reg[0] - xi_int * irr[0] if ch.tau == 1 else reg[1] - xi_int * irr[1]
+
+
+class TestClosedForm:
+    """The mismatch a solve scans is a closed-form mix of two branch
+    integrations at k = 1.  In z = k*r the grid and the equation hold no
+    energy, and Numerov is linear, so at every energy it must equal the
+    mismatch of the full template integrated at that energy's k, times
+    sqrt(k), and the same mix of the branches integrated at that k."""
+
+    @pytest.mark.parametrize(
+        "l, s, mu",
+        [(-1, 1, 0.25), (-1, 1, 0.75), (0, 1, -0.25), (0, 1, -0.75), (1, -1, -0.25), (1, -1, -0.75)],
+    )
+    def test_dirac_mix_is_the_per_energy_integration(self, l, s, mu):
+        ch = dirac_channel(mu, l=l, s=s)
+        xi_int = ch.s * -1.0
+        miss = closed_form(*orc._dirac_template(ch, xi_int))
+        per_energy = closed_form(*orc._dirac_template(ch, xi_int), k_max=math.inf)
+        for u in orc._scan_grid(orc._GAP_WINDOW, 8):
+            E = ch.tau * u
+            lam = math.sqrt((1.0 - E) * (1.0 + E))
+
+            def seed(r):
+                return template_f1(ch, xi_int, r, E) / math.sqrt(r)
+
+            want = math.sqrt(lam) * orc._numerov_miss(abs(l + mu), lam, seed, FAST)
+            assert miss(u) == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert per_energy(u) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [0.15, 0.5, 0.85])
+    def test_ac_mix_is_the_per_energy_integration(self, gamma):
+        miss = closed_form(*orc._ac_template(gamma, 1.0))
+        per_energy = closed_form(*orc._ac_template(gamma, 1.0), k_max=math.inf)
+        for y in orc._scan_grid((math.log(1e-8), math.log(1e6)), 8):
+            kappa = math.sqrt(2.0 * math.exp(y))
+
+            def seed(r):
+                z2 = (kappa * r) ** 2
+                frob = orc._frobenius_factor
+                return r**gamma * frob(gamma, z2) - r**-gamma * frob(-gamma, z2)
+
+            want = math.sqrt(kappa) * orc._numerov_miss(gamma, kappa, seed, FAST)
+            assert miss(y) == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert per_energy(y) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("p", [-0.75, -0.25, 0.15, 0.5, 0.85])
+    def test_connection_ratio_is_the_gamma_one(self, p):
+        # the branches z^(+-p) F grow as 2^(+-p) Gamma(1 +- p) e^z / sqrt(2 pi z),
+        # so M_irr / M_reg is the analytic route's Gamma ratio, to Numerov's
+        # truncation error (about 2e-8 at the default step)
+        m_reg, m_irr = orc._branch_misses(p, 1.0, FAST)
+        gamma_ratio = 2.0 ** (-2.0 * p) * math.gamma(1.0 - p) / math.gamma(1.0 + p)
+        assert m_irr / m_reg == pytest.approx(gamma_ratio, rel=1e-7)
 
 
 class TestRenormalization:
@@ -290,12 +391,12 @@ class TestGoldenShoots:
 
     NAN = math.nan
     # E, match_residual, convergence_order_estimate, r_min_sensitivity,
-    # evaluations, scan_evaluations
+    # evaluations
     CASES = {
-        "ab-off": (-0.5660020023269642, 1e-12, NAN, NAN, 8, 12),
-        "ac-off": (-0.499999999968014, 4.99999999968014e-13, NAN, NAN, 12, 27),
-        "ab-on": (-0.5660020023269642, 1e-12, 4.018750437756982, 0.0, 28, 12),
-        "ac-on": (-0.499999999968014, 4.99999999968014e-13, 7.267754405159166, 0.0, 38, 27),
+        "ab-off": (-0.5660020023270894, 1e-12, NAN, NAN, 2),
+        "ac-off": (-0.4999999999683449, 4.999999999683449e-13, NAN, NAN, 2),
+        "ab-on": (-0.5660020023270894, 1e-12, 4.010822108240156, 0.0, 6),
+        "ac-on": (-0.4999999999683449, 4.999999999683449e-13, 3.5500214647113606, 0.0, 6),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -307,149 +408,84 @@ class TestGoldenShoots:
             res = orc.dirac_shoot(dirac_channel(0.25), ext, cfg)
         else:
             res = orc.schrodinger_shoot(ac_channel(0.5), ext, cfg)
-        *floats, evaluations, scan_evaluations = self.CASES[case]
+        *floats, evaluations = self.CASES[case]
         got = (res.E, res.match_residual, res.convergence_order_estimate, res.r_min_sensitivity)
         for value, want in zip(got, floats):
             if math.isnan(want):
                 assert math.isnan(value)
             else:
                 assert value == pytest.approx(want, rel=1e-12, abs=0.0)
-        # the residual probe's miss(root) repeats Brent's last evaluation and
-        # is served from the per-solve memo, not integrated again
+        # one pair of branch integrations per solve: the base solve and, with
+        # diagnostics on, the two ladder probes
         assert res.evaluations == evaluations
-        assert res.scan_evaluations == scan_evaluations
 
 
 class TestSignScan:
-    """A shoot's base solve scans at loose settings up to the first sign
-    change and refines from that bracket's ends at the working settings; the
-    level count and the diagnostic probes scan at the working settings."""
+    """A solve scans its closed-form mismatch up to the first sign change and
+    refines inside that bracket; the level count evaluates every grid point.
+    Each solve integrates one pair of template branches at its own step."""
 
     @staticmethod
-    def sector(monkeypatch, sector, transform=None):
-        """(channel, shoot, mismatch calls as (config, E), unwrapped
-        mismatch, its leading arguments, base grid in E); transform
-        (config, E, value) rewrites the mismatch the shoot sees."""
+    def sector(monkeypatch, sector):
+        """(channel, shoot, mismatch calls as (config, x, value), base grid)."""
         if sector == "ab":
-            ch = dirac_channel(0.25)
-            name, shoot = "_dirac_miss", orc.dirac_shoot
-            grid_e = [ch.tau * u for u in orc._scan_grid(orc._GAP_WINDOW, FAST.n_scan)]
-            lead = (ch, ch.s * -1.0)
+            ch, shoot, window = dirac_channel(0.25), orc.dirac_shoot, orc._GAP_WINDOW
         else:
-            ch = ac_channel(0.5)
-            name, shoot = "_numerov_ac_miss", orc.schrodinger_shoot
+            ch, shoot = ac_channel(0.5), orc.schrodinger_shoot
             window = (math.log(1e-8), math.log(1e6))
-            grid_e = [-math.exp(y) for y in orc._scan_grid(window, FAST.n_scan)]
-            lead = (ch.gamma, 1.0)
         calls = []
-        original = getattr(orc, name)
+        original = orc._mismatch
 
-        def wrapped(a, xi_int, cfg, E):
-            calls.append((cfg, E))
-            value = original(a, xi_int, cfg, E)
-            return value if transform is None else transform(cfg, E, value)
+        def wrapped(p, mix, cfg, k_max, count):
+            miss = original(p, mix, cfg, k_max, count)
 
-        monkeypatch.setattr(orc, name, wrapped)
-        return ch, shoot, calls, original, lead, grid_e
+            def recorded(x):
+                value = miss(x)
+                calls.append((cfg, x, value))
+                return value
 
-    @staticmethod
-    def loose(cfg):
-        return replace(cfg, numerov_dx=orc._SCAN_DX)
+            return recorded
 
-    @staticmethod
-    def floats(res):
-        fields = (res.E, res.match_residual, res.convergence_order_estimate, res.r_min_sensitivity)
-        return [float.hex(x) for x in fields]
+        monkeypatch.setattr(orc, "_mismatch", wrapped)
+        return ch, shoot, calls, orc._scan_grid(window, FAST.n_scan)
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_shoot_stops_at_first_bracket(self, monkeypatch, sector):
-        ch, shoot, calls, miss, lead, grid_e = self.sector(monkeypatch, sector)
-        loose_cfg = self.loose(FAST)
-        # the first bracket of the loose mismatch on the full grid, which is
-        # also the working one on this channel
-        uppers = []
-        for cfg in (loose_cfg, FAST):
-            signs = [miss(*lead, cfg, E) > 0.0 for E in grid_e]
-            uppers.append(next(i for i in range(1, len(signs)) if signs[i] != signs[i - 1]))
-        upper = uppers[0]
-        assert uppers == [upper, upper]
-        assert upper < len(grid_e) - 1
-
+        ch, shoot, calls, grid = self.sector(monkeypatch, sector)
         res = shoot(ch, ab.Extension.from_xi(-1.0), FAST)
-        assert {cfg for cfg, _ in calls} == {loose_cfg, FAST}
-        loose = [E for cfg, E in calls if cfg == loose_cfg]
-        working = {E for cfg, E in calls if cfg == FAST}
-        # the loose scan touches the grid up to the bracket's upper end only
-        assert loose == grid_e[: upper + 1]
-        # the working integrations are the bracket's ends and points inside it
-        lo, hi = sorted((grid_e[upper - 1], grid_e[upper]))
-        assert working.intersection(grid_e) == {lo, hi}
-        assert all(lo < E < hi for E in working.difference(grid_e))
-        assert res.evaluations == len(working)
-        assert res.scan_evaluations == len(loose)
-
-    @pytest.mark.parametrize("sector", ["ab", "ac"])
-    @pytest.mark.parametrize("fault", ["no-sign-change", "flipped", "shifted"])
-    def test_fallback_is_the_working_scan(self, monkeypatch, sector, fault):
-        # the loose scan finds no sign change; or its bracket's ends carry
-        # the opposite signs of the working ones; or it brackets the first
-        # grid interval, where the working mismatch keeps its sign
-        def transform(cfg, E, value):
-            if cfg.numerov_dx != orc._SCAN_DX:
-                return value
-            if fault == "no-sign-change":
-                return abs(value)
-            if fault == "flipped":
-                return -value
-            return -abs(value) if E == grid_e[0] else abs(value)
-
-        ch, shoot, calls, _, _, grid_e = self.sector(monkeypatch, sector, transform)
-        ext = ab.Extension.from_xi(-1.0)
-        with monkeypatch.context() as mp:
-            mp.setattr(orc, "_SCAN_DX", 0.0)
-            want = shoot(ch, ext, FAST)
-        assert want.scan_evaluations == 0
-        assert {cfg for cfg, _ in calls} == {FAST}
-        got = shoot(ch, ext, FAST)
-        assert self.floats(got) == self.floats(want)
-        # the working scan finds the bracket ends in the solve's memo
-        assert got.evaluations == want.evaluations
-        n_loose = sum(cfg == self.loose(FAST) for cfg, _ in calls)
-        assert got.scan_evaluations == n_loose
-        if fault == "no-sign-change":
-            assert n_loose == FAST.n_scan
-        elif fault == "shifted":
-            assert n_loose == 2
+        xs = [x for _, x, _ in calls]
+        n = next(i for i, x in enumerate(xs) if x != grid[i])
+        # the scan touches the grid up to the first sign change only
+        assert 2 <= n < len(grid)
+        signs = [value > 0.0 for _, _, value in calls[:n]]
+        assert len(set(signs[:-1])) == 1 and signs[-1] != signs[-2]
+        # the refinement stays inside that bracket
+        assert all(grid[n - 2] <= x <= grid[n - 1] for x in xs[n:])
+        assert {cfg for cfg, _, _ in calls} == {FAST}
+        assert res.evaluations == 2
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_probes_scan_at_working_settings(self, monkeypatch, sector):
-        ch, shoot, calls, _, _, grid_e = self.sector(monkeypatch, sector)
+        # the base solve runs at the config's step, the two ladder probes at
+        # its half and quarter, and no solve uses any other step
+        ch, shoot, calls, _ = self.sector(monkeypatch, sector)
         cfg = orc.ShootingConfig()
         res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
-        loose = [E for c, E in calls if c == self.loose(cfg)]
-        assert loose == grid_e[: len(loose)]
-        assert res.scan_evaluations == len(loose)
-        probes = [c for c, _ in calls if c.n_scan == 9]
-        assert probes
-        assert all(c.numerov_dx < cfg.numerov_dx for c in probes)
-        assert {c for c, _ in calls} == {cfg, self.loose(cfg), *probes}
-
-    def test_config_at_scan_floor_scans_once(self, monkeypatch):
-        ch, shoot, calls, *_ = self.sector(monkeypatch, "ab")
-        cfg = self.loose(FAST)
-        res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
-        assert {c for c, _ in calls} == {cfg}
-        assert res.scan_evaluations == 0
-        assert res.evaluations == len({E for _, E in calls})
+        configs = {c for c, _, _ in calls}
+        probes = configs - {cfg}
+        assert sorted(c.numerov_dx for c in probes) == [cfg.numerov_dx / 4, cfg.numerov_dx / 2]
+        assert all(c.n_scan == 9 for c in probes)
+        assert res.evaluations == 2 * len(configs)
 
     def test_count_scans_every_grid_point(self, monkeypatch):
-        _, _, calls, *_ = self.sector(monkeypatch, "ab")
+        _, _, calls, grid = self.sector(monkeypatch, "ab")
         cases = ((0.25, -1.0), (0.4, -0.3), (0.6, -2.0), (0.85, -1.0))
         for k, (mu, xi) in enumerate(cases, start=1):
             n = orc.count_dirac_levels(dirac_channel(mu), ab.Extension.from_xi(xi), FAST)
             assert n == 1
             assert len(calls) == k * FAST.n_scan
-        assert {cfg for cfg, _ in calls} == {FAST}
+            assert [x for _, x, _ in calls[-FAST.n_scan :]] == grid
+        assert {cfg for cfg, _, _ in calls} == {FAST}
 
     def test_sign_changes_yields_every_bracket_in_order(self):
         seen = []
