@@ -32,17 +32,18 @@ lengths (seed radius 0.05/k, segment joint 0.5/k, r_max = 40/k, tail step
 numerov_dx/k) the whole grid scales as 1/k.  The template,
 c_reg r^p F_p + c_irr r^-p F_-p in r^(-1/2) u, is two Frobenius branches
 whose coefficients alone carry the energy, and Numerov is linear.  So the
-mismatch at E is, to rounding and up to a positive factor,
+mismatch at E is, to rounding,
 
-    c_reg k^(-p) M_reg + c_irr k^p M_irr,
+    k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr),
 
 with M_reg and M_irr the mismatches of the branches z^(+-p) F_(+-p)
 integrated once at k = 1: lambda^(-nu) M_reg - xi_int (u + 1)/(s(2nu - 1))
 lambda^(nu - 1) M_irr for Dirac with tau = +1 (the f1 component; tau = -1
 takes the companion one), kappa^(-g) M_reg - xi_int kappa^g M_irr for the
-neutral fermion.  An explicit r_max, or an r_min above 0.05/k somewhere in a
-solve's window, puts a length into the grid that does not scale with 1/k;
-such a solve integrates the same two branches at each energy's k instead.
+neutral fermion, each times k^(-1/2).  An explicit r_max, or an r_min above
+0.05/k, puts a length into the grid that does not scale with 1/k; at such an
+energy the solve integrates the template itself, once, and energies of the
+same solve where r_min does not act still read the shared pair.
 
 The oracle stays independent of the analytic route: it uses the ODE, its
 Frobenius template, linearity and this scaling, and calls no level formula,
@@ -97,9 +98,9 @@ class ShootingConfig:
 
     r_min is a lower limit on the radius where the template series seeds the
     integration, r_seed = min(max(r_min, 0.05/k), 0.2*r_max), so it only
-    acts when r_min > 0.05/k.  Such an r_min, or an explicit r_max, makes a
-    solve integrate its two template branches at each energy instead of once
-    (see the module docstring).
+    acts when r_min > 0.05/k.  At an energy where it acts, or at every energy
+    under an explicit r_max, a solve integrates the template itself instead
+    of reading its shared branch pair (see the module docstring).
     When halving r_min cannot move r_seed anywhere in the probe window, the
     r_min probe is skipped and r_min_sensitivity is exactly 0.0.
     """
@@ -127,7 +128,7 @@ class OracleResult:
     evaluations counts integrations over the whole shoot, diagnostic probes
     included: two (the template's two branches) per solve whose grid scales
     with 1/k, so 2 for a shoot with diagnostics off and 2 more per probe,
-    and two per mismatch evaluation in a solve whose grid does not."""
+    and one per mismatch evaluation at an energy whose grid does not."""
 
     E: float
     match_residual: float
@@ -160,23 +161,36 @@ def _frobenius_factor(a: float, z2: float) -> float:
     )
 
 
-def _branch_misses(p: float, k: float, cfg: ShootingConfig) -> tuple[float, float]:
-    """(M_reg, M_irr): the mismatches of the template branches
-    v = z^(+-p) F_(+-p)(z^2), z = k r, at decay constant k.
+_SEED_Z = 0.05  # seed radius in units of 1/k where the grid scales with 1/k
 
-    Each is sqrt(k) times the branch's _numerov_miss, which makes it the
-    k = 1 value whenever the grid scales with 1/k (u = sqrt(r) v is
-    k^(-1/2) times the same function of z).
-    """
 
-    def miss(b: float) -> float:
-        def seed(r: float) -> float:
-            z = k * r
-            return z**b * _frobenius_factor(b, z * z)
+def _r_min_acts(r_min: float, k: float) -> bool:
+    """Whether r_min lifts the seed radius at decay constant k above
+    _SEED_Z/k, its value on a grid that scales with 1/k (see _numerov_miss)."""
+    return r_min > _SEED_Z / k
 
-        return math.sqrt(k) * _numerov_miss(abs(p), k, seed, cfg)
 
-    return miss(p), miss(-p)
+def _template_miss(
+    p: float, k: float, c_reg: float, c_irr: float, cfg: ShootingConfig
+) -> float:
+    """_numerov_miss of the template c_reg r^p F_p + c_irr r^-p F_-p at
+    decay constant k (m = 1 units), each branch r^(+-p) continued by its
+    Frobenius factor F_(+-p)((k r)^2)."""
+
+    def seed(r: float) -> float:
+        z2 = (k * r) ** 2
+        reg, irr = r**p * _frobenius_factor(p, z2), r**-p * _frobenius_factor(-p, z2)
+        return c_reg * reg + c_irr * irr
+
+    return _numerov_miss(abs(p), k, seed, cfg)
+
+
+def _branch_pair(p: float, cfg: ShootingConfig) -> tuple[float, float]:
+    """(M_reg, M_irr): the mismatches of the branches z^(+-p) F_(+-p)(z^2)
+    on the k = 1 grid.  Only energies where r_min does not act read the
+    pair, so it is integrated with r_min at the scale-free seed radius."""
+    flat = replace(cfg, r_min=_SEED_Z)
+    return _template_miss(p, 1.0, 1.0, 0.0, flat), _template_miss(p, 1.0, 0.0, 1.0, flat)
 
 
 # mix(x) -> (k, c_reg, c_irr): the tail decay constant and the template's
@@ -185,27 +199,28 @@ Mix = Callable[[float], tuple[float, float, float]]
 
 
 def _mismatch(
-    p: float, mix: Mix, cfg: ShootingConfig, k_max: float, count: Callable[[int], None]
+    p: float, mix: Mix, cfg: ShootingConfig, count: Callable[[int], None]
 ) -> Callable[[float], float]:
-    """x -> c_reg k^(-p) M_reg + c_irr k^p M_irr, the tail mismatch at scan
-    variable x up to a positive factor.
+    """x -> the template's tail mismatch at scan variable x (m = 1 units).
 
-    k_max bounds k over the scan variables the solve visits.  When the grid
-    scales with 1/k at all of them (r_max is None and r_min <= 0.05/k_max)
-    the branches are integrated once, at k = 1; otherwise at each energy's
-    k.  count(n) hears of every n integrations.
+    Where x's grid scales with 1/k (r_max is None and r_min does not act at
+    x's k) that is the closed form k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p
+    M_irr), from one branch pair shared by every such x; elsewhere the
+    template is integrated at x's k.  Both give the same function of x.
+    count(n) hears of every n integrations.
     """
-
-    def pair(k: float) -> tuple[float, float]:
-        count(2)
-        return _branch_misses(p, k, cfg)
-
-    fixed = pair(1.0) if cfg.r_max is None and cfg.r_min <= 0.05 / k_max else None
+    pair: list[tuple[float, float]] = []
 
     def miss_x(x: float) -> float:
         k, c_reg, c_irr = mix(x)
-        m_reg, m_irr = fixed if fixed is not None else pair(k)
-        return c_reg * k**-p * m_reg + c_irr * k**p * m_irr
+        if cfg.r_max is not None or _r_min_acts(cfg.r_min, k):
+            count(1)
+            return _template_miss(p, k, c_reg, c_irr, cfg)
+        if not pair:
+            count(2)
+            pair.append(_branch_pair(p, cfg))
+        m_reg, m_irr = pair[0]
+        return (c_reg * k**-p * m_reg + c_irr * k**p * m_irr) / math.sqrt(k)
 
     return miss_x
 
@@ -237,12 +252,7 @@ def _sign_changes(
 
 
 def _refine_root(
-    miss: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
-    tol_x: float,
+    miss: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, tol_x: float
 ) -> tuple[float, float]:
     """Root plus an energy-units residual estimate (secant slope + floor)."""
     if f_lo == 0.0:
@@ -274,10 +284,10 @@ def _shoot(
     window; to_e(x) gives E/m and |d(E/m)/dx|, which turn the root, its
     residual and the diagnostic differences into energies.  decay_max(window)
     is the largest tail decay constant over a window.  The two refined
-    probes halve and quarter numerov_dx; when r_min <= 0.05/decay_max, halving
-    r_min cannot move any seed radius and the r_min probe is skipped.  The
-    order is NaN unless the ladder converges, that is unless its second
-    difference is smaller than its first and above the 1e-15 floor.
+    probes halve and quarter numerov_dx; when r_min acts at no energy up to
+    decay_max, halving it cannot move any seed radius and the r_min probe is
+    skipped.  The order is NaN unless the ladder converges, that is unless
+    its second difference is smaller than its first and above the 1e-15 floor.
     """
     evals = 0
 
@@ -286,7 +296,7 @@ def _shoot(
         evals += n
 
     def solve_at(config: ShootingConfig, win: tuple[float, float]) -> Optional[tuple[float, float]]:
-        miss_x = _mismatch(p, mix, config, decay_max(win), count)
+        miss_x = _mismatch(p, mix, config, count)
         first = next(_sign_changes(miss_x, _scan_grid(win, config.n_scan)), None)
         if first is None:
             return None
@@ -305,7 +315,7 @@ def _shoot(
     narrow = (max(window[0], x0 - 1e-3), min(window[1], x0 + 1e-3))
     probe = replace(cfg, n_scan=9, diagnostics=False)
     probes = [replace(probe, numerov_dx=cfg.numerov_dx / 2**k) for k in (1, 2)]
-    if cfg.r_min > 0.05 / decay_max(narrow):
+    if _r_min_acts(cfg.r_min, decay_max(narrow)):
         probes.append(replace(probe, r_min=cfg.r_min / 2.0))
     got = [solve_at(c, narrow) for c in probes]
     if any(g is None for g in got):  # pragma: no cover - root stays in the window
@@ -375,15 +385,9 @@ def dirac_shoot(
         window = (min(window), max(window))
     else:
         window = _GAP_WINDOW
-    return _shoot(
-        cfg,
-        m,
-        window,
-        *_dirac_template(ch, ch.s * xi),
-        lambda u: (tau * u, 1.0),
-        # lambda <= 1, so r_min <= 0.05 leaves every seed radius at 0.05/lambda
-        lambda narrow: 1.0,
-    )
+    # lambda <= 1, so r_min <= 0.05 leaves every seed radius at 0.05/lambda
+    p, mix = _dirac_template(ch, ch.s * xi)
+    return _shoot(cfg, m, window, p, mix, lambda u: (tau * u, 1.0), lambda narrow: 1.0)
 
 
 def count_dirac_levels(
@@ -392,14 +396,14 @@ def count_dirac_levels(
     """Number of mismatch sign changes over the whole gap (uniqueness probe).
 
     Unlike a shoot, whose scan stops at the first sign change, the count
-    evaluates every one of the n_scan grid points; when the config's grid
+    evaluates every one of the n_scan grid points; where the config's grid
     scales with 1/k, all from one pair of branch integrations."""
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("count_dirac_levels: requires an extended-regime channel")
     xi = ext.xi
     if ext.is_infinite or xi >= 0.0:
         return 0
-    miss_u = _mismatch(*_dirac_template(ch, ch.s * xi), cfg, 1.0, lambda n: None)
+    miss_u = _mismatch(*_dirac_template(ch, ch.s * xi), cfg, lambda n: None)
     return sum(1 for _ in _sign_changes(miss_u, _scan_grid(_GAP_WINDOW, cfg.n_scan)))
 
 
@@ -475,7 +479,7 @@ def _numerov_miss(
     # truncation allows before integrating: transporting the mixture
     # numerically from deep inside the power-law zone would erode the
     # microscopic regular-branch share (relative error / r^(2 g))
-    r_seed = min(max(cfg.r_min, 0.05 / k), 0.2 * r_max)
+    r_seed = min(cfg.r_min if _r_min_acts(cfg.r_min, k) else _SEED_Z / k, 0.2 * r_max)
     r_joint = min(0.5 / k, 0.25 * r_max)
     seed_directly = r_joint <= r_seed * math.exp(4.0 * dx)
     if seed_directly:
@@ -585,16 +589,10 @@ def schrodinger_shoot(
     else:
         window = (math.log(1e-8), math.log(1e6))
 
+    # kappa is largest at the deep end of a window
     p, mix = _ac_template(ch.gamma, -xi)
     return _shoot(
-        cfg,
-        m,
-        window,
-        p,
-        mix,
-        lambda y: (-math.exp(y), math.exp(y)),
-        # kappa is largest at the deep end of the window
-        lambda narrow: mix(narrow[1])[0],
+        cfg, m, window, p, mix, lambda y: (-math.exp(y), math.exp(y)), lambda w: mix(w[1])[0]
     )
 
 

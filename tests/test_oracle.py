@@ -22,10 +22,9 @@ E_REFEREE = 0.9990435200046799
 FAST = orc.ShootingConfig(diagnostics=False)
 
 
-def closed_form(p, mix, cfg=FAST, k_max=1.0):
-    """The mismatch a solve at cfg scans, without its counter; k_max = inf
-    makes it integrate the branches at each energy's k."""
-    return orc._mismatch(p, mix, cfg, k_max, lambda n: None)
+def closed_form(p, mix, cfg=FAST):
+    """The mismatch a solve at cfg scans, without its counter."""
+    return orc._mismatch(p, mix, cfg, lambda n: None)
 
 
 def dirac_channel(mu, l=0, s=-1):
@@ -243,7 +242,7 @@ class TestSmoothMismatch:
         # evaluations counts Numerov integrations: a solve whose grid scales
         # with 1/k integrates the template's two branches once, so the base
         # solve and each diagnostic probe make 2, and so does a level count;
-        # an explicit r_max makes a solve integrate both branches per energy
+        # an explicit r_max makes a solve integrate the template per energy
         calls = []
         original = orc._numerov_miss
 
@@ -254,7 +253,7 @@ class TestSmoothMismatch:
         monkeypatch.setattr(orc, "_numerov_miss", counted)
         ext = ab.Extension.from_xi(-1.0)
         assert orc.count_dirac_levels(dirac_channel(0.25), ext, FAST) == 1
-        assert calls == [FAST, FAST]
+        assert len(calls) == 2
         for shoot, ch in (
             (orc.dirac_shoot, dirac_channel(0.25)),
             (orc.schrodinger_shoot, ac_channel(0.5)),
@@ -266,7 +265,7 @@ class TestSmoothMismatch:
         res = orc.dirac_shoot(dirac_channel(0.25), ext, replace(FAST, r_max=40.0))
         assert res.E == pytest.approx(E_GOLDEN, abs=1e-6)
         assert res.evaluations == len(calls) > 2
-        assert len(calls) % 2 == 0
+        assert all(cfg.r_max == 40.0 for cfg in calls)
 
 
 def template_f1(ch, xi_int, r, E):
@@ -289,21 +288,25 @@ def template_f1(ch, xi_int, r, E):
 
 
 class TestClosedForm:
-    """The mismatch a solve scans is a closed-form mix of two branch
-    integrations at k = 1.  In z = k*r the grid and the equation hold no
-    energy, and Numerov is linear, so at every energy it must equal the
-    mismatch of the full template integrated at that energy's k, times
-    sqrt(k), and the same mix of the branches integrated at that k."""
+    """Where a solve's grid scales with 1/k, the mismatch it scans is a
+    closed-form mix of two branch integrations at k = 1.  In z = k*r the
+    grid and the equation hold no energy, and Numerov is linear, so at every
+    energy it must equal the mismatch of the full template integrated at
+    that energy's k.  With r_min = 0.5 the energies with k > 0.1 integrate
+    the template per energy and the rest read the pair, which must still
+    come from the scale-free grid though r_min > 0.05 there."""
+
+    CONFIGS = (FAST, replace(FAST, r_min=0.5))
 
     @pytest.mark.parametrize(
         "l, s, mu",
         [(-1, 1, 0.25), (-1, 1, 0.75), (0, 1, -0.25), (0, 1, -0.75), (1, -1, -0.25), (1, -1, -0.75)],
     )
-    def test_dirac_mix_is_the_per_energy_integration(self, l, s, mu):
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "r_min"])
+    def test_dirac_mix_is_the_per_energy_integration(self, l, s, mu, cfg):
         ch = dirac_channel(mu, l=l, s=s)
         xi_int = ch.s * -1.0
-        miss = closed_form(*orc._dirac_template(ch, xi_int))
-        per_energy = closed_form(*orc._dirac_template(ch, xi_int), k_max=math.inf)
+        miss = closed_form(*orc._dirac_template(ch, xi_int), cfg)
         for u in orc._scan_grid(orc._GAP_WINDOW, 8):
             E = ch.tau * u
             lam = math.sqrt((1.0 - E) * (1.0 + E))
@@ -311,14 +314,13 @@ class TestClosedForm:
             def seed(r):
                 return template_f1(ch, xi_int, r, E) / math.sqrt(r)
 
-            want = math.sqrt(lam) * orc._numerov_miss(abs(l + mu), lam, seed, FAST)
+            want = orc._numerov_miss(abs(l + mu), lam, seed, cfg)
             assert miss(u) == pytest.approx(want, rel=1e-10, abs=0.0)
-            assert per_energy(u) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [0.15, 0.5, 0.85])
-    def test_ac_mix_is_the_per_energy_integration(self, gamma):
-        miss = closed_form(*orc._ac_template(gamma, 1.0))
-        per_energy = closed_form(*orc._ac_template(gamma, 1.0), k_max=math.inf)
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "r_min"])
+    def test_ac_mix_is_the_per_energy_integration(self, gamma, cfg):
+        miss = closed_form(*orc._ac_template(gamma, 1.0), cfg)
         for y in orc._scan_grid((math.log(1e-8), math.log(1e6)), 8):
             kappa = math.sqrt(2.0 * math.exp(y))
 
@@ -327,16 +329,15 @@ class TestClosedForm:
                 frob = orc._frobenius_factor
                 return r**gamma * frob(gamma, z2) - r**-gamma * frob(-gamma, z2)
 
-            want = math.sqrt(kappa) * orc._numerov_miss(gamma, kappa, seed, FAST)
+            want = orc._numerov_miss(gamma, kappa, seed, cfg)
             assert miss(y) == pytest.approx(want, rel=1e-10, abs=0.0)
-            assert per_energy(y) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("p", [-0.75, -0.25, 0.15, 0.5, 0.85])
     def test_connection_ratio_is_the_gamma_one(self, p):
         # the branches z^(+-p) F grow as 2^(+-p) Gamma(1 +- p) e^z / sqrt(2 pi z),
         # so M_irr / M_reg is the analytic route's Gamma ratio, to Numerov's
         # truncation error (about 2e-8 at the default step)
-        m_reg, m_irr = orc._branch_misses(p, 1.0, FAST)
+        m_reg, m_irr = orc._branch_pair(p, FAST)
         gamma_ratio = 2.0 ** (-2.0 * p) * math.gamma(1.0 - p) / math.gamma(1.0 + p)
         assert m_irr / m_reg == pytest.approx(gamma_ratio, rel=1e-7)
 
@@ -393,10 +394,10 @@ class TestGoldenShoots:
     # E, match_residual, convergence_order_estimate, r_min_sensitivity,
     # evaluations
     CASES = {
-        "ab-off": (-0.5660020023270894, 1e-12, NAN, NAN, 2),
-        "ac-off": (-0.4999999999683449, 4.999999999683449e-13, NAN, NAN, 2),
-        "ab-on": (-0.5660020023270894, 1e-12, 4.010822108240156, 0.0, 6),
-        "ac-on": (-0.4999999999683449, 4.999999999683449e-13, 3.5500214647113606, 0.0, 6),
+        "ab-off": (-0.5660020023270153, 1e-12, NAN, NAN, 2),
+        "ac-off": (-0.49999999996842115, 4.999999999684211e-13, NAN, NAN, 2),
+        "ab-on": (-0.5660020023270153, 1e-12, 4.010777503760374, 0.0, 6),
+        "ac-on": (-0.49999999996842115, 4.999999999684211e-13, 3.5461687370977617, 0.0, 6),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -436,8 +437,8 @@ class TestSignScan:
         calls = []
         original = orc._mismatch
 
-        def wrapped(p, mix, cfg, k_max, count):
-            miss = original(p, mix, cfg, k_max, count)
+        def wrapped(p, mix, cfg, count):
+            miss = original(p, mix, cfg, count)
 
             def recorded(x):
                 value = miss(x)
