@@ -64,7 +64,7 @@ __all__ = [
 
 CRITICAL_TOL = 1e-9
 
-_EDGE_GUARD = 1e-12  # bisection window keeps |E| <= m*(1 - _EDGE_GUARD)
+_EDGE_GUARD = 1e-12  # root bracket keeps |E| <= m*(1 - _EDGE_GUARD)
 
 
 class Regime(Enum):
@@ -306,8 +306,8 @@ def master_xi_of_energy(ch: DiracChannel, E: float) -> float:
 def solve_bound_energy(ch: DiracChannel, ext: Extension) -> Optional[BoundLevel]:
     """Unique gap level with master_xi_of_energy(ch, E) = xi, or None for xi >= 0.
 
-    Bisection with secant acceleration in the monotone variable u = tau*E on
-    (-m(1-1e-12), m(1-1e-12)), in log space.
+    Brent's method (nk.find_root_bracketed) on ln|master_xi| - ln(-xi), in
+    the monotone variable u = tau*E on (-m(1-1e-12), m(1-1e-12)).
     """
     _require_extended(ch, "solve_bound_energy")
     xi = ext.xi

@@ -2,10 +2,11 @@
 
 The oracle never touches the analytic level formulas: it seeds the radial
 problem at an inner cutoff with the extension-family boundary template
-(continued inward by the Frobenius series of the ODE itself), integrates
-outward, and measures the admixture of the growing mode at an outer radius
-deep in the classically forbidden tail via a cross product with the decaying
-asymptotic solution.  Bound levels are roots of that mismatch in the energy.
+(each branch continued by the summed Frobenius series of the ODE itself),
+integrates outward, and measures the admixture of the growing mode at an
+outer radius deep in the classically forbidden tail via a cross product with
+the decaying asymptotic solution.  Bound levels are roots of that mismatch in
+the energy.
 
 The mismatch is the growing-mode coefficient times a smooth positive scale:
 the cross product divided by the free growth factor exp(k*(r_max - r_seed)),
@@ -21,18 +22,19 @@ constant in the pure Aharonov-Bohm field, so eliminating the lower component
 is exact: f1'' = [a(a - 1)/r^2 + lambda^2] f1 with a = s*nu_tilde and
 lambda^2 = 1 - E^2, the reduced Schroedinger form
 u'' = [(g^2 - 1/4)/r^2 + k^2] u of the neutral-fermion sector with
-g = |l + mu| and k = lambda.  Numerov integrates it on a logarithmic grid
-through the power-law zone, then on a linear grid through the tail; errors at
-the outer radius are damped by exp(-2*k*(r_max - r)), so the one resolution
-knob is the step numerov_dx, and the error falls as its fourth power.
+g = |l + mu| and k = lambda.  The Frobenius series converges at every
+radius, so the template is evaluated directly out to the seed radius 0.5/k,
+past the power-law zone, and Numerov integrates one linear grid from there
+through the tail; errors at the outer radius are damped by
+exp(-2*k*(r_max - r)), so the one resolution knob is the step numerov_dx,
+and the error falls as its fourth power.
 
 A solve integrates two solutions, not one per energy.  In z = k*r the
 equation u'' = [(g^2 - 1/4)/z^2 + 1] u holds no energy, and at the default
-lengths (seed radius 0.05/k, segment joint 0.5/k, r_max = 40/k, tail step
-numerov_dx/k) the whole grid scales as 1/k.  The template,
-c_reg r^p F_p + c_irr r^-p F_-p in r^(-1/2) u, is two Frobenius branches
-whose coefficients alone carry the energy, and Numerov is linear.  So the
-mismatch at E is, to rounding,
+lengths (seed radius 0.5/k, r_max = 40/k, step numerov_dx/k) the whole
+grid scales as 1/k.  The template, c_reg r^p F_p + c_irr r^-p F_-p in
+r^(-1/2) u, is two Frobenius branches whose coefficients alone carry the
+energy, and Numerov is linear.  So the mismatch at E is, to rounding,
 
     k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr),
 
@@ -41,7 +43,7 @@ integrated once at k = 1: lambda^(-nu) M_reg - xi_int (u + 1)/(s(2nu - 1))
 lambda^(nu - 1) M_irr for Dirac with tau = +1 (the f1 component; tau = -1
 takes the companion one), kappa^(-g) M_reg - xi_int kappa^g M_irr for the
 neutral fermion, each times k^(-1/2).  An explicit r_max, or an r_min above
-0.05/k, puts a length into the grid that does not scale with 1/k; at such an
+0.5/k, puts a length into the grid that does not scale with 1/k; at such an
 energy the solve integrates the template itself, once, and energies of the
 same solve where r_min does not act still read the shared pair.
 
@@ -89,16 +91,15 @@ class ShootingConfig:
     r_min/r_max in units of 1/m (r_max = None selects 40/k per energy, with
     k the tail decay constant: lambda = sqrt(1 - E^2) for Dirac, kappa =
     sqrt(-2E) for Schroedinger); numerov_dx is the Numerov grid step of both
-    sectors (logarithmic inner segment, and in units of 1/k on the linear
-    tail segment), below 1: at 1 the shoot is already 5e-4 m off, and from
-    about 177 the seed-radius test's exp(4*numerov_dx) overflows;
+    sectors in units of 1/k, below 1: at 0.99 the golden shoots are already
+    2e-4 m (neutral fermion) and 1.2e-3 m (Dirac) off;
     energy_bracket (in units of m) overrides the default scan window;
     n_scan grid points locate the sign change; diagnostics enables the
     nested-cutoff re-solves.
 
     r_min is a lower limit on the radius where the template series seeds the
-    integration, r_seed = min(max(r_min, 0.05/k), 0.2*r_max), so it only
-    acts when r_min > 0.05/k.  At an energy where it acts, or at every energy
+    integration, r_seed = min(max(r_min, 0.5/k), 0.2*r_max), so it only
+    acts when r_min > 0.5/k.  At an energy where it acts, or at every energy
     under an explicit r_max, a solve integrates the template itself instead
     of reading its shared branch pair (see the module docstring).
     When halving r_min cannot move r_seed anywhere in the probe window, the
@@ -151,17 +152,25 @@ class ConvergenceReport:
 
 
 def _frobenius_factor(a: float, z2: float) -> float:
-    """1 + z^2/(4(1+a)) + z^4/(32(1+a)(2+a)) + z^6/(384(1+a)(2+a)(3+a)).
+    """F_a(z^2) = 0F1(; 1 + a; z^2/4) = sum_n (z^2/4)^n / (n! (1 + a)_n).
 
-    Series factor of the local solution r^(a+1/2) about the origin; truncation
-    is below 1e-13 for |z| <= 0.05 over the index range used here.
+    Series factor of the local solution r^(a+1/2) about the origin, summed
+    by t_n = t_(n-1) (z^2/4) / (n (n + a)) until a term no longer changes the
+    sum.  The series converges for every z, and for a > -1 every term is
+    positive, so the sum carries no cancellation (DLMF 10.25.2).
     """
-    return 1.0 + z2 / (4.0 * (1.0 + a)) * (
-        1.0 + z2 / (8.0 * (2.0 + a)) * (1.0 + z2 / (12.0 * (3.0 + a)))
-    )
+    q = 0.25 * z2
+    term = total = 1.0
+    n = 0
+    while True:
+        n += 1
+        term *= q / (n * (n + a))
+        if total + term == total:
+            return total
+        total += term
 
 
-_SEED_Z = 0.05  # seed radius in units of 1/k where the grid scales with 1/k
+_SEED_Z = 0.5  # seed radius in units of 1/k where the grid scales with 1/k
 
 
 def _r_min_acts(r_min: float, k: float) -> bool:
@@ -385,7 +394,7 @@ def dirac_shoot(
         window = (min(window), max(window))
     else:
         window = _GAP_WINDOW
-    # lambda <= 1, so r_min <= 0.05 leaves every seed radius at 0.05/lambda
+    # lambda <= 1, so r_min <= 0.5 leaves every seed radius at 0.5/lambda
     p, mix = _dirac_template(ch, ch.s * xi)
     return _shoot(cfg, m, window, p, mix, lambda u: (tau * u, 1.0), lambda narrow: 1.0)
 
@@ -458,93 +467,29 @@ def _numerov_pass(
 def _numerov_miss(
     g: float, k: float, seed: Callable[[float], float], cfg: ShootingConfig
 ) -> float:
-    """Tail mismatch for u'' = [(g^2 - 1/4)/r^2 + k^2] u, two-segment Numerov.
+    """Tail mismatch for u'' = [(g^2 - 1/4)/r^2 + k^2] u by Numerov.
 
     The mismatch is the cross product of the last two tail values with the
     decaying asymptote sqrt(r) K_g(k r), times exp(-k*(r_max - r_seed)): the
     growing-mode coefficient times a smooth positive scale.
 
-    Segment 1 covers the power-law zone on a logarithmic grid via
-    v(x) = e^(-x/2) u(e^x), v'' = [g^2 + k^2 e^(2x)] v, seeded from
-    seed(r) = r^(-1/2) u(r), the sector's domain template continued by its
-    series corrections.  Segment 2 integrates u directly on a linear grid out
-    to r_max; the handoff error at the segment joint is damped by
-    exp(-2 k (r_max - r_joint)) like any boundary perturbation there.
+    seed(r) = r^(-1/2) u(r) is the sector's domain template, each branch
+    continued by its summed Frobenius factor, which converges at every r; its
+    values at the first two grid points start one linear grid from r_seed to
+    r_max.  Evaluating the series out to r_seed, instead of transporting the
+    mixture numerically from deep inside the power-law zone, keeps the
+    microscopic regular-branch share (relative error / r^(2 g)) exact.
     """
     r_max = cfg.r_max if cfg.r_max is not None else 40.0 / k
-    g2 = g * g
-    k2 = k * k
-    dx = cfg.numerov_dx
-    # evaluate the template's series continuation as far out as its
-    # truncation allows before integrating: transporting the mixture
-    # numerically from deep inside the power-law zone would erode the
-    # microscopic regular-branch share (relative error / r^(2 g))
     r_seed = min(cfg.r_min if _r_min_acts(cfg.r_min, k) else _SEED_Z / k, 0.2 * r_max)
-    r_joint = min(0.5 / k, 0.25 * r_max)
-    seed_directly = r_joint <= r_seed * math.exp(4.0 * dx)
-    if seed_directly:
-        # the template series already reaches the tail grid: seed the linear
-        # segment from two series values, no derivative handoff needed
-        r_joint = r_seed
-        u_j = math.sqrt(r_joint) * seed(r_joint)
-        up_j = 0.0
-    else:
-        x0 = math.log(r_seed)
-        x1 = math.log(r_joint)
-        n_log = max(8, int(math.ceil((x1 - x0) / dx)))
-        h_log = (x1 - x0) / n_log
-
-        def w_log(x: float) -> float:
-            return g2 + k2 * math.exp(2.0 * x)
-
-        # integrate keeping the last three values; extract v' at the interior
-        # point x_c = x1 - h with the Numerov-consistent centered formula
-        hh = h_log * h_log
-        h2_12 = hh / 12.0
-        exp = math.exp
-        y_prev, y_cur = seed(math.exp(x0)), seed(math.exp(x0 + h_log))
-        w_cur = w_log(x0 + h_log)
-        t_prev = y_prev * (1.0 - h2_12 * w_log(x0))
-        t_cur = y_cur * (1.0 - h2_12 * w_cur)
-        y_mm = y_prev
-        for i in range(2, n_log + 1):
-            # w at x0 + (i-1)*h_log was the previous step's w_next
-            w_next = g2 + k2 * exp(2.0 * (x0 + i * h_log))
-            t_next = 2.0 * t_cur - t_prev + hh * w_cur * y_cur
-            y_next = t_next / (1.0 - h2_12 * w_next)
-            w_cur = w_next
-            t_prev, t_cur = t_cur, t_next
-            y_mm, y_prev, y_cur = y_prev, y_cur, y_next
-        x_c = x1 - h_log
-        d_centered = (y_cur - y_mm) / (2.0 * h_log)
-        f_c = w_log(x_c)
-        fp_c = 2.0 * k2 * math.exp(2.0 * x_c)
-        v_prime = (d_centered - h_log * h_log / 6.0 * fp_c * y_prev) / (
-            1.0 + h_log * h_log / 6.0 * f_c
-        )
-        r_joint = math.exp(x_c)
-        u_j = math.exp(0.5 * x_c) * y_prev
-        up_j = math.exp(-0.5 * x_c) * (v_prime + 0.5 * y_prev)
-
-    # linear tail segment from r_joint to r_max
-    h_r = dx / k
-    n_lin = max(8, int(math.ceil((r_max - r_joint) / h_r)))
-    h_r = (r_max - r_joint) / n_lin
-    c = g2 - 0.25
-    if seed_directly:
-        u_next = math.sqrt(r_joint + h_r) * seed(r_joint + h_r)
-    else:
-        w0 = c / (r_joint * r_joint) + k2
-        wp = -2.0 * c / r_joint**3
-        wpp = 6.0 * c / r_joint**4
-        u2 = w0 * u_j
-        u3 = wp * u_j + w0 * up_j
-        u4 = wpp * u_j + 2.0 * wp * up_j + w0 * u2
-        u_next = (
-            u_j + h_r * up_j + h_r**2 / 2.0 * u2 + h_r**3 / 6.0 * u3 + h_r**4 / 24.0 * u4
-        )
-    ub, ua, log_scale = _numerov_pass(c, k2, u_j, u_next, r_joint, h_r, n_lin)
-    rb = r_joint + (n_lin - 1) * h_r
+    h_r = cfg.numerov_dx / k
+    n = max(8, int(math.ceil((r_max - r_seed) / h_r)))
+    h_r = (r_max - r_seed) / n
+    u_0 = math.sqrt(r_seed) * seed(r_seed)
+    u_1 = math.sqrt(r_seed + h_r) * seed(r_seed + h_r)
+    g2 = g * g
+    ub, ua, log_scale = _numerov_pass(g2 - 0.25, k * k, u_0, u_1, r_seed, h_r, n)
+    rb = r_seed + (n - 1) * h_r
     ra = r_max
     w1 = (4.0 * g2 - 1.0) / 8.0
     w2 = (4.0 * g2 - 1.0) * (4.0 * g2 - 9.0) / 128.0
@@ -559,8 +504,8 @@ def _numerov_miss(
 
 def _ac_template(g: float, xi_int: float) -> tuple[float, Mix]:
     """(p, mix) of the domain template f ~ (m r)^g - xi_int (m r)^(-g) over
-    y = ln(-E), with kappa = sqrt(-2E); v = f on the logarithmic segment, and
-    the bound side has xi_int = -xi > 0."""
+    y = ln(-E), with kappa = sqrt(-2E); the seed r^(-1/2) u is f, and the
+    bound side has xi_int = -xi > 0."""
     return g, lambda y: (math.sqrt(2.0 * math.exp(y)), 1.0, -xi_int)
 
 

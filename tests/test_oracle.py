@@ -103,8 +103,8 @@ class TestDiracShoot:
 
     def test_r_min_insensitivity(self):
         # halving the inner cutoff moves E by less than 10x the match residual;
-        # at the default r_min every seed radius is 0.05/lambda, which the
-        # halved cutoff cannot move, so the probe is skipped and reads exactly 0
+        # at the default r_min every seed radius is 0.5/k, which the halved
+        # cutoff cannot move, so the probe is skipped and reads exactly 0
         for shoot, ch in (
             (orc.dirac_shoot, dirac_channel(0.25)),
             (orc.schrodinger_shoot, ac_channel(0.4)),
@@ -200,14 +200,27 @@ class TestDeepLevelRelativeAccuracy:
         assert res.E == pytest.approx(analytic, rel=1e-7)
 
     def test_direct_series_seed_branch(self):
-        # a coarse inner cutoff on a deep level makes the template series
-        # reach the tail grid directly (no logarithmic segment)
+        # a coarse inner cutoff on a deep level (r_min = 0.01 > 0.5/kappa)
+        # seeds the tail grid from the summed template series at z = kappa
+        # r_min, about 0.6 here, instead of at 0.5
         ch = ac_channel(0.15)
         ext = ab.Extension.from_xi(-0.3)
         analytic = ac.ac_bound_energy(ch, ext).E_n
         cfg = orc.ShootingConfig(r_min=0.01, diagnostics=False)
         res = orc.schrodinger_shoot(ch, ext, cfg)
-        assert res.E == pytest.approx(analytic, rel=1e-4)
+        assert res.E == pytest.approx(analytic, rel=1e-8)
+
+    def test_r_min_below_the_seed_radius_does_not_act(self):
+        # r_min = 1e-3 lies below 0.5/kappa at every energy of the probe
+        # window, so the solve reads the shared branch pair, one per solve,
+        # and the r_min probe is skipped
+        ch = ac_channel(0.15)
+        ext = ab.Extension.from_xi(-0.3)
+        analytic = ac.ac_bound_energy(ch, ext).E_n
+        res = orc.schrodinger_shoot(ch, ext, orc.ShootingConfig(r_min=1e-3))
+        assert res.E == pytest.approx(analytic, rel=1e-8)
+        assert res.r_min_sensitivity == 0.0
+        assert res.evaluations == 6
 
 
 class TestSmoothMismatch:
@@ -342,6 +355,38 @@ class TestClosedForm:
         assert m_irr / m_reg == pytest.approx(gamma_ratio, rel=1e-7)
 
 
+class TestFrobeniusFactor:
+    """The template's series factor is 0F1(; 1 + a; z^2/4) summed in full:
+    the oracle seeds its tail grid from it at z = 0.5 and, where r_min acts,
+    further out."""
+
+    @pytest.mark.parametrize("a", [-0.999, -0.75, -0.25, 0.15, 0.85])
+    @pytest.mark.parametrize("z", [0.05, 0.5, 2.0, 8.0])
+    def test_matches_hyp0f1(self, a, z):
+        import mpmath
+
+        want = float(mpmath.hyp0f1(1 + mpmath.mpf(a), mpmath.mpf(z * z) / 4))
+        assert orc._frobenius_factor(a, z * z) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+class TestSeedRadius:
+    """r_min = 5 lifts the seed radius 0.5/kappa where kappa > 0.1; there the
+    template is integrated per energy, and the energies below read a branch
+    pair that must still be seeded at the scale-free z = 0.5."""
+
+    @pytest.mark.parametrize("gamma", [0.15, 0.85])
+    def test_r_min_above_the_seed_radius(self, gamma):
+        cfg = replace(FAST, r_min=5.0)
+        miss = closed_form(*orc._ac_template(gamma, 1.0), cfg)
+        kappas = []
+        for y in orc._scan_grid((math.log(1e-8), math.log(1e6)), 8):
+            kappa = math.sqrt(2.0 * math.exp(y))
+            kappas.append(kappa)
+            want = orc._template_miss(gamma, kappa, 1.0, -1.0, cfg)
+            assert miss(y) == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert min(kappas) < 0.1 < max(kappas)
+
+
 class TestRenormalization:
     """Shoots whose state crosses the 1e250 renormalization in the tail."""
 
@@ -394,10 +439,10 @@ class TestGoldenShoots:
     # E, match_residual, convergence_order_estimate, r_min_sensitivity,
     # evaluations
     CASES = {
-        "ab-off": (-0.5660020023270153, 1e-12, NAN, NAN, 2),
-        "ac-off": (-0.49999999996842115, 4.999999999684211e-13, NAN, NAN, 2),
-        "ab-on": (-0.5660020023270153, 1e-12, 4.010777503760374, 0.0, 6),
-        "ac-on": (-0.49999999996842115, 4.999999999684211e-13, 3.5461687370977617, 0.0, 6),
+        "ab-off": (-0.5660020004488145, 1e-12, NAN, NAN, 2),
+        "ac-off": (-0.49999999999242695, 4.999999999924269e-13, NAN, NAN, 2),
+        "ab-on": (-0.5660020004488145, 1e-12, 3.9628647313763494, 0.0, 6),
+        "ac-on": (-0.49999999999242695, 4.999999999924269e-13, 4.350383381570001, 0.0, 6),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
