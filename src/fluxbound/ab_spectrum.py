@@ -7,8 +7,11 @@ system
    -s f1' + (nu_tilde/r) f1 = (E + m) f2,        nu_tilde = l + mu + s/2.
 
 For 0 < nu < 1/2 (nu = |nu_tilde|) the operator admits a one-parameter family
-of self-adjoint boundary conditions at the origin, labeled here by an angle
-theta (equivalently xi = tan(theta/2)).  Domain functions behave like
+of self-adjoint boundary conditions at the origin, labeled, as in the paper,
+by xi in (-inf, inf] (-inf names the same extension as +inf).  Extension
+stores xi itself; the angle theta = 2 atan(xi) is derived, and
+Extension.from_theta is the one place an angle is turned into xi.  Domain
+functions behave like
 
     F(r) -> C [ (m r)^nu  d_plus  -  xi_int (m r)^(-nu) d_minus ],   r -> 0,
 
@@ -177,32 +180,31 @@ def classify_channel(ch: DiracChannel) -> ChannelClass:
 
 @dataclass(frozen=True)
 class Extension:
-    """Self-adjoint extension parameter: angle theta in [0, 2pi), xi = tan(theta/2)."""
+    """The paper's extension parameter xi; bound states exist exactly for xi < 0.
 
-    theta: float
+    +-inf is one extension, stored as +inf; theta = 2 atan(xi) mod 2pi is derived."""
+
+    xi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta < 2.0 * math.pi:
-            raise ValueError(f"Extension: theta must lie in [0, 2pi), got {self.theta}")
+        if math.isnan(self.xi):
+            raise ValueError("Extension: xi must not be NaN")
+        if self.xi == -math.inf:
+            object.__setattr__(self, "xi", math.inf)
 
     @classmethod
     def from_xi(cls, xi: float) -> "Extension":
-        if math.isinf(xi):
-            return cls(math.pi)
-        theta = 2.0 * math.atan(xi)
-        if theta < 0.0:
-            theta += 2.0 * math.pi
-        return cls(theta)
+        return cls(xi)
+
+    @classmethod
+    def from_theta(cls, theta: float) -> "Extension":
+        if not 0.0 <= theta < 2.0 * math.pi:
+            raise ValueError(f"Extension: theta must lie in [0, 2pi), got {theta}")
+        return cls(math.inf if theta == math.pi else math.tan(0.5 * theta))
 
     @property
-    def xi(self) -> float:
-        if self.theta == math.pi:
-            return math.inf
-        return math.tan(0.5 * self.theta)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.theta == math.pi
+    def theta(self) -> float:
+        return 2.0 * math.atan(self.xi) % (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,7 @@ def solve_bound_energy(ch: DiracChannel, ext: Extension) -> Optional[BoundLevel]
     """
     _require_extended(ch, "solve_bound_energy")
     xi = ext.xi
-    if ext.is_infinite or xi >= 0.0:
+    if not xi < 0.0:
         return None
     m, tau = ch.m, ch.tau
     target = math.log(-xi)
@@ -432,15 +434,16 @@ def printed_level(ch: DiracChannel, ext: Extension, variant: str) -> Optional[Bo
     Each is a power law ratio * (lambda/scale)^p = target in lambda: "wr00"
     (omega_xi = 0) is "levab"'s with scale m/2 and target -xi, the others have
     scale m and target xi.  The printed forms see only lambda, so E takes the
-    sign of the master level.  None without a master level or a root with
-    0 < lambda < m; the residual is |ratio (lambda/scale)^p - target|.
+    sign of the master level, read off one comparison at E = 0.  None for
+    xi >= 0 or without a root with 0 < lambda < m; the residual is
+    |ratio (lambda/scale)^p - target|.
     """
     if variant != "wr00" and variant not in _LEVEL_VARIANTS:
         raise ValueError(f"printed_level: unknown variant {variant!r}")
-    master = solve_bound_energy(ch, ext)
-    if master is None:
-        return None
+    _require_extended(ch, "printed_level")
     m, xi = ch.m, ext.xi
+    if not xi < 0.0:
+        return None
     ratio, p = _printed_power_law(ch, "levab" if variant == "wr00" else variant)
     scale, target = (0.5 * m, -xi) if variant == "wr00" else (m, xi)
     q = target / ratio
@@ -449,11 +452,12 @@ def printed_level(ch: DiracChannel, ext: Extension, variant: str) -> Optional[Bo
     lam = scale * math.exp(min(math.log(q) / p, 1.0)) if q > 0.0 else 0.0
     if not 0.0 < lam < m:
         return None
+    # |master xi| falls along u = tau*E, so the master level has u >= 0
+    # exactly when |master xi(0)| >= -xi
+    u_sign = 1.0 if log_abs_master_xi(ch, 0.0) >= math.log(-xi) else -1.0
     e = math.sqrt((m - lam) * (m + lam))
     residual = abs(ratio * (lam / scale) ** p - target)
-    return BoundLevel(
-        E=e if master.E >= 0.0 else -e, lam=lam, xi=xi, channel=ch, residual=residual
-    )
+    return BoundLevel(E=ch.tau * u_sign * e, lam=lam, xi=xi, channel=ch, residual=residual)
 
 
 # ---------------------------------------------------------------------------

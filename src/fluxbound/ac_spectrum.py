@@ -145,29 +145,36 @@ def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
     Extended:      E_n = -2m (-xi Gamma(1-gamma)/Gamma(1+gamma))^(-1/gamma)
     LogCritical:   E_0 = -4m exp(2 (xi - euler))     (separate parameter chart)
     Regular:       RegimeError (no extension, no bound state)
+
+    A level whose E_n or kappa over- or underflows the double range is an
+    EnergyDomainError.
     """
     regime = ch.regime
+    g = ch.gamma
     if regime is ACRegime.REGULAR:
-        raise RegimeError(
-            f"ac_bound_energy: gamma={ch.gamma:.6g} is regular; no bound state"
-        )
+        raise RegimeError(f"ac_bound_energy: gamma={g:.6g} is regular; no bound state")
     xi = ext.xi
-    if ext.is_infinite or xi >= 0.0:
+    if not xi < 0.0:
         return None
     m = ch.m
-    if regime is ACRegime.LOG_CRITICAL:
-        E0 = -4.0 * m * math.exp(2.0 * (xi - EULER_GAMMA))
-        return ACLevel(E_n=E0, kappa=math.sqrt(-2.0 * m * E0), xi=xi, channel=ch, residual=0.0)
-    g = ch.gamma
-    base = -xi * nk.gamma_fn(1.0 - g) / nk.gamma_fn(1.0 + g)
-    E_n = -2.0 * m * base ** (-1.0 / g)
-    return ACLevel(
-        E_n=E_n,
-        kappa=math.sqrt(-2.0 * m * E_n),
-        xi=xi,
-        channel=ch,
-        residual=_level_residual(ch, xi, E_n),
-    )
+    log_critical = regime is ACRegime.LOG_CRITICAL
+    if log_critical:
+        E_n = -4.0 * m * math.exp(2.0 * (xi - EULER_GAMMA))
+    else:
+        base = -xi * nk.gamma_fn(1.0 - g) / nk.gamma_fn(1.0 + g)
+        try:
+            E_n = -2.0 * m * base ** (-1.0 / g)
+        except OverflowError:  # a float power raises where a product gives inf
+            E_n = -math.inf
+    kappa = math.sqrt(-2.0 * m * E_n)
+    # kappa is 0 where E_n underflows and inf where E_n or kappa overflows
+    if not 0.0 < kappa < math.inf:
+        raise EnergyDomainError(
+            f"ac_bound_energy: the level at gamma={g!r}, xi={xi!r} lies outside "
+            "the double range"
+        )
+    residual = 0.0 if log_critical else _level_residual(ch, xi, E_n)
+    return ACLevel(E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=residual)
 
 
 def ac_solve_cross_check(ch: ACChannel, ext: Extension) -> ACLevel:
@@ -178,7 +185,7 @@ def ac_solve_cross_check(ch: ACChannel, ext: Extension) -> ACLevel:
     """
     _require_extended(ch, "ac_solve_cross_check")
     xi = ext.xi
-    if ext.is_infinite or xi >= 0.0:
+    if not xi < 0.0:
         raise ValueError("ac_solve_cross_check: requires finite xi < 0")
     g, m = ch.gamma, ch.m
     lng = math.log(nk.gamma_fn(1.0 + g) / nk.gamma_fn(1.0 - g))
@@ -207,7 +214,7 @@ def ac_special_levels(c: float, ext: Extension) -> tuple[float, float]:
     if not 0.0 < c < 1.0:
         raise EnergyDomainError(f"ac_special_levels: need c in (0,1), got {c}")
     xi = ext.xi
-    if ext.is_infinite or xi >= 0.0:
+    if not xi < 0.0:
         raise ValueError("ac_special_levels: requires finite xi < 0")
     e0 = -2.0 * (-xi * nk.gamma_fn(1.0 - c) / nk.gamma_fn(1.0 + c)) ** (-1.0 / c)
     e1 = -2.0 * (-xi * nk.gamma_fn(c) / nk.gamma_fn(2.0 - c)) ** (1.0 / (c - 1.0))

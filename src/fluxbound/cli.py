@@ -5,14 +5,22 @@ deterministic, byte-identical output for identical inputs.  Exit codes:
 0 success, 2 with one JSON line ``{"error", "kind"}`` on stderr for a usage
 error (kind "usage": bad or missing flags, grids, config values, a mass whose
 square is not a finite normal float, an ``--r-min`` that ``ShootingConfig``
-rejects, a ``--resolution`` outside [1e-3, 1)) or a domain error (kind
-"domain": critical or regular regime requests), 1 internal failure.
+rejects, a ``--resolution`` outside [1e-3, 1), a NaN ``--xi`` or a
+``--theta`` outside [0, 2pi)) or a domain error (kind "domain": critical or
+regular regime requests, a neutral-fermion level beyond the double range),
+1 internal failure.
+
+The extension is the paper's xi, given by ``--xi`` and kept exactly, or by
+``--theta``, converted once by ``Extension.from_theta``; ``--xi -inf`` names
+the same extension as ``--xi inf``.  The ``xi`` column prints the stored xi.
 
 Rows hold NaN only in the level columns of a row without a level (sweeps,
 printed level-equation variants) and in ``oracle-check``'s
 ``convergence_order`` when its resolution ladder does not converge, so no
 order can be read off it: when the second difference is not smaller than the
-first (the ladder is then in rounding noise) or is at the 1e-15 floor.
+first (the ladder is then in rounding noise) or is at the 1e-15 floor.  The
+only other non-finite value is ``inf`` in the ``xi`` column, for the
+theta = pi extension, whose rows have no level.
 
 A flat ``key = value`` config file (# comments) can prefill any long flag;
 its values pass the flag's own type and choices checks, and explicit flags
@@ -200,16 +208,17 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
     return RunSpec(command=command, params=params, fmt=fmt, out_path=out_path)
 
 
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf)", re.IGNORECASE)
 
 
 def _join_negative_values(argv: Sequence[str]) -> list[str]:
     """Rewrite '--flag -1e-3' as '--flag=-1e-3'.
 
     argparse takes a token that starts with '-' for a flag unless it is a
-    plain negative number, so negative values in scientific notation and grids
-    with a negative bound ('-1.5:1.5:61') would need the '=' form.  Every long
-    flag but --help takes one value, so a '-digit' token after one is its value.
+    plain negative number, so negative values in scientific notation, '-inf'
+    and grids with a negative bound ('-1.5:1.5:61') would need the '=' form.
+    Every long flag but --help takes one value, so a '-digit' or '-inf' token
+    after one is its value.
     """
     out: list[str] = []
     for token in argv:
@@ -227,9 +236,12 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def _extension(params: dict) -> ab.Extension:
-    if params["theta"] is not None:
-        return ab.Extension(params["theta"])
-    return ab.Extension.from_xi(params["xi"])
+    theta = params["theta"]
+    flag = "--xi" if theta is None else "--theta"
+    try:
+        return ab.Extension(params["xi"]) if theta is None else ab.Extension.from_theta(theta)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _fmt_float(x: float) -> str:

@@ -385,7 +385,7 @@ def dirac_shoot(
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("dirac_shoot: requires an extended-regime channel")
     xi = ext.xi
-    if ext.is_infinite or xi >= 0.0:
+    if not xi < 0.0:
         return None
     m = ch.m
     tau = ch.tau
@@ -410,7 +410,7 @@ def count_dirac_levels(
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("count_dirac_levels: requires an extended-regime channel")
     xi = ext.xi
-    if ext.is_infinite or xi >= 0.0:
+    if not xi < 0.0:
         return 0
     miss_u = _mismatch(*_dirac_template(ch, ch.s * xi), cfg, lambda n: None)
     return sum(1 for _ in _sign_changes(miss_u, _scan_grid(_GAP_WINDOW, cfg.n_scan)))
@@ -522,7 +522,7 @@ def schrodinger_shoot(
     if ch.regime is not ACRegime.EXTENDED:
         raise RegimeError("schrodinger_shoot: requires 0 < gamma < 1")
     xi = ext.xi
-    if ext.is_infinite or xi >= 0.0:
+    if not xi < 0.0:
         return None
     m = ch.m
     if cfg.energy_bracket is not None:

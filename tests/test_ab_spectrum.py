@@ -81,8 +81,8 @@ class TestClassifyChannel:
 
 class TestExtension:
     def test_theta_xi_correspondence(self):
-        assert ab.Extension(0.0).xi == 0.0
-        assert math.isinf(ab.Extension(math.pi).xi)
+        assert ab.Extension.from_theta(0.0).xi == 0.0
+        assert math.isinf(ab.Extension.from_theta(math.pi).xi)
         assert ab.Extension.from_xi(math.inf).theta == math.pi
 
     def test_round_trip(self):
@@ -91,9 +91,33 @@ class TestExtension:
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            ab.Extension(-0.1)
+            ab.Extension.from_theta(-0.1)
         with pytest.raises(ValueError):
-            ab.Extension(2.0 * math.pi)
+            ab.Extension.from_theta(2.0 * math.pi)
+
+    def test_xi_is_stored_exactly(self):
+        for k in range(-300, 301):
+            for xi in (10.0**k, -(10.0**k)):
+                assert ab.Extension.from_xi(xi).xi == xi
+        for xi in (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308):
+            assert ab.Extension.from_xi(xi).xi == xi
+
+    def test_infinities_are_one_extension(self):
+        assert ab.Extension.from_xi(math.inf).xi == math.inf
+        assert ab.Extension.from_xi(-math.inf).xi == math.inf
+        assert ab.Extension(-math.inf) == ab.Extension(math.inf)
+
+    @pytest.mark.parametrize("make", [ab.Extension, ab.Extension.from_xi, ab.Extension.from_theta])
+    def test_nan_is_rejected(self, make):
+        with pytest.raises(ValueError):
+            make(math.nan)
+
+    @pytest.mark.parametrize("xi", [-1e300, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 1e300])
+    def test_theta_is_derived_in_range(self, xi):
+        theta = ab.Extension(xi).theta
+        assert 0.0 <= theta < 2.0 * math.pi
+        if abs(xi) < 10.0:  # tan loses xi as theta nears pi
+            assert ab.Extension.from_theta(theta).xi == pytest.approx(xi, rel=1e-15)
 
 
 class TestMasterXi:

@@ -1,6 +1,7 @@
 """Neutral-fermion sector: classification, closed forms, wave functions."""
 
 import math
+import re
 
 import pytest
 
@@ -94,6 +95,29 @@ class TestBoundEnergy:
     def test_regular_regime_error(self):
         with pytest.raises(RegimeError):
             ac.ac_bound_energy(channel(1.2), Extension.from_xi(-1.0))
+
+    @pytest.mark.parametrize(
+        "gamma, xi",
+        [
+            (0.001, -0.001),  # E_n overflows the float power
+            (0.5, -1e-300),  # E_n overflows
+            (0.5, -1e300),  # E_n underflows to -0.0
+            (0.0, -1e3),  # log chart: E_0 underflows
+        ],
+    )
+    def test_level_outside_the_double_range(self, gamma, xi):
+        with pytest.raises(EnergyDomainError, match=re.escape(f"gamma={gamma!r}, xi={xi!r}")):
+            ac.ac_bound_energy(channel(gamma), Extension.from_xi(xi))
+
+    def test_xi_enters_exactly(self):
+        # E_n is proportional to xi^(-1/gamma) = xi^-2 at gamma = 1/2, so the
+        # xi = -1e-10 level is the xi = -1 one times 1e20 to rounding; each is
+        # -m/(2 xi^2) up to the kernel's Gamma(1/2)/Gamma(3/2), 2(1 - 8e-16)
+        ch = channel(0.5)
+        deep = ac.ac_bound_energy(ch, Extension.from_xi(-1e-10)).E_n
+        unit = ac.ac_bound_energy(ch, Extension.from_xi(-1.0)).E_n
+        assert deep == pytest.approx(1e20 * unit, rel=1e-15, abs=0.0)
+        assert deep == pytest.approx(-5e19, rel=2e-15, abs=0.0)
 
     def test_mass_scaling(self):
         e1 = ac.ac_bound_energy(channel(0.35, m=1.0), Extension.from_xi(-2.2)).E_n

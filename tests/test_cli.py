@@ -1,5 +1,6 @@
 """CLI front end: parsing, schemas, round trips, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxbound import cli
 
@@ -104,6 +107,8 @@ class TestParseArgs:
             ["ab-solve", "--mu", "-.25", "--s", "-1", "--xi", "-1"],
             ["ab-sweep", "--beta-grid", "-1.5:1.5:61", "--xi", "-1"],
             ["ab-density", "--mu", "0.25", "--xi", "-1", "--energy-grid", "-5:-1.001:100"],
+            ["ab-solve", "--mu", "0.25", "--xi", "-inf"],
+            ["ab-solve", "--mu", "0.25", "--xi", "-Infinity"],
         ],
     )
     def test_negative_value_after_space(self, argv):
@@ -132,6 +137,10 @@ class TestUsageErrors:
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=5"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e-8"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=9e-4"],
+            ["ab-solve", "--mu", "0.25", "--xi", "nan"],
+            ["ab-solve", "--mu", "0.25", "--theta", "nan"],
+            ["ab-solve", "--mu", "0.25", "--theta", "7"],
+            ["ac-solve", "--gamma", "0.5", "--theta", "-0.1"],
         ],
     )
     def test_one_json_usage_line(self, capsys, argv):
@@ -145,6 +154,15 @@ class TestUsageErrors:
         # a bad --resolution is reported under its own name and range
         if any(arg.startswith("--resolution") for arg in argv):
             assert report["error"].startswith("--resolution must lie in [1e-3, 1)")
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--xi", "nan"), ("--theta", "nan"), ("--theta", "7"), ("--theta", "-0.1")]
+    )
+    def test_bad_extension_named_by_its_flag(self, capsys, flag, value):
+        assert cli.main(["ab-solve", "--mu", "0.25", flag, value]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["kind"] == "usage"
+        assert report["error"].startswith(f"{flag}: ")
 
     @pytest.mark.parametrize("argv", [["--help"], ["ab-solve", "--help"]])
     def test_help_exits_0(self, capsys, argv):
@@ -208,6 +226,46 @@ class TestRunCommands:
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out.decode())))
         assert float(row["E_over_m"]) == pytest.approx(-0.5, abs=1e-12)
+
+    def test_xi_is_printed_as_given(self, capsys):
+        for xi in ("-1", "-1e15", "-1e-10", "0.3"):
+            assert cli.main(["ab-solve", "--mu", "0.25", "--xi", xi]) == 0
+            row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert float(row["xi"]) == float(xi)
+
+    @pytest.mark.parametrize("xi", ["-1e-300", "-1e300"])
+    def test_extreme_xi_has_a_level(self, capsys, xi):
+        # the level sits at the edge guard, E -> tau*m as xi -> 0^- and
+        # E -> -tau*m as xi -> -inf (tau = +1 here)
+        assert cli.main(["ab-solve", "--mu", "0.25", "--xi", xi]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert float(row["xi"]) == float(xi)
+        assert abs(float(row["E_over_m"])) == pytest.approx(1.0, abs=1e-11)
+        assert math.copysign(1.0, float(row["E_over_m"])) == (1.0 if xi == "-1e-300" else -1.0)
+
+    def test_ac_level_with_exact_xi(self, capsys):
+        # -m/(2 xi^2) at gamma = 1/2, to the kernel's Gamma(1/2)/Gamma(3/2)
+        assert cli.main(["ac-solve", "--gamma", "0.5", "--xi", "-1e-10"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert float(row["xi"]) == -1e-10
+        assert float(row["E_over_m"]) == pytest.approx(-5e19, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ac-sweep", "--gamma-grid", "0.001:0.5:3", "--xi", "-0.001"],
+            ["ac-solve", "--gamma", "0.5", "--xi", "-1e-300"],
+            ["ac-solve", "--gamma", "0.5", "--xi", "-1e300"],
+        ],
+    )
+    def test_ac_level_beyond_the_double_range(self, capsys, argv):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        report = json.loads(line)
+        assert report["kind"] == "domain"
+        assert "gamma=" in report["error"] and "xi=" in report["error"]
 
     def test_regular_channel_exits_2_with_reason(self):
         code, out, err = run_cli(["ab-solve", "--l", "1", "--s", "1", "--mu", "0.2", "--xi", "-1"])
@@ -394,3 +452,65 @@ class TestDeterminism:
     def test_json_determinism(self):
         args = ["ac-sweep", "--gamma-grid", "0.1:0.9:9", "--xi", "-1", "--format", "json"]
         assert run_cli(args)[1] == run_cli(args)[1]
+
+
+def main_in_process(argv):
+    """cli.main(argv) with its stdout bytes and stderr text captured."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+        out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+# the level columns, NaN together in a row without a level
+_LEVEL_COLUMNS = {"E_over_m", "lambda_over_m", "kappa_over_m", "residual"}
+_XI_EDGES = [
+    sign * v for v in (0.0, 1e-300, 1e-10, 1.0, 1e15, 1e300, math.inf) for sign in (1.0, -1.0)
+]
+_EXTENSIONS = st.one_of(
+    st.tuples(st.just("--xi"), st.sampled_from(_XI_EDGES) | st.floats(-10.0, 10.0) | st.floats()),
+    st.tuples(st.just("--theta"), st.floats(0.0, 2.0 * math.pi) | st.floats()),
+).map(lambda pair: [pair[0], repr(pair[1])])
+_MU = st.sampled_from(["0.25", "0.1", "0.7", "0.45"])
+_GAMMA = st.sampled_from(["0.5", "0.2", "0.9", "0"])
+_COMMANDS = st.one_of(
+    _MU.map(lambda mu: ["ab-solve", "--mu", mu]),
+    _GAMMA.map(lambda g: ["ac-solve", "--gamma", g]),
+    st.just(["ac-sweep", "--gamma-grid", "0.001:0.5:3"]),
+    _MU.map(lambda mu: ["ab-wavefunction", "--mu", mu, "--r-grid", "0.1:5:5"]),
+    _MU.map(lambda mu: ["ab-density", "--mu", mu, "--energy-grid", "-4:-1.01:5"]),
+    _MU.map(lambda mu: ["oracle-check", "--mu", mu]),
+    _GAMMA.map(lambda g: ["oracle-check", "--sector", "ac", "--gamma", g]),
+)
+
+
+class TestExtensionContract:
+    """Every extension parameter, at the edges of the double range and off
+    them, gives exit 0 with finite rows or exit 2 with one JSON line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=_COMMANDS, extension=_EXTENSIONS)
+    @example(command=["ac-sweep", "--gamma-grid", "0.001:0.5:3"], extension=["--xi", "-0.001"])
+    @example(command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e-300"])
+    @example(command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e300"])
+    @example(command=["ab-solve", "--mu", "0.25"], extension=["--xi", "-inf"])
+    def test_exit_0_with_finite_rows_or_exit_2(self, command, extension):
+        code, out, err = main_in_process(command + extension)
+        if code == 2:
+            assert out == b""
+            (line,) = err.splitlines()
+            assert json.loads(line)["kind"] in ("usage", "domain")
+            return
+        assert code == 0 and err == ""
+        for row in csv.DictReader(io.StringIO(out.decode())):
+            values = {col: float(text) for col, text in row.items()}
+            nan_cols = {col for col, v in values.items() if math.isnan(v)}
+            # no level: all level columns NaN; an unconverged ladder: NaN order
+            assert nan_cols <= {"convergence_order"} or nan_cols == _LEVEL_COLUMNS & set(row)
+            for col, v in values.items():
+                if col == "xi":  # the stored xi, inf for the theta = pi extension
+                    assert v == math.inf or math.isfinite(v)
+                elif col not in nan_cols:
+                    assert math.isfinite(v), (col, row)

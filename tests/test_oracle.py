@@ -305,11 +305,12 @@ class TestClosedForm:
     closed-form mix of two branch integrations at k = 1.  In z = k*r the
     grid and the equation hold no energy, and Numerov is linear, so at every
     energy it must equal the mismatch of the full template integrated at
-    that energy's k.  With r_min = 0.5 the energies with k > 0.1 integrate
-    the template per energy and the rest read the pair, which must still
-    come from the scale-free grid though r_min > 0.05 there."""
+    that energy's k.  r_min acts where it lies above the seed radius 0.5/k,
+    so with r_min = 5 the energies with k > 0.1 integrate the template per
+    energy and the rest read the pair, which must still come from the
+    scale-free grid at k = 1, seeded at 0.5 though r_min is 5."""
 
-    CONFIGS = (FAST, replace(FAST, r_min=0.5))
+    CONFIGS = (FAST, replace(FAST, r_min=5.0))
 
     @pytest.mark.parametrize(
         "l, s, mu",
