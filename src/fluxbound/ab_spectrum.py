@@ -67,8 +67,6 @@ __all__ = [
 
 CRITICAL_TOL = 1e-9
 
-_EDGE_GUARD = 1e-12  # root bracket keeps |E| <= m*(1 - _EDGE_GUARD)
-
 
 class Regime(Enum):
     EXTENDED = "extended"  # 0 < nu < 1/2: one-parameter extension family
@@ -275,20 +273,22 @@ def _wronskian_gamma_ratio(nu: float, s: int) -> float:
     )
 
 
+def _log_abs_xi(nu: float, s: float) -> float:
+    # ln|xi| of the master curve in s = ln((m - u)/(m + u)): mass-free,
+    # increasing and convex, with softplus(s) = max(s, 0) + log1p(e^-|s|)
+    softplus = max(s, 0.0) + math.log1p(math.exp(-abs(s)))
+    return (0.5 - nu) * s + 2.0 * nu * softplus + math.log(_gamma_ratio(nu))
+
+
 def log_abs_master_xi(ch: DiracChannel, E: float) -> float:
-    """ln|xi(E)| of the master curve; cheap and overflow-free near the edges."""
+    """ln|xi(E)| of the master curve, taken in s = ln((m - u)/(m + u)), u = tau*E,
+    where it is (1/2 - nu) s + 2 nu softplus(s) + ln Gamma(1/2+nu)/Gamma(1/2-nu)."""
     _require_extended(ch, "log_abs_master_xi")
     m = ch.m
     if not abs(E) < m:
         raise EnergyDomainError(f"log_abs_master_xi: need |E| < m, got E={E}, m={m}")
-    nu = ch.nu
     u = ch.tau * E
-    return (
-        (0.5 - nu) * math.log(m - u)
-        - (0.5 + nu) * math.log(m + u)
-        + math.log(_gamma_ratio(nu))
-        + 2.0 * nu * math.log(2.0 * m)
-    )
+    return _log_abs_xi(ch.nu, math.log(m - u) - math.log(m + u))
 
 
 def master_xi_of_energy(ch: DiracChannel, E: float) -> float:
@@ -308,33 +308,30 @@ def master_xi_of_energy(ch: DiracChannel, E: float) -> float:
 def solve_bound_energy(ch: DiracChannel, ext: Extension) -> Optional[BoundLevel]:
     """Unique gap level with master_xi_of_energy(ch, E) = xi, or None for xi >= 0.
 
-    Brent's method (nk.find_root_bracketed) on ln|master_xi| - ln(-xi), in
-    the monotone variable u = tau*E on (-m(1-1e-12), m(1-1e-12)).
+    Newton from s = 0 on ln|master xi| = ln(-xi) in s = ln((m - u)/(m + u)),
+    where the curve is increasing and convex: every step after the first lies
+    right of the root and moves down to it, so the solve stops at the first
+    step that does not decrease s.  E = -tau m tanh(s/2), lambda = m / cosh(s/2)
+    (0 only where it underflows), residual |master xi - xi| at s.
     """
     _require_extended(ch, "solve_bound_energy")
     xi = ext.xi
     if not xi < 0.0:
         return None
-    m, tau = ch.m, ch.tau
+    m, nu = ch.m, ch.nu
     target = math.log(-xi)
 
-    def h(u: float) -> float:
-        return log_abs_master_xi(ch, tau * u) - target
+    def newton(s: float) -> float:
+        logistic = math.exp(min(s, 0.0)) / (1.0 + math.exp(-abs(s)))
+        return s - (_log_abs_xi(nu, s) - target) / (0.5 - nu + 2.0 * nu * logistic)
 
-    lo = -m * (1.0 - _EDGE_GUARD)
-    hi = m * (1.0 - _EDGE_GUARD)
-    h_lo, h_hi = h(lo), h(hi)
-    # h is strictly decreasing; clamp when the level is within the edge guard
-    if h_lo <= 0.0:
-        u_root = lo
-    elif h_hi >= 0.0:
-        u_root = hi
-    else:
-        bracket = nk.Bracket(lo, hi, h_lo, h_hi)
-        u_root = nk.find_root_bracketed(h, bracket, tol_x=1e-14 * m)
-    E = tau * u_root
-    lam = math.sqrt((m - E) * (m + E))
-    residual = abs(master_xi_of_energy(ch, E) - xi)
+    s = newton(0.0)
+    while (s_next := newton(s)) < s:
+        s = s_next
+    half = math.exp(-0.5 * abs(s))  # lambda = m / cosh(s/2) without overflow
+    E = -ch.tau * m * math.tanh(0.5 * s)
+    lam = 2.0 * m * half / (1.0 + half * half)
+    residual = -xi * abs(math.expm1(_log_abs_xi(nu, s) - target))
     return BoundLevel(E=E, lam=lam, xi=xi, channel=ch, residual=residual)
 
 
@@ -454,7 +451,7 @@ def printed_level(ch: DiracChannel, ext: Extension, variant: str) -> Optional[Bo
         return None
     # |master xi| falls along u = tau*E, so the master level has u >= 0
     # exactly when |master xi(0)| >= -xi
-    u_sign = 1.0 if log_abs_master_xi(ch, 0.0) >= math.log(-xi) else -1.0
+    u_sign = 1.0 if _log_abs_xi(ch.nu, 0.0) >= math.log(-xi) else -1.0
     e = math.sqrt((m - lam) * (m + lam))
     residual = abs(ratio * (lam / scale) ** p - target)
     return BoundLevel(E=ch.tau * u_sign * e, lam=lam, xi=xi, channel=ch, residual=residual)
@@ -513,25 +510,29 @@ def _k_orders(ch: DiracChannel) -> tuple[float, float]:
 
 
 def bound_doublet(level: BoundLevel) -> RadialDoublet:
-    """Normalized bound-state doublet F(r) = C sqrt(lam r) (K_a(lam r), w_s K_b(lam r)).
+    """Normalized bound-state doublet F(r) = C sqrt(lam r) (w_1 K_a(lam r), s w_2 K_b(lam r)).
 
-    Component orders {a, b} = {|nu_tilde - s/2|, |nu_tilde + s/2|} and relative
-    weight w_s = s * sqrt((m-E)/(m+E)) follow from row-wise substitution into
+    Component orders {a, b} = {|nu_tilde - s/2|, |nu_tilde + s/2|} and weights
+    (w_1, w_2) = (sqrt(m+E), sqrt(m-E)) follow from row-wise substitution into
     the first-order system (equal weights hold only at E = 0).  The leading
     small-r powers are (nu, -nu) for tau = +1 and (-nu, nu) for tau = -1,
     matching the extension domain template; decay rate is lambda.  The squared
-    norm is (I(a) + w_s^2 I(b)) / lambda with I(a) = int_0^inf z K_a(z)^2 dz in
-    closed form, so C = sqrt(lambda / (I(a) + w_s^2 I(b))).
+    norm is (w_1^2 I(a) + w_2^2 I(b)) / lambda with I(a) = int_0^inf z K_a(z)^2 dz
+    in closed form, so C = sqrt(lambda / (w_1^2 I(a) + w_2^2 I(b))); lambda = 0
+    (underflowed) has no decaying tail and raises EnergyDomainError.
     """
     ch = level.channel
     _require_extended(ch, "bound_doublet")
     m, s, lam, E = ch.m, ch.s, level.lam, level.E
+    if lam == 0.0:
+        raise EnergyDomainError(f"bound_doublet: lambda underflows to 0 at E={E!r}")
     a1, a2 = _k_orders(ch)
-    w2 = (m - E) / (m + E)
-    c1 = math.sqrt(
-        lam / (nk.bessel_k_square_integral(a1) + w2 * nk.bessel_k_square_integral(a2))
-    )
-    c2 = c1 * s * math.sqrt(w2)
+    # (sqrt(m+E), sqrt(m-E)) as p = sqrt(m+|E|) and lambda/p: finite at E = +-m
+    p = math.sqrt(m + abs(E))
+    w1, w2 = (p, lam / p) if E >= 0.0 else (lam / p, p)
+    i1, i2 = nk.bessel_k_square_integral(a1), nk.bessel_k_square_integral(a2)
+    c = math.sqrt(lam / (w1 * w1 * i1 + w2 * w2 * i2))
+    c1, c2 = c * w1, c * s * w2
 
     def evaluator(r: float) -> tuple[float, float]:
         z = lam * r

@@ -205,20 +205,18 @@ def ac_solve_cross_check(ch: ACChannel, ext: Extension) -> ACLevel:
 
 
 def ac_special_levels(c: float, ext: Extension) -> tuple[float, float]:
-    """Closed forms for the two channel families at -M a = c in (0,1).
+    """The levels of the two channel families at -M a = c in (0,1).
 
-    Returns (E0, E1): the l = 0 level (gamma = c) and the l = +-1 level
-    (gamma = 1 - c), in units of m = 1.  They satisfy the degeneracy
-    E0(c) = E1(1 - c) exactly.
+    Returns (E0, E1): the l = 0 level (gamma = c) and the l = 1 level
+    (gamma = 1 - c), in units of m = 1, both from ac_bound_energy, so a level
+    beyond the double range is an EnergyDomainError.  They satisfy the
+    degeneracy E0(c) = E1(1 - c).
     """
     if not 0.0 < c < 1.0:
         raise EnergyDomainError(f"ac_special_levels: need c in (0,1), got {c}")
-    xi = ext.xi
-    if not xi < 0.0:
+    if not ext.xi < 0.0:
         raise ValueError("ac_special_levels: requires finite xi < 0")
-    e0 = -2.0 * (-xi * nk.gamma_fn(1.0 - c) / nk.gamma_fn(1.0 + c)) ** (-1.0 / c)
-    e1 = -2.0 * (-xi * nk.gamma_fn(c) / nk.gamma_fn(2.0 - c)) ** (1.0 / (c - 1.0))
-    return e0, e1
+    return tuple(ac_bound_energy(ACChannel(1.0, -c, l, 1), ext).E_n for l in (0, 1))
 
 
 def ac_wavefunction(level: ACLevel) -> RadialDoublet:

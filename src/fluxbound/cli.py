@@ -7,8 +7,8 @@ error (kind "usage": bad or missing flags, grids, config values, a mass whose
 square is not a finite normal float, an ``--r-min`` that ``ShootingConfig``
 rejects, a ``--resolution`` outside [1e-3, 1), a NaN ``--xi`` or a
 ``--theta`` outside [0, 2pi)) or a domain error (kind "domain": critical or
-regular regime requests, a neutral-fermion level beyond the double range),
-1 internal failure.
+regular regime requests, a neutral-fermion level beyond the double range, an
+``ab-wavefunction`` level whose lambda underflows to 0), 1 internal failure.
 
 The extension is the paper's xi, given by ``--xi`` and kept exactly, or by
 ``--theta``, converted once by ``Extension.from_theta``; ``--xi -inf`` names

@@ -8,6 +8,7 @@ finding on the master curve and confirmed by the ODE oracle before freezing
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,6 +223,54 @@ class TestSolveBoundEnergy:
         e1 = ab.solve_bound_energy(channel(mu=0.25, m=1.0), ext).E
         e5 = ab.solve_bound_energy(channel(mu=0.25, m=5.0), ext).E
         assert e5 == pytest.approx(5.0 * e1, rel=1e-12)
+
+
+def s_form_root(nu, xi):
+    """The master level at m = 1 from a 30-digit root of the s-form
+
+        ln|xi| = (1/2 - nu) s + 2 nu ln(1 + e^s) + ln Gamma(1/2+nu)/Gamma(1/2-nu),
+
+    s = ln((1 - u)/(1 + u)), as (u, lambda).  Newton starts at the right end
+    of the bracket that the slope bounds 1/2 -+ nu put around the root, and on
+    this convex curve it descends monotonically onto it."""
+    with mpmath.workdps(30):
+        nu, target = mpmath.mpf(nu), mpmath.log(-mpmath.mpf(xi))
+        lng = mpmath.loggamma(0.5 + nu) - mpmath.loggamma(0.5 - nu)
+
+        def g(s):
+            return (0.5 - nu) * s + 2 * nu * mpmath.log1p(mpmath.exp(s)) + lng - target
+
+        g0 = g(0)
+        s = -g0 / (0.5 + nu) if g0 > 0 else -g0 / (0.5 - nu)
+        for _ in range(200):
+            step = g(s) / (0.5 - nu + 2 * nu / (1 + mpmath.exp(-s)))
+            s -= step
+            if abs(step) <= mpmath.mpf(10) ** -26 * (1 + abs(s)):
+                break
+        else:
+            raise AssertionError(f"s-form Newton did not converge at nu={nu}, xi={xi}")
+        return float(-mpmath.tanh(s / 2)), float(1 / mpmath.cosh(s / 2))
+
+
+# beta = k/200 below 1/2 on both spin families (tau = +1 for s = -1, tau = -1
+# for s = +1), and the weak and deep ends at a quarter flux
+_GRID = {
+    xi: [(l, s, k / 200.0) for k in range(1, 100) for l, s in ((0, -1), (-1, 1))]
+    for xi in (-1e-3, -0.01, -0.2, -0.5, -1.0, -2.0, -5.0, -30.0, -1e3)
+} | {xi: [(0, -1, 0.25)] for xi in (-1e-4, -1e-6, -1e-12, -1e20, -1e300)}
+
+
+class TestMasterLevelAgainstMpmath:
+    @pytest.mark.parametrize("xi", list(_GRID))
+    def test_lambda_and_energy(self, xi):
+        # abs=0: a lambda of 0 or of an edge clamp's 1.4e-6 must not pass
+        # against a true lambda of 1e-70
+        for l, s, mu in _GRID[xi]:
+            ch = channel(l=l, s=s, mu=mu)
+            level = ab.solve_bound_energy(ch, ab.Extension.from_xi(xi))
+            u, lam = s_form_root(ch.nu, xi)
+            assert level.lam == pytest.approx(lam, rel=1e-12, abs=0.0), (l, s, mu)
+            assert level.E == pytest.approx(ch.tau * u, rel=1e-12, abs=1e-15), (l, s, mu)
 
 
 class TestPaperOmega:
@@ -517,6 +566,37 @@ class TestBoundDoublet:
             f1, f2 = ab.bound_doublet(level)(1.3)
             assert math.isfinite(f1) and math.isfinite(f2)
             assert f1 != 0.0 and f2 != 0.0
+
+    def test_energy_rounded_to_the_edge(self):
+        # E rounds to -m exactly while lambda = 1.05e-8 m; the doublet is the
+        # closed form C sqrt(lam r) (sqrt(m+E) K_1/4, s sqrt(m-E) K_3/4)
+        ch = channel(mu=0.25)
+        level = ab.solve_bound_energy(ch, ab.Extension.from_xi(-883873354192.0))
+        assert level.E == -1.0
+        assert level.lam == pytest.approx(s_form_root(ch.nu, level.xi)[1], rel=1e-12, abs=0.0)
+        doublet = ab.bound_doublet(level)
+        with mpmath.workdps(30):
+            lam = mpmath.mpf(level.lam)
+            e_val = -mpmath.sqrt(1 - lam * lam)
+            w1, w2 = mpmath.sqrt(1 + e_val), mpmath.sqrt(1 - e_val)
+
+            def norm_integral(a):
+                return mpmath.pi * a / (2 * mpmath.sin(mpmath.pi * a))
+
+            c = mpmath.sqrt(lam / (w1**2 * norm_integral(0.25) + w2**2 * norm_integral(0.75)))
+            for r in (0.1, 1.0, 10.0):
+                z = lam * r
+                want1 = float(c * mpmath.sqrt(z) * w1 * mpmath.besselk(0.25, z))
+                want2 = float(c * ch.s * mpmath.sqrt(z) * w2 * mpmath.besselk(0.75, z))
+                f1, f2 = doublet(r)
+                assert f1 == pytest.approx(want1, rel=1e-13, abs=0.0)
+                assert f2 == pytest.approx(want2, rel=1e-13, abs=0.0)
+
+    def test_underflowed_lambda_is_a_domain_error(self):
+        level = ab.solve_bound_energy(channel(mu=0.25), ab.Extension.from_xi(-1e-300))
+        assert level.lam == 0.0
+        with pytest.raises(ab.EnergyDomainError):
+            ab.bound_doublet(level)
 
 
 class TestContinuumDoublet:

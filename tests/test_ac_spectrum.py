@@ -185,6 +185,13 @@ class TestSpecialLevels:
             ac.ac_special_levels(1.2, Extension.from_xi(-1.0))
 
 
+@pytest.mark.parametrize("c, xi", [(0.001, -0.001), (0.5, -1e300)])
+def test_special_levels_beyond_the_double_range(c, xi):
+    # E0 overflows at c = 0.001 and underflows at xi = -1e300
+    with pytest.raises(EnergyDomainError):
+        ac.ac_special_levels(c, Extension.from_xi(xi))
+
+
 class TestWavefunction:
     def test_unit_norm(self):
         level = ac.ac_bound_energy(channel(0.5), Extension.from_xi(-1.0))

@@ -235,13 +235,26 @@ class TestRunCommands:
 
     @pytest.mark.parametrize("xi", ["-1e-300", "-1e300"])
     def test_extreme_xi_has_a_level(self, capsys, xi):
-        # the level sits at the edge guard, E -> tau*m as xi -> 0^- and
-        # E -> -tau*m as xi -> -inf (tau = +1 here)
+        # E rounds to the continuum edge: to tau*m as xi -> 0^- and to
+        # -tau*m as xi -> -inf (tau = +1 here)
         assert cli.main(["ab-solve", "--mu", "0.25", "--xi", xi]) == 0
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert float(row["xi"]) == float(xi)
         assert abs(float(row["E_over_m"])) == pytest.approx(1.0, abs=1e-11)
         assert math.copysign(1.0, float(row["E_over_m"])) == (1.0 if xi == "-1e-300" else -1.0)
+
+    def test_level_whose_lambda_underflows(self, capsys):
+        # the true lambda is 1.75e-599 m: ab-solve prints 0, and there is no
+        # decaying doublet to tabulate
+        assert cli.main(["ab-solve", "--mu", "0.25", "--xi", "-1e-300"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert float(row["lambda_over_m"]) == 0.0
+        argv = ["ab-wavefunction", "--mu", "0.25", "--xi", "-1e-300", "--r-grid", "0.1:5:5"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["kind"] == "domain"
 
     def test_ac_level_with_exact_xi(self, capsys):
         # -m/(2 xi^2) at gamma = 1/2, to the kernel's Gamma(1/2)/Gamma(3/2)
@@ -496,6 +509,10 @@ class TestExtensionContract:
     @example(command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e-300"])
     @example(command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e300"])
     @example(command=["ab-solve", "--mu", "0.25"], extension=["--xi", "-inf"])
+    @example(  # E rounds to -m exactly, with lambda = 1.05e-8 m
+        command=["ab-wavefunction", "--mu", "0.25", "--r-grid", "0.1:5:5"],
+        extension=["--xi", "-883873354192"],
+    )
     def test_exit_0_with_finite_rows_or_exit_2(self, command, extension):
         code, out, err = main_in_process(command + extension)
         if code == 2:
