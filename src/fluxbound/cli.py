@@ -5,10 +5,12 @@ deterministic, byte-identical output for identical inputs.  Exit codes:
 0 success, 2 with one JSON line ``{"error", "kind"}`` on stderr for a usage
 error (kind "usage": bad or missing flags, grids, config values, a mass whose
 square is not a finite normal float, an ``--r-min`` that ``ShootingConfig``
-rejects, a ``--resolution`` outside [1e-3, 1), a NaN ``--xi`` or a
+rejects, a ``--resolution`` outside [1e-3, 0.25), a NaN ``--xi`` or a
 ``--theta`` outside [0, 2pi)) or a domain error (kind "domain": critical or
 regular regime requests, a neutral-fermion level beyond the double range, an
-``ab-wavefunction`` level whose lambda underflows to 0), 1 internal failure.
+``ab-wavefunction`` level whose lambda underflows to 0, an ``oracle-check``
+level outside the oracle's scan window, |E|/m <= 1 - 1e-9 for Dirac and
+1e-8 <= -E/m <= 1e6 for the neutral fermion), 1 internal failure.
 
 The extension is the paper's xi, given by ``--xi`` and kept exactly, or by
 ``--theta``, converted once by ``Extension.from_theta``; ``--xi -inf`` names
@@ -16,11 +18,12 @@ the same extension as ``--xi inf``.  The ``xi`` column prints the stored xi.
 
 Rows hold NaN only in the level columns of a row without a level (sweeps,
 printed level-equation variants) and in ``oracle-check``'s
-``convergence_order`` when its resolution ladder does not converge, so no
-order can be read off it: when the second difference is not smaller than the
-first (the ladder is then in rounding noise) or is at the 1e-15 floor.  The
-only other non-finite value is ``inf`` in the ``xi`` column, for the
-theta = pi extension, whose rows have no level.
+``convergence_order`` when its resolution ladder (steps dx, 2dx and 4dx)
+does not converge, so no order can be read off it: when the coarser
+difference |E(2dx) - E(4dx)| is not larger than the finer |E(dx) - E(2dx)|,
+or the finer one is below the 1e-11 m rounding floor, as at
+``--resolution=1e-3``.  The only other non-finite value is ``inf`` in the
+``xi`` column, for the theta = pi extension, whose rows have no level.
 
 A flat ``key = value`` config file (# comments) can prefill any long flag;
 its values pass the flag's own type and choices checks, and explicit flags
@@ -429,12 +432,13 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         except ValueError as exc:
             raise UsageError(f"--r-min: {exc}") from None
         if resolution is not None:
-            # it sets numerov_dx, which must stay below 1.  A check's cost
-            # grows as 1/resolution, while rounding stops the levels from
-            # improving below about 1e-3: at 1e-4 a check takes 15 s and
-            # lands further from the analytic level than at 1e-3
-            if not 1e-3 <= resolution < 1.0:
-                raise UsageError(f"--resolution must lie in [1e-3, 1), got {resolution!r}")
+            # it sets numerov_dx, and the diagnostic ladder integrates at up
+            # to 4 times it, which must stay below 1.  A check's cost grows
+            # as 1/resolution, while rounding stops the levels from improving
+            # below about 1e-3: at 1e-4 a check takes 15 s and lands further
+            # from the analytic level than at 1e-3
+            if not 1e-3 <= resolution < 0.25:
+                raise UsageError(f"--resolution must lie in [1e-3, 0.25), got {resolution!r}")
             cfg = replace(cfg, numerov_dx=resolution)
         if params["sector"] == "ab":
             chd = _dirac_channel(params, "oracle-check --sector ab")
@@ -446,8 +450,14 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
             ac_level = ac.ac_bound_energy(cha, ext)
             e_an = None if ac_level is None else ac_level.E_n
             numeric = orc.schrodinger_shoot(cha, ext, cfg)
-        if e_an is None or numeric is None:
+        if e_an is None:
             return [], _ORACLE_COLUMNS
+        if numeric is None:
+            window = "|E|/m <= 1 - 1e-9" if params["sector"] == "ab" else "1e-8 <= -E/m <= 1e6"
+            raise ab.EnergyDomainError(
+                f"oracle-check: the oracle scans {window} and finds no level there; "
+                f"the analytic level is at E/m = {e_an / mass!r}"
+            )
         return (
             [
                 {

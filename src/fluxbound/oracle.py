@@ -56,11 +56,11 @@ integrated connection ratio, through the shared template, with that one.
 
 Both sectors run one skeleton, ``_shoot``: scan a grid of the sector's scan
 variable (u = tau*E/m for Dirac, y = ln(-E/m) for Schroedinger) for the first
-sign change, refine it with Brent, and re-solve in a narrow window for the
-discretization ladder and the halved inner cutoff.  A sector supplies its
-template, window, scan-variable-to-energy map and tail decay bound.  Each
-shoot is a pure computation; ``OracleResult.evaluations`` counts its Numerov
-integrations.
+sign change, refine it with Brent, and re-solve in a narrow window at twice
+and four times the step (the discretization ladder) and at the halved inner
+cutoff.  A sector supplies its template, window, scan-variable-to-energy map
+and tail decay bound.  Each shoot is a pure computation;
+``OracleResult.evaluations`` counts its Numerov integrations.
 """
 
 from __future__ import annotations
@@ -84,6 +84,10 @@ __all__ = [
 ]
 
 
+# the diagnostic ladder's probe steps, in units of numerov_dx
+_LADDER = (2, 4)
+
+
 @dataclass(frozen=True)
 class ShootingConfig:
     """Numerical controls for one shoot.
@@ -91,11 +95,13 @@ class ShootingConfig:
     r_min/r_max in units of 1/m (r_max = None selects 40/k per energy, with
     k the tail decay constant: lambda = sqrt(1 - E^2) for Dirac, kappa =
     sqrt(-2E) for Schroedinger); numerov_dx is the Numerov grid step of both
-    sectors in units of 1/k, below 1: at 0.99 the golden shoots are already
-    2e-4 m (neutral fermion) and 1.2e-3 m (Dirac) off;
-    energy_bracket (in units of m) overrides the default scan window;
+    sectors in units of 1/k.  Every integrated step stays below 1, and with
+    diagnostics on the coarsest ladder rung integrates at 4*numerov_dx, so
+    numerov_dx lies below 0.25 (below 1 with diagnostics off): at 0.24 the
+    golden shoots are already 2.0e-6 m (neutral fermion) and 7.7e-5 m (Dirac)
+    off; energy_bracket (in units of m) overrides the default scan window;
     n_scan grid points locate the sign change; diagnostics enables the
-    nested-cutoff re-solves.
+    coarsened-step and halved-cutoff re-solves (see _shoot).
 
     r_min is a lower limit on the radius where the template series seeds the
     integration, r_seed = min(max(r_min, 0.5/k), 0.2*r_max), so it only
@@ -118,8 +124,11 @@ class ShootingConfig:
             raise ValueError("ShootingConfig: r_min must be > 0")
         if self.r_max is not None and not self.r_max > self.r_min:
             raise ValueError("ShootingConfig: r_max must exceed r_min")
-        if not 0.0 < self.numerov_dx < 1.0:
-            raise ValueError("ShootingConfig: numerov_dx out of (0, 1)")
+        coarsest = _LADDER[-1] * self.numerov_dx if self.diagnostics else self.numerov_dx
+        if not (0.0 < self.numerov_dx and coarsest < 1.0):
+            raise ValueError(
+                "ShootingConfig: numerov_dx out of (0, 0.25) ((0, 1) with diagnostics off)"
+            )
 
 
 @dataclass(frozen=True)
@@ -129,13 +138,20 @@ class OracleResult:
     evaluations counts integrations over the whole shoot, diagnostic probes
     included: two (the template's two branches) per solve whose grid scales
     with 1/k, so 2 for a shoot with diagnostics off and 2 more per probe,
-    and one per mismatch evaluation at an energy whose grid does not."""
+    and one per mismatch evaluation at an energy whose grid does not.
+    A probe's step is coarser than the base step, so the two ladder probes
+    together integrate 0.75 times the base solve's Numerov steps.
+
+    error_estimate is Richardson's a-posteriori error of E, |E(dx) -
+    E(2dx)|/15 for the fourth-order Numerov step dx = numerov_dx; it is NaN
+    with diagnostics off or when a probe finds no level."""
 
     E: float
     match_residual: float
     convergence_order_estimate: float
     r_min_sensitivity: float
     evaluations: int = 0
+    error_estimate: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -276,6 +292,12 @@ def _refine_root(
 
 
 _DIAG_NAN = float("nan")
+# the probe window, x0 +- this in the scan variable: wide enough to hold the
+# 4*dx rung's root at the coarsest accepted step
+_PROBE_HALF_WIDTH = 1e-2
+# below this |E(dx) - E(2dx)| (in units of m) the rung difference is rounding
+# noise: at dx = 1e-3 it reads 2.5e-14 to 3.1e-12 and the orders -5 to 6
+_ORDER_FLOOR = 1e-11
 
 
 def _shoot(
@@ -292,11 +314,17 @@ def _shoot(
     p and mix(x) are the sector's template (see _mismatch), scanned over
     window; to_e(x) gives E/m and |d(E/m)/dx|, which turn the root, its
     residual and the diagnostic differences into energies.  decay_max(window)
-    is the largest tail decay constant over a window.  The two refined
-    probes halve and quarter numerov_dx; when r_min acts at no energy up to
-    decay_max, halving it cannot move any seed radius and the r_min probe is
-    skipped.  The order is NaN unless the ladder converges, that is unless
-    its second difference is smaller than its first and above the 1e-15 floor.
+    is the largest tail decay constant over a window.
+
+    With diagnostics on, probes re-solve in the window x0 +- 1e-2 about the
+    base root x0.  The ladder (dx, 2dx, 4dx) coarsens numerov_dx = dx, so
+    its two probes cost 0.75 of the base solve; the order is
+    log2(|E(2dx) - E(4dx)| / |E(dx) - E(2dx)|), NaN unless the ladder
+    converges (the coarser difference is the larger) and the finer
+    difference is above the 1e-11 m rounding floor.  error_estimate is
+    |E(dx) - E(2dx)|/15.  The r_min probe halves r_min at dx; when r_min acts
+    at no energy up to decay_max, halving it cannot move any seed radius and
+    the probe is skipped.
     """
     evals = 0
 
@@ -319,23 +347,27 @@ def _shoot(
     resid_e = m * resid * de_dx
     if not cfg.diagnostics:
         return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
-    # discretization ladder at fixed r_min -> observed order; halved inner
-    # cutoff at fixed discretization -> r_min sensitivity
-    narrow = (max(window[0], x0 - 1e-3), min(window[1], x0 + 1e-3))
+    # coarsened discretization at fixed r_min -> observed order and error
+    # estimate; halved inner cutoff at fixed discretization -> r_min
+    # sensitivity
+    narrow = (max(window[0], x0 - _PROBE_HALF_WIDTH), min(window[1], x0 + _PROBE_HALF_WIDTH))
     probe = replace(cfg, n_scan=9, diagnostics=False)
-    probes = [replace(probe, numerov_dx=cfg.numerov_dx / 2**k) for k in (1, 2)]
+    probes = [replace(probe, numerov_dx=cfg.numerov_dx * f) for f in _LADDER]
     if _r_min_acts(cfg.r_min, decay_max(narrow)):
         probes.append(replace(probe, r_min=cfg.r_min / 2.0))
     got = [solve_at(c, narrow) for c in probes]
-    if any(g is None for g in got):  # pragma: no cover - root stays in the window
+    # a probe finds no root when its rung moves the root out of the probe
+    # window: by more than 1e-2, or past the scan window's edge
+    if any(g is None for g in got):  # pragma: no cover - no tested shoot does
         return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
-    levels = [to_e(g[0])[0] for g in got]
-    sens = abs(e0 - levels[2]) if len(levels) == 3 else 0.0
-    d1 = abs(e0 - levels[0])
-    d2 = abs(levels[0] - levels[1])
-    # a ladder that does not converge sits in rounding noise: no order
-    order = math.log2(d1 / d2) if d1 > d2 > 1e-15 else _DIAG_NAN
-    return OracleResult(m * e0, resid_e, order, m * sens, evals)
+    e2, e4, *e_half_r_min = [to_e(g[0])[0] for g in got]
+    sens = abs(e0 - e_half_r_min[0]) if e_half_r_min else 0.0
+    d1 = abs(e0 - e2)
+    d2 = abs(e2 - e4)
+    # a ladder that does not converge, or whose finer difference is
+    # rounding noise, gives no order
+    order = math.log2(d2 / d1) if d2 > d1 > _ORDER_FLOOR else _DIAG_NAN
+    return OracleResult(m * e0, resid_e, order, m * sens, evals, m * d1 / 15.0)
 
 
 # ---------------------------------------------------------------------------

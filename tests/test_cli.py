@@ -141,6 +141,9 @@ class TestUsageErrors:
             ["ab-solve", "--mu", "0.25", "--theta", "nan"],
             ["ab-solve", "--mu", "0.25", "--theta", "7"],
             ["ac-solve", "--gamma", "0.5", "--theta", "-0.1"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0.25"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0.5"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0.99"],
         ],
     )
     def test_one_json_usage_line(self, capsys, argv):
@@ -153,7 +156,7 @@ class TestUsageErrors:
         assert report["kind"] == "usage"
         # a bad --resolution is reported under its own name and range
         if any(arg.startswith("--resolution") for arg in argv):
-            assert report["error"].startswith("--resolution must lie in [1e-3, 1)")
+            assert report["error"].startswith("--resolution must lie in [1e-3, 0.25)")
 
     @pytest.mark.parametrize(
         "flag, value", [("--xi", "nan"), ("--theta", "nan"), ("--theta", "7"), ("--theta", "-0.1")]
@@ -368,6 +371,62 @@ class TestRunCommands:
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         order = float(row["convergence_order"])
         assert math.isnan(order) or order > 0.0
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            ["--mu", "0.25", "--xi", "-1"],
+            ["--mu", "0.7", "--xi", "-2"],
+            ["--sector", "ac", "--gamma", "0.3", "--xi", "-3"],
+        ],
+    )
+    def test_oracle_check_order_is_nan_at_the_rounding_floor(self, capsys, channel):
+        # at the finest resolution the ladder's finer difference lies below
+        # the 1e-11 m rounding floor, so no order is printed
+        assert cli.main(["oracle-check", *channel, "--resolution=1e-3"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert math.isnan(float(row["convergence_order"]))
+
+    @pytest.mark.parametrize("resolution", ["1e-3", "0.01", "0.1", "0.2", "0.2499"])
+    @pytest.mark.parametrize(
+        "channel",
+        [["--mu", "0.25", "--xi", "-1"], ["--sector", "ac", "--gamma", "0.5", "--xi", "-1"]],
+    )
+    def test_oracle_check_columns_finite_over_the_resolution_range(
+        self, capsys, channel, resolution
+    ):
+        # every ladder rung finds its root in the probe window, up to the
+        # coarsest rung 4 * 0.2499; only the order may be NaN
+        assert cli.main(["oracle-check", *channel, f"--resolution={resolution}"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        del row["convergence_order"]
+        assert all(math.isfinite(float(v)) for v in row.values()), row
+
+    @pytest.mark.parametrize(
+        "argv, window",
+        [
+            (["oracle-check", "--mu", "0.25", "--xi", "-1e-3"], "|E|/m <= 1 - 1e-9"),
+            (["oracle-check", "--mu", "0.25", "--xi", "-1e20"], "|E|/m <= 1 - 1e-9"),
+            (
+                ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1e-10"],
+                "1e-8 <= -E/m <= 1e6",
+            ),
+        ],
+    )
+    def test_oracle_check_level_outside_the_scan_window(self, capsys, argv, window):
+        # the analytic level exists, but the oracle's scan does not reach it
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        report = json.loads(line)
+        assert report["kind"] == "domain"
+        assert window in report["error"]
+
+    @pytest.mark.parametrize("sector", [["--mu", "0.25"], ["--sector", "ac", "--gamma", "0.5"]])
+    def test_oracle_check_without_a_level_prints_the_header(self, capsys, sector):
+        assert cli.main(["oracle-check", *sector, "--xi", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [",".join(cli._ORACLE_COLUMNS)]
 
     def test_oracle_check_columns_in_units_of_m(self, capsys):
         def row(mass):

@@ -442,8 +442,8 @@ class TestGoldenShoots:
     CASES = {
         "ab-off": (-0.5660020004488145, 1e-12, NAN, NAN, 2),
         "ac-off": (-0.49999999999242695, 4.999999999924269e-13, NAN, NAN, 2),
-        "ab-on": (-0.5660020004488145, 1e-12, 3.9628647313763494, 0.0, 6),
-        "ac-on": (-0.49999999999242695, 4.999999999924269e-13, 4.350383381570001, 0.0, 6),
+        "ab-on": (-0.5660020004488145, 1e-12, 3.835083419666368, 0.0, 6),
+        "ac-on": (-0.49999999999242695, 4.999999999924269e-13, 3.969132055394164, 0.0, 6),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -465,6 +465,75 @@ class TestGoldenShoots:
         # one pair of branch integrations per solve: the base solve and, with
         # diagnostics on, the two ladder probes
         assert res.evaluations == evaluations
+
+
+class TestCoarseningLadder:
+    """The diagnostic ladder probes at 2 and 4 times the base step: its
+    error estimate tracks the true error, and its probes cost less than the
+    base solve."""
+
+    # the A3 default grids: (mu, xi) for Dirac, (gamma, xi) for AC
+    DIRAC_GRID = [
+        (b, x) for b in (0.1, 0.25, 0.4, 0.6, 0.85) for x in (-3.0, -1.0, -0.5, -0.2, -5.0)
+    ]
+    AC_GRID = [
+        (g, x) for g in (0.25, 0.4, 0.55, 0.7, 0.85) for x in (-5.0, -3.0, -2.0, -1.2, -0.8)
+    ]
+
+    def test_error_estimate_tracks_the_true_error(self):
+        cfg = orc.ShootingConfig()
+        ratios = []
+        for mu, xi in self.DIRAC_GRID:
+            ch, ext = dirac_channel(mu), ab.Extension.from_xi(xi)
+            res = orc.dirac_shoot(ch, ext, cfg)
+            ratios.append(res.error_estimate / abs(res.E - ab.solve_bound_energy(ch, ext).E))
+        for gamma, xi in self.AC_GRID:
+            ch, ext = ac_channel(gamma), ab.Extension.from_xi(xi)
+            res = orc.schrodinger_shoot(ch, ext, cfg)
+            ratios.append(res.error_estimate / abs(res.E - ac.ac_bound_energy(ch, ext).E_n))
+        assert 0.5 <= min(ratios) and max(ratios) <= 2.0, (min(ratios), max(ratios))
+
+    def test_error_estimate_needs_the_ladder(self):
+        ext = ab.Extension.from_xi(-1.0)
+        assert math.isnan(orc.dirac_shoot(dirac_channel(0.25), ext, FAST).error_estimate)
+        res = orc.dirac_shoot(dirac_channel(0.25), ext)
+        assert 0.0 < res.error_estimate < 1e-8
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    def test_probes_cost_less_than_the_base_solve(self, monkeypatch, sector):
+        # counted in Numerov steps, not seconds: the probes at 2dx and 4dx
+        # take half and a quarter of the base solve's steps
+        steps = []
+        original = orc._numerov_pass
+
+        def counted(c, k2, y0, y1, x0, h, n):
+            steps.append(n)
+            return original(c, k2, y0, y1, x0, h, n)
+
+        monkeypatch.setattr(orc, "_numerov_pass", counted)
+        ext = ab.Extension.from_xi(-1.0)
+        total = {}
+        for diag in (False, True):
+            steps.clear()
+            cfg = orc.ShootingConfig(diagnostics=diag)
+            if sector == "ab":
+                orc.dirac_shoot(dirac_channel(0.25), ext, cfg)
+            else:
+                orc.schrodinger_shoot(ac_channel(0.5), ext, cfg)
+            total[diag] = sum(steps)
+        assert total[True] <= 1.8 * total[False]
+
+    @pytest.mark.parametrize(
+        "dx, diagnostics, ok",
+        [(0.2499, True, True), (0.25, True, False), (0.5, False, True), (1.0, False, False)],
+    )
+    def test_every_rung_stays_below_a_unit_step(self, dx, diagnostics, ok):
+        # with diagnostics on the coarsest rung integrates at 4 * numerov_dx
+        if ok:
+            orc.ShootingConfig(numerov_dx=dx, diagnostics=diagnostics)
+        else:
+            with pytest.raises(ValueError, match="numerov_dx"):
+                orc.ShootingConfig(numerov_dx=dx, diagnostics=diagnostics)
 
 
 class TestSignScan:
@@ -514,13 +583,13 @@ class TestSignScan:
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_probes_scan_at_working_settings(self, monkeypatch, sector):
         # the base solve runs at the config's step, the two ladder probes at
-        # its half and quarter, and no solve uses any other step
+        # twice and four times it, and no solve uses any other step
         ch, shoot, calls, _ = self.sector(monkeypatch, sector)
         cfg = orc.ShootingConfig()
         res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
         configs = {c for c, _, _ in calls}
         probes = configs - {cfg}
-        assert sorted(c.numerov_dx for c in probes) == [cfg.numerov_dx / 4, cfg.numerov_dx / 2]
+        assert sorted(c.numerov_dx for c in probes) == [cfg.numerov_dx * 2, cfg.numerov_dx * 4]
         assert all(c.n_scan == 9 for c in probes)
         assert res.evaluations == 2 * len(configs)
 
