@@ -23,18 +23,22 @@ is exact: f1'' = [a(a - 1)/r^2 + lambda^2] f1 with a = s*nu_tilde and
 lambda^2 = 1 - E^2, the reduced Schroedinger form
 u'' = [(g^2 - 1/4)/r^2 + k^2] u of the neutral-fermion sector with
 g = |l + mu| and k = lambda.  The Frobenius series converges at every
-radius, so the template is evaluated directly out to the seed radius 0.5/k,
-past the power-law zone, and Numerov integrates one linear grid from there
-through the tail; errors at the outer radius are damped by
-exp(-2*k*(r_max - r)), so the one resolution knob is the step numerov_dx,
-and the error falls as its fourth power.
+radius, and for an index above -1 every term is positive, so nothing cancels
+(DLMF 10.25.2); the template is evaluated directly out to the seed radius
+2/k, past the power-law zone where Numerov loses most, and Numerov
+integrates one linear grid from there through 10 decay lengths of the tail,
+to 12/k.  An error in the decaying solution reaches the growing-mode
+coefficient damped by exp(-2*k*(r_max - r)), so on the A3 grids a tail to
+40/k moves no level by more than 8.2e-14 m, and the one resolution knob is
+the step numerov_dx; the error falls as its fourth power.
 
 A solve integrates two solutions, not one per energy.  In z = k*r the
 equation u'' = [(g^2 - 1/4)/z^2 + 1] u holds no energy, and at the default
-lengths (seed radius 0.5/k, r_max = 40/k, step numerov_dx/k) the whole
-grid scales as 1/k.  The template, c_reg r^p F_p + c_irr r^-p F_-p in
-r^(-1/2) u, is two Frobenius branches whose coefficients alone carry the
-energy, and Numerov is linear.  So the mismatch at E is, to rounding,
+lengths (seed radius 2/k, r_max = 12/k, step numerov_dx/k, so 100 steps at
+the default numerov_dx 0.1) the whole grid scales as 1/k.  The template,
+c_reg r^p F_p + c_irr r^-p F_-p in r^(-1/2) u, is two Frobenius branches
+whose coefficients alone carry the energy, and Numerov is linear.  So the
+mismatch at E is, to rounding,
 
     k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr),
 
@@ -43,7 +47,7 @@ integrated once at k = 1: lambda^(-nu) M_reg - xi_int (u + 1)/(s(2nu - 1))
 lambda^(nu - 1) M_irr for Dirac with tau = +1 (the f1 component; tau = -1
 takes the companion one), kappa^(-g) M_reg - xi_int kappa^g M_irr for the
 neutral fermion, each times k^(-1/2).  An explicit r_max, or an r_min above
-0.5/k, puts a length into the grid that does not scale with 1/k; at such an
+2/k, puts a length into the grid that does not scale with 1/k; at such an
 energy the solve integrates the template itself, once, and energies of the
 same solve where r_min does not act still read the shared pair.
 
@@ -56,11 +60,11 @@ integrated connection ratio, through the shared template, with that one.
 
 Both sectors run one skeleton, ``_shoot``: scan a grid of the sector's scan
 variable (u = tau*E/m for Dirac, y = ln(-E/m) for Schroedinger) for the first
-sign change, refine it with Brent, and re-solve in a narrow window at twice
-and four times the step (the discretization ladder) and at the halved inner
-cutoff.  A sector supplies its template, window, scan-variable-to-energy map
-and tail decay bound.  Each shoot is a pure computation;
-``OracleResult.evaluations`` counts its Numerov integrations.
+sign change, refine it with Brent, and re-solve from brackets grown outward
+from that root at twice and four times the step (the discretization ladder)
+and at the halved inner cutoff.  A sector supplies its template, window,
+scan-variable-to-energy map and tail decay bound.  Each shoot is a pure
+computation; ``OracleResult.evaluations`` counts its Numerov integrations.
 """
 
 from __future__ import annotations
@@ -92,20 +96,25 @@ _LADDER = (2, 4)
 class ShootingConfig:
     """Numerical controls for one shoot.
 
-    r_min/r_max in units of 1/m (r_max = None selects 40/k per energy, with
+    r_min/r_max in units of 1/m (r_max = None selects 12/k per energy, with
     k the tail decay constant: lambda = sqrt(1 - E^2) for Dirac, kappa =
     sqrt(-2E) for Schroedinger); numerov_dx is the Numerov grid step of both
-    sectors in units of 1/k.  Every integrated step stays below 1, and with
-    diagnostics on the coarsest ladder rung integrates at 4*numerov_dx, so
-    numerov_dx lies below 0.25 (below 1 with diagnostics off): at 0.24 the
-    golden shoots are already 2.0e-6 m (neutral fermion) and 7.7e-5 m (Dirac)
-    off; energy_bracket (in units of m) overrides the default scan window;
-    n_scan grid points locate the sign change; diagnostics enables the
-    coarsened-step and halved-cutoff re-solves (see _shoot).
+    sectors in units of 1/k.  The default 0.1 takes 100 steps from the seed
+    radius to 12/k and puts the golden shoots 2.1e-10 m (Dirac) and 3.5e-9 m
+    (neutral fermion) off; at 0.05 four of the 50 A3 ladders fall below the
+    rounding floor and give no order.  Every integrated step stays below 1,
+    and with diagnostics on the coarsest ladder rung integrates at
+    4*numerov_dx, so numerov_dx lies below 0.25 (below 1 with diagnostics
+    off): at 0.24 the golden shoots are 9.1e-9 m (Dirac) and 9.6e-8 m
+    (neutral fermion) off; energy_bracket (in units of m) overrides the
+    default scan window; n_scan grid points locate the sign change;
+    diagnostics enables the coarsened-step and halved-cutoff re-solves (see
+    _shoot).
 
     r_min is a lower limit on the radius where the template series seeds the
-    integration, r_seed = min(max(r_min, 0.5/k), 0.2*r_max), so it only
-    acts when r_min > 0.5/k.  At an energy where it acts, or at every energy
+    integration, r_seed = min(max(r_min, 2/k), 0.2*r_max), so it only
+    acts when r_min > 2/k, and with r_max = None it moves the seed radius
+    no further than 2.4/k.  At an energy where it acts, or at every energy
     under an explicit r_max, a solve integrates the template itself instead
     of reading its shared branch pair (see the module docstring).
     When halving r_min cannot move r_seed anywhere in the probe window, the
@@ -116,7 +125,7 @@ class ShootingConfig:
     r_max: Optional[float] = None
     energy_bracket: Optional[tuple[float, float]] = None
     n_scan: int = 48
-    numerov_dx: float = 0.01
+    numerov_dx: float = 0.1
     diagnostics: bool = True
 
     def __post_init__(self) -> None:
@@ -143,8 +152,11 @@ class OracleResult:
     together integrate 0.75 times the base solve's Numerov steps.
 
     error_estimate is Richardson's a-posteriori error of E, |E(dx) -
-    E(2dx)|/15 for the fourth-order Numerov step dx = numerov_dx; it is NaN
-    with diagnostics off or when a probe finds no level."""
+    E(2dx)|/15 for the Numerov step dx = numerov_dx.  The factor 15 =
+    2^4 - 1 assumes order 4, whatever order the ladder observes; on the A3
+    grids at the default step the orders read 3.46 to 5.80 and the estimate
+    is 0.83 to 1.30 times the true error.  It is NaN with diagnostics off or
+    when a probe finds no level."""
 
     E: float
     match_residual: float
@@ -186,7 +198,11 @@ def _frobenius_factor(a: float, z2: float) -> float:
         total += term
 
 
-_SEED_Z = 0.5  # seed radius in units of 1/k where the grid scales with 1/k
+# where the grid scales with 1/k, it runs from the seed radius _SEED_Z/k,
+# where the summed template series hands over to Numerov, to the tail end
+# _TAIL_Z/k, 10 decay lengths further out
+_SEED_Z = 2.0
+_TAIL_Z = 12.0
 
 
 def _r_min_acts(r_min: float, k: float) -> bool:
@@ -292,12 +308,31 @@ def _refine_root(
 
 
 _DIAG_NAN = float("nan")
-# the probe window, x0 +- this in the scan variable: wide enough to hold the
-# 4*dx rung's root at the coarsest accepted step
+# a probe's bracket x0 +- w grows from w = _PROBE_START, doubling, up to the
+# probe window x0 +- _PROBE_HALF_WIDTH in the scan variable, which is wide
+# enough to hold the 4*dx rung's root at the coarsest accepted step
+_PROBE_START = 1e-6
 _PROBE_HALF_WIDTH = 1e-2
 # below this |E(dx) - E(2dx)| (in units of m) the rung difference is rounding
 # noise: at dx = 1e-3 it reads 2.5e-14 to 3.1e-12 and the orders -5 to 6
 _ORDER_FLOOR = 1e-11
+
+
+def _grow_bracket(
+    miss: Callable[[float], float], x0: float, narrow: tuple[float, float]
+) -> Optional[nk.Bracket]:
+    """The bracket x0 +- w, clipped to the probe window narrow, of the first
+    w = _PROBE_START * 2^j over which miss changes sign, or None when it
+    keeps its sign out to the whole window."""
+    w = _PROBE_START
+    while True:
+        lo, hi = max(narrow[0], x0 - w), min(narrow[1], x0 + w)
+        f_lo, f_hi = miss(lo), miss(hi)
+        if f_lo * f_hi <= 0.0:
+            return nk.Bracket(lo, hi, f_lo, f_hi)
+        if w >= _PROBE_HALF_WIDTH:
+            return None
+        w *= 2.0
 
 
 def _shoot(
@@ -316,15 +351,16 @@ def _shoot(
     residual and the diagnostic differences into energies.  decay_max(window)
     is the largest tail decay constant over a window.
 
-    With diagnostics on, probes re-solve in the window x0 +- 1e-2 about the
-    base root x0.  The ladder (dx, 2dx, 4dx) coarsens numerov_dx = dx, so
+    With diagnostics on, each probe re-solves from a bracket grown outward
+    from the base root x0, x0 +- 1e-6 doubling up to x0 +- 1e-2 (see
+    _grow_bracket).  The ladder (dx, 2dx, 4dx) coarsens numerov_dx = dx, so
     its two probes cost 0.75 of the base solve; the order is
     log2(|E(2dx) - E(4dx)| / |E(dx) - E(2dx)|), NaN unless the ladder
     converges (the coarser difference is the larger) and the finer
     difference is above the 1e-11 m rounding floor.  error_estimate is
-    |E(dx) - E(2dx)|/15.  The r_min probe halves r_min at dx; when r_min acts
-    at no energy up to decay_max, halving it cannot move any seed radius and
-    the probe is skipped.
+    |E(dx) - E(2dx)|/15, Richardson's estimate for order 4.  The r_min probe
+    halves r_min at dx; when r_min acts at no energy up to decay_max,
+    halving it cannot move any seed radius and the probe is skipped.
     """
     evals = 0
 
@@ -332,17 +368,11 @@ def _shoot(
         nonlocal evals
         evals += n
 
-    def solve_at(config: ShootingConfig, win: tuple[float, float]) -> Optional[tuple[float, float]]:
-        miss_x = _mismatch(p, mix, config, count)
-        first = next(_sign_changes(miss_x, _scan_grid(win, config.n_scan)), None)
-        if first is None:
-            return None
-        return _refine_root(miss_x, *first, tol_x=1e-12)
-
-    base = solve_at(cfg, window)
-    if base is None:
+    miss_x = _mismatch(p, mix, cfg, count)
+    first = next(_sign_changes(miss_x, _scan_grid(window, cfg.n_scan)), None)
+    if first is None:
         return None
-    x0, resid = base
+    x0, resid = _refine_root(miss_x, *first, tol_x=1e-12)
     e0, de_dx = to_e(x0)
     resid_e = m * resid * de_dx
     if not cfg.diagnostics:
@@ -351,16 +381,20 @@ def _shoot(
     # estimate; halved inner cutoff at fixed discretization -> r_min
     # sensitivity
     narrow = (max(window[0], x0 - _PROBE_HALF_WIDTH), min(window[1], x0 + _PROBE_HALF_WIDTH))
-    probe = replace(cfg, n_scan=9, diagnostics=False)
+    probe = replace(cfg, diagnostics=False)
     probes = [replace(probe, numerov_dx=cfg.numerov_dx * f) for f in _LADDER]
     if _r_min_acts(cfg.r_min, decay_max(narrow)):
         probes.append(replace(probe, r_min=cfg.r_min / 2.0))
-    got = [solve_at(c, narrow) for c in probes]
-    # a probe finds no root when its rung moves the root out of the probe
-    # window: by more than 1e-2, or past the scan window's edge
-    if any(g is None for g in got):  # pragma: no cover - no tested shoot does
-        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
-    e2, e4, *e_half_r_min = [to_e(g[0])[0] for g in got]
+    energies = []
+    for config in probes:
+        probe_miss = _mismatch(p, mix, config, count)
+        bracket = _grow_bracket(probe_miss, x0, narrow)
+        # a probe finds no root when its rung moves the root out of the
+        # probe window: by more than 1e-2, or past the scan window's edge
+        if bracket is None:
+            return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
+        energies.append(to_e(nk.find_root_bracketed(probe_miss, bracket, tol_x=1e-12))[0])
+    e2, e4, *e_half_r_min = energies
     sens = abs(e0 - e_half_r_min[0]) if e_half_r_min else 0.0
     d1 = abs(e0 - e2)
     d2 = abs(e2 - e4)
@@ -426,7 +460,7 @@ def dirac_shoot(
         window = (min(window), max(window))
     else:
         window = _GAP_WINDOW
-    # lambda <= 1, so r_min <= 0.5 leaves every seed radius at 0.5/lambda
+    # lambda <= 1, so r_min <= 2 leaves every seed radius at 2/lambda
     p, mix = _dirac_template(ch, ch.s * xi)
     return _shoot(cfg, m, window, p, mix, lambda u: (tau * u, 1.0), lambda narrow: 1.0)
 
@@ -512,10 +546,15 @@ def _numerov_miss(
     mixture numerically from deep inside the power-law zone, keeps the
     microscopic regular-branch share (relative error / r^(2 g)) exact.
     """
-    r_max = cfg.r_max if cfg.r_max is not None else 40.0 / k
-    r_seed = min(cfg.r_min if _r_min_acts(cfg.r_min, k) else _SEED_Z / k, 0.2 * r_max)
-    h_r = cfg.numerov_dx / k
-    n = max(8, int(math.ceil((r_max - r_seed) / h_r)))
+    if cfg.r_max is None and not _r_min_acts(cfg.r_min, k):
+        # the grid scales with 1/k: count its steps in z, so that every k
+        # takes the same n as the shared branch pair at k = 1
+        r_seed, r_max = _SEED_Z / k, _TAIL_Z / k
+        n = max(8, math.ceil((_TAIL_Z - _SEED_Z) / cfg.numerov_dx))
+    else:
+        r_max = cfg.r_max if cfg.r_max is not None else _TAIL_Z / k
+        r_seed = min(cfg.r_min if _r_min_acts(cfg.r_min, k) else _SEED_Z / k, 0.2 * r_max)
+        n = max(8, math.ceil((r_max - r_seed) / (cfg.numerov_dx / k)))
     h_r = (r_max - r_seed) / n
     u_0 = math.sqrt(r_seed) * seed(r_seed)
     u_1 = math.sqrt(r_seed + h_r) * seed(r_seed + h_r)

@@ -590,3 +590,44 @@ class TestExtensionContract:
                     assert v == math.inf or math.isfinite(v)
                 elif col not in nan_cols:
                     assert math.isfinite(v), (col, row)
+
+
+class TestParserCache:
+    """main() builds its parser once per process, and every later call
+    prints the bytes a call with a freshly built parser prints."""
+
+    @staticmethod
+    def argvs(tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("mu = 0.7\nxi = -2\nformat = json\n")
+        return [
+            ["ab-solve", "--mu", "0.25", "--xi", "-1"],
+            ["ac-sweep", "--gamma-grid", "0.1:0.9:3", "--xi", "-1"],
+            ["ab-solve", "--config", str(config)],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1"],
+            ["ab-solve", "--config", str(config), "--mu", "0.4", "--format", "csv"],
+            ["ab-density", "--mu", "0.25", "--xi", "-1", "--energy-grid", "-4:-1.01:3"],
+            ["oracle-check", "--config", str(config)],
+            ["ab-solve", "--mu", "0.25"],
+            ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", "0.1:5:3"],
+        ]
+
+    def test_interleaved_calls_print_first_call_bytes(self, tmp_path):
+        argvs = self.argvs(tmp_path)
+        first = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            first.append(main_in_process(argv))
+        assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 0, 2, 0]
+        cli._build_parser.cache_clear()
+        for argvs_round in (argvs, argvs[::-1]):
+            for argv in argvs_round:
+                assert main_in_process(argv) == first[argvs.index(argv)], argv
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_help_exits_0_with_a_kept_parser(self, capsys):
+        for argv in (["--help"], ["oracle-check", "--help"], ["--help"]):
+            assert cli.main(argv) == 0
+            assert "usage:" in capsys.readouterr().out
+        assert cli.main(["ab-solve", "--mu", "0.25", "--xi", "-1"]) == 0
+        assert capsys.readouterr().out.startswith("beta,")

@@ -103,7 +103,7 @@ class TestDiracShoot:
 
     def test_r_min_insensitivity(self):
         # halving the inner cutoff moves E by less than 10x the match residual;
-        # at the default r_min every seed radius is 0.5/k, which the halved
+        # at the default r_min every seed radius is 2/k, which the halved
         # cutoff cannot move, so the probe is skipped and reads exactly 0
         for shoot, ch in (
             (orc.dirac_shoot, dirac_channel(0.25)),
@@ -114,9 +114,10 @@ class TestDiracShoot:
             assert res.r_min_sensitivity == 0.0
 
     def test_r_min_probe_runs_when_r_min_sets_seed_radius(self):
-        res = orc.schrodinger_shoot(
-            ac_channel(0.15), ab.Extension.from_xi(-0.3), orc.ShootingConfig(r_min=0.01)
-        )
+        # r_min = 0.035 lies above the seed radius 2/kappa = 0.0325 of the level
+        cfg = orc.ShootingConfig(r_min=0.035)
+        res = orc.schrodinger_shoot(ac_channel(0.15), ab.Extension.from_xi(-0.3), cfg)
+        assert orc._r_min_acts(cfg.r_min, math.sqrt(-2.0 * res.E))
         assert 0.0 < res.r_min_sensitivity < 1e-4 * abs(res.E)
 
     @pytest.mark.parametrize(
@@ -200,18 +201,20 @@ class TestDeepLevelRelativeAccuracy:
         assert res.E == pytest.approx(analytic, rel=1e-7)
 
     def test_direct_series_seed_branch(self):
-        # a coarse inner cutoff on a deep level (r_min = 0.01 > 0.5/kappa)
+        # a coarse inner cutoff on a deep level (r_min = 0.035 > 2/kappa)
         # seeds the tail grid from the summed template series at z = kappa
-        # r_min, about 0.6 here, instead of at 0.5
+        # r_min, about 2.15 here, instead of at 2; from 2.4/kappa on, the
+        # 0.2 * r_max clamp would set the seed radius instead
         ch = ac_channel(0.15)
         ext = ab.Extension.from_xi(-0.3)
         analytic = ac.ac_bound_energy(ch, ext).E_n
-        cfg = orc.ShootingConfig(r_min=0.01, diagnostics=False)
+        cfg = orc.ShootingConfig(r_min=0.035, diagnostics=False)
+        assert orc._r_min_acts(cfg.r_min, math.sqrt(-2.0 * analytic))
         res = orc.schrodinger_shoot(ch, ext, cfg)
         assert res.E == pytest.approx(analytic, rel=1e-8)
 
     def test_r_min_below_the_seed_radius_does_not_act(self):
-        # r_min = 1e-3 lies below 0.5/kappa at every energy of the probe
+        # r_min = 1e-3 lies below 2/kappa at every energy of the probe
         # window, so the solve reads the shared branch pair, one per solve,
         # and the r_min probe is skipped
         ch = ac_channel(0.15)
@@ -305,10 +308,10 @@ class TestClosedForm:
     closed-form mix of two branch integrations at k = 1.  In z = k*r the
     grid and the equation hold no energy, and Numerov is linear, so at every
     energy it must equal the mismatch of the full template integrated at
-    that energy's k.  r_min acts where it lies above the seed radius 0.5/k,
-    so with r_min = 5 the energies with k > 0.1 integrate the template per
+    that energy's k.  r_min acts where it lies above the seed radius 2/k,
+    so with r_min = 5 the energies with k > 0.4 integrate the template per
     energy and the rest read the pair, which must still come from the
-    scale-free grid at k = 1, seeded at 0.5 though r_min is 5."""
+    scale-free grid at k = 1, seeded at 2 though r_min is 5."""
 
     CONFIGS = (FAST, replace(FAST, r_min=5.0))
 
@@ -350,7 +353,7 @@ class TestClosedForm:
     def test_connection_ratio_is_the_gamma_one(self, p):
         # the branches z^(+-p) F grow as 2^(+-p) Gamma(1 +- p) e^z / sqrt(2 pi z),
         # so M_irr / M_reg is the analytic route's Gamma ratio, to Numerov's
-        # truncation error (about 2e-8 at the default step)
+        # truncation error (below 7e-9 at the default step)
         m_reg, m_irr = orc._branch_pair(p, FAST)
         gamma_ratio = 2.0 ** (-2.0 * p) * math.gamma(1.0 - p) / math.gamma(1.0 + p)
         assert m_irr / m_reg == pytest.approx(gamma_ratio, rel=1e-7)
@@ -358,7 +361,7 @@ class TestClosedForm:
 
 class TestFrobeniusFactor:
     """The template's series factor is 0F1(; 1 + a; z^2/4) summed in full:
-    the oracle seeds its tail grid from it at z = 0.5 and, where r_min acts,
+    the oracle seeds its tail grid from it at z = 2 and, where r_min acts,
     further out."""
 
     @pytest.mark.parametrize("a", [-0.999, -0.75, -0.25, 0.15, 0.85])
@@ -371,9 +374,9 @@ class TestFrobeniusFactor:
 
 
 class TestSeedRadius:
-    """r_min = 5 lifts the seed radius 0.5/kappa where kappa > 0.1; there the
+    """r_min = 5 lifts the seed radius 2/kappa where kappa > 0.4; there the
     template is integrated per energy, and the energies below read a branch
-    pair that must still be seeded at the scale-free z = 0.5."""
+    pair that must still be seeded at the scale-free z = 2."""
 
     @pytest.mark.parametrize("gamma", [0.15, 0.85])
     def test_r_min_above_the_seed_radius(self, gamma):
@@ -440,10 +443,10 @@ class TestGoldenShoots:
     # E, match_residual, convergence_order_estimate, r_min_sensitivity,
     # evaluations
     CASES = {
-        "ab-off": (-0.5660020004488145, 1e-12, NAN, NAN, 2),
-        "ac-off": (-0.49999999999242695, 4.999999999924269e-13, NAN, NAN, 2),
-        "ab-on": (-0.5660020004488145, 1e-12, 3.835083419666368, 0.0, 6),
-        "ac-on": (-0.49999999999242695, 4.999999999924269e-13, 3.969132055394164, 0.0, 6),
+        "ab-off": (-0.5660019994848569, 1e-12, NAN, NAN, 2),
+        "ac-off": (-0.4999999965544725, 4.999999965544725e-13, NAN, NAN, 2),
+        "ab-on": (-0.5660019994848569, 1e-12, 4.273797945482615, 0.0, 6),
+        "ac-on": (-0.4999999965544725, 4.999999965544725e-13, 3.66256772036244, 0.0, 6),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -465,6 +468,23 @@ class TestGoldenShoots:
         # one pair of branch integrations per solve: the base solve and, with
         # diagnostics on, the two ladder probes
         assert res.evaluations == evaluations
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    def test_tail_length_does_not_move_the_level(self, monkeypatch, sector):
+        # an error in the decaying solution reaches the growing-mode
+        # coefficient damped by exp(-2z), so a tail 10 decay lengths long
+        # gives the level of one 38 long; a shorter one moves the Dirac level
+        # by 1.5e-12 at _TAIL_Z = 8 and by 3.5e-9 at 5
+        ext = ab.Extension.from_xi(-1.0)
+
+        def shoot():
+            if sector == "ab":
+                return orc.dirac_shoot(dirac_channel(0.25), ext, FAST).E
+            return orc.schrodinger_shoot(ac_channel(0.5), ext, FAST).E
+
+        e12 = shoot()
+        monkeypatch.setattr(orc, "_TAIL_Z", 40.0)
+        assert shoot() == pytest.approx(e12, rel=0.0, abs=1e-12)
 
 
 class TestCoarseningLadder:
@@ -492,6 +512,31 @@ class TestCoarseningLadder:
             res = orc.schrodinger_shoot(ch, ext, cfg)
             ratios.append(res.error_estimate / abs(res.E - ac.ac_bound_energy(ch, ext).E_n))
         assert 0.5 <= min(ratios) and max(ratios) <= 2.0, (min(ratios), max(ratios))
+
+    def test_orders_are_finite_at_the_default_step(self):
+        cfg = orc.ShootingConfig()
+        orders = [
+            orc.dirac_shoot(dirac_channel(mu), ab.Extension.from_xi(xi), cfg)
+            .convergence_order_estimate
+            for mu, xi in self.DIRAC_GRID
+        ] + [
+            orc.schrodinger_shoot(ac_channel(gamma), ab.Extension.from_xi(xi), cfg)
+            .convergence_order_estimate
+            for gamma, xi in self.AC_GRID
+        ]
+        assert all(math.isfinite(q) for q in orders), orders
+
+    def test_probe_without_a_root_gives_nan_diagnostics(self, monkeypatch):
+        # a probe window too narrow to hold the 2*dx rung's root: the level
+        # stands and every diagnostic reads NaN
+        ext = ab.Extension.from_xi(-1.0)
+        want = orc.dirac_shoot(dirac_channel(0.25), ext, FAST)
+        monkeypatch.setattr(orc, "_PROBE_HALF_WIDTH", 1e-12)
+        res = orc.dirac_shoot(dirac_channel(0.25), ext)
+        assert (res.E, res.match_residual) == (want.E, want.match_residual)
+        assert math.isnan(res.convergence_order_estimate)
+        assert math.isnan(res.r_min_sensitivity)
+        assert math.isnan(res.error_estimate)
 
     def test_error_estimate_needs_the_ladder(self):
         ext = ab.Extension.from_xi(-1.0)
@@ -590,8 +635,26 @@ class TestSignScan:
         configs = {c for c, _, _ in calls}
         probes = configs - {cfg}
         assert sorted(c.numerov_dx for c in probes) == [cfg.numerov_dx * 2, cfg.numerov_dx * 4]
-        assert all(c.n_scan == 9 for c in probes)
         assert res.evaluations == 2 * len(configs)
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    def test_probe_brackets_grow_from_the_base_root(self, monkeypatch, sector):
+        # a probe evaluates x0 -+ w for w = 1e-6, 2e-6, 4e-6, ... about the
+        # base root x0 until its mismatch changes sign, and Brent refines
+        # inside that bracket
+        ch, shoot, calls, _ = self.sector(monkeypatch, sector)
+        cfg = orc.ShootingConfig()
+        res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
+        x0 = ch.tau * res.E if sector == "ab" else math.log(-res.E)
+        for probe in {c for c, _, _ in calls} - {cfg}:
+            xs = [x for c, x, _ in calls if c == probe]
+            values = [value for c, _, value in calls if c == probe]
+            j = next(i for i in range(len(xs) // 2) if values[2 * i] * values[2 * i + 1] <= 0.0)
+            for i in range(j + 1):
+                lo, hi = xs[2 * i], xs[2 * i + 1]
+                assert (lo + hi) / 2.0 == pytest.approx(x0, rel=0.0, abs=1e-15)
+                assert (hi - lo) / 2.0 == pytest.approx(1e-6 * 2**i, rel=1e-6)
+            assert all(lo <= x <= hi for x in xs[2 * j + 2 :])
 
     def test_count_scans_every_grid_point(self, monkeypatch):
         _, _, calls, grid = self.sector(monkeypatch, "ab")
