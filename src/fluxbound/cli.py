@@ -4,13 +4,15 @@ Emits CSV (17 significant digits, '\\n' line endings) or JSON tables with
 deterministic, byte-identical output for identical inputs.  Exit codes:
 0 success, 2 with one JSON line ``{"error", "kind"}`` on stderr for a usage
 error (kind "usage": bad or missing flags, grids, config values, a mass whose
-square is not a finite normal float, an ``--r-min`` that ``ShootingConfig``
-rejects, a ``--resolution`` outside [1e-3, 0.25), a NaN ``--xi`` or a
-``--theta`` outside [0, 2pi)) or a domain error (kind "domain": critical or
-regular regime requests, a neutral-fermion level beyond the double range, an
-``ab-wavefunction`` level whose lambda underflows to 0, an ``oracle-check``
-level outside the oracle's scan window, |E|/m <= 1 - 1e-9 for Dirac and
-1e-8 <= -E/m <= 1e6 for the neutral fermion), 1 internal failure.
+square is not a finite normal float, a ``--resolution`` outside [1e-3, 0.25),
+a NaN ``--xi`` or a ``--theta`` outside [0, 2pi); ``--r-min`` is an unknown
+flag, since the oracle's only length is the tail decay length 1/k) or a
+domain error (kind "domain": critical or regular regime requests, a
+neutral-fermion level beyond the double range, an ``ab-wavefunction`` level
+whose lambda underflows to 0, an ``oracle-check`` level outside the
+oracle's search window, whose two ends bracket its root: |E|/m <= 1 - 1e-9
+for Dirac and 1e-8 <= -E/m <= 1e6 for the neutral fermion), 1 internal
+failure.
 
 The extension is the paper's xi, given by ``--xi`` and kept exactly, or by
 ``--theta``, converted once by ``Extension.from_theta``; ``--xi -inf`` names
@@ -21,9 +23,11 @@ printed level-equation variants) and in ``oracle-check``'s
 ``convergence_order`` when its resolution ladder (steps dx, 2dx and 4dx)
 does not converge, so no order can be read off it: when the coarser
 difference |E(2dx) - E(4dx)| is not larger than the finer |E(dx) - E(2dx)|,
-or the finer one is below the 1e-11 m rounding floor, as at
-``--resolution=1e-3``.  The only other non-finite value is ``inf`` in the
-``xi`` column, for the theta = pi extension, whose rows have no level.
+or the finer one is below the 1e-11 m rounding floor, as at every
+``--resolution`` up to 0.02 for ``--mu 0.25 --xi -1`` and up to 0.01 for
+``--sector ac --gamma 0.5 --xi -1``.  The only other non-finite value is
+``inf`` in the ``xi`` column, for the theta = pi extension, whose rows have
+no level.
 
 A flat ``key = value`` config file (# comments) can prefill any long flag;
 its values pass the flag's own type and choices checks, and explicit flags
@@ -38,7 +42,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import ab_spectrum as ab
@@ -173,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="ODE eigensolver vs analytic level")
     common(p, ab_channel=True, ac_channel=True)
     p.add_argument("--sector", choices=("ab", "ac"), default="ab")
-    p.add_argument("--r-min", type=float, default=1e-6)
     p.add_argument("--resolution", type=float, default=None, help="override integrator resolution")
     return parser
 
@@ -432,10 +435,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
 
     if spec.command == "oracle-check":
         resolution = params["resolution"]
-        try:
-            cfg = orc.ShootingConfig(r_min=params["r_min"])
-        except ValueError as exc:
-            raise UsageError(f"--r-min: {exc}") from None
+        cfg = orc.ShootingConfig()
         if resolution is not None:
             # it sets numerov_dx, and the diagnostic ladder integrates at up
             # to 4 times it, which must stay below 1.  A check's cost grows
@@ -445,7 +445,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
             # 1e-4, where each integration takes 100000 steps
             if not 1e-3 <= resolution < 0.25:
                 raise UsageError(f"--resolution must lie in [1e-3, 0.25), got {resolution!r}")
-            cfg = replace(cfg, numerov_dx=resolution)
+            cfg = orc.ShootingConfig(numerov_dx=resolution)
         if params["sector"] == "ab":
             chd = _dirac_channel(params, "oracle-check --sector ab")
             level = ab.solve_bound_energy(chd, ext)
@@ -461,7 +461,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         if numeric is None:
             window = "|E|/m <= 1 - 1e-9" if params["sector"] == "ab" else "1e-8 <= -E/m <= 1e6"
             raise ab.EnergyDomainError(
-                f"oracle-check: the oracle scans {window} and finds no level there; "
+                f"oracle-check: the oracle searches {window} and finds no level there; "
                 f"the analytic level is at E/m = {e_an / mass!r}"
             )
         return (

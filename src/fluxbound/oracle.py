@@ -1,44 +1,44 @@
 """Independent ODE eigensolver used to adjudicate every analytic level.
 
 The oracle never touches the analytic level formulas: it seeds the radial
-problem at an inner cutoff with the extension-family boundary template
-(each branch continued by the summed Frobenius series of the ODE itself),
-integrates outward, and measures the admixture of the growing mode at an
-outer radius deep in the classically forbidden tail via a cross product with
-the decaying asymptotic solution.  Bound levels are roots of that mismatch in
-the energy.
+problem with the extension-family boundary template (each branch continued
+by the summed Frobenius series of the ODE itself), integrates outward, and
+measures the admixture of the growing mode deep in the classically forbidden
+tail via a cross product with the decaying asymptotic solution.  Bound
+levels are roots of that mismatch in the energy.
 
-The mismatch is the growing-mode coefficient times a smooth positive scale:
-the cross product divided by the free growth factor exp(k*(r_max - r_seed)),
-with k the tail decay constant and the integrator carrying the log of every
-renormalization so that the division neither under- nor overflows.  It is a
-smooth function of E with the sign of the coefficient, so Brent's
-interpolation steps converge on a root in a few evaluations; dividing by the
-cross product's own size would make it a step function of E that Brent can
-only bisect.
-
-One integrator serves both sectors.  The radial Dirac coefficients are
-constant in the pure Aharonov-Bohm field, so eliminating the lower component
-is exact: f1'' = [a(a - 1)/r^2 + lambda^2] f1 with a = s*nu_tilde and
+The extension parameter fixes the template at r = 0, and away from the
+origin the radial equations hold no length but the tail decay length 1/k, so
+1/k is the oracle's only length: every grid is laid out in z = k*r.  One
+integrator serves both sectors.  The radial Dirac coefficients are constant
+in the pure Aharonov-Bohm field, so eliminating the lower component is
+exact: f1'' = [a(a - 1)/r^2 + lambda^2] f1 with a = s*nu_tilde and
 lambda^2 = 1 - E^2, the reduced Schroedinger form
 u'' = [(g^2 - 1/4)/r^2 + k^2] u of the neutral-fermion sector with
 g = |l + mu| and k = lambda.  The Frobenius series converges at every
 radius, and for an index above -1 every term is positive, so nothing cancels
 (DLMF 10.25.2); the template is evaluated directly out to the seed radius
-2/k, past the power-law zone where Numerov loses most, and Numerov
+z = 2, past the power-law zone where Numerov loses most, and Numerov
 integrates one linear grid from there through 10 decay lengths of the tail,
-to 12/k.  An error in the decaying solution reaches the growing-mode
-coefficient damped by exp(-2*k*(r_max - r)), so on the A3 grids a tail to
-40/k moves no level by more than 8.2e-14 m, and the one resolution knob is
-the step numerov_dx; the error falls as its fourth power.
+to z = 12, in steps of numerov_dx (100 at the default 0.1).  An error in the
+decaying solution reaches the growing-mode coefficient damped by
+exp(-2(12 - z)), so on the A3 grids a tail to z = 40 moves no level by more
+than 8.2e-14 m, and the one resolution knob is the step numerov_dx; the
+error falls as its fourth power.
 
-A solve integrates two solutions, not one per energy.  In z = k*r the
-equation u'' = [(g^2 - 1/4)/z^2 + 1] u holds no energy, and at the default
-lengths (seed radius 2/k, r_max = 12/k, step numerov_dx/k, so 100 steps at
-the default numerov_dx 0.1) the whole grid scales as 1/k.  The template,
-c_reg r^p F_p + c_irr r^-p F_-p in r^(-1/2) u, is two Frobenius branches
-whose coefficients alone carry the energy, and Numerov is linear.  So the
-mismatch at E is, to rounding,
+The mismatch is the growing-mode coefficient times a smooth positive scale:
+the cross product divided by the free growth factor exp(10) over the grid,
+which is all the solution grows by, so no value needs renormalizing.  It is
+a smooth function of E with the sign of the coefficient, so Brent's
+interpolation steps converge on a root in a few evaluations; dividing by the
+cross product's own size would make it a step function of E that Brent can
+only bisect.
+
+A solve integrates two solutions, not one per energy.  In z the equation
+u'' = [(g^2 - 1/4)/z^2 + 1] u holds no energy, and the grid holds none
+either.  The template, c_reg r^p F_p + c_irr r^-p F_-p in r^(-1/2) u, is two
+Frobenius branches whose coefficients alone carry the energy, and Numerov is
+linear.  So the mismatch at E is, to rounding,
 
     k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr),
 
@@ -46,10 +46,15 @@ with M_reg and M_irr the mismatches of the branches z^(+-p) F_(+-p)
 integrated once at k = 1: lambda^(-nu) M_reg - xi_int (u + 1)/(s(2nu - 1))
 lambda^(nu - 1) M_irr for Dirac with tau = +1 (the f1 component; tau = -1
 takes the companion one), kappa^(-g) M_reg - xi_int kappa^g M_irr for the
-neutral fermion, each times k^(-1/2).  An explicit r_max, or an r_min above
-2/k, puts a length into the grid that does not scale with 1/k; at such an
-energy the solve integrates the template itself, once, and energies of the
-same solve where r_min does not act still read the shared pair.
+neutral fermion, each times k^(-1/2).
+
+The mismatch changes sign at most once per window.  It is
+c_irr k^(p - 1/2) M_irr (rho M_reg/M_irr + 1) with rho = c_reg k^(-2p)/c_irr;
+c_irr keeps one sign over each window, and rho is strictly monotone in the
+scan variable: a multiple of kappa^(-2g) for the neutral fermion, and for
+Dirac, with either tau, ln|rho| = (1/2 - nu) ln(1 - u) - (1/2 + nu) ln(1 + u)
+plus a constant, which decreases for the extended regime's 0 < nu < 1/2.  So
+the signs at the window's two ends decide whether it holds a level.
 
 The oracle stays independent of the analytic route: it uses the ODE, its
 Frobenius template, linearity and this scaling, and calls no level formula,
@@ -58,13 +63,13 @@ same mix with the Gamma-function connection ratio 2^(-2p) Gamma(1-p)/Gamma(1+p)
 in place of M_irr/M_reg, so the oracle-equivalence check compares the
 integrated connection ratio, through the shared template, with that one.
 
-Both sectors run one skeleton, ``_shoot``: scan a grid of the sector's scan
-variable (u = tau*E/m for Dirac, y = ln(-E/m) for Schroedinger) for the first
-sign change, refine it with Brent, and re-solve from brackets grown outward
-from that root at twice and four times the step (the discretization ladder)
-and at the halved inner cutoff.  A sector supplies its template, window,
-scan-variable-to-energy map and tail decay bound.  Each shoot is a pure
-computation; ``OracleResult.evaluations`` counts its Numerov integrations.
+Both sectors run one skeleton, ``_shoot``: evaluate the mismatch at the two
+ends of the sector's window in its scan variable (u = tau*E/m for Dirac,
+y = ln(-E/m) for Schroedinger), refine the root between them with Brent, and
+re-solve from brackets grown outward from that root at twice and four times
+the step (the discretization ladder).  A sector supplies its template,
+window and scan-variable-to-energy map.  Each shoot is a pure computation;
+``OracleResult.evaluations`` counts its Numerov integrations.
 """
 
 from __future__ import annotations
@@ -96,43 +101,23 @@ _LADDER = (2, 4)
 class ShootingConfig:
     """Numerical controls for one shoot.
 
-    r_min/r_max in units of 1/m (r_max = None selects 12/k per energy, with
-    k the tail decay constant: lambda = sqrt(1 - E^2) for Dirac, kappa =
-    sqrt(-2E) for Schroedinger); numerov_dx is the Numerov grid step of both
-    sectors in units of 1/k.  The default 0.1 takes 100 steps from the seed
-    radius to 12/k and puts the golden shoots 2.1e-10 m (Dirac) and 3.5e-9 m
-    (neutral fermion) off; at 0.05 four of the 50 A3 ladders fall below the
-    rounding floor and give no order.  Every integrated step stays below 1,
-    and with diagnostics on the coarsest ladder rung integrates at
-    4*numerov_dx, so numerov_dx lies below 0.25 (below 1 with diagnostics
-    off): at 0.24 the golden shoots are 9.1e-9 m (Dirac) and 9.6e-8 m
-    (neutral fermion) off; energy_bracket (in units of m) overrides the
-    default scan window; n_scan grid points locate the sign change;
-    diagnostics enables the coarsened-step and halved-cutoff re-solves (see
-    _shoot).
-
-    r_min is a lower limit on the radius where the template series seeds the
-    integration, r_seed = min(max(r_min, 2/k), 0.2*r_max), so it only
-    acts when r_min > 2/k, and with r_max = None it moves the seed radius
-    no further than 2.4/k.  At an energy where it acts, or at every energy
-    under an explicit r_max, a solve integrates the template itself instead
-    of reading its shared branch pair (see the module docstring).
-    When halving r_min cannot move r_seed anywhere in the probe window, the
-    r_min probe is skipped and r_min_sensitivity is exactly 0.0.
+    numerov_dx is the Numerov grid step of both sectors in units of 1/k, the
+    oracle's only length, with k the tail decay constant (lambda =
+    sqrt(1 - E^2) for Dirac, kappa = sqrt(-2E) for Schroedinger, in units of
+    m).  The default 0.1 takes 100 steps from z = 2 to z = 12 and puts the
+    golden shoots 2.1e-10 m (Dirac) and 3.4e-9 m (neutral fermion) off; at
+    0.05 four of the 50 A3 ladders fall below the rounding floor and give no
+    order.  Every integrated step stays below 1, and with diagnostics on the
+    coarsest ladder rung integrates at 4*numerov_dx, so numerov_dx lies below
+    0.25 (below 1 with diagnostics off): at 0.24 the golden shoots are
+    9.1e-9 m (Dirac) and 9.6e-8 m (neutral fermion) off.  diagnostics
+    enables the coarsened-step re-solves (see _shoot).
     """
 
-    r_min: float = 1e-6
-    r_max: Optional[float] = None
-    energy_bracket: Optional[tuple[float, float]] = None
-    n_scan: int = 48
     numerov_dx: float = 0.1
     diagnostics: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.r_min:
-            raise ValueError("ShootingConfig: r_min must be > 0")
-        if self.r_max is not None and not self.r_max > self.r_min:
-            raise ValueError("ShootingConfig: r_max must exceed r_min")
         coarsest = _LADDER[-1] * self.numerov_dx if self.diagnostics else self.numerov_dx
         if not (0.0 < self.numerov_dx and coarsest < 1.0):
             raise ValueError(
@@ -145,9 +130,9 @@ class OracleResult:
     """A shot level with the Numerov integrations it took.
 
     evaluations counts integrations over the whole shoot, diagnostic probes
-    included: two (the template's two branches) per solve whose grid scales
-    with 1/k, so 2 for a shoot with diagnostics off and 2 more per probe,
-    and one per mismatch evaluation at an energy whose grid does not.
+    included: two (the template's two branches) per solve, so 2 with
+    diagnostics off and 6 with them on (4 when the first probe finds no
+    level).
     A probe's step is coarser than the base step, so the two ladder probes
     together integrate 0.75 times the base solve's Numerov steps.
 
@@ -156,7 +141,13 @@ class OracleResult:
     2^4 - 1 assumes order 4, whatever order the ladder observes; on the A3
     grids at the default step the orders read 3.46 to 5.80 and the estimate
     is 0.83 to 1.30 times the true error.  It is NaN with diagnostics off or
-    when a probe finds no level."""
+    when a probe finds no level, and so are convergence_order_estimate and
+    r_min_sensitivity.
+
+    r_min_sensitivity is otherwise 0.0: no inner cutoff is left to halve,
+    since the template fixes the solution at r = 0 and every grid is seeded
+    at z = 2 whatever the energy.  The field stays for the callers and the
+    CLI column that read it."""
 
     E: float
     match_residual: float
@@ -198,40 +189,21 @@ def _frobenius_factor(a: float, z2: float) -> float:
         total += term
 
 
-# where the grid scales with 1/k, it runs from the seed radius _SEED_Z/k,
-# where the summed template series hands over to Numerov, to the tail end
-# _TAIL_Z/k, 10 decay lengths further out
+# every grid runs from the seed radius z = _SEED_Z, where the summed template
+# series hands over to Numerov, to the tail end z = _TAIL_Z, 10 decay lengths
+# further out
 _SEED_Z = 2.0
 _TAIL_Z = 12.0
 
 
-def _r_min_acts(r_min: float, k: float) -> bool:
-    """Whether r_min lifts the seed radius at decay constant k above
-    _SEED_Z/k, its value on a grid that scales with 1/k (see _numerov_miss)."""
-    return r_min > _SEED_Z / k
-
-
-def _template_miss(
-    p: float, k: float, c_reg: float, c_irr: float, cfg: ShootingConfig
-) -> float:
-    """_numerov_miss of the template c_reg r^p F_p + c_irr r^-p F_-p at
-    decay constant k (m = 1 units), each branch r^(+-p) continued by its
-    Frobenius factor F_(+-p)((k r)^2)."""
-
-    def seed(r: float) -> float:
-        z2 = (k * r) ** 2
-        reg, irr = r**p * _frobenius_factor(p, z2), r**-p * _frobenius_factor(-p, z2)
-        return c_reg * reg + c_irr * irr
-
-    return _numerov_miss(abs(p), k, seed, cfg)
-
-
 def _branch_pair(p: float, cfg: ShootingConfig) -> tuple[float, float]:
     """(M_reg, M_irr): the mismatches of the branches z^(+-p) F_(+-p)(z^2)
-    on the k = 1 grid.  Only energies where r_min does not act read the
-    pair, so it is integrated with r_min at the scale-free seed radius."""
-    flat = replace(cfg, r_min=_SEED_Z)
-    return _template_miss(p, 1.0, 1.0, 0.0, flat), _template_miss(p, 1.0, 0.0, 1.0, flat)
+    on the k = 1 grid."""
+
+    def branch(a: float) -> Callable[[float], float]:
+        return lambda z: z**a * _frobenius_factor(a, z**2)
+
+    return _numerov_miss(abs(p), 1.0, branch(p), cfg), _numerov_miss(abs(p), 1.0, branch(-p), cfg)
 
 
 # mix(x) -> (k, c_reg, c_irr): the tail decay constant and the template's
@@ -239,28 +211,14 @@ def _branch_pair(p: float, cfg: ShootingConfig) -> tuple[float, float]:
 Mix = Callable[[float], tuple[float, float, float]]
 
 
-def _mismatch(
-    p: float, mix: Mix, cfg: ShootingConfig, count: Callable[[int], None]
-) -> Callable[[float], float]:
-    """x -> the template's tail mismatch at scan variable x (m = 1 units).
-
-    Where x's grid scales with 1/k (r_max is None and r_min does not act at
-    x's k) that is the closed form k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p
-    M_irr), from one branch pair shared by every such x; elsewhere the
-    template is integrated at x's k.  Both give the same function of x.
-    count(n) hears of every n integrations.
-    """
-    pair: list[tuple[float, float]] = []
+def _mismatch(p: float, mix: Mix, cfg: ShootingConfig) -> Callable[[float], float]:
+    """x -> the template's tail mismatch at scan variable x (m = 1 units):
+    the closed form k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr), read
+    from the branch pair integrated once, here, at cfg's step."""
+    m_reg, m_irr = _branch_pair(p, cfg)
 
     def miss_x(x: float) -> float:
         k, c_reg, c_irr = mix(x)
-        if cfg.r_max is not None or _r_min_acts(cfg.r_min, k):
-            count(1)
-            return _template_miss(p, k, c_reg, c_irr, cfg)
-        if not pair:
-            count(2)
-            pair.append(_branch_pair(p, cfg))
-        m_reg, m_irr = pair[0]
         return (c_reg * k**-p * m_reg + c_irr * k**p * m_irr) / math.sqrt(k)
 
     return miss_x
@@ -271,9 +229,8 @@ def _mismatch(
 # ---------------------------------------------------------------------------
 
 
-def _scan_grid(window: tuple[float, float], n_scan: int) -> list[float]:
+def _scan_grid(window: tuple[float, float], n: int) -> list[float]:
     lo, hi = window
-    n = max(3, n_scan)
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -342,14 +299,15 @@ def _shoot(
     p: float,
     mix: Mix,
     to_e: Callable[[float], tuple[float, float]],
-    decay_max: Callable[[tuple[float, float]], float],
 ) -> Optional[OracleResult]:
-    """Scan, refine and diagnose the first level of a sector, or None.
+    """Bracket, refine and diagnose the level of a sector in window, or None.
 
-    p and mix(x) are the sector's template (see _mismatch), scanned over
-    window; to_e(x) gives E/m and |d(E/m)/dx|, which turn the root, its
-    residual and the diagnostic differences into energies.  decay_max(window)
-    is the largest tail decay constant over a window.
+    p and mix(x) are the sector's template (see _mismatch); to_e(x) gives
+    E/m and |d(E/m)/dx|, which turn the root, its residual and the
+    diagnostic differences into energies.  The mismatch changes sign at most
+    once over the window (see the module docstring), so its values at the
+    window's two ends are Brent's bracket, and when they share a sign the
+    window holds no level.
 
     With diagnostics on, each probe re-solves from a bracket grown outward
     from the base root x0, x0 +- 1e-6 doubling up to x0 +- 1e-2 (see
@@ -358,50 +316,39 @@ def _shoot(
     log2(|E(2dx) - E(4dx)| / |E(dx) - E(2dx)|), NaN unless the ladder
     converges (the coarser difference is the larger) and the finer
     difference is above the 1e-11 m rounding floor.  error_estimate is
-    |E(dx) - E(2dx)|/15, Richardson's estimate for order 4.  The r_min probe
-    halves r_min at dx; when r_min acts at no energy up to decay_max,
-    halving it cannot move any seed radius and the probe is skipped.
+    |E(dx) - E(2dx)|/15, Richardson's estimate for order 4.
     """
-    evals = 0
-
-    def count(n: int) -> None:
-        nonlocal evals
-        evals += n
-
-    miss_x = _mismatch(p, mix, cfg, count)
-    first = next(_sign_changes(miss_x, _scan_grid(window, cfg.n_scan)), None)
-    if first is None:
+    # each solve integrates the template's two branches
+    evals = 2
+    miss_x = _mismatch(p, mix, cfg)
+    lo, hi = window
+    f_lo, f_hi = miss_x(lo), miss_x(hi)
+    if not f_lo * f_hi <= 0.0:
         return None
-    x0, resid = _refine_root(miss_x, *first, tol_x=1e-12)
+    x0, resid = _refine_root(miss_x, lo, hi, f_lo, f_hi, tol_x=1e-12)
     e0, de_dx = to_e(x0)
     resid_e = m * resid * de_dx
     if not cfg.diagnostics:
         return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
-    # coarsened discretization at fixed r_min -> observed order and error
-    # estimate; halved inner cutoff at fixed discretization -> r_min
-    # sensitivity
-    narrow = (max(window[0], x0 - _PROBE_HALF_WIDTH), min(window[1], x0 + _PROBE_HALF_WIDTH))
-    probe = replace(cfg, diagnostics=False)
-    probes = [replace(probe, numerov_dx=cfg.numerov_dx * f) for f in _LADDER]
-    if _r_min_acts(cfg.r_min, decay_max(narrow)):
-        probes.append(replace(probe, r_min=cfg.r_min / 2.0))
+    narrow = (max(lo, x0 - _PROBE_HALF_WIDTH), min(hi, x0 + _PROBE_HALF_WIDTH))
     energies = []
-    for config in probes:
-        probe_miss = _mismatch(p, mix, config, count)
+    for factor in _LADDER:
+        evals += 2
+        probe = ShootingConfig(numerov_dx=cfg.numerov_dx * factor, diagnostics=False)
+        probe_miss = _mismatch(p, mix, probe)
         bracket = _grow_bracket(probe_miss, x0, narrow)
         # a probe finds no root when its rung moves the root out of the
-        # probe window: by more than 1e-2, or past the scan window's edge
+        # probe window: by more than 1e-2, or past the window's edge
         if bracket is None:
             return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
         energies.append(to_e(nk.find_root_bracketed(probe_miss, bracket, tol_x=1e-12))[0])
-    e2, e4, *e_half_r_min = energies
-    sens = abs(e0 - e_half_r_min[0]) if e_half_r_min else 0.0
+    e2, e4 = energies
     d1 = abs(e0 - e2)
     d2 = abs(e2 - e4)
     # a ladder that does not converge, or whose finer difference is
     # rounding noise, gives no order
     order = math.log2(d2 / d1) if d2 > d1 > _ORDER_FLOOR else _DIAG_NAN
-    return OracleResult(m * e0, resid_e, order, m * sens, evals, m * d1 / 15.0)
+    return OracleResult(m * e0, resid_e, order, 0.0, evals, m * d1 / 15.0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +357,8 @@ def _shoot(
 
 
 _GAP_WINDOW = (-1.0 + 1e-9, 1.0 - 1e-9)
+# the level count's scan points over the gap
+_COUNT_POINTS = 48
 
 
 def _dirac_template(ch: DiracChannel, xi_int: float) -> tuple[float, Mix]:
@@ -442,52 +391,43 @@ def dirac_shoot(
 
     Seeds f1 from the domain template with the channel-sign component
     pairing and internal weight s*xi (see _dirac_template), integrates its
-    exact second-order equation f1'' = [a(a - 1)/r^2 + lambda^2] f1 to r_max,
-    and root-finds the growing-mode admixture over u = tau*E.  Since
-    s(E + 1) does not vanish in the gap, f2 = ((a/r) f1 - f1')/(s(E + 1))
-    decays exactly when f1 does.  Returns None when the scan shows no sign
-    change (e.g. xi >= 0).
+    exact second-order equation f1'' = [a(a - 1)/r^2 + lambda^2] f1 into the
+    tail, and root-finds the growing-mode admixture over u = tau*E in
+    |u| <= 1 - 1e-9.  Since s(E + 1) does not vanish in the gap,
+    f2 = ((a/r) f1 - f1')/(s(E + 1)) decays exactly when f1 does.  Returns
+    None when the mismatch keeps its sign over the window (e.g. xi >= 0).
     """
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("dirac_shoot: requires an extended-regime channel")
     xi = ext.xi
     if not xi < 0.0:
         return None
-    m = ch.m
     tau = ch.tau
-    if cfg.energy_bracket is not None:
-        window = (cfg.energy_bracket[0] / m * tau, cfg.energy_bracket[1] / m * tau)
-        window = (min(window), max(window))
-    else:
-        window = _GAP_WINDOW
-    # lambda <= 1, so r_min <= 2 leaves every seed radius at 2/lambda
     p, mix = _dirac_template(ch, ch.s * xi)
-    return _shoot(cfg, m, window, p, mix, lambda u: (tau * u, 1.0), lambda narrow: 1.0)
+    return _shoot(cfg, ch.m, _GAP_WINDOW, p, mix, lambda u: (tau * u, 1.0))
 
 
 def count_dirac_levels(
     ch: DiracChannel, ext: Extension, cfg: ShootingConfig = ShootingConfig()
 ) -> int:
-    """Number of mismatch sign changes over the whole gap (uniqueness probe).
+    """Number of mismatch sign changes over a 48-point scan of the gap.
 
-    Unlike a shoot, whose scan stops at the first sign change, the count
-    evaluates every one of the n_scan grid points; where the config's grid
-    scales with 1/k, all from one pair of branch integrations."""
+    A shoot reads the mismatch only at the window's ends, which holds
+    because it changes sign at most once per window (see the module
+    docstring); the count scans the whole gap from one pair of branch
+    integrations, so it checks that uniqueness independently."""
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("count_dirac_levels: requires an extended-regime channel")
     xi = ext.xi
     if not xi < 0.0:
         return 0
-    miss_u = _mismatch(*_dirac_template(ch, ch.s * xi), cfg, lambda n: None)
-    return sum(1 for _ in _sign_changes(miss_u, _scan_grid(_GAP_WINDOW, cfg.n_scan)))
+    miss_u = _mismatch(*_dirac_template(ch, ch.s * xi), cfg)
+    return sum(1 for _ in _sign_changes(miss_u, _scan_grid(_GAP_WINDOW, _COUNT_POINTS)))
 
 
 # ---------------------------------------------------------------------------
 # Numerov kernel (both sectors) and Schroedinger shoot
 # ---------------------------------------------------------------------------
-
-
-_LOG_1E250 = math.log(1e250)
 
 
 def _numerov_pass(
@@ -498,16 +438,14 @@ def _numerov_pass(
     x0: float,
     h: float,
     n: int,
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """n Numerov steps for y'' = (c/x^2 + k2) y on x = x0 + i*h from (y0, y1).
 
-    Returns the last two values and log_scale, the sum of the logs of the
-    1e250 renormalizations: the true values are the returned ones times
-    exp(log_scale).
+    Returns the last two values.  Nothing is renormalized: over the oracle's
+    grids, 10 decay lengths long, the solution grows by about e^10.
     """
     hh = h * h
     h2_12 = hh / 12.0
-    log_scale = 0.0
     x1 = x0 + h
     w_cur = c / (x1 * x1) + k2
     t_prev = y0 * (1.0 - h2_12 * (c / (x0 * x0) + k2))
@@ -521,13 +459,7 @@ def _numerov_pass(
         t_prev, t_cur = t_cur, t_next
         y_prev, y_cur = y_cur, y_next
         w_cur = w_next
-        if abs(y_cur) > 1e250:
-            y_prev /= 1e250
-            y_cur /= 1e250
-            t_prev /= 1e250
-            t_cur /= 1e250
-            log_scale += _LOG_1E250
-    return y_prev, y_cur, log_scale
+    return y_prev, y_cur
 
 
 def _numerov_miss(
@@ -535,33 +467,29 @@ def _numerov_miss(
 ) -> float:
     """Tail mismatch for u'' = [(g^2 - 1/4)/r^2 + k^2] u by Numerov.
 
+    The grid runs from the seed radius _SEED_Z/k to the tail end _TAIL_Z/k.
     The mismatch is the cross product of the last two tail values with the
-    decaying asymptote sqrt(r) K_g(k r), times exp(-k*(r_max - r_seed)): the
-    growing-mode coefficient times a smooth positive scale.
+    decaying asymptote sqrt(r) K_g(k r), times exp(-k*(r_tail - r_seed)):
+    the growing-mode coefficient times a smooth positive scale.
 
     seed(r) = r^(-1/2) u(r) is the sector's domain template, each branch
     continued by its summed Frobenius factor, which converges at every r; its
-    values at the first two grid points start one linear grid from r_seed to
-    r_max.  Evaluating the series out to r_seed, instead of transporting the
-    mixture numerically from deep inside the power-law zone, keeps the
-    microscopic regular-branch share (relative error / r^(2 g)) exact.
+    values at the first two grid points start the grid.  Evaluating the
+    series out to r_seed, instead of transporting the mixture numerically
+    from deep inside the power-law zone, keeps the microscopic
+    regular-branch share (relative error / r^(2 g)) exact.
     """
-    if cfg.r_max is None and not _r_min_acts(cfg.r_min, k):
-        # the grid scales with 1/k: count its steps in z, so that every k
-        # takes the same n as the shared branch pair at k = 1
-        r_seed, r_max = _SEED_Z / k, _TAIL_Z / k
-        n = max(8, math.ceil((_TAIL_Z - _SEED_Z) / cfg.numerov_dx))
-    else:
-        r_max = cfg.r_max if cfg.r_max is not None else _TAIL_Z / k
-        r_seed = min(cfg.r_min if _r_min_acts(cfg.r_min, k) else _SEED_Z / k, 0.2 * r_max)
-        n = max(8, math.ceil((r_max - r_seed) / (cfg.numerov_dx / k)))
-    h_r = (r_max - r_seed) / n
+    r_seed, r_tail = _SEED_Z / k, _TAIL_Z / k
+    # count the steps in z, so that every k takes the same n as the shared
+    # branch pair at k = 1
+    n = math.ceil((_TAIL_Z - _SEED_Z) / cfg.numerov_dx)
+    h_r = (r_tail - r_seed) / n
     u_0 = math.sqrt(r_seed) * seed(r_seed)
     u_1 = math.sqrt(r_seed + h_r) * seed(r_seed + h_r)
     g2 = g * g
-    ub, ua, log_scale = _numerov_pass(g2 - 0.25, k * k, u_0, u_1, r_seed, h_r, n)
+    ub, ua = _numerov_pass(g2 - 0.25, k * k, u_0, u_1, r_seed, h_r, n)
     rb = r_seed + (n - 1) * h_r
-    ra = r_max
+    ra = r_tail
     w1 = (4.0 * g2 - 1.0) / 8.0
     w2 = (4.0 * g2 - 1.0) * (4.0 * g2 - 9.0) / 128.0
 
@@ -570,7 +498,11 @@ def _numerov_miss(
         return math.exp(-k * (r - rb)) * (1.0 + w1 / zr + w2 / (zr * zr))
 
     num = ua * asym(rb) - ub * asym(ra)
-    return num * math.exp(log_scale - k * (r_max - r_seed))
+    return num * math.exp(-k * (r_tail - r_seed))
+
+
+# the neutral fermion's window in y = ln(-E/m)
+_AC_WINDOW = (math.log(1e-8), math.log(1e6))
 
 
 def _ac_template(g: float, xi_int: float) -> tuple[float, Mix]:
@@ -585,31 +517,18 @@ def schrodinger_shoot(
 ) -> Optional[OracleResult]:
     """Negative level of the neutral-fermion channel from Numerov shooting.
 
-    Seeds the domain template (see _ac_template), scans ln(-E_n) over the
-    energy window (default E_n/m in [-1e6, -1e-8]), root-finds the tail
-    mismatch, and reports nested-cutoff diagnostics.  Returns None when no
-    sign change exists (e.g. xi >= 0).
+    Seeds the domain template (see _ac_template), brackets ln(-E_n) by the
+    window 1e-8 <= -E_n/m <= 1e6, root-finds the tail mismatch, and reports
+    the coarsened-step diagnostics.  Returns None when the mismatch keeps
+    its sign over the window (e.g. xi >= 0).
     """
     if ch.regime is not ACRegime.EXTENDED:
         raise RegimeError("schrodinger_shoot: requires 0 < gamma < 1")
     xi = ext.xi
     if not xi < 0.0:
         return None
-    m = ch.m
-    if cfg.energy_bracket is not None:
-        e_lo, e_hi = cfg.energy_bracket
-        if not (e_lo < 0 and e_hi < 0):
-            raise ValueError("schrodinger_shoot: energy_bracket must be negative")
-        window = (math.log(-max(e_lo, e_hi) / m), math.log(-min(e_lo, e_hi) / m))
-        window = (min(window), max(window))
-    else:
-        window = (math.log(1e-8), math.log(1e6))
-
-    # kappa is largest at the deep end of a window
     p, mix = _ac_template(ch.gamma, -xi)
-    return _shoot(
-        cfg, m, window, p, mix, lambda y: (-math.exp(y), math.exp(y)), lambda w: mix(w[1])[0]
-    )
+    return _shoot(cfg, ch.m, _AC_WINDOW, p, mix, lambda y: (-math.exp(y), math.exp(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +545,9 @@ def convergence_study(
 
     The shoot follows the channel: dirac_shoot for a DiracChannel,
     schrodinger_shoot for an ACChannel; any other channel is a TypeError.
-    Each rung is expected to halve r_min and refine the discretization; the
-    observed order is log2 of the ratio of successive differences, and the
-    extrapolated energy removes the leading error term.  Non-monotone
-    difference sequences are flagged.
+    Each rung is expected to halve numerov_dx; the observed order is log2 of
+    the ratio of successive differences, and the extrapolated energy removes
+    the leading error term.  Non-monotone difference sequences are flagged.
     """
     if len(configs) < 3:
         raise ValueError("convergence_study: need at least 3 nested configs")

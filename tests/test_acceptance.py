@@ -142,7 +142,7 @@ def test_a2_ac_closed_forms():
 # ---------------------------------------------------------------------------
 
 _DEFAULT_CFG = orc.ShootingConfig(diagnostics=False)
-_REFINED_CFG = orc.ShootingConfig(r_min=5e-7, numerov_dx=0.005, diagnostics=False)
+_REFINED_CFG = orc.ShootingConfig(numerov_dx=0.005, diagnostics=False)
 
 
 def test_a3_oracle_equivalence():

@@ -58,6 +58,14 @@ class TestParseArgs:
         assert spec.params["mu"] == 0.3  # from file
         assert spec.params["xi"] == -1.0  # flag wins
 
+    def test_config_file_skips_keys_without_a_flag(self, tmp_path):
+        # r_min named the oracle's old inner cutoff; like any key without a
+        # flag it is skipped, where the --r-min flag is a usage error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r_min = 0.1\nbogus = 3\n")
+        spec = cli.parse_args(["oracle-check", "--config", str(cfg), "--mu", "0.25", "--xi", "-1"])
+        assert "r_min" not in spec.params and "bogus" not in spec.params
+
     @pytest.mark.parametrize(
         "key, raw",
         [
@@ -133,6 +141,7 @@ class TestUsageErrors:
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=inf"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--r-min=0"],
+            ["oracle-check", "--mu", "0.25", "--xi", "-1", "--r-min", "1e-6"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e200"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=5"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e-8"],
