@@ -191,6 +191,32 @@ class TestDeepLevelRelativeAccuracy:
         assert abs(analytic) > 1e3
         assert res.E == pytest.approx(analytic, rel=1e-7)
 
+    def test_direct_series_seed_branch(self):
+        # the deep level's grid starts at r = 2/kappa, about 0.0325 here,
+        # seeded from the summed template series; integrated per energy from
+        # that seed, the full template's mismatch changes sign across the
+        # analytic level within 1e-8 of it, and the shoot lands there too
+        ch = ac_channel(0.15)
+        ext = ab.Extension.from_xi(-0.3)
+        analytic = ac.ac_bound_energy(ch, ext).E_n
+        gamma, xi_int = ch.gamma, -ext.xi
+
+        def direct_miss(E):
+            kappa = math.sqrt(-2.0 * E)
+
+            def seed(r):
+                z2 = (kappa * r) ** 2
+                frob = orc._frobenius_factor
+                return r**gamma * frob(gamma, z2) - xi_int * r**-gamma * frob(-gamma, z2)
+
+            return orc._numerov_miss(gamma, kappa, seed, FAST)
+
+        assert orc._SEED_Z / math.sqrt(-2.0 * analytic) < 0.035
+        below, above = direct_miss(analytic * (1.0 + 1e-8)), direct_miss(analytic * (1.0 - 1e-8))
+        assert below * above < 0.0
+        res = orc.schrodinger_shoot(ch, ext, orc.ShootingConfig(diagnostics=False))
+        assert res.E == pytest.approx(analytic, rel=1e-8)
+
 
 class TestSmoothMismatch:
     """The mismatch is the growing-mode coefficient times a smooth scale."""
@@ -327,6 +353,24 @@ class TestFrobeniusFactor:
 
         want = float(mpmath.hyp0f1(1 + mpmath.mpf(a), mpmath.mpf(z * z) / 4))
         assert orc._frobenius_factor(a, z * z) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+class TestRenormalization:
+    """Shoots whose tail grows the solution past 1e250: nothing is
+    renormalized, and a tail to z = 600 (growth e^598, about 1e260) stays in
+    floating-point range and gives the golden levels."""
+
+    TAIL_Z = 600.0
+
+    def test_dirac_long_tail(self, monkeypatch):
+        monkeypatch.setattr(orc, "_TAIL_Z", self.TAIL_Z)
+        res = orc.dirac_shoot(dirac_channel(0.25), ab.Extension.from_xi(-1.0), FAST)
+        assert res.E == pytest.approx(E_GOLDEN, abs=1e-6)
+
+    def test_ac_long_tail(self, monkeypatch):
+        monkeypatch.setattr(orc, "_TAIL_Z", self.TAIL_Z)
+        res = orc.schrodinger_shoot(ac_channel(0.5), ab.Extension.from_xi(-1.0), FAST)
+        assert res.E == pytest.approx(-0.5, abs=1e-6)
 
 
 class TestIndependence:
@@ -679,6 +723,18 @@ class TestIntegratorKernels:
             assert err <= 2.0 * bound
             errs.append(err)
         assert 14.0 <= errs[0] / errs[1] <= 18.0
+
+    def test_numerov_exponential_through_renormalization(self):
+        # exp(kappa x) out to x = 300.5 reaches e^601, about 1e261, past the
+        # 1e250 at which a kernel would renormalize; the unrenormalized pass
+        # stays finite and keeps the phase-error bound over the whole span
+        kappa, x0, h, n = 2.0, 0.5, 0.02, 15000
+        _, y_n = orc._numerov_pass(
+            0.0, kappa * kappa, math.exp(kappa * x0), math.exp(kappa * (x0 + h)), x0, h, n
+        )
+        assert 1e250 < y_n < math.inf
+        err = abs(math.log(y_n) - kappa * (x0 + n * h))
+        assert err <= 2.0 * kappa * (n * h) * (kappa * h) ** 4 / 480.0
 
     def test_numerov_power_law_exact(self):
         # c = 2, k2 = 0: y = x^2 solves y'' = (2/x^2) y, and Numerov is exact
