@@ -8,13 +8,14 @@ Provides the four primitives everything else is built on:
 * bracketed root finding (``find_root_bracketed`` on a validated ``Bracket``),
 * semi-infinite quadrature with endpoint grading (``integrate_semiline``).
 
-No external special-function library is used.  The gamma function is a
-fixed-coefficient Lanczos rational approximation plus reflection; J uses the
-ascending series below a crossover in z or at orders above 1.3 z, and the
+Only the Python standard library is used.  The gamma functions are
+``math.gamma`` and ``math.lgamma`` behind the domain and pole checks; J uses
+the ascending series below a crossover in z or at orders above 1.3 z, and the
 Bessel/Schlaefli integral representation elsewhere; K uses a Temme-style
-cancellation-free series below the crossover and the cosh integral
-representation above it.  Seams are covered by continuity tests in the test
-suite.
+cancellation-free series below the crossover and a trapezoid rule on the cosh
+integral representation above it.  Seams are covered by continuity tests in
+the test suite, and accuracy by mpmath comparisons over the arguments the
+package passes.
 
 All functions are pure and hold no global mutable state (the Gauss-Legendre
 node cache is append-only and thread-safe for CPython usage patterns).
@@ -66,21 +67,6 @@ class ConvergenceError(RuntimeError):
 # gamma functions
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
-# rational part is a few 1e-15 over the right half line.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def _sinpi(x: float) -> float:
     """sin(pi*x) with argument reduction done in exact float arithmetic."""
@@ -89,42 +75,27 @@ def _sinpi(x: float) -> float:
     return -s if (round(x) % 2) else s
 
 
-def _lanczos_series(x: float) -> float:
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (x + i)
-    return acc
-
-
 def gamma_fn(x: float) -> float:
     """Gamma(x) for real x, excluding the poles at 0, -1, -2, ...
 
-    Relative error is a few 1e-14 for |x| <= 30 away from the poles.
+    ``math.gamma`` behind the pole check: against mpmath, the worst relative
+    error over the arguments the package passes is 5.8e-16, and the tests
+    hold it to 2e-15.  Raises ``OverflowError`` where |Gamma| exceeds the
+    double range (x > 171.62, or |x| below about 5.6e-309); subnormal values
+    are returned, and left of x = -178 Gamma underflows to +-0.0.
     """
     if x != x:
         raise KernelDomainError("gamma_fn: nan argument")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma_fn: pole at nonpositive integer x={x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (_sinpi(x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * _lanczos_series(z)
+    return math.gamma(x)
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, overflow-safe for large x."""
+    """ln Gamma(x) for x > 0 (``math.lgamma``), finite up to x of about 2.5e305."""
     if not x > 0.0:
         raise KernelDomainError(f"log_gamma: requires x > 0, got {x}")
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return (
-        0.5 * math.log(2.0 * math.pi)
-        + (z + 0.5) * math.log(t)
-        - t
-        + math.log(_lanczos_series(z))
-    )
+    return math.lgamma(x)
 
 
 def rgamma(x: float) -> float:
@@ -320,9 +291,13 @@ def _k_temme(mu: float, z: float) -> tuple[float, float]:
 
 def _k_integral(a: float, z: float) -> float:
     # K_a(z) = \int_0^infty exp(-z cosh t) cosh(a t) dt, evaluated with the
-    # trapezoidal rule; the integrand is even and analytic, so the rule
-    # converges spectrally.  Work relative to the peak exponent to dodge
-    # premature underflow.
+    # trapezoidal rule; the integrand is even and analytic in a strip about
+    # the real axis, so the rule converges geometrically in 1/h (Trefethen &
+    # Weideman, SIAM Rev. 56, 2014).  The peak's width scales like
+    # 1/sqrt(max(z, a)), and h = 0.2 of it holds K to 6.2e-14 relative
+    # against mpmath for z in (2, 600] and a <= 12, where rounding the peak
+    # exponent alone costs up to z eps.  Work relative to the peak exponent
+    # to dodge premature underflow.
     a = abs(a)
     if a > z:
         t_star = math.acosh(a / z)
@@ -330,8 +305,7 @@ def _k_integral(a: float, z: float) -> float:
     else:
         t_star = 0.0
         peak = -z
-    h = 0.02 / max(1.0, math.sqrt(max(z, a)))
-    h = min(h, 0.02)
+    h = 0.2 / math.sqrt(max(1.0, z, a))
     acc = 0.5 * math.exp(-z - peak)  # t = 0 term: cosh(0)=1
     t = h
     while True:

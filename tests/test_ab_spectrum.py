@@ -272,6 +272,18 @@ class TestMasterLevelAgainstMpmath:
             assert level.lam == pytest.approx(lam, rel=1e-12, abs=0.0), (l, s, mu)
             assert level.E == pytest.approx(ch.tau * u, rel=1e-12, abs=1e-15), (l, s, mu)
 
+    @pytest.mark.parametrize("nu", [1.01e-9 * 10 ** (k / 4) for k in range(35)] + [0.1, 0.49])
+    def test_near_the_zero_mode(self, nu):
+        # xi = -1, where E -> 0 linearly in nu: the Gamma ratio's logarithm
+        # must not cancel as nu -> 0 (nu <= 1e-9 is critical), on either side
+        # of 1/2 (tau = +-1)
+        for mu in (0.5 - nu, 0.5 + nu):
+            ch = channel(mu=mu)
+            level = ab.solve_bound_energy(ch, ab.Extension.from_xi(-1.0))
+            u, lam = s_form_root(ch.nu, -1.0)
+            assert level.lam == pytest.approx(lam, rel=1e-14, abs=0.0), mu
+            assert level.E == pytest.approx(ch.tau * u, rel=1e-14, abs=0.0), mu
+
 
 class TestPaperOmega:
     def test_finite_and_real_across_gap(self):

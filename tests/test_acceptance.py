@@ -34,7 +34,7 @@ from fluxbound import numkernel as nk
 from fluxbound import oracle as orc
 
 EULER = 0.5772156649015328606
-ZERO_MODE_SLOPE = 2.5407257413552487  # 2|psi(1/2) + ln 2|
+ZERO_MODE_SLOPE = 2.5407256909229563  # 2|psi(1/2) + ln 2| = 2 (Euler gamma + ln 2)
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -71,13 +71,17 @@ def test_a1_zero_mode_energy_bound_as_printed():
 
 def test_a1_zero_mode_limit_and_wavefunction():
     # limit clause: E -> 0 linearly as beta -> 1/2, antisymmetric across it
+    # per unit nu, not per nominal offset: beta = 1/2 - 1e-8 rounds to
+    # nu = 9.9999999947e-9, 5e-10 relative off delta
     slopes = []
     for delta in (1e-6, 1e-7, 1e-8):
-        lo = ab.solve_bound_energy(dirac(0.5 - delta), xi(-1.0)).E
+        ch = dirac(0.5 - delta)
+        lo = ab.solve_bound_energy(ch, xi(-1.0)).E
         hi = ab.solve_bound_energy(dirac(0.5 + delta), xi(-1.0)).E
         assert lo == pytest.approx(-hi, abs=1e-12)
-        slopes.append(abs(lo) / delta)
-    assert slopes[0] == pytest.approx(ZERO_MODE_SLOPE, rel=1e-5)
+        slopes.append(abs(lo) / ch.nu)
+    for slope in slopes:
+        assert slope == pytest.approx(ZERO_MODE_SLOPE, rel=1e-10)
     assert abs(slopes[2] - ZERO_MODE_SLOPE) <= abs(slopes[0] - ZERO_MODE_SLOPE) + 1e-9
 
     # wavefunction clause at the limit channel: componentwise against

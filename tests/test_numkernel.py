@@ -1,12 +1,15 @@
 """Kernel tests: gamma, Bessel J/K, root finder, semi-infinite quadrature.
 
 Expected values are either closed forms, high-precision reference constants,
-or computed by independent oracles implemented here (stdlib-lgamma series
-summation for J, trapezoidal integral representation for K).
+computed by independent oracles implemented here (stdlib-lgamma series
+summation for J, trapezoidal integral representation for K), or mpmath
+values over the arguments the package passes.
 """
 
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -74,7 +77,7 @@ class TestGamma:
         assert nk.gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
 
     def test_poles_raise(self):
-        for x in (0.0, -1.0, -2.0, -17.0):
+        for x in (0.0, -0.0, -1.0, -2.0, -17.0, -170.0, -171.0, -1e6):
             with pytest.raises(nk.PoleError):
                 nk.gamma_fn(x)
 
@@ -108,6 +111,44 @@ class TestGamma:
         assert nk.rgamma(0.0) == 0.0
         assert nk.rgamma(-3.0) == 0.0
         assert nk.rgamma(2.5) == pytest.approx(1.0 / nk.gamma_fn(2.5), rel=1e-14)
+
+    def test_domain_errors(self):
+        with pytest.raises(nk.KernelDomainError):
+            nk.gamma_fn(math.nan)
+        for x in (0.0, -0.0, -0.5, -math.inf, math.nan):
+            with pytest.raises(nk.KernelDomainError):
+                nk.log_gamma(x)
+
+    def test_overflow_raises(self):
+        # |Gamma| beyond the double range: right of 171.62 and next to the
+        # origin, where Gamma(x) ~ 1/x
+        for x in (171.7, 200.0, 1e-320, -1e-320, 5e-324):
+            with pytest.raises(OverflowError):
+                nk.gamma_fn(x)
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            # mpmath values, as parsed; the last four are subnormal
+            (171.6, 1.5858969096672565e308),
+            (2.5e-308, 4.0000000000000004e307),
+            (-0.500000000000001, -3.5449077018110318),
+            (-171.5, 1.9316265431711996e-310),
+            (-172.5, -1.1197835032876519e-312),
+            (-176.5, -1.1940357341527994e-321),
+            (-177.5, 5e-324),  # 6.73e-324, the smallest subnormal
+        ],
+    )
+    def test_representable_values_are_finite(self, x, want):
+        got = nk.gamma_fn(x)
+        assert got != 0.0 and math.isfinite(got)
+        # a subnormal result is good to its spacing, 4.9e-324
+        assert got == pytest.approx(want, rel=1e-14, abs=4.95e-324)
+
+    def test_log_gamma_tiny_argument(self):
+        # ln Gamma(x) = -ln x - Euler x + O(x^2)
+        for x in (1e-300, 2.5e-308, 1e-320, 5e-324):
+            assert nk.log_gamma(x) == pytest.approx(-math.log(x), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +407,51 @@ class TestBesselKSquareIntegral:
     def test_diverges_from_order_one(self, a):
         with pytest.raises(nk.KernelDomainError):
             nk.bessel_k_square_integral(a)
+
+
+class TestAgainstMpmath:
+    """Relative accuracy over the arguments the sectors pass the kernel."""
+
+    @staticmethod
+    def orders(rng, n, hi):
+        # half uniform on (0, hi), half log-uniform from 1e-9
+        for i in range(n):
+            if i % 2:
+                yield rng.uniform(0.0, hi)
+            else:
+                yield math.exp(rng.uniform(math.log(1e-9), math.log(hi)))
+
+    def test_gamma(self):
+        # Dirac: 1/2 +- nu (continuum norms), +-2 nu and +-nu + (1-s)/2 (the
+        # printed Wronskian); AC: 1 +- gamma
+        rng = random.Random(1801)
+        args = []
+        for nu in self.orders(rng, 200, 0.5):
+            args += [0.5 + nu, 0.5 - nu, 2.0 * nu, -2.0 * nu, nu, -nu, 1.0 + nu, 1.0 - nu]
+        for g in self.orders(rng, 200, 1.0):
+            args += [1.0 + g, 1.0 - g]
+        worst = 0.0
+        with mpmath.workdps(30):
+            for x in args:
+                want = mpmath.gamma(mpmath.mpf(x))
+                worst = max(worst, float(abs(nk.gamma_fn(x) / want - 1)))
+        assert worst <= 2e-15
+
+    def test_bessel_k_above_the_series_crossover(self):
+        # the trapezoid branch; rounding the peak exponent -z cosh t* + a t*
+        # alone can cost z eps relative (1.3e-13 at z = 600), and these 400
+        # points read 4.2e-14
+        rng = random.Random(1802)
+        worst = 0.0
+        for i in range(400):
+            a = rng.uniform(0.0, 12.0)
+            # half crowded towards the crossover at z = 2, half log-uniform
+            if i % 2:
+                z = 2.0 + 598.0 * rng.random() ** 2
+            else:
+                z = math.exp(rng.uniform(math.log(2.0), math.log(600.0)))
+            if not z > 2.0:
+                continue
+            want = mpmath.besselk(a, z)
+            worst = max(worst, float(abs(nk.bessel_k(a, z) / want - 1)))
+        assert worst <= 1e-13
