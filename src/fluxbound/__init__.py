@@ -22,7 +22,6 @@ from .ab_spectrum import (
     fit_boundary_xi,
     flux_decompose,
     master_xi_of_energy,
-    normalize_doublet,
     paper_level_lhs,
     paper_omega,
     paper_omega_xi,
@@ -44,12 +43,10 @@ from .ac_spectrum import (
 )
 from .numkernel import (
     Bracket,
-    QuadratureResult,
     bessel_j,
     bessel_k,
     find_root_bracketed,
     gamma_fn,
-    integrate_semiline,
     log_gamma,
 )
 from .oracle import (

@@ -39,7 +39,6 @@ __all__ = [
     "Regime",
     "RegimeError",
     "EnergyDomainError",
-    "NonNormalizableError",
     "FluxParts",
     "DiracChannel",
     "Extension",
@@ -59,7 +58,6 @@ __all__ = [
     "spectral_density",
     "bound_doublet",
     "continuum_doublet",
-    "normalize_doublet",
     "conjugate_channel",
     "fit_boundary_xi",
     "CRITICAL_TOL",
@@ -80,10 +78,6 @@ class RegimeError(ValueError):
 
 class EnergyDomainError(ValueError):
     """Energy outside the required range (gap vs continuum)."""
-
-
-class NonNormalizableError(ValueError):
-    """Doublet has no decaying tail to normalize."""
 
 
 class FluxParts(NamedTuple):
@@ -231,15 +225,12 @@ class RadialDoublet:
     """Evaluator for a two-component radial profile (f1(r), f2(r)).
 
     ``small_r_exponents`` are the leading powers of each component as r -> 0
-    (nan for an absent component), ``decay_rate`` the exponential tail rate
-    (0 for oscillatory continuum profiles), ``norm`` the half-line L2 norm of
-    (f1, f2).
+    (nan for an absent component).  Bound doublets come normalized in closed
+    form (see ``bound_doublet``); continuum doublets are not normalizable.
     """
 
     evaluator: Callable[[float], tuple[float, float]] = field(repr=False)
     small_r_exponents: tuple[float, float]
-    decay_rate: float
-    norm: float
 
     def __call__(self, r: float) -> tuple[float, float]:
         return self.evaluator(r)
@@ -540,10 +531,11 @@ def bound_doublet(level: BoundLevel) -> RadialDoublet:
     (w_1, w_2) = (sqrt(m+E), sqrt(m-E)) follow from row-wise substitution into
     the first-order system (equal weights hold only at E = 0).  The leading
     small-r powers are (nu, -nu) for tau = +1 and (-nu, nu) for tau = -1,
-    matching the extension domain template; decay rate is lambda.  The squared
-    norm is (w_1^2 I(a) + w_2^2 I(b)) / lambda with I(a) = int_0^inf z K_a(z)^2 dz
-    in closed form, so C = sqrt(lambda / (w_1^2 I(a) + w_2^2 I(b))); lambda = 0
-    (underflowed) has no decaying tail and raises EnergyDomainError.
+    matching the extension domain template, and the tail decays like
+    exp(-lambda r).  The squared norm is (w_1^2 I(a) + w_2^2 I(b)) / lambda
+    with I(a) = int_0^inf z K_a(z)^2 dz in closed form, so
+    C = sqrt(lambda / (w_1^2 I(a) + w_2^2 I(b))); lambda = 0 (underflowed) has
+    no decaying tail and raises EnergyDomainError.
     """
     ch = level.channel
     _require_extended(ch, "bound_doublet")
@@ -565,9 +557,7 @@ def bound_doublet(level: BoundLevel) -> RadialDoublet:
 
     nu = ch.nu
     expo = (nu, -nu) if ch.tau == 1 else (-nu, nu)
-    return RadialDoublet(
-        evaluator=evaluator, small_r_exponents=expo, decay_rate=lam, norm=1.0
-    )
+    return RadialDoublet(evaluator=evaluator, small_r_exponents=expo)
 
 
 def _continuum_pieces(ch: DiracChannel, E: float):
@@ -635,38 +625,7 @@ def continuum_doublet(ch: DiracChannel, ext: Extension, E: float) -> RadialDoubl
         carrying_first = evaluator
         evaluator = lambda r: carrying_first(r)[::-1]
         expo = expo[::-1]
-    return RadialDoublet(
-        evaluator=evaluator, small_r_exponents=expo, decay_rate=0.0, norm=math.nan
-    )
-
-
-def normalize_doublet(d: RadialDoublet) -> RadialDoublet:
-    """Rescale a decaying doublet to unit half-line L2 norm."""
-    if not d.decay_rate > 0.0:
-        raise NonNormalizableError("normalize_doublet: doublet has no decaying tail")
-    mn = min(p for p in d.small_r_exponents if not math.isnan(p))
-    sing = max(0.0, -2.0 * mn)
-    ev = d.evaluator
-
-    def density(r: float) -> float:
-        f1, f2 = ev(r)
-        return f1**2 + f2**2
-
-    sq = nk.integrate_semiline(
-        density, decay_rate=d.decay_rate, singular_exponent=sing, rel_tol=1e-11
-    )
-    scale = 1.0 / math.sqrt(sq.value)
-
-    def evaluator(r: float) -> tuple[float, float]:
-        f1, f2 = ev(r)
-        return scale * f1, scale * f2
-
-    return RadialDoublet(
-        evaluator=evaluator,
-        small_r_exponents=d.small_r_exponents,
-        decay_rate=d.decay_rate,
-        norm=1.0,
-    )
+    return RadialDoublet(evaluator=evaluator, small_r_exponents=expo)
 
 
 def conjugate_channel(

@@ -1,12 +1,11 @@
 """Self-contained double-precision numerical kernel.
 
-Provides the four primitives everything else is built on:
+Provides the three primitives everything else is built on:
 
 * real-argument gamma functions (``gamma_fn``, ``log_gamma``, ``rgamma``),
 * Bessel functions of real order (``bessel_j``, ``bessel_k``) and the
   closed-form norm integral of K squared (``bessel_k_square_integral``),
-* bracketed root finding (``find_root_bracketed`` on a validated ``Bracket``),
-* semi-infinite quadrature with endpoint grading (``integrate_semiline``).
+* bracketed root finding (``find_root_bracketed`` on a validated ``Bracket``).
 
 Only the Python standard library is used.  The gamma functions are
 ``math.gamma`` and ``math.lgamma`` behind the domain and pole checks; J uses
@@ -15,7 +14,9 @@ Bessel/Schlaefli integral representation elsewhere; K uses a Temme-style
 cancellation-free series below the crossover and a trapezoid rule on the cosh
 integral representation above it.  Seams are covered by continuity tests in
 the test suite, and accuracy by mpmath comparisons over the arguments the
-package passes.
+package passes.  Bound states are normalized in closed form through
+``bessel_k_square_integral``, so the kernel carries no quadrature; the tests
+check that identity against mpmath's.
 
 All functions are pure and hold no global mutable state (the Gauss-Legendre
 node cache is append-only and thread-safe for CPython usage patterns).
@@ -29,7 +30,6 @@ from typing import Callable
 
 __all__ = [
     "Bracket",
-    "QuadratureResult",
     "KernelDomainError",
     "PoleError",
     "NoSignChangeError",
@@ -41,7 +41,6 @@ __all__ = [
     "bessel_k",
     "bessel_k_square_integral",
     "find_root_bracketed",
-    "integrate_semiline",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -99,13 +98,26 @@ def log_gamma(x: float) -> float:
 
 
 def rgamma(x: float) -> float:
-    """Reciprocal gamma 1/Gamma(x); entire, returns 0.0 at the poles."""
+    """Reciprocal gamma 1/Gamma(x); entire, returns 0.0 at the poles.
+
+    Where Gamma overflows near the origin (|x| below about 5.6e-309),
+    1/Gamma(x) = x (1 + euler x + ...) rounds to x, which is returned.  Where
+    Gamma underflows (left of x = -177), 1/Gamma overflows and
+    ``OverflowError`` is raised.
+    """
     if x <= 0.0 and x == math.floor(x):
         return 0.0
     if x > 170.0:
         # 1/Gamma underflows gracefully
         return math.exp(-log_gamma(x))
-    return 1.0 / gamma_fn(x)
+    try:
+        g = gamma_fn(x)
+    except OverflowError:
+        return x
+    r = 1.0 / g if g != 0.0 else math.inf
+    if math.isinf(r):
+        raise OverflowError(f"rgamma: 1/Gamma({x}) exceeds double range")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -454,148 +466,3 @@ def find_root_bracketed(
             c, fc = a, fa
             d = e = b - a
     raise ConvergenceError("find_root_bracketed: max iterations exceeded")
-
-
-# ---------------------------------------------------------------------------
-# semi-infinite quadrature
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-
-    def __post_init__(self) -> None:
-        if not self.abs_error_estimate >= 0.0:
-            raise ValueError("QuadratureResult: negative error estimate")
-
-
-# (G7, K15) nodes and weights on [-1, 1]
-_GK_NODES = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_GK_WK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_GK_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469)
-
-
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, int]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    gauss = _GK_WG[3] * fc
-    kron = _GK_WK[7] * fc
-    for i in range(7):
-        x = half * _GK_NODES[i]
-        fp = f(mid + x)
-        fm = f(mid - x)
-        kron += _GK_WK[i] * (fp + fm)
-        if i % 2 == 1:
-            gauss += _GK_WG[i // 2] * (fp + fm)
-    kron *= half
-    gauss *= half
-    err = (200.0 * abs(kron - gauss)) ** 1.5
-    return kron, err, 15
-
-
-def _adaptive_gk(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    abs_tol: float,
-    initial_cells: int,
-    max_cells: int = 2000,
-) -> tuple[float, float, int]:
-    cells = []
-    evals = 0
-    for i in range(initial_cells):
-        lo = a + (b - a) * i / initial_cells
-        hi = a + (b - a) * (i + 1) / initial_cells
-        v, e, n = _gk15(f, lo, hi)
-        evals += n
-        cells.append((e, lo, hi, v))
-    while True:
-        total = math.fsum(c[3] for c in cells)
-        err = math.fsum(c[0] for c in cells)
-        if err <= abs_tol:
-            return total, err, evals
-        if len(cells) >= max_cells:
-            raise ConvergenceError(
-                f"integrate_semiline: error estimate stagnated at {err:.3e} "
-                f"(target {abs_tol:.3e})"
-            )
-        worst = max(range(len(cells)), key=lambda i: cells[i][0])
-        _, lo, hi, _ = cells.pop(worst)
-        mid = 0.5 * (lo + hi)
-        v1, e1, n1 = _gk15(f, lo, mid)
-        v2, e2, n2 = _gk15(f, mid, hi)
-        evals += n1 + n2
-        cells.append((e1, lo, mid, v1))
-        cells.append((e2, mid, hi, v2))
-
-
-def integrate_semiline(
-    f: Callable[[float], float],
-    decay_rate: float,
-    singular_exponent: float = 0.0,
-    rel_tol: float = 1e-10,
-    initial_cells: int = 8,
-) -> QuadratureResult:
-    """Integrate f over (0, infinity) for exponentially decaying integrands.
-
-    The integrand may carry an integrable power singularity at the origin,
-    |f(r)| ~ r^(-singular_exponent) with singular_exponent < 1; it must decay
-    like exp(-2*decay_rate*r) in the tail.  The domain is truncated at
-    R = 40/decay_rate (the analytic tail bound is folded into the error
-    estimate) and graded near the origin with r = R*t^p, p >= 2, so the
-    transformed integrand is regular.
-
-    Parameters
-    ----------
-    f : callable
-        Scalar integrand on (0, infinity).
-    decay_rate : float
-        Positive tail decay rate; the integrand is assumed O(e^(-2*decay_rate*r)).
-    singular_exponent : float, optional
-        Known power of the origin singularity, in [0, 1); sharpens the grading.
-    rel_tol : float, optional
-        Target relative tolerance of the result.
-    initial_cells : int, optional
-        Initial uniform subdivision of the graded variable (mesh resolution).
-    """
-    if not decay_rate > 0.0:
-        raise KernelDomainError("integrate_semiline: decay_rate must be > 0")
-    if not 0.0 <= singular_exponent < 1.0:
-        raise KernelDomainError("integrate_semiline: singular_exponent must be in [0,1)")
-    big_r = 40.0 / decay_rate
-    p = max(2, math.ceil(2.5 / (1.0 - singular_exponent)))
-
-    def graded(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        r = big_r * t**p
-        return f(r) * big_r * p * t ** (p - 1)
-
-    # two passes: a scouting pass to set the absolute tolerance scale
-    scout, _, n0 = _gk15(graded, 0.0, 1.0)
-    abs_tol = rel_tol * max(1.0, abs(scout)) * 0.5
-    value, err, evals = _adaptive_gk(graded, 0.0, 1.0, abs_tol, initial_cells)
-    tail_bound = abs(f(big_r)) / (2.0 * decay_rate) * 2.0
-    return QuadratureResult(value, err + tail_bound, evals + n0)

@@ -568,16 +568,29 @@ class TestBoundDoublet:
         want = math.sqrt(lam * r) * nk.bessel_k(0.25, lam * r) / math.sqrt(norm_c1_sq)
         assert abs(f1) == pytest.approx(abs(want), rel=1e-9)
 
-    def test_normalized_without_quadrature(self, monkeypatch):
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("bound_doublet must normalize in closed form")
-
-        monkeypatch.setattr(nk, "integrate_semiline", no_quadrature)
+    def test_normalized_without_quadrature(self):
         for mu, xi in ((0.25, -1.0), (0.05, -5.0), (0.45, -0.2)):
             level = ab.solve_bound_energy(channel(mu=mu), ab.Extension.from_xi(xi))
             f1, f2 = ab.bound_doublet(level)(1.3)
             assert math.isfinite(f1) and math.isfinite(f2)
             assert f1 != 0.0 and f2 != 0.0
+
+    @pytest.mark.parametrize("mu", [0.05, 0.25, 0.45, 0.55, 0.95])
+    @pytest.mark.parametrize("l, s", [(0, -1), (-1, 1)])
+    @pytest.mark.parametrize("xi", [-0.2, -1.0, -5.0])
+    def test_unit_norm(self, mu, l, s, xi, semiline_integral):
+        # (l, s) = (0, -1) and (-1, 1) share nu = |mu - 1/2| with opposite
+        # tau; the closed-form norm against graded mpmath quadrature
+        ch = channel(l=l, s=s, mu=mu)
+        level = ab.solve_bound_energy(ch, ab.Extension.from_xi(xi))
+        doublet = ab.bound_doublet(level)
+
+        def density(r):
+            f1, f2 = doublet(r)
+            return f1 * f1 + f2 * f2
+
+        norm = semiline_integral(density, level.lam, singular_exponent=2.0 * ch.nu)
+        assert norm == pytest.approx(1.0, rel=1e-12)
 
     def test_energy_rounded_to_the_edge(self):
         # E rounds to -m exactly while lambda = 1.05e-8 m; the doublet is the
@@ -620,7 +633,6 @@ class TestContinuumDoublet:
         f1b = doublet(r2)[0]
         slope = math.log(abs(f1b / f1a)) / math.log(r2 / r1)
         assert slope == pytest.approx(1.9, abs=1e-3)
-        assert doublet.decay_rate == 0.0
 
     def test_xi_zero_is_regular_branch(self):
         ch = channel(mu=0.25)
@@ -685,35 +697,6 @@ class TestContinuumDoublet:
             ab.continuum_doublet(channel(), ab.Extension.from_xi(-1.0), 0.9)
         with pytest.raises(ab.EnergyDomainError):
             ab.continuum_doublet(channel(), ab.Extension.from_xi(-1.0), 1.0)
-
-
-class TestNormalizeDoublet:
-    def test_unit_norm(self):
-        ch = channel(mu=0.3)
-        level = ab.solve_bound_energy(ch, ab.Extension.from_xi(-0.9))
-        doublet = ab.bound_doublet(level)
-        renorm = ab.normalize_doublet(doublet)
-        total = nk.integrate_semiline(
-            lambda r: renorm(r)[0] ** 2 + renorm(r)[1] ** 2,
-            decay_rate=level.lam,
-            singular_exponent=2 * ch.nu,
-        )
-        assert total.value == pytest.approx(1.0, abs=1e-8)
-
-    def test_norm_stable_under_mesh_doubling(self):
-        ch = channel(mu=0.3)
-        level = ab.solve_bound_energy(ch, ab.Extension.from_xi(-0.9))
-        doublet = ab.bound_doublet(level)
-        f = lambda r: doublet(r)[0] ** 2 + doublet(r)[1] ** 2
-        a = nk.integrate_semiline(f, level.lam, singular_exponent=2 * ch.nu, initial_cells=8)
-        b = nk.integrate_semiline(f, level.lam, singular_exponent=2 * ch.nu, initial_cells=16)
-        assert abs(a.value - b.value) < 1e-8
-
-    def test_continuum_not_normalizable(self):
-        ch = channel(mu=0.25)
-        doublet = ab.continuum_doublet(ch, ab.Extension.from_xi(-1.0), 1.5)
-        with pytest.raises(ab.NonNormalizableError):
-            ab.normalize_doublet(doublet)
 
 
 class TestConjugateChannel:

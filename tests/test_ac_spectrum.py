@@ -3,10 +3,10 @@
 import math
 import re
 
+import mpmath
 import pytest
 
 from fluxbound import ac_spectrum as ac
-from fluxbound import numkernel as nk
 from fluxbound.ab_spectrum import EnergyDomainError, Extension, RegimeError
 
 EULER = 0.5772156649015328606
@@ -99,7 +99,7 @@ class TestBoundEnergy:
     @pytest.mark.parametrize(
         "gamma, xi",
         [
-            (0.001, -0.001),  # E_n overflows the float power
+            (0.001, -0.001),  # (-xi)^(-1/gamma) overflows the float power
             (0.5, -1e-300),  # E_n overflows
             (0.5, -1e300),  # E_n underflows to -0.0
             (0.0, -1e3),  # log chart: E_0 underflows
@@ -139,6 +139,22 @@ class TestBoundEnergy:
             for xi in (-3.0, -1.0, -0.2)
         ]
         assert 0.0 > logs[0] > logs[1] > logs[2]
+
+
+def test_levels_against_mpmath():
+    # xi = -1, so the level is -2m (Gamma(1-gamma)/Gamma(1+gamma))^(-1/gamma)
+    # with no rounding in xi: the error is that of the Gamma ratio's log
+    # times 1/gamma, so a log that lost eps/gamma would show as gamma -> 0;
+    # 0.3554 and 0.8783 are the worst points of 1900-point scans
+    gammas = [10.0 ** (-k / 4) for k in range(1, 37)] + [0.1, 0.25, 0.3554, 0.5, 0.8783, 0.99]
+    ext = Extension.from_xi(-1.0)
+    with mpmath.workdps(30):
+        for g in gammas:
+            ch = channel(g, m=2.5)
+            big_g = mpmath.mpf(ch.gamma)
+            want = -5 * (mpmath.gamma(1 - big_g) / mpmath.gamma(1 + big_g)) ** (-1 / big_g)
+            for level in (ac.ac_bound_energy(ch, ext), ac.ac_solve_cross_check(ch, ext)):
+                assert level.E_n == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
 class TestCrossCheck:
@@ -193,22 +209,26 @@ def test_special_levels_beyond_the_double_range(c, xi):
 
 
 class TestWavefunction:
-    def test_unit_norm(self):
+    def test_unit_norm(self, semiline_integral):
         level = ac.ac_bound_energy(channel(0.5), Extension.from_xi(-1.0))
         wf = ac.ac_wavefunction(level)
-        total = nk.integrate_semiline(
-            lambda r: wf(r)[0] ** 2, decay_rate=level.kappa
-        )
-        assert total.value == pytest.approx(1.0, abs=1e-8)
-        assert wf.norm == 1.0
+        total = semiline_integral(lambda r: wf(r)[0] ** 2, decay_rate=level.kappa)
+        assert total == pytest.approx(1.0, abs=1e-8)
         assert wf(1.0)[1] == 0.0
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-10, 0.5, 0.95])
-    def test_normalized_without_quadrature(self, monkeypatch, gamma):
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("ac_wavefunction must normalize in closed form")
+    def test_closed_form_norm_matches_quadrature(self, gamma, semiline_integral):
+        level = ac.ac_bound_energy(channel(gamma, m=2.5), Extension.from_xi(-1.0))
+        wf = ac.ac_wavefunction(level)
+        total = semiline_integral(
+            lambda r: wf(r)[0] ** 2,
+            decay_rate=level.kappa,
+            singular_exponent=max(0.0, 2.0 * gamma - 1.0),
+        )
+        assert total == pytest.approx(1.0, rel=1e-12)
 
-        monkeypatch.setattr(nk, "integrate_semiline", no_quadrature)
+    @pytest.mark.parametrize("gamma", [0.0, 1e-10, 0.5, 0.95])
+    def test_normalized_without_quadrature(self, gamma):
         level = ac.ac_bound_energy(channel(gamma, m=2.5), Extension.from_xi(-1.0))
         value = ac.ac_wavefunction(level)(0.7)[0]
         assert math.isfinite(value) and value > 0.0
@@ -231,15 +251,6 @@ class TestWavefunction:
             assert ac.fit_ac_boundary_xi(wf, ch, level.kappa) == pytest.approx(
                 xi, rel=1e-8
             )
-
-    def test_norm_stable_under_mesh_doubling(self):
-        level = ac.ac_bound_energy(channel(0.7), Extension.from_xi(-0.8))
-        wf = ac.ac_wavefunction(level)
-        f = lambda r: wf(r)[0] ** 2
-        sing = max(0.0, 2 * 0.7 - 1.0)
-        a = nk.integrate_semiline(f, level.kappa, singular_exponent=sing, initial_cells=8)
-        b = nk.integrate_semiline(f, level.kappa, singular_exponent=sing, initial_cells=16)
-        assert abs(a.value - b.value) < 1e-8
 
     def test_declared_small_r_slope(self):
         level = ac.ac_bound_energy(channel(0.5), Extension.from_xi(-1.0))

@@ -112,6 +112,17 @@ class TestGamma:
         assert nk.rgamma(-3.0) == 0.0
         assert nk.rgamma(2.5) == pytest.approx(1.0 / nk.gamma_fn(2.5), rel=1e-14)
 
+    @pytest.mark.parametrize("x", [1e-320, -1e-320, 5e-324, 2e-309, -5e-309])
+    def test_rgamma_where_gamma_overflows(self, x):
+        # 1/Gamma(x) = x (1 + euler x + ...) rounds to x next to the origin
+        assert nk.rgamma(x) == x
+
+    @pytest.mark.parametrize("x", [-177.5, -178.5, -190.5, -1000.5])
+    def test_rgamma_overflows_where_gamma_underflows(self, x):
+        # |1/Gamma(-177.5)| is 1.5e323, and it grows leftward
+        with pytest.raises(OverflowError):
+            nk.rgamma(x)
+
     def test_domain_errors(self):
         with pytest.raises(nk.KernelDomainError):
             nk.gamma_fn(math.nan)
@@ -346,61 +357,15 @@ class TestRootFinder:
         assert abs(f(root)) < 1e-9
 
 
-# ---------------------------------------------------------------------------
-# semi-infinite quadrature
-# ---------------------------------------------------------------------------
-
-
-class TestIntegrateSemiline:
-    def test_exponential(self):
-        res = nk.integrate_semiline(lambda r: math.exp(-r), decay_rate=0.5)
-        assert res.value == pytest.approx(1.0, abs=1e-10)
-        assert res.abs_error_estimate <= 1e-9
-        assert res.evaluations > 0
-
-    def test_k0_squared_moment(self):
-        res = nk.integrate_semiline(
-            lambda r: r * nk.bessel_k(0.0, r) ** 2, decay_rate=1.0
-        )
-        assert res.value == pytest.approx(0.5, abs=1e-9)
-
-    def test_singular_endpoint_gamma(self):
-        res = nk.integrate_semiline(
-            lambda r: r**-0.8 * math.exp(-r), decay_rate=0.5, singular_exponent=0.8
-        )
-        assert res.value == pytest.approx(GAMMA_0_20, rel=1e-9)
-
-    def test_mesh_doubling_within_error_estimate(self):
-        f = lambda r: r**-0.4 * math.exp(-2.0 * r)
-        res1 = nk.integrate_semiline(f, 1.0, singular_exponent=0.4, initial_cells=8)
-        res2 = nk.integrate_semiline(f, 1.0, singular_exponent=0.4, initial_cells=16)
-        assert abs(res1.value - res2.value) < 3.0 * max(
-            res1.abs_error_estimate, res2.abs_error_estimate
-        )
-
-    def test_error_estimate_nonnegative_invariant(self):
-        with pytest.raises(ValueError):
-            nk.QuadratureResult(1.0, -1e-3, 10)
-
-    def test_bad_arguments(self):
-        with pytest.raises(nk.KernelDomainError):
-            nk.integrate_semiline(lambda r: 1.0, decay_rate=0.0)
-        with pytest.raises(nk.KernelDomainError):
-            nk.integrate_semiline(lambda r: 1.0, decay_rate=1.0, singular_exponent=1.0)
-
-
 class TestBesselKSquareIntegral:
     @pytest.mark.parametrize("a", [0.0, 1e-10] + [0.05 * k for k in range(1, 20)])
-    def test_matches_quadrature(self, a):
-        # the graded quadrature is the independent numerical route to the
+    def test_matches_quadrature(self, a, semiline_integral):
+        # graded mpmath quadrature is the independent numerical route to the
         # closed form pi a / (2 sin(pi a))
-        res = nk.integrate_semiline(
-            lambda z: z * nk.bessel_k(a, z) ** 2,
-            decay_rate=1.0,
-            singular_exponent=max(0.0, 2.0 * a - 1.0),
-            rel_tol=1e-12,
+        value = semiline_integral(
+            lambda z: z * nk.bessel_k(a, z) ** 2, singular_exponent=max(0.0, 2.0 * a - 1.0)
         )
-        assert nk.bessel_k_square_integral(a) == pytest.approx(res.value, rel=1e-10)
+        assert nk.bessel_k_square_integral(a) == pytest.approx(value, rel=1e-10)
         assert nk.bessel_k_square_integral(-a) == nk.bessel_k_square_integral(a)
 
     @pytest.mark.parametrize("a", [1.0, -1.3])
