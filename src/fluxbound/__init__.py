@@ -16,7 +16,6 @@ from .ab_spectrum import (
     RegimeError,
     SpectralPoint,
     bound_doublet,
-    classify_channel,
     conjugate_channel,
     continuum_doublet,
     fit_boundary_xi,
@@ -34,7 +33,6 @@ from .ac_spectrum import (
     ACLevel,
     ACRegime,
     ac_bound_energy,
-    ac_classify,
     ac_solve_cross_check,
     ac_special_levels,
     ac_wavefunction,

@@ -46,7 +46,6 @@ __all__ = [
     "RadialDoublet",
     "SpectralPoint",
     "flux_decompose",
-    "classify_channel",
     "master_xi_of_energy",
     "log_abs_master_xi",
     "solve_bound_energy",
@@ -153,21 +152,6 @@ class DiracChannel:
         if abs(nu - round(2.0 * nu) / 2.0) < CRITICAL_TOL:
             return Regime.CRITICAL
         return Regime.EXTENDED if nu < 0.5 else Regime.REGULAR
-
-
-class ChannelClass(NamedTuple):
-    nu_tilde: float
-    nu: float
-    tau: Optional[int]
-    j: float
-    regime: Regime
-
-
-def classify_channel(ch: DiracChannel) -> ChannelClass:
-    """Derived channel indices (nu_tilde, nu, tau, j, regime)."""
-    regime = ch.regime
-    tau = None if ch.nu_tilde == 0.0 else ch.tau
-    return ChannelClass(ch.nu_tilde, ch.nu, tau, ch.j, regime)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import numkernel as nk
 from .ab_spectrum import (
@@ -40,7 +40,6 @@ __all__ = [
     "ACChannel",
     "ACLevel",
     "EULER_GAMMA",
-    "ac_classify",
     "ac_wronskian",
     "ac_bound_energy",
     "ac_solve_cross_check",
@@ -94,15 +93,6 @@ class ACChannel:
         if g >= 1.0 - CRITICAL_TOL:
             return ACRegime.REGULAR
         return ACRegime.EXTENDED
-
-
-class ACClass(NamedTuple):
-    gamma: float
-    regime: ACRegime
-
-
-def ac_classify(ch: ACChannel) -> ACClass:
-    return ACClass(ch.gamma, ch.regime)
 
 
 @dataclass(frozen=True)
@@ -228,7 +218,7 @@ def ac_solve_cross_check(ch: ACChannel, ext: Extension) -> ACLevel:
         return lng + 2.0 * g * (math.log(2.0) - y) - target
 
     bracket = nk.Bracket.from_function(h, -60.0, 60.0)
-    y = nk.find_root_bracketed(h, bracket, tol_x=1e-14)
+    y = nk.find_root_bracketed(h, bracket, tol_x=1e-15)
     kappa = m * math.exp(y)
     E_n = -kappa * kappa / (2.0 * m)
     return ACLevel(

@@ -8,18 +8,18 @@ Provides the three primitives everything else is built on:
 * bracketed root finding (``find_root_bracketed`` on a validated ``Bracket``).
 
 Only the Python standard library is used.  The gamma functions are
-``math.gamma`` and ``math.lgamma`` behind the domain and pole checks; J uses
-the ascending series below a crossover in z or at orders above 1.3 z, and the
-Bessel/Schlaefli integral representation elsewhere; K uses a Temme-style
-cancellation-free series below the crossover and a trapezoid rule on the cosh
-integral representation above it.  Seams are covered by continuity tests in
-the test suite, and accuracy by mpmath comparisons over the arguments the
-package passes.  Bound states are normalized in closed form through
-``bessel_k_square_integral``, so the kernel carries no quadrature; the tests
-check that identity against mpmath's.
+``math.gamma`` and ``math.lgamma`` behind the domain and pole checks; J is
+Miller's backward recurrence at every order and argument, normalized by a
+Neumann sum (3.0e-15 of max(|J|, sqrt(2/(pi z))) off mpmath over the orders
+the continuum passes for z up to 60); K uses a Temme-style cancellation-free
+series below z = 2 and a trapezoid rule on the cosh integral representation
+above it.  K's seam is covered by a continuity test in the test suite, and
+accuracy by mpmath comparisons over the arguments the package passes.  Bound
+states are normalized in closed form through ``bessel_k_square_integral``, so
+the kernel carries no quadrature; the tests check that identity against
+mpmath's.
 
-All functions are pure and hold no global mutable state (the Gauss-Legendre
-node cache is append-only and thread-safe for CPython usage patterns).
+All functions are pure and hold no global mutable state.
 """
 
 from __future__ import annotations
@@ -124,123 +124,63 @@ def rgamma(x: float) -> float:
 # Bessel J of real order
 # ---------------------------------------------------------------------------
 
-_J_SERIES_MAX_Z = 10.0
-# above z = 10 the series still serves orders >= 1.3 z, where the Schlaefli
-# integral cancels: J is far below the O(1) integrand there
-_J_SERIES_MIN_ORDER_RATIO = 1.3
-
-_gauss_cache: dict[int, tuple[list[float], list[float]]] = {}
-
-
-def _gauss_legendre(n: int) -> tuple[list[float], list[float]]:
-    """Nodes and weights of n-point Gauss-Legendre on [0, 1], cached."""
-    cached = _gauss_cache.get(n)
-    if cached is not None:
-        return cached
-    xs = [0.0] * n
-    ws = [0.0] * n
-    m = (n + 1) // 2
-    for i in range(m):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p0, p1 = 1.0, 0.0
-            for j in range(n):
-                p0, p1 = ((2 * j + 1) * x * p0 - j * p1) / (j + 1), p0
-            dp = n * (x * p0 - p1) / (x * x - 1.0)
-            dx = p0 / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        xs[i] = 0.5 * (1.0 - x)
-        xs[n - 1 - i] = 0.5 * (1.0 + x)
-        w = 1.0 / ((1.0 - x * x) * dp * dp)
-        ws[i] = w
-        ws[n - 1 - i] = w
-    _gauss_cache[n] = (xs, ws)
-    return xs, ws
-
-
-def _bessel_j_series(a: float, z: float) -> float:
-    # ascending series sum_k (-1)^k (z/2)^(a+2k) / (k! Gamma(a+k+1))
-    x = 0.5 * z
-    try:
-        term = x**a * rgamma(a + 1.0)
-    except OverflowError:
-        raise OverflowError(f"bessel_j: J_{a}({z}) exceeds double range") from None
-    total = term
-    x2 = x * x
-    biggest = abs(term)
-    k = 0
-    while True:
-        k += 1
-        term *= -x2 / (k * (a + k))
-        total += term
-        biggest = max(biggest, abs(term))
-        if abs(term) <= 1e-17 * (abs(total) + biggest * 1e-4) and k > x:
-            break
-        if k > 400:
-            raise ConvergenceError("bessel_j series did not converge")
-    return total
-
-
-def _bessel_j_integral(a: float, z: float) -> float:
-    # J_a(z) = (1/pi) \int_0^pi cos(a t - z sin t) dt
-    #          - sin(a pi)/pi \int_0^infty exp(-z sinh s - a s) ds     (z > 0)
-    n = int(0.85 * (z + abs(a))) + 40
-    xs, ws = _gauss_legendre(n)
-    acc = 0.0
-    for t01, w in zip(xs, ws):
-        t = math.pi * t01
-        acc += w * math.cos(a * t - z * math.sin(t))
-    osc = acc  # (1/pi)*pi factor: weights are for [0,1], interval is pi long
-    spa = _sinpi(a)
-    if spa == 0.0:
-        return osc
-    # second integral: log-concave integrand, integrate over geometric panels
-    rate = z + a if z + a > 1.0 else 1.0
-    # find truncation point: exponent below peak by 50
-    phi = lambda s: -z * math.sinh(s) - a * s
-    peak = 0.0
-    if a < 0.0 and -a > z:
-        s_star = math.acosh(-a / z)
-        peak = phi(s_star)
-    T = 1.0 / rate
-    while phi(T) > peak - 50.0:
-        T *= 2.0
-        if T > 700.0:  # pragma: no cover - unreachable for supported ranges
-            break
-    xs16, ws16 = _gauss_legendre(16)
-    lo = 0.0
-    width = min(1.0 / rate, T)
-    tail = 0.0
-    while lo < T:
-        hi = min(lo + width, T)
-        seg = 0.0
-        for t01, w in zip(xs16, ws16):
-            s = lo + (hi - lo) * t01
-            seg += w * math.exp(phi(s))
-        tail += seg * (hi - lo)
-        lo = hi
-        width *= 2.0
-    return osc - spa / math.pi * tail
-
 
 def bessel_j(order: float, z: float) -> float:
     """Bessel function J_order(z) for real order and z > 0.
 
-    Designed for |order| <= 50 and 1e-6 <= z <= 1e3; mathematically valid
-    values that overflow the double range raise ``OverflowError``.
+    Miller's backward recurrence (Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)).
+    With f = order - floor(order), the ratios J_{f+n}/J_{f+n-1} come down from
+    a start order N = max(z, order) + 12 z^(1/3) + 6, rounded up to even,
+    where J is minimal; the Neumann sum
+    (z/2)^f = sum_k (f+2k) Gamma(f+k)/k! J_{f+2k} fixes J_f, and orders
+    below 0 follow by the forward recurrence, in which J_{f-n} grows.  Negative
+    integer orders use J_{-n} = (-1)^n J_n exactly.
+
+    Against mpmath, |error| / max(|J|, sqrt(2/(pi z))) is at most 3.0e-15 over
+    the orders ``continuum`` passes (nu -+ 1/2, +-(1/2 - nu), 0 < nu < 1/2) for
+    z in [1e-6, 60], 2.8e-14 there for z in [60, 600], and 5.5e-14 for
+    |order| <= 50 and z in [1e-3, 1e3].  The start is set by that measurement.
+    J_{f+n} turns from oscillating to minimal over a width z^(1/3) about
+    n = z (the Airy scaling), and the lowest rule that keeps these figures is
+    max(z, order) + 10 z^(1/3) + 2: + 9 z^(1/3) + 2 makes them up to 15 times
+    larger, and + 12 z^(1/3) alone up to 4000 times at small z.
+
+    Designed for |order| <= 50 and 1e-6 <= z <= 1e3.  Values that overflow
+    the double range raise ``OverflowError`` (J_{-50.5}(1e-6)); values that
+    underflow return 0.0 (J_50(1e-6)).
     """
     if not z > 0.0:
         raise KernelDomainError(f"bessel_j: requires z > 0, got {z}")
-    if order == math.floor(order):
-        n = int(order)
-        if n < 0:
-            val = bessel_j(float(-n), z)
-            return -val if n % 2 else val
-    if z <= _J_SERIES_MAX_Z or order >= _J_SERIES_MIN_ORDER_RATIO * z:
-        return _bessel_j_series(order, z)
-    return _bessel_j_integral(order, z)
+    n0 = math.floor(order)
+    if order == n0 and n0 < 0:
+        val = bessel_j(-order, z)
+        return -val if n0 % 2 else val
+    f = order - n0
+    top = 2 * math.ceil(0.5 * (max(z, order) + 12.0 * z ** (1.0 / 3.0) + 6.0))
+    # r[n] = J_{f+n}/J_{f+n-1} from J_{f+n-1} + J_{f+n+1} = 2 (f+n)/z J_{f+n},
+    # with J_{f+top+1} = 0
+    r = [0.0] * (top + 2)
+    for n in range(top, 0, -1):
+        r[n] = 1.0 / (2.0 * (f + n) / z - r[n + 1])
+    # Neumann sum over J_{f+2k}/J_f; its k = 0 coefficient f Gamma(f) equals
+    # g = Gamma(f+k)/k! at k = 1
+    g = math.gamma(1.0 + f)
+    total = g
+    p = 1.0  # J_{f+2k}/J_f
+    for k in range(1, top // 2 + 1):
+        p *= r[2 * k - 1] * r[2 * k]
+        total += (f + 2 * k) * g * p
+        g *= (f + k) / (k + 1)
+    val = (0.5 * z) ** f / total
+    for n in range(1, n0 + 1):
+        val *= r[n]
+    if n0 < 0:
+        nxt = val * r[1]
+        for j in range(-n0):
+            val, nxt = 2.0 * (f - j) / z * val - nxt, val
+            if math.isinf(val):
+                raise OverflowError(f"bessel_j: J_{order}({z}) exceeds double range")
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -51,18 +51,19 @@ class TestFluxDecompose:
 
 class TestClassifyChannel:
     def test_extended_example(self):
-        cls = ab.classify_channel(channel(l=0, s=-1, mu=0.2))
-        assert cls.nu_tilde == pytest.approx(-0.3)
-        assert cls.nu == pytest.approx(0.3)
-        assert cls.tau == 1
-        assert cls.regime is ab.Regime.EXTENDED
+        ch = channel(l=0, s=-1, mu=0.2)
+        assert ch.nu_tilde == pytest.approx(-0.3)
+        assert ch.nu == pytest.approx(0.3)
+        assert ch.tau == 1
+        assert ch.regime is ab.Regime.EXTENDED
 
     def test_critical_at_half_flux(self):
-        cls = ab.classify_channel(channel(l=0, s=-1, mu=0.5))
-        assert cls.nu_tilde == 0.0
-        assert cls.nu == 0.0
-        assert cls.tau is None
-        assert cls.regime is ab.Regime.CRITICAL
+        ch = channel(l=0, s=-1, mu=0.5)
+        assert ch.nu_tilde == 0.0
+        assert ch.nu == 0.0
+        with pytest.raises(ab.RegimeError):
+            ch.tau
+        assert ch.regime is ab.Regime.CRITICAL
 
     def test_degenerate_index_relation(self):
         # nu(l, s=+1, mu) = nu(l+1, s=-1, mu)

@@ -21,21 +21,18 @@ def channel(gamma=0.5, m=1.0):
 class TestClassify:
     def test_extended(self):
         ch = ac.ACChannel(m=1.0, coupling=-0.3, l=0, zeta=1)
-        got = ac.ac_classify(ch)
-        assert got.gamma == pytest.approx(0.3)
-        assert got.regime is ac.ACRegime.EXTENDED
+        assert ch.gamma == pytest.approx(0.3)
+        assert ch.regime is ac.ACRegime.EXTENDED
 
     def test_log_critical(self):
         ch = ac.ACChannel(m=1.0, coupling=-1.0, l=1, zeta=1)
-        got = ac.ac_classify(ch)
-        assert got.gamma == 0.0
-        assert got.regime is ac.ACRegime.LOG_CRITICAL
+        assert ch.gamma == 0.0
+        assert ch.regime is ac.ACRegime.LOG_CRITICAL
 
     def test_regular(self):
         ch = ac.ACChannel(m=1.0, coupling=-0.3, l=2, zeta=1)
-        got = ac.ac_classify(ch)
-        assert got.gamma == pytest.approx(1.7)
-        assert got.regime is ac.ACRegime.REGULAR
+        assert ch.gamma == pytest.approx(1.7)
+        assert ch.regime is ac.ACRegime.REGULAR
 
     def test_boundary_tolerance(self):
         assert ac.ACChannel(m=1.0, coupling=-1.0 + 1e-12, l=1, zeta=1).regime is (
@@ -145,7 +142,8 @@ def test_levels_against_mpmath():
     # xi = -1, so the level is -2m (Gamma(1-gamma)/Gamma(1+gamma))^(-1/gamma)
     # with no rounding in xi: the error is that of the Gamma ratio's log
     # times 1/gamma, so a log that lost eps/gamma would show as gamma -> 0;
-    # 0.3554 and 0.8783 are the worst points of 1900-point scans
+    # 0.3554 and 0.8783 are the worst points of 1900-point scans; Brent's
+    # tol_x of 1e-15 in y = ln(kappa/m) holds the cross-check to 5e-15
     gammas = [10.0 ** (-k / 4) for k in range(1, 37)] + [0.1, 0.25, 0.3554, 0.5, 0.8783, 0.99]
     ext = Extension.from_xi(-1.0)
     with mpmath.workdps(30):
@@ -153,8 +151,10 @@ def test_levels_against_mpmath():
             ch = channel(g, m=2.5)
             big_g = mpmath.mpf(ch.gamma)
             want = -5 * (mpmath.gamma(1 - big_g) / mpmath.gamma(1 + big_g)) ** (-1 / big_g)
-            for level in (ac.ac_bound_energy(ch, ext), ac.ac_solve_cross_check(ch, ext)):
-                assert level.E_n == pytest.approx(float(want), rel=1e-14, abs=0.0)
+            closed = ac.ac_bound_energy(ch, ext)
+            assert closed.E_n == pytest.approx(float(want), rel=1e-14, abs=0.0)
+            solved = ac.ac_solve_cross_check(ch, ext)
+            assert solved.E_n == pytest.approx(float(want), rel=5e-15, abs=0.0)
 
 
 class TestCrossCheck:

@@ -1,4 +1,4 @@
-"""Kernel tests: gamma, Bessel J/K, root finder, semi-infinite quadrature.
+"""Kernel tests: gamma, Bessel J/K, the closed-form K norm, root finder.
 
 Expected values are either closed forms, high-precision reference constants,
 computed by independent oracles implemented here (stdlib-lgamma series
@@ -168,6 +168,12 @@ class TestGamma:
 
 
 class TestBesselJ:
+    """J by its closed forms, reference values, the series oracle and the
+    three-term recurrence.  The recurrence grid no longer checks the method
+    independently, since ``bessel_j`` is built on that recurrence; the
+    independent check over the orders and arguments the continuum passes is
+    ``TestAgainstMpmath.test_bessel_j_continuum_orders``."""
+
     def test_small_argument_limit(self):
         assert nk.bessel_j(0.0, 1e-8) == pytest.approx(1.0, abs=1e-12)
 
@@ -197,9 +203,9 @@ class TestBesselJ:
             assert nk.bessel_j(order, z) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_high_order_above_the_series_crossover(self):
-        # past z = 10 the Schlaefli integral cancels when the order is well
-        # above z, where J is tiny; pytest.approx's default abs=1e-12 would
-        # hide that, so the check is purely relative (mpmath values)
+        # J is tiny at orders well above z; pytest.approx's default abs=1e-12
+        # would hide any error there, so the check is purely relative (mpmath
+        # values)
         cases = [
             (44.09, 10.587, 1.1616863233891306e-23),
             (40.937, 10.2, 1.8704620018661875e-21),
@@ -213,15 +219,6 @@ class TestBesselJ:
         assert nk.bessel_j(-3.0, 2.5) == pytest.approx(-nk.bessel_j(3.0, 2.5), rel=1e-12)
         assert nk.bessel_j(-2.0, 2.5) == pytest.approx(nk.bessel_j(2.0, 2.5), rel=1e-12)
 
-    def test_seam_continuity(self):
-        # series vs integral branch evaluated at the crossover argument
-        from fluxbound.numkernel import _bessel_j_integral, _bessel_j_series
-
-        for a in (-1.7, -0.3, 0.0, 0.5, 1.25, 7.8):
-            s = _bessel_j_series(a, 10.0)
-            i = _bessel_j_integral(a, 10.0)
-            assert i == pytest.approx(s, rel=2e-11, abs=1e-14)
-
     def test_recurrence_grid(self):
         for a in (-2.0, -1.3, -0.5, 0.3, 1.1, 2.0):
             for z in (0.01, 0.4, 2.0, 11.0, 50.0):
@@ -230,6 +227,17 @@ class TestBesselJ:
                 jc = nk.bessel_j(a, z)
                 maxterm = max(abs(jm), abs(jp), abs(2 * a / z * jc))
                 assert abs(jm + jp - 2 * a / z * jc) <= 1e-9 * max(maxterm, 1e-30)
+
+    def test_edges_of_the_double_range(self):
+        # J_{-50.5}(1e-6) is 2.2e381 (mpmath) and J_50(1e-6) is 2.9e-380
+        with pytest.raises(OverflowError):
+            nk.bessel_j(-50.5, 1e-6)
+        assert nk.bessel_j(50.0, 1e-6) == 0.0
+        # the forward recurrence from J_0.001 multiplies by 2 f / z = 2e297
+        got = nk.bessel_j(-0.999, 1e-300)
+        assert math.isfinite(got)
+        assert got == pytest.approx(1.0022574432763276e297, rel=1e-15)
+        assert nk.bessel_j(0.3, 1e-300) == pytest.approx(9.050461476895359e-91, rel=1e-15)
 
     def test_domain_error(self):
         with pytest.raises(nk.KernelDomainError):
@@ -419,4 +427,22 @@ class TestAgainstMpmath:
                 continue
             want = mpmath.besselk(a, z)
             worst = max(worst, float(abs(nk.bessel_k(a, z) / want - 1)))
+        assert worst <= 1e-13
+
+    def test_bessel_j_continuum_orders(self):
+        # continuum_doublet asks for J at nu - 1/2, nu + 1/2, 1/2 - nu and
+        # -nu - 1/2; the error is measured against the envelope
+        # sqrt(2/(pi z)) where J passes through a zero.  These 1600 values
+        # read 2.9e-15
+        rng = random.Random(2001)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for _ in range(400):
+                nu = rng.uniform(0.0, 0.5)
+                z = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+                scale = math.sqrt(2.0 / (math.pi * z))
+                for a in (nu - 0.5, nu + 0.5, 0.5 - nu, -nu - 0.5):
+                    want = float(mpmath.besselj(a, z))
+                    err = abs(nk.bessel_j(a, z) - want) / max(abs(want), scale)
+                    worst = max(worst, err)
         assert worst <= 1e-13

@@ -174,7 +174,7 @@ class TestConvergenceStudy:
     def test_shoot_follows_channel_type(self):
         with pytest.raises(TypeError):
             orc.convergence_study(
-                ab.classify_channel(dirac_channel(0.25)),
+                dirac_channel(0.25).flux_parts,
                 ab.Extension.from_xi(-1.0),
                 self.ladder(),
             )
