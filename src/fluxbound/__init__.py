@@ -42,16 +42,15 @@ from .ac_spectrum import (
 from .numkernel import (
     Bracket,
     bessel_j,
+    bessel_j_pair,
     bessel_k,
     find_root_bracketed,
     gamma_fn,
     log_gamma,
 )
 from .oracle import (
-    ConvergenceReport,
     OracleResult,
     ShootingConfig,
-    convergence_study,
     count_dirac_levels,
     dirac_shoot,
     schrodinger_shoot,

@@ -22,8 +22,7 @@ weight.  The reported xi is kept in the orientation in which bound states
 exist exactly for xi < 0 and the midgap zero mode sits at xi = -1, uniformly
 over all channels.
 
-Everything here is a pure function of immutable values; grid sweeps may be
-evaluated concurrently without coordination.
+Everything here is a pure function of immutable values.
 """
 
 from __future__ import annotations
@@ -545,12 +544,14 @@ def bound_doublet(level: BoundLevel) -> RadialDoublet:
 
 
 def _continuum_pieces(ch: DiracChannel, E: float):
-    """Normalized regular/irregular continuum solutions (U1-like, U2-like).
+    """Regular/irregular continuum solutions (U1-like, U2-like).
 
-    Each is scaled so its leading small-r behavior is (m r)^(+-nu) with unit
-    coefficient in the carrying component, real for both rims of the
-    continuum.  Built in u = tau*E with the r^(+nu) carrying component first;
-    continuum_doublet swaps the components of a tau = -1 channel.
+    Real on both rims of the continuum.  U1 leads with 2 (m r)^nu in the
+    carrying component and U2 with 2 (m r)^(-nu) in the companion: n_reg and
+    n_irr each carry a factor 2 over a unit coefficient.  Built in u = tau*E
+    with the r^(+nu) carrying component first; continuum_doublet swaps the
+    components of a tau = -1 channel.  Each piece takes both of its orders
+    from one bessel_j_pair: J_{nu-1/2}, J_{nu+1/2} and J_{-nu-1/2}, J_{1/2-nu}.
     """
     m, s, nu = ch.m, ch.s, ch.nu
     k = math.sqrt(abs(E * E - m * m))
@@ -562,17 +563,13 @@ def _continuum_pieces(ch: DiracChannel, E: float):
 
     def u1(r: float) -> tuple[float, float]:
         sq = math.sqrt(r)
-        return (
-            n_reg * sq * nk.bessel_j(nu - 0.5, k * r),
-            n_reg * rho_reg * sq * nk.bessel_j(nu + 0.5, k * r),
-        )
+        j_lo, j_hi = nk.bessel_j_pair(nu + 0.5, k * r)
+        return n_reg * sq * j_lo, n_reg * rho_reg * sq * j_hi
 
     def u2(r: float) -> tuple[float, float]:
         sq = math.sqrt(r)
-        return (
-            n_irr * rho_irr * sq * nk.bessel_j(0.5 - nu, k * r),
-            n_irr * sq * nk.bessel_j(-nu - 0.5, k * r),
-        )
+        j_lo, j_hi = nk.bessel_j_pair(0.5 - nu, k * r)
+        return n_irr * rho_irr * sq * j_hi, n_irr * sq * j_lo
 
     return u1, u2
 
@@ -583,7 +580,10 @@ def continuum_doublet(ch: DiracChannel, ext: Extension, E: float) -> RadialDoubl
     Extended regime: U1 - (s xi) U2 in the internal template weight (xi = 0
     gives the pure regular branch, xi = infinity the pure irregular branch
     -U2); Regular regime: the regular branch alone, xi ignored.  A tau = -1
-    channel is the tau = +1 one at -E with its two components swapped.
+    channel is the tau = +1 one at -E with its two components swapped.  The
+    doublet is twice the domain template with C = 1: the carrying component
+    leads with 2 (m r)^nu and the companion with -2 s xi (m r)^(-nu) (-2 (m r)^(-nu)
+    at xi = infinity).  fit_boundary_xi reads only their ratio.
     """
     m = ch.m
     if not abs(E) > m:

@@ -59,6 +59,15 @@ class ACRegime(Enum):
     REGULAR = "regular"  # gamma >= 1
 
 
+def _regime(g: float) -> ACRegime:
+    # the regime of index gamma = g, for ACChannel.regime and its callers
+    if g < CRITICAL_TOL:
+        return ACRegime.LOG_CRITICAL
+    if g >= 1.0 - CRITICAL_TOL:
+        return ACRegime.REGULAR
+    return ACRegime.EXTENDED
+
+
 @dataclass(frozen=True)
 class ACChannel:
     """One angular channel of the neutral-fermion problem.
@@ -87,12 +96,7 @@ class ACChannel:
 
     @property
     def regime(self) -> ACRegime:
-        g = self.gamma
-        if g < CRITICAL_TOL:
-            return ACRegime.LOG_CRITICAL
-        if g >= 1.0 - CRITICAL_TOL:
-            return ACRegime.REGULAR
-        return ACRegime.EXTENDED
+        return _regime(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,11 @@ def ac_wronskian(ch: ACChannel, E_n: float) -> float:
     _require_extended(ch, "ac_wronskian")
     if not E_n < 0.0:
         raise EnergyDomainError(f"ac_wronskian: need E_n < 0, got {E_n}")
-    g, m = ch.gamma, ch.m
+    return _omega(ch.gamma, ch.m, E_n)
+
+
+def _omega(g: float, m: float, E_n: float) -> float:
+    # ac_wronskian without its checks, for callers that hold a validated gamma
     kappa = math.sqrt(-2.0 * m * E_n)
     return nk.gamma_fn(1.0 + g) / nk.gamma_fn(1.0 - g) * (2.0 * m / kappa) ** (2.0 * g)
 
@@ -153,11 +161,6 @@ def _log_gamma_ratio(g: float) -> float:
     return math.log(nk.gamma_fn(1.0 + g) / nk.gamma_fn(1.0 - g))
 
 
-def _level_residual(ch: ACChannel, xi: float, E_n: float) -> float:
-    # mismatch of the level equation omega(E_n) = -xi
-    return abs(ac_wronskian(ch, E_n) + xi)
-
-
 def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
     """Closed-form bound level, or None for xi >= 0 (including xi = infinity).
 
@@ -170,8 +173,8 @@ def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
     level whose E_n or kappa over- or underflows the double range is an
     EnergyDomainError.
     """
-    regime = ch.regime
     g = ch.gamma
+    regime = _regime(g)
     if regime is ACRegime.REGULAR:
         raise RegimeError(f"ac_bound_energy: gamma={g:.6g} is regular; no bound state")
     xi = ext.xi
@@ -195,7 +198,8 @@ def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
             f"ac_bound_energy: the level at gamma={g!r}, xi={xi!r} lies outside "
             "the double range"
         )
-    residual = 0.0 if log_critical else _level_residual(ch, xi, E_n)
+    # mismatch of the level equation omega(E_n) = -xi
+    residual = 0.0 if log_critical else abs(_omega(g, m, E_n) + xi)
     return ACLevel(E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=residual)
 
 
@@ -222,7 +226,7 @@ def ac_solve_cross_check(ch: ACChannel, ext: Extension) -> ACLevel:
     kappa = m * math.exp(y)
     E_n = -kappa * kappa / (2.0 * m)
     return ACLevel(
-        E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=_level_residual(ch, xi, E_n)
+        E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=abs(_omega(g, m, E_n) + xi)
     )
 
 

@@ -255,12 +255,13 @@ def _extension(params: dict) -> ab.Extension:
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _fmt_float(x: float) -> str:
-    return format(x, ".17g")
-
-
 def emit_table(rows: list[dict], columns: Sequence[str], fmt: str) -> bytes:
-    """Serialize rows to CSV (header + 17-significant-digit values) or JSON."""
+    """Serialize rows to CSV (header + 17-significant-digit values) or JSON.
+
+    A CSV row is one %-template applied to its cells: "%s" (str) for an int
+    or str cell, "%.17g" (format(v, ".17g")) for any other.  Rows whose cells
+    have the same types share one template.
+    """
     if fmt == "json":
         payload = [
             {
@@ -271,12 +272,16 @@ def emit_table(rows: list[dict], columns: Sequence[str], fmt: str) -> bytes:
         ]
         return (json.dumps(payload, indent=1, sort_keys=False) + "\n").encode()
     lines = [",".join(columns)]
+    templates: dict[tuple, str] = {}
     for row in rows:
-        cells = []
-        for col in columns:
-            val = row[col]
-            cells.append(str(val) if isinstance(val, (int, str)) else _fmt_float(val))
-        lines.append(",".join(cells))
+        cells = tuple([row[col] for col in columns])
+        kinds = tuple(map(type, cells))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "%s" if isinstance(v, (int, str)) else "%.17g" for v in cells
+            )
+        lines.append(template % cells)
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -315,9 +320,10 @@ def _sweep_row(ch: ab.DiracChannel, ext: ab.Extension, variant: str) -> dict:
 def _ac_row(ch: ac.ACChannel, ext: ab.Extension) -> dict:
     """One AC sweep row; a regular channel (gamma >= 1) has no level and gives
     NaN level columns."""
-    level = None if ch.regime is ac.ACRegime.REGULAR else ac.ac_bound_energy(ch, ext)
+    g = ch.gamma
+    level = None if ac._regime(g) is ac.ACRegime.REGULAR else ac.ac_bound_energy(ch, ext)
     row = {
-        "gamma": ch.gamma,
+        "gamma": g,
         "l": ch.l,
         "zeta": ch.zeta,
         "coupling": ch.coupling,

@@ -3,7 +3,8 @@
 Provides the three primitives everything else is built on:
 
 * real-argument gamma functions (``gamma_fn``, ``log_gamma``, ``rgamma``),
-* Bessel functions of real order (``bessel_j``, ``bessel_k``) and the
+* Bessel functions of real order (``bessel_j``, ``bessel_k``), the pair
+  (J_{a-1}, J_a) from one J recurrence (``bessel_j_pair``), and the
   closed-form norm integral of K squared (``bessel_k_square_integral``),
 * bracketed root finding (``find_root_bracketed`` on a validated ``Bracket``).
 
@@ -11,9 +12,10 @@ Only the Python standard library is used.  The gamma functions are
 ``math.gamma`` and ``math.lgamma`` behind the domain and pole checks; J is
 Miller's backward recurrence at every order and argument, normalized by a
 Neumann sum (3.0e-15 of max(|J|, sqrt(2/(pi z))) off mpmath over the orders
-the continuum passes for z up to 60); K uses a Temme-style cancellation-free
-series below z = 2 and a trapezoid rule on the cosh integral representation
-above it.  K's seam is covered by a continuity test in the test suite, and
+the continuum passes for z up to 60), and ``bessel_j_pair`` takes J one
+order down from the same ratios, so one recurrence gives both; K uses a
+Temme-style cancellation-free series below z = 2 and a trapezoid rule on the
+cosh integral representation above it.  K's seam is covered by a continuity test in the test suite, and
 accuracy by mpmath comparisons over the arguments the package passes.  Bound
 states are normalized in closed form through ``bessel_k_square_integral``, so
 the kernel carries no quadrature; the tests check that identity against
@@ -38,6 +40,7 @@ __all__ = [
     "log_gamma",
     "rgamma",
     "bessel_j",
+    "bessel_j_pair",
     "bessel_k",
     "bessel_k_square_integral",
     "find_root_bracketed",
@@ -125,6 +128,39 @@ def rgamma(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _miller(order: float, z: float) -> tuple[float, float]:
+    """(J_order(z), J_{order+1}(z)/J_order(z)) for z > 0 and an order that is
+    not a negative integer, from one backward recurrence."""
+    n0 = math.floor(order)
+    f = order - n0
+    top = 2 * math.ceil(0.5 * (max(z, order) + 12.0 * z ** (1.0 / 3.0) + 6.0))
+    # r[n] = J_{f+n}/J_{f+n-1} from J_{f+n-1} + J_{f+n+1} = 2 (f+n)/z J_{f+n},
+    # with J_{f+top+1} = 0
+    r = [0.0] * (top + 2)
+    for n in range(top, 0, -1):
+        r[n] = 1.0 / (2.0 * (f + n) / z - r[n + 1])
+    # Neumann sum over J_{f+2k}/J_f; its k = 0 coefficient f Gamma(f) equals
+    # g = Gamma(f+k)/k! at k = 1
+    g = math.gamma(1.0 + f)
+    total = g
+    p = 1.0  # J_{f+2k}/J_f
+    for k in range(1, top // 2 + 1):
+        p *= r[2 * k - 1] * r[2 * k]
+        total += (f + 2 * k) * g * p
+        g *= (f + k) / (k + 1)
+    val = (0.5 * z) ** f / total
+    for n in range(1, n0 + 1):
+        val *= r[n]
+    if n0 >= 0:
+        return val, r[n0 + 1]
+    nxt = val * r[1]
+    for j in range(-n0):
+        val, nxt = 2.0 * (f - j) / z * val - nxt, val
+        if math.isinf(val):
+            raise OverflowError(f"bessel_j: J_{order}({z}) exceeds double range")
+    return val, nxt / val
+
+
 def bessel_j(order: float, z: float) -> float:
     """Bessel function J_order(z) for real order and z > 0.
 
@@ -153,34 +189,33 @@ def bessel_j(order: float, z: float) -> float:
         raise KernelDomainError(f"bessel_j: requires z > 0, got {z}")
     n0 = math.floor(order)
     if order == n0 and n0 < 0:
-        val = bessel_j(-order, z)
+        val = _miller(-order, z)[0]
         return -val if n0 % 2 else val
-    f = order - n0
-    top = 2 * math.ceil(0.5 * (max(z, order) + 12.0 * z ** (1.0 / 3.0) + 6.0))
-    # r[n] = J_{f+n}/J_{f+n-1} from J_{f+n-1} + J_{f+n+1} = 2 (f+n)/z J_{f+n},
-    # with J_{f+top+1} = 0
-    r = [0.0] * (top + 2)
-    for n in range(top, 0, -1):
-        r[n] = 1.0 / (2.0 * (f + n) / z - r[n + 1])
-    # Neumann sum over J_{f+2k}/J_f; its k = 0 coefficient f Gamma(f) equals
-    # g = Gamma(f+k)/k! at k = 1
-    g = math.gamma(1.0 + f)
-    total = g
-    p = 1.0  # J_{f+2k}/J_f
-    for k in range(1, top // 2 + 1):
-        p *= r[2 * k - 1] * r[2 * k]
-        total += (f + 2 * k) * g * p
-        g *= (f + k) / (k + 1)
-    val = (0.5 * z) ** f / total
-    for n in range(1, n0 + 1):
-        val *= r[n]
-    if n0 < 0:
-        nxt = val * r[1]
-        for j in range(-n0):
-            val, nxt = 2.0 * (f - j) / z * val - nxt, val
-            if math.isinf(val):
-                raise OverflowError(f"bessel_j: J_{order}({z}) exceeds double range")
-    return val
+    return _miller(order, z)[0]
+
+
+def bessel_j_pair(order: float, z: float) -> tuple[float, float]:
+    """(J_{order-1}(z), J_order(z)) from the recurrence of one ``bessel_j`` call.
+
+    J_order is ``bessel_j(order, z)`` bit for bit, and
+    J_{order-1} = (2 order/z - J_{order+1}/J_order) J_order takes the ratio
+    from the same recurrence, in its stable (downward) direction.  Integer
+    orders n <= 0 use the pair at -n and J_{-n} = (-1)^n J_n exactly.  The
+    domain, accuracy and ``OverflowError`` contract are those of ``bessel_j``.
+    """
+    if not z > 0.0:
+        raise KernelDomainError(f"bessel_j_pair: requires z > 0, got {z}")
+    n0 = math.floor(order)
+    if order == n0 and n0 <= 0:
+        # at order -n: (J_{-n-1}, J_{-n}) = (-1)^n (-J_{n+1}, J_n)
+        val, ratio = _miller(-order, z)
+        val = -val if n0 % 2 else val
+        return -val * ratio, val
+    val, ratio = _miller(order, z)
+    lower = (2.0 * order / z - ratio) * val
+    if math.isinf(lower):
+        raise OverflowError(f"bessel_j_pair: J_{order - 1}({z}) exceeds double range")
+    return lower, val
 
 
 # ---------------------------------------------------------------------------

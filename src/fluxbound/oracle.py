@@ -75,7 +75,7 @@ window and scan-variable-to-energy map.  Each shoot is a pure computation;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import numkernel as nk
@@ -85,11 +85,9 @@ from .ac_spectrum import ACChannel, ACRegime
 __all__ = [
     "ShootingConfig",
     "OracleResult",
-    "ConvergenceReport",
     "dirac_shoot",
     "schrodinger_shoot",
     "count_dirac_levels",
-    "convergence_study",
 ]
 
 
@@ -162,14 +160,6 @@ class OracleResult:
     r_min_sensitivity: float
     evaluations: int = 0
     error_estimate: float = math.nan
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    energies: tuple[float, ...]
-    extrapolated_E: float
-    observed_order: float
-    monotone: bool
 
 
 # ---------------------------------------------------------------------------
@@ -523,54 +513,3 @@ def schrodinger_shoot(
         return None
     p, mix = _ac_template(ch.gamma, -xi)
     return _shoot(cfg, ch.m, _AC_WINDOW, p, mix, lambda y: (-math.exp(y), math.exp(y)))
-
-
-# ---------------------------------------------------------------------------
-# convergence studies
-# ---------------------------------------------------------------------------
-
-
-def convergence_study(
-    ch: DiracChannel | ACChannel,
-    ext: Extension,
-    configs: Sequence[ShootingConfig],
-) -> ConvergenceReport:
-    """Richardson study over a ladder of at least three nested configs.
-
-    The shoot follows the channel: dirac_shoot for a DiracChannel,
-    schrodinger_shoot for an ACChannel; any other channel is a TypeError.
-    Each rung is expected to halve numerov_dx; the observed order is log2 of
-    the ratio of successive differences, and the extrapolated energy removes
-    the leading error term.  Non-monotone difference sequences are flagged.
-    """
-    if len(configs) < 3:
-        raise ValueError("convergence_study: need at least 3 nested configs")
-    if not isinstance(ch, (DiracChannel, ACChannel)):
-        raise TypeError(f"convergence_study: no shoot for a {type(ch).__name__}")
-    shoot = dirac_shoot if isinstance(ch, DiracChannel) else schrodinger_shoot
-    energies = []
-    for cfg in configs:
-        res = shoot(ch, ext, replace(cfg, diagnostics=False))
-        if res is None:
-            raise ValueError("convergence_study: no bound level found on a rung")
-        energies.append(res.E)
-    diffs = [energies[i + 1] - energies[i] for i in range(len(energies) - 1)]
-    monotone = all(
-        abs(diffs[i + 1]) <= abs(diffs[i]) + 1e-15 for i in range(len(diffs) - 1)
-    )
-    if abs(diffs[-1]) > 1e-15 and abs(diffs[-2]) > 1e-15:
-        order = math.log2(abs(diffs[-2]) / abs(diffs[-1]))
-        if order > 0.25:
-            e_rich = energies[-1] + diffs[-1] / (2.0**order - 1.0)
-        else:
-            # differences at the noise floor carry no extrapolation signal
-            e_rich = energies[-1]
-    else:
-        order = float("inf")
-        e_rich = energies[-1]
-    return ConvergenceReport(
-        energies=tuple(energies),
-        extrapolated_E=e_rich,
-        observed_order=order,
-        monotone=monotone,
-    )

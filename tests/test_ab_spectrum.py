@@ -650,6 +650,21 @@ class TestContinuumDoublet:
         # sign: -U2 template means the irregular carrier is negative of (mr)^-nu
         assert dinf(1e-6)[1] < 0.0
 
+    @pytest.mark.parametrize("mu", [0.1, 0.25, 0.4, 0.6, 0.75, 0.9])
+    def test_pieces_lead_with_two(self, mu):
+        # nu = 0.4, 0.25, 0.1 at tau = +1, then 0.1, 0.25, 0.4 at tau = -1.
+        # xi = 0 gives U1, whose carrying component is 2 (m r)^nu times
+        # 1 + O((k r)^2); xi = infinity gives -U2, whose companion is
+        # -2 (m r)^(-nu) to the same order
+        ch = channel(mu=mu, m=2.5)
+        nu, carrying = ch.nu, 0 if ch.tau == 1 else 1
+        r = 1e-8
+        for e_val in (3.0, -5.0, 10.0):
+            d0 = ab.continuum_doublet(ch, ab.Extension.from_xi(0.0), e_val)
+            dinf = ab.continuum_doublet(ch, ab.Extension.from_xi(math.inf), e_val)
+            assert d0(r)[carrying] / (2.5 * r) ** nu == pytest.approx(2.0, rel=1e-12)
+            assert dinf(r)[1 - carrying] / (2.5 * r) ** -nu == pytest.approx(-2.0, rel=1e-12)
+
     def test_boundary_condition_round_trip(self):
         ch = channel(mu=0.25)
         for e_val in (1.5, -2.0):

@@ -71,6 +71,17 @@ class TestBoundEnergy:
         assert level.kappa == pytest.approx(1.0, rel=1e-12)
         assert level.residual <= 1e-10
 
+    def test_residual_is_the_wronskian_mismatch(self):
+        # the level's residual is |omega(E_n) + xi| of the public Wronskian,
+        # bit for bit, over gamma from 1e-6 to 0.99 (log-spaced); xi stays
+        # near -1, where the level at gamma = 1e-6 is inside the double range
+        for i in range(121):
+            g = 1e-6 * (0.99 / 1e-6) ** (i / 120)
+            for m, xi in ((1.0, -1.0), (2.5, -1.0001), (0.4, -0.9999)):
+                ch = channel(g, m=m)
+                level = ac.ac_bound_energy(ch, Extension.from_xi(xi))
+                assert level.residual == abs(ac.ac_wronskian(ch, level.E_n) + xi)
+
     def test_log_critical_closed_form(self):
         ch = ac.ACChannel(m=1.0, coupling=-1.0, l=1, zeta=1)
         level = ac.ac_bound_energy(ch, Extension.from_xi(-1.0))

@@ -201,6 +201,27 @@ class TestEmitTable:
             assert float(row["x"]) == raw["x"]
             assert float(row["y"]) == raw["y"]
 
+    def test_csv_matches_per_cell_formatting(self):
+        # each cell is str(v) for an int or str and format(v, ".17g") for
+        # anything else; column "b" changes type from row to row, so rows of
+        # the same columns need different templates
+        columns = ("a", "b", "c", "d")
+        rows = [
+            {"a": 3, "b": 0.1, "c": "x", "d": math.nan},
+            {"a": True, "b": 7, "c": -0.0, "d": math.inf},
+            {"a": -math.inf, "b": "y", "c": 5e-324, "d": False},
+            {"a": 3, "b": 1e300, "c": "x", "d": -2},
+            {"a": 3, "b": 0.1, "c": "x", "d": 2.0**-1074 * 3},
+        ]
+
+        def cell(v):
+            return str(v) if isinstance(v, (int, str)) else format(v, ".17g")
+
+        want = "a,b,c,d\n" + "".join(
+            ",".join(cell(row[col]) for col in columns) + "\n" for row in rows
+        )
+        assert cli.emit_table(rows, columns, "csv").decode() == want
+
     def test_json_shape(self):
         payload = cli.emit_table([{"a": 1.5}, {"a": 2.5}], ("a",), "json")
         data = json.loads(payload)

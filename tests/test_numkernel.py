@@ -239,6 +239,24 @@ class TestBesselJ:
         assert got == pytest.approx(1.0022574432763276e297, rel=1e-15)
         assert nk.bessel_j(0.3, 1e-300) == pytest.approx(9.050461476895359e-91, rel=1e-15)
 
+    def test_pair_shares_bessel_j(self):
+        # the pair's second value is bessel_j's, bit for bit, at every kind of
+        # order: the continuum's, above 1, negative, integer and negative
+        # integer; the first is J one order down
+        for a in (0.6, 0.1, 0.5, 1.0, 0.0, -1.0, -2.0, -0.3, -1.7, 2.4, 12.3):
+            for z in (1e-3, 0.4, 2.0, 11.0, 50.0):
+                lower, upper = nk.bessel_j_pair(a, z)
+                assert upper == nk.bessel_j(a, z)
+                want = nk.bessel_j(a - 1.0, z)
+                assert lower == pytest.approx(want, rel=1e-12, abs=1e-15 / math.sqrt(z))
+
+    def test_pair_domain_and_overflow(self):
+        with pytest.raises(nk.KernelDomainError):
+            nk.bessel_j_pair(0.5, 0.0)
+        # J_{-50.5}(1e-6) overflows as the lower member of the pair at -49.5
+        with pytest.raises(OverflowError):
+            nk.bessel_j_pair(-49.5, 1e-6)
+
     def test_domain_error(self):
         with pytest.raises(nk.KernelDomainError):
             nk.bessel_j(0.5, 0.0)
@@ -445,4 +463,22 @@ class TestAgainstMpmath:
                     want = float(mpmath.besselj(a, z))
                     err = abs(nk.bessel_j(a, z) - want) / max(abs(want), scale)
                     worst = max(worst, err)
+        assert worst <= 1e-13
+
+    def test_bessel_j_pair_continuum_orders(self):
+        # continuum_doublet takes (J_{nu-1/2}, J_{nu+1/2}) from the pair at
+        # nu + 1/2 and (J_{-nu-1/2}, J_{1/2-nu}) from the pair at 1/2 - nu,
+        # held to the bound of test_bessel_j_continuum_orders.  These 1600
+        # values read 3.2e-15
+        rng = random.Random(2101)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for _ in range(400):
+                nu = rng.uniform(0.0, 0.5)
+                z = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+                scale = math.sqrt(2.0 / (math.pi * z))
+                for a in (nu + 0.5, 0.5 - nu):
+                    for order, got in zip((mpmath.mpf(a) - 1, a), nk.bessel_j_pair(a, z)):
+                        want = float(mpmath.besselj(order, z))
+                        worst = max(worst, abs(got - want) / max(abs(want), scale))
         assert worst <= 1e-13

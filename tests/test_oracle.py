@@ -143,41 +143,28 @@ class TestDiracShoot:
 
 
 class TestConvergenceStudy:
-    def ladder(self, base_dx=0.04):
-        return [
-            orc.ShootingConfig(numerov_dx=base_dx / 2**k)
+    """The shoot at three halving steps: Richardson's observed order and
+    extrapolated level from successive differences."""
+
+    def ladder(self, shoot, ch, base_dx=0.04):
+        ext = ab.Extension.from_xi(-1.0)
+        energies = [
+            shoot(ch, ext, orc.ShootingConfig(numerov_dx=base_dx / 2**k, diagnostics=False)).E
             for k in range(3)
         ]
+        d1, d2 = energies[1] - energies[0], energies[2] - energies[1]
+        order = math.log2(abs(d1) / abs(d2))
+        return energies[2] + d2 / (2.0**order - 1.0), order, abs(d2) <= abs(d1)
 
     def test_ac_half_gamma_ladder(self):
-        report = orc.convergence_study(
-            ac_channel(0.5), ab.Extension.from_xi(-1.0), self.ladder()
-        )
-        assert report.extrapolated_E == pytest.approx(-0.5, abs=1e-8)
-        assert report.observed_order >= 1.5
-        assert report.monotone
+        extrapolated, order, monotone = self.ladder(orc.schrodinger_shoot, ac_channel(0.5))
+        assert extrapolated == pytest.approx(-0.5, abs=1e-8)
+        assert order >= 1.5
+        assert monotone
 
     def test_dirac_zero_mode_ladder(self):
-        report = orc.convergence_study(
-            dirac_channel(0.5 - 1e-8),
-            ab.Extension.from_xi(-1.0),
-            self.ladder(),
-        )
-        assert abs(report.extrapolated_E) <= 1e-6
-
-    def test_requires_three_rungs(self):
-        with pytest.raises(ValueError):
-            orc.convergence_study(
-                dirac_channel(0.25), ab.Extension.from_xi(-1.0), self.ladder()[:2]
-            )
-
-    def test_shoot_follows_channel_type(self):
-        with pytest.raises(TypeError):
-            orc.convergence_study(
-                dirac_channel(0.25).flux_parts,
-                ab.Extension.from_xi(-1.0),
-                self.ladder(),
-            )
+        extrapolated, _, _ = self.ladder(orc.dirac_shoot, dirac_channel(0.5 - 1e-8))
+        assert abs(extrapolated) <= 1e-6
 
 
 class TestDeepLevelRelativeAccuracy:
