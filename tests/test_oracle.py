@@ -329,6 +329,43 @@ class TestClosedForm:
         assert m_irr / m_reg == pytest.approx(gamma_ratio, rel=1e-7)
 
 
+class TestConnectionRatioEnvelope:
+    """The oracle's one numerical result is the connection ratio
+    R = M_irr/M_reg of the branch pair, and both sectors' errors are its
+    error: |p| = |l + mu| for Dirac and gamma for the neutral fermion.
+    Against R_exact = 2^(-2p) Gamma(1-p)/Gamma(1+p) (mpmath's Gamma), over
+    p = +-0.01 ... +-0.99, the worst |R/R_exact - 1| reads 6.83e-9 at
+    |p| = 0.77 for numerov_dx = 0.1 and 4.64e-10 at 0.05.  The branch pair at
+    -p is the one at p swapped, so R(-p) = 1/R(p) and the two signs carry
+    opposite errors of one size."""
+
+    ENVELOPE = {0.1: 7e-9, 0.05: 5e-10}
+
+    @staticmethod
+    def relative_errors(dx):
+        import mpmath
+
+        cfg = orc.ShootingConfig(numerov_dx=dx, diagnostics=False)
+        errs = {}
+        with mpmath.workdps(30):
+            for k in range(1, 100):
+                for p in (k / 100.0, -k / 100.0):
+                    m_reg, m_irr = orc._branch_pair(p, cfg)
+                    q = mpmath.mpf(p)
+                    exact = 2 ** (-2 * q) * mpmath.gamma(1 - q) / mpmath.gamma(1 + q)
+                    errs[p] = float(mpmath.mpf(m_irr) / m_reg / exact - 1)
+        return errs
+
+    @pytest.mark.parametrize("dx", sorted(ENVELOPE))
+    def test_ratio_within_its_envelope(self, dx):
+        errs = self.relative_errors(dx)
+        worst = max(errs, key=lambda p: abs(errs[p]))
+        assert abs(errs[worst]) <= self.ENVELOPE[dx], (worst, errs[worst])
+        assert 0.7 <= abs(worst) <= 0.85
+        for k in range(1, 100):
+            assert abs(errs[k / 100.0] + errs[-k / 100.0]) <= 1e-15
+
+
 class TestFrobeniusFactor:
     """The template's series factor is 0F1(; 1 + a; z^2/4) summed in full:
     the oracle seeds its tail grid from it at z = 2."""
