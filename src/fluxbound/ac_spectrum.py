@@ -123,13 +123,19 @@ def ac_wronskian(ch: ACChannel, E_n: float) -> float:
     _require_extended(ch, "ac_wronskian")
     if not E_n < 0.0:
         raise EnergyDomainError(f"ac_wronskian: need E_n < 0, got {E_n}")
-    return _omega(ch.gamma, ch.m, E_n)
+    g = ch.gamma
+    return _omega(_gamma_quotient(g), g, ch.m, E_n)
 
 
-def _omega(g: float, m: float, E_n: float) -> float:
-    # ac_wronskian without its checks, for callers that hold a validated gamma
+def _gamma_quotient(g: float) -> float:
+    # Gamma(1+gamma)/Gamma(1-gamma), taken once per level and its residual
+    return nk.gamma_fn(1.0 + g) / nk.gamma_fn(1.0 - g)
+
+
+def _omega(quotient: float, g: float, m: float, E_n: float) -> float:
+    # ac_wronskian without its checks, for a validated gamma's _gamma_quotient
     kappa = math.sqrt(-2.0 * m * E_n)
-    return nk.gamma_fn(1.0 + g) / nk.gamma_fn(1.0 - g) * (2.0 * m / kappa) ** (2.0 * g)
+    return quotient * (2.0 * m / kappa) ** (2.0 * g)
 
 
 # ln Gamma(1+gamma)/Gamma(1-gamma) = sum_j c_j gamma^(2j+1), with
@@ -144,8 +150,9 @@ _LOG_RATIO_SERIES = (
 _LOG_RATIO_SERIES_MAX_GAMMA = 0.25
 
 
-def _log_gamma_ratio(g: float) -> float:
-    # ln Gamma(1+gamma)/Gamma(1-gamma) for 0 < gamma < 1.  The level raises
+def _log_gamma_ratio(g: float, quotient: float) -> float:
+    # ln Gamma(1+gamma)/Gamma(1-gamma) for 0 < gamma < 1, from quotient =
+    # _gamma_quotient(g) from 0.25 up.  The level raises
     # the ratio to the power -1/gamma, so an error in its log grows by
     # 1/gamma.  The log of the ratio (like the lgamma difference) cancels to
     # eps/gamma as gamma -> 0, so small gamma takes the odd series instead.
@@ -158,7 +165,7 @@ def _log_gamma_ratio(g: float) -> float:
         for c in reversed(_LOG_RATIO_SERIES):
             acc = acc * g2 + c
         return acc * g
-    return math.log(nk.gamma_fn(1.0 + g) / nk.gamma_fn(1.0 - g))
+    return math.log(quotient)
 
 
 def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
@@ -186,7 +193,8 @@ def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
         E_n = -4.0 * m * math.exp(2.0 * (xi - EULER_GAMMA))
     else:
         # the base's Gamma ratio to the power -1/gamma, exp(ln ratio / gamma)
-        ratio_power = math.exp(_log_gamma_ratio(g) / g)
+        quotient = _gamma_quotient(g)
+        ratio_power = math.exp(_log_gamma_ratio(g, quotient) / g)
         try:
             E_n = -2.0 * m * (-xi) ** (-1.0 / g) * ratio_power
         except OverflowError:  # a float power raises where a product gives inf
@@ -199,7 +207,7 @@ def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
             "the double range"
         )
     # mismatch of the level equation omega(E_n) = -xi
-    residual = 0.0 if log_critical else abs(_omega(g, m, E_n) + xi)
+    residual = 0.0 if log_critical else abs(_omega(quotient, g, m, E_n) + xi)
     return ACLevel(E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=residual)
 
 
@@ -214,7 +222,8 @@ def ac_solve_cross_check(ch: ACChannel, ext: Extension) -> ACLevel:
     if not xi < 0.0:
         raise ValueError("ac_solve_cross_check: requires finite xi < 0")
     g, m = ch.gamma, ch.m
-    lng = _log_gamma_ratio(g)
+    quotient = _gamma_quotient(g)
+    lng = _log_gamma_ratio(g, quotient)
     target = math.log(-xi)
 
     def h(y: float) -> float:
@@ -226,7 +235,7 @@ def ac_solve_cross_check(ch: ACChannel, ext: Extension) -> ACLevel:
     kappa = m * math.exp(y)
     E_n = -kappa * kappa / (2.0 * m)
     return ACLevel(
-        E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=abs(_omega(g, m, E_n) + xi)
+        E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=abs(_omega(quotient, g, m, E_n) + xi)
     )
 
 

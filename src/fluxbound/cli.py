@@ -9,10 +9,9 @@ a NaN ``--xi`` or a ``--theta`` outside [0, 2pi); ``--r-min`` is an unknown
 flag, since the oracle's only length is the tail decay length 1/k) or a
 domain error (kind "domain": critical or regular regime requests, a
 neutral-fermion level beyond the double range, an ``ab-wavefunction`` level
-whose lambda underflows to 0, an ``oracle-check`` level outside the
-oracle's search window, whose two ends bracket its root: |E|/m <= 1 - 1e-9
-for Dirac and 1e-8 <= -E/m <= 1e6 for the neutral fermion), 1 internal
-failure.
+whose lambda underflows to 0), 1 internal failure.  ``oracle-check`` prints
+its header alone where either route has no level; the oracle reaches every
+level of the double range.
 
 The extension is the paper's xi, given by ``--xi`` and kept exactly, or by
 ``--theta``, converted once by ``Extension.from_theta``; ``--xi -inf`` names
@@ -24,10 +23,11 @@ printed level-equation variants) and in ``oracle-check``'s
 does not converge, so no order can be read off it: when the coarser
 difference |E(2dx) - E(4dx)| is not larger than the finer |E(dx) - E(2dx)|,
 or the finer one is below the 1e-11 m rounding floor, as at every
-``--resolution`` up to 0.02 for ``--mu 0.25 --xi -1`` and up to 0.01 for
-``--sector ac --gamma 0.5 --xi -1``.  The only other non-finite value is
-``inf`` in the ``xi`` column, for the theta = pi extension, whose rows have
-no level.
+``--resolution`` up to 0.02 for ``--mu 0.25 --xi -1``, up to 0.01 for
+``--sector ac --gamma 0.5 --xi -1``, and at Dirac levels near -+m, whose
+differences shrink as lambda^2 (``--mu 0.25 --xi -1e-3``).  The only other
+non-finite value is ``inf`` in the ``xi`` column, for the theta = pi
+extension, whose rows have no level.
 
 A flat ``key = value`` config file (# comments) can prefill any long flag;
 its values pass the flag's own type and choices checks, and explicit flags
@@ -446,7 +446,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
             # it sets numerov_dx, and the diagnostic ladder integrates at up
             # to 4 times it, which must stay below 1.  A check's cost grows
             # as 1/resolution, while rounding stops the levels from improving
-            # below about 1e-2: the golden Dirac shoot lands 1.8e-14 m from
+            # below about 1e-2: the golden Dirac shoot lands 8.8e-14 m from
             # the analytic level at 1e-2, 1.8e-12 m at 1e-3 and 6.4e-11 m at
             # 1e-4, where each integration takes 100000 steps
             if not 1e-3 <= resolution < 0.25:
@@ -462,14 +462,8 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
             ac_level = ac.ac_bound_energy(cha, ext)
             e_an = None if ac_level is None else ac_level.E_n
             numeric = orc.schrodinger_shoot(cha, ext, cfg)
-        if e_an is None:
+        if e_an is None or numeric is None:
             return [], _ORACLE_COLUMNS
-        if numeric is None:
-            window = "|E|/m <= 1 - 1e-9" if params["sector"] == "ab" else "1e-8 <= -E/m <= 1e6"
-            raise ab.EnergyDomainError(
-                f"oracle-check: the oracle searches {window} and finds no level there; "
-                f"the analytic level is at E/m = {e_an / mass!r}"
-            )
         return (
             [
                 {

@@ -5,7 +5,7 @@ problem with the extension-family boundary template (each branch continued
 by the summed Frobenius series of the ODE itself), integrates outward, and
 measures the admixture of the growing mode deep in the classically forbidden
 tail via a cross product with the decaying asymptotic solution.  Bound
-levels are roots of that mismatch in the energy.
+levels are the energies where that mismatch vanishes.
 
 The extension parameter fixes the template at r = 0, and away from the
 origin the radial equations hold no length but the tail decay length 1/k, so
@@ -26,55 +26,51 @@ exp(-2(12 - z)), so on the A3 grids a tail to z = 40 moves no level by more
 than 8.2e-14 m, and the one resolution knob is the step numerov_dx; the
 error falls as its fourth power.
 
-The mismatch is the growing-mode coefficient times a smooth positive scale:
-the cross product divided by the free growth factor exp(10) over the grid,
-which is all the solution grows by, so no value needs renormalizing.  It is
-a smooth function of E with the sign of the coefficient, so Brent's
-interpolation steps converge on a root in a few evaluations; dividing by the
-cross product's own size would make it a step function of E that Brent can
-only bisect.
+The mismatch is the growing-mode coefficient times a smooth positive scale
+(the cross product over the grid's free growth exp(10)), so no value needs
+renormalizing.  It takes two integrations, not one per energy: in z neither
+the equation u'' = [(g^2 - 1/4)/z^2 + 1] u nor the grid holds the energy,
+the template c_reg r^p F_p + c_irr r^-p F_-p (in r^(-1/2) u) holds it only in
+its coefficients, and Numerov is linear.  So the mismatch at E is, to
+rounding,
 
-A solve integrates two solutions, not one per energy.  In z the equation
-u'' = [(g^2 - 1/4)/z^2 + 1] u holds no energy, and the grid holds none
-either.  The template, c_reg r^p F_p + c_irr r^-p F_-p in r^(-1/2) u, is two
-Frobenius branches whose coefficients alone carry the energy, and Numerov is
-linear.  So the mismatch at E is, to rounding,
-
-    k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr),
+    k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr)
+        = c_irr k^(p - 1/2) M_irr (1 + rho/R),    rho = c_reg k^(-2p)/c_irr,
 
 with M_reg and M_irr the mismatches of the branches z^(+-p) F_(+-p)
-integrated once at k = 1: lambda^(-nu) M_reg - xi_int (u + 1)/(s(2nu - 1))
-lambda^(nu - 1) M_irr for Dirac with tau = +1 (the f1 component; tau = -1
-takes the companion one), kappa^(-g) M_reg - xi_int kappa^g M_irr for the
-neutral fermion, each times k^(-1/2).
+integrated once at k = 1, and R = M_irr/M_reg their connection ratio.  A
+level is where rho = -R.  rho < 0 for every xi < 0, so a level exists
+exactly when R > 0, and it solves ln|rho(x)| = ln R on the whole real line
+of the sector's scan variable x, where, with softplus(x) = max(x, 0) +
+log1p(e^-|x|),
 
-The mismatch changes sign at most once per window.  It is
-c_irr k^(p - 1/2) M_irr (rho M_reg/M_irr + 1) with rho = c_reg k^(-2p)/c_irr;
-c_irr keeps one sign over each window, and rho is strictly monotone in the
-scan variable: a multiple of kappa^(-2g) for the neutral fermion, and for
-Dirac, with either tau, ln|rho| = (1/2 - nu) ln(1 - u) - (1/2 + nu) ln(1 + u)
-plus a constant, which decreases for the extended regime's 0 < nu < 1/2.  So
-the signs at the window's two ends decide whether it holds a level.
+    ln|rho(x)| = a x + b softplus(x) + c:
+
+- Dirac (see _dirac_template): x = s = ln((1 - u)/(1 + u)), u = tau*E/m,
+  a = 1/2 - nu, b = 2nu, c = ln(w/|xi|) - 2nu ln 2 and p = nu - tau/2, with
+  w = 1 - 2nu for tau = +1 and 1/(1 + 2nu) for tau = -1, from
+  ln|rho| = (1/2 - nu) ln(1 - u) - (1/2 + nu) ln(1 + u) + ln(w/|xi|);
+- neutral fermion: x = y = ln(-E/m), kappa = sqrt(2 e^y) m, a = -g, b = 0,
+  c = -g ln 2 - ln|xi| and p = g.
+
+Each line is strictly monotone, so each xi < 0 has one level, which _root
+brackets in closed form; the scan variables cover the whole gap and the
+whole negative axis.  Both sectors run one skeleton, ``_shoot``, which does
+this at the base step and, with diagnostics on, at twice and four times it
+(the discretization ladder); ``OracleResult.evaluations`` counts its Numerov
+integrations.
 
 The oracle stays independent of the analytic route: it uses the ODE, its
 Frobenius template, linearity and this scaling, and calls no level formula,
-Gamma ratio or Bessel function.  The analytic levels are the zeros of the
-same mix with the Gamma-function connection ratio 2^(-2p) Gamma(1-p)/Gamma(1+p)
-in place of M_irr/M_reg, so the oracle-equivalence check compares the
-integrated connection ratio, through the shared template, with that one.
-
-Both sectors run one skeleton, ``_shoot``: evaluate the mismatch at the two
-ends of the sector's window in its scan variable (u = tau*E/m for Dirac,
-y = ln(-E/m) for Schroedinger), refine the root between them with Brent, and
-re-solve from brackets grown outward from that root at twice and four times
-the step (the discretization ladder).  A sector supplies its template,
-window and scan-variable-to-energy map.  Each shoot is a pure computation;
-``OracleResult.evaluations`` counts its Numerov integrations.
+Gamma ratio or Bessel function.  The analytic levels solve the same line
+with the Gamma-function connection ratio 2^(-2p) Gamma(1-p)/Gamma(1+p) in
+place of R, so a level's error is R's error over the line's slope in x.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -127,27 +123,20 @@ class ShootingConfig:
 class OracleResult:
     """A shot level with the Numerov integrations it took.
 
-    match_residual is Brent's root tolerance 1e-12 in the scan variable,
-    in energy units: 1e-12 m |dE/dx|, so 1e-12 m for Dirac and 1e-12 |E|
-    for the neutral fermion.  The mismatch's own residual at the root, its
-    value over its slope there, read below that tolerance in every solve
-    measured, over random channels of both sectors with |xi| from 1e-4 to
-    1e4.
+    match_residual is Brent's root tolerance 1e-15 in the scan variable, in
+    energy units: 1e-15 |dE/dx|, so 1e-15 m sech(s/2)^2/2 for Dirac and
+    1e-15 |E| for the neutral fermion, whose root is exact (see _root).
 
-    evaluations counts integrations over the whole shoot, diagnostic probes
-    included: two (the template's two branches) per solve, so 2 with
-    diagnostics off and 6 with them on (4 when the first probe finds no
-    level).
-    A probe's step is coarser than the base step, so the two ladder probes
-    together integrate 0.75 times the base solve's Numerov steps.
+    evaluations counts the shoot's integrations, two (the template's two
+    branches) per solve: 2 with diagnostics off and 6 with them on, where
+    the ladder's two probes integrate 0.75 times the base solve's steps.
 
     error_estimate is Richardson's a-posteriori error of E, |E(dx) -
     E(2dx)|/15 for the Numerov step dx = numerov_dx.  The factor 15 =
     2^4 - 1 assumes order 4, whatever order the ladder observes; on the A3
     grids at the default step the orders read 3.46 to 5.80 and the estimate
-    is 0.83 to 1.30 times the true error.  It is NaN with diagnostics off or
-    when a probe finds no level, and so are convergence_order_estimate and
-    r_min_sensitivity.
+    is 0.83 to 1.30 times the true error.  It is NaN with diagnostics off,
+    and so are convergence_order_estimate and r_min_sensitivity.
 
     r_min_sensitivity is otherwise 0.0: no inner cutoff is left to halve,
     since the template fixes the solution at r = 0 and every grid is seeded
@@ -247,86 +236,82 @@ def _sign_changes(
 
 
 _DIAG_NAN = float("nan")
+_LN2 = math.log(2.0)
+_LN_MAX = math.log(sys.float_info.max)
 # Brent's tolerance in the scan variable, for the base root and every probe
-_ROOT_TOL = 1e-12
-# a probe's bracket x0 +- w grows from w = _PROBE_START, doubling, up to the
-# probe window x0 +- _PROBE_HALF_WIDTH in the scan variable, which is wide
-# enough to hold the 4*dx rung's root at the coarsest accepted step
-_PROBE_START = 1e-6
-_PROBE_HALF_WIDTH = 1e-2
+_ROOT_TOL = 1e-15
 # below this |E(dx) - E(2dx)| (in units of m) the rung difference is rounding
 # noise: at dx = 1e-3 it reads 2.5e-14 to 3.1e-12 and the orders -5 to 6
 _ORDER_FLOOR = 1e-11
 
+# (a, b, c): ln|rho(x)| = a x + b softplus(x) + c over a sector's scan
+# variable x (see the module docstring)
+Line = tuple[float, float, float]
 
-def _grow_bracket(
-    miss: Callable[[float], float], x0: float, narrow: tuple[float, float]
-) -> Optional[nk.Bracket]:
-    """The bracket x0 +- w, clipped to the probe window narrow, of the first
-    w = _PROBE_START * 2^j over which miss changes sign, or None when it
-    keeps its sign out to the whole window."""
-    w = _PROBE_START
-    while True:
-        lo, hi = max(narrow[0], x0 - w), min(narrow[1], x0 + w)
-        f_lo, f_hi = miss(lo), miss(hi)
-        if f_lo * f_hi <= 0.0:
-            return nk.Bracket(lo, hi, f_lo, f_hi)
-        if w >= _PROBE_HALF_WIDTH:
-            return None
-        w *= 2.0
+
+def _root(line: Line, log_ratio: float) -> float:
+    """The x with ln|rho(x)| = log_ratio, for a line with b >= 0.
+
+    softplus(x) - max(x, 0) lies in (0, ln 2], so with t = log_ratio - c the
+    root lies between the inverses of the piecewise-linear a x + b max(x, 0)
+    at t - b ln 2 and at t.  With b = 0 (the neutral fermion) both are the
+    root.  Otherwise (Dirac, where a > 0 and a + b > 0) ln|rho| increases,
+    and Brent refines that bracket.
+    """
+    a, b, c = line
+    t = log_ratio - c
+
+    def inverse(v: float) -> float:
+        return v / (a + b) if v >= 0.0 else v / a
+
+    lo, hi = inverse(t - b * _LN2), inverse(t)
+    if lo == hi:
+        return hi
+
+    def excess(x: float) -> float:
+        return a * x + b * (max(x, 0.0) + math.log1p(math.exp(-abs(x)))) - t
+
+    # excess(lo) <= 0 <= excess(hi), so an end of the wrong sign is rounding
+    # and holds the root
+    bracket = nk.Bracket(lo, hi, min(excess(lo), 0.0), max(excess(hi), 0.0))
+    return nk.find_root_bracketed(excess, bracket, tol_x=_ROOT_TOL)
 
 
 def _shoot(
     cfg: ShootingConfig,
     m: float,
-    window: tuple[float, float],
     p: float,
-    mix: Mix,
+    line: Line,
     to_e: Callable[[float], tuple[float, float]],
 ) -> Optional[OracleResult]:
-    """Bracket, refine and diagnose the level of a sector in window, or None.
+    """The level of a sector with its ladder diagnostics, or None.
 
-    p and mix(x) are the sector's template (see _mismatch); to_e(x) gives
-    E/m and |d(E/m)/dx|, which turn the root, Brent's tolerance and the
-    diagnostic differences into energies.  The mismatch changes sign at most
-    once over the window (see the module docstring), so its values at the
-    window's two ends are Brent's bracket, and when they share a sign the
-    window holds no level.
-
-    With diagnostics on, each probe re-solves from a bracket grown outward
-    from the base root x0, x0 +- 1e-6 doubling up to x0 +- 1e-2 (see
-    _grow_bracket).  The ladder (dx, 2dx, 4dx) coarsens numerov_dx = dx, so
-    its two probes cost 0.75 of the base solve; the order is
-    log2(|E(2dx) - E(4dx)| / |E(dx) - E(2dx)|), NaN unless the ladder
-    converges (the coarser difference is the larger) and the finer
-    difference is above the 1e-11 m rounding floor.  error_estimate is
-    |E(dx) - E(2dx)|/15, Richardson's estimate for order 4.
+    p and line are the sector's (see the module docstring); to_e(x) gives E/m
+    and |d(E/m)/dx|.  Each rung, the step dx and with diagnostics 2dx and 4dx,
+    integrates the branch pair, reads R and solves the line (see _root).
+    None where a rung's R is not positive or E is not finite.  The order is
+    log2(|E(2dx) - E(4dx)| / |E(dx) - E(2dx)|), NaN unless the coarser
+    difference is the larger and the finer is above the 1e-11 m rounding
+    floor; error_estimate is |E(dx) - E(2dx)|/15 (Richardson, order 4).
     """
-    # each solve integrates the template's two branches
-    evals = 2
-    miss_x = _mismatch(p, mix, cfg)
-    lo, hi = window
-    f_lo, f_hi = miss_x(lo), miss_x(hi)
-    if not f_lo * f_hi <= 0.0:
+    factors = (1, *_LADDER) if cfg.diagnostics else (1,)
+    roots = []
+    for factor in factors:
+        rung = cfg if factor == 1 else ShootingConfig(cfg.numerov_dx * factor, False)
+        m_reg, m_irr = _branch_pair(p, rung)
+        ratio = m_irr / m_reg
+        if not ratio > 0.0:
+            return None
+        roots.append(_root(line, math.log(ratio)))
+    e0, de_dx = to_e(roots[0])
+    if not math.isfinite(m * e0):
         return None
-    x0 = nk.find_root_bracketed(miss_x, nk.Bracket(lo, hi, f_lo, f_hi), tol_x=_ROOT_TOL)
-    e0, de_dx = to_e(x0)
+    # each solve integrates the template's two branches
+    evals = 2 * len(factors)
     resid_e = m * _ROOT_TOL * de_dx
     if not cfg.diagnostics:
         return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
-    narrow = (max(lo, x0 - _PROBE_HALF_WIDTH), min(hi, x0 + _PROBE_HALF_WIDTH))
-    energies = []
-    for factor in _LADDER:
-        evals += 2
-        probe = ShootingConfig(numerov_dx=cfg.numerov_dx * factor, diagnostics=False)
-        probe_miss = _mismatch(p, mix, probe)
-        bracket = _grow_bracket(probe_miss, x0, narrow)
-        # a probe finds no root when its rung moves the root out of the
-        # probe window: by more than 1e-2, or past the window's edge
-        if bracket is None:
-            return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
-        energies.append(to_e(nk.find_root_bracketed(probe_miss, bracket, tol_x=_ROOT_TOL))[0])
-    e2, e4 = energies
+    e2, e4 = (to_e(x)[0] for x in roots[1:])
     d1 = abs(e0 - e2)
     d2 = abs(e2 - e4)
     # a ladder that does not converge, or whose finer difference is
@@ -340,8 +325,8 @@ def _shoot(
 # ---------------------------------------------------------------------------
 
 
+# the level count's scan of u = tau*E over the gap
 _GAP_WINDOW = (-1.0 + 1e-9, 1.0 - 1e-9)
-# the level count's scan points over the gap
 _COUNT_POINTS = 48
 
 
@@ -368,6 +353,15 @@ def _dirac_template(ch: DiracChannel, xi_int: float) -> tuple[float, Mix]:
     return nu + 0.5, lambda u: (lam(u), w * (u - 1.0), -xi_int)
 
 
+def _dirac_line(ch: DiracChannel, xi: float) -> tuple[float, Line]:
+    """(p, line) of the template of _dirac_template over
+    s = ln((1 - u)/(1 + u)), u = tau*E (see the module docstring)."""
+    nu = ch.nu
+    w = 1.0 - 2.0 * nu if ch.tau == 1 else 1.0 / (1.0 + 2.0 * nu)
+    c = math.log(w) - math.log(-xi) - 2.0 * nu * _LN2
+    return nu - 0.5 * ch.tau, (0.5 - nu, 2.0 * nu, c)
+
+
 def dirac_shoot(
     ch: DiracChannel, ext: Extension, cfg: ShootingConfig = ShootingConfig()
 ) -> Optional[OracleResult]:
@@ -376,10 +370,11 @@ def dirac_shoot(
     Seeds f1 from the domain template with the channel-sign component
     pairing and internal weight s*xi (see _dirac_template), integrates its
     exact second-order equation f1'' = [a(a - 1)/r^2 + lambda^2] f1 into the
-    tail, and root-finds the growing-mode admixture over u = tau*E in
-    |u| <= 1 - 1e-9.  Since s(E + 1) does not vanish in the gap,
-    f2 = ((a/r) f1 - f1')/(s(E + 1)) decays exactly when f1 does.  Returns
-    None when the mismatch keeps its sign over the window (e.g. xi >= 0).
+    tail, and solves for the growing-mode admixture's zero over the whole
+    line of s = ln((1 - u)/(1 + u)), u = tau*E/m.  Since s(E + 1) does not
+    vanish in the gap, f2 = ((a/r) f1 - f1')/(s(E + 1)) decays exactly when
+    f1 does.  Every xi < 0 has a level, whose E rounds to -+m where lambda
+    falls below 1.5e-8 m; None for xi >= 0.
     """
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("dirac_shoot: requires an extended-regime channel")
@@ -387,8 +382,13 @@ def dirac_shoot(
     if not xi < 0.0:
         return None
     tau = ch.tau
-    p, mix = _dirac_template(ch, ch.s * xi)
-    return _shoot(cfg, ch.m, _GAP_WINDOW, p, mix, lambda u: (tau * u, 1.0))
+
+    def to_e(s: float) -> tuple[float, float]:
+        # |du/ds| = sech(s/2)^2 / 2, with h = e^(-|s|/2) so that nothing overflows
+        h = math.exp(-0.5 * abs(s))
+        return -tau * math.tanh(0.5 * s), 2.0 * (h / (1.0 + h * h)) ** 2
+
+    return _shoot(cfg, ch.m, *_dirac_line(ch, xi), to_e)
 
 
 def count_dirac_levels(
@@ -396,10 +396,10 @@ def count_dirac_levels(
 ) -> int:
     """Number of mismatch sign changes over a 48-point scan of the gap.
 
-    A shoot reads the mismatch only at the window's ends, which holds
-    because it changes sign at most once per window (see the module
-    docstring); the count scans the whole gap from one pair of branch
-    integrations, so it checks that uniqueness independently."""
+    A shoot never evaluates the mismatch: the level's uniqueness rests on
+    its line's monotonicity.  The count scans the closed-form mismatch
+    itself, from one pair of branch integrations, and so checks that
+    uniqueness independently."""
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("count_dirac_levels: requires an extended-regime channel")
     xi = ext.xi
@@ -485,15 +485,16 @@ def _numerov_miss(
     return num * math.exp(-k * (r_tail - r_seed))
 
 
-# the neutral fermion's window in y = ln(-E/m)
-_AC_WINDOW = (math.log(1e-8), math.log(1e6))
+def _ac_line(g: float, xi: float) -> tuple[float, Line]:
+    """(p, line) of the domain template f ~ (m r)^g + xi (m r)^(-g) over
+    y = ln(-E/m), with kappa = sqrt(2 e^y) m (see the module docstring)."""
+    return g, (-g, 0.0, -g * _LN2 - math.log(-xi))
 
 
-def _ac_template(g: float, xi_int: float) -> tuple[float, Mix]:
-    """(p, mix) of the domain template f ~ (m r)^g - xi_int (m r)^(-g) over
-    y = ln(-E), with kappa = sqrt(-2E); the seed r^(-1/2) u is f, and the
-    bound side has xi_int = -xi > 0."""
-    return g, lambda y: (math.sqrt(2.0 * math.exp(y)), 1.0, -xi_int)
+def _ac_energy(y: float) -> tuple[float, float]:
+    # E/m = -e^y and |d(E/m)/dy| = e^y, infinite where e^y overflows
+    e = math.exp(y) if y < _LN_MAX else math.inf
+    return -e, e
 
 
 def schrodinger_shoot(
@@ -501,15 +502,13 @@ def schrodinger_shoot(
 ) -> Optional[OracleResult]:
     """Negative level of the neutral-fermion channel from Numerov shooting.
 
-    Seeds the domain template (see _ac_template), brackets ln(-E_n) by the
-    window 1e-8 <= -E_n/m <= 1e6, root-finds the tail mismatch, and reports
-    the coarsened-step diagnostics.  Returns None when the mismatch keeps
-    its sign over the window (e.g. xi >= 0).
+    Seeds the domain template (see _ac_line), solves for ln(-E_n/m) over the
+    whole real line, and reports the coarsened-step diagnostics.  Returns
+    None for xi >= 0, and where -E_n overflows the double range.
     """
     if ch.regime is not ACRegime.EXTENDED:
         raise RegimeError("schrodinger_shoot: requires 0 < gamma < 1")
     xi = ext.xi
     if not xi < 0.0:
         return None
-    p, mix = _ac_template(ch.gamma, -xi)
-    return _shoot(cfg, ch.m, _AC_WINDOW, p, mix, lambda y: (-math.exp(y), math.exp(y)))
+    return _shoot(cfg, ch.m, *_ac_line(ch.gamma, xi), _ac_energy)

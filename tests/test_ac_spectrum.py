@@ -82,6 +82,21 @@ class TestBoundEnergy:
                 level = ac.ac_bound_energy(ch, Extension.from_xi(xi))
                 assert level.residual == abs(ac.ac_wronskian(ch, level.E_n) + xi)
 
+    @pytest.mark.parametrize("gamma", [0.01, 0.2, 0.25, 0.5, 0.99])
+    def test_one_gamma_pass_per_level(self, monkeypatch, gamma):
+        # Gamma(1 + gamma) and Gamma(1 - gamma) are computed once per level:
+        # for the residual, and from 0.25 up for the level's log ratio too
+        calls = []
+        original = ac.nk.gamma_fn
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(ac.nk, "gamma_fn", counted)
+        ac.ac_bound_energy(channel(gamma), Extension.from_xi(-1.0))
+        assert calls == [1.0 + gamma, 1.0 - gamma]
+
     def test_log_critical_closed_form(self):
         ch = ac.ACChannel(m=1.0, coupling=-1.0, l=1, zeta=1)
         level = ac.ac_bound_energy(ch, Extension.from_xi(-1.0))

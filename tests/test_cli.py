@@ -425,33 +425,35 @@ class TestRunCommands:
     def test_oracle_check_columns_finite_over_the_resolution_range(
         self, capsys, channel, resolution
     ):
-        # every ladder rung finds its root in the probe window, up to the
-        # coarsest rung 4 * 0.2499; only the order may be NaN
+        # every ladder rung solves its line, up to the coarsest rung
+        # 4 * 0.2499; only the order may be NaN
         assert cli.main(["oracle-check", *channel, f"--resolution={resolution}"]) == 0
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         del row["convergence_order"]
         assert all(math.isfinite(float(v)) for v in row.values()), row
 
     @pytest.mark.parametrize(
-        "argv, window",
+        "argv",
         [
-            (["oracle-check", "--mu", "0.25", "--xi", "-1e-3"], "|E|/m <= 1 - 1e-9"),
-            (["oracle-check", "--mu", "0.25", "--xi", "-1e20"], "|E|/m <= 1 - 1e-9"),
-            (
-                ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1e-10"],
-                "1e-8 <= -E/m <= 1e6",
-            ),
+            ["--mu", "0.25", "--xi", "-1e-3"],
+            ["--mu", "0.25", "--xi", "-1e20"],
+            ["--sector", "ac", "--gamma", "0.5", "--xi", "-1e-10"],
+            ["--mu", "0.45", "--xi", "-1e-30"],
+            ["--sector", "ac", "--gamma", "0.05", "--xi", "-0.3"],
         ],
     )
-    def test_oracle_check_level_outside_the_scan_window(self, capsys, argv, window):
-        # the analytic level exists, but the oracle's scan does not reach it
-        assert cli.main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        (line,) = err.splitlines()
-        report = json.loads(line)
-        assert report["kind"] == "domain"
-        assert window in report["error"]
+    def test_oracle_check_reaches_every_level(self, capsys, argv):
+        # lambda = 1.75e-5 m, 4.5e-14 m and 1.2e-33 m, where E rounds to -+m
+        # and the ladder reads no order, and E = -5e19 m and -1.8e10 m; the
+        # neutral fermion's relative error is R's over gamma, 6.9e-9 at
+        # gamma = 0.5 and 8.1e-10 at 0.05
+        assert cli.main(["oracle-check", *argv]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        order = float(row.pop("convergence_order"))
+        values = {col: float(text) for col, text in row.items()}
+        assert all(math.isfinite(v) for v in values.values()), row
+        assert math.isnan(order) or order > 0.0
+        assert values["abs_diff_over_m"] <= 1e-8 * max(1.0, abs(values["E_analytic_over_m"]))
 
     @pytest.mark.parametrize("sector", [["--mu", "0.25"], ["--sector", "ac", "--gamma", "0.5"]])
     def test_oracle_check_without_a_level_prints_the_header(self, capsys, sector):
@@ -604,6 +606,17 @@ class TestExtensionContract:
     )
     def test_exit_0_with_finite_rows_or_exit_2(self, command, extension):
         code, out, err = main_in_process(command + extension)
+        if command[0] == "oracle-check" and command[-1] != "0":
+            # the oracle reaches every level of an extended channel that the
+            # analytic route finds (gamma = 0 is log-critical, not extended)
+            if command[1] == "--mu":
+                solve = ["ab-solve", *command[1:]]
+            else:
+                solve = ["ac-solve", *command[3:]]
+            solved, rows, _ = main_in_process(solve + extension)
+            level = solved == 0 and next(csv.DictReader(io.StringIO(rows.decode())))
+            if level and math.isfinite(float(level["E_over_m"])):
+                assert code == 0
         if code == 2:
             assert out == b""
             (line,) = err.splitlines()

@@ -10,7 +10,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluxbound import ab_spectrum as ab
@@ -25,8 +25,14 @@ FAST = orc.ShootingConfig(diagnostics=False)
 
 
 def closed_form(p, mix, cfg=FAST):
-    """The mismatch a solve at cfg brackets."""
+    """The closed-form mismatch at cfg's step."""
     return orc._mismatch(p, mix, cfg)
+
+
+def ac_template(gamma, xi):
+    """(p, mix) of the neutral fermion's domain template
+    f ~ (m r)^gamma + xi (m r)^(-gamma) over y = ln(-E/m), kappa = sqrt(2 e^y)."""
+    return gamma, lambda y: (math.sqrt(2.0 * math.exp(y)), 1.0, xi)
 
 
 def dirac_channel(mu, l=0, s=-1):
@@ -225,7 +231,7 @@ class TestSmoothMismatch:
     @pytest.mark.parametrize("gamma, xi", [(0.25, -5.0), (0.55, -1.2), (0.85, -0.8)])
     def test_ac_mismatch_linear_at_root(self, gamma, xi):
         e_star = ac.ac_bound_energy(ac_channel(gamma), ab.Extension.from_xi(xi)).E_n
-        miss_y = closed_form(*orc._ac_template(gamma, -xi))
+        miss_y = closed_form(*ac_template(gamma, xi))
 
         def miss(E):
             return miss_y(math.log(-E))
@@ -307,7 +313,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("gamma", [0.15, 0.5, 0.85])
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "coarsest-rung"])
     def test_ac_mix_is_the_per_energy_integration(self, gamma, cfg):
-        miss = closed_form(*orc._ac_template(gamma, 1.0), cfg)
+        miss = closed_form(*ac_template(gamma, -1.0), cfg)
         for y in orc._scan_grid((math.log(1e-8), math.log(1e6)), 8):
             kappa = math.sqrt(2.0 * math.exp(y))
 
@@ -364,6 +370,36 @@ class TestConnectionRatioEnvelope:
         assert 0.7 <= abs(worst) <= 0.85
         for k in range(1, 100):
             assert abs(errs[k / 100.0] + errs[-k / 100.0]) <= 1e-15
+
+    @pytest.mark.parametrize("xi", [-5.0, -1.0, -0.2])
+    def test_level_error_is_the_ratio_error_over_the_slope(self, xi):
+        # a level's error is R's over the slope of ln|rho| in the scan
+        # variable: dE/E = dR/(gamma R) for the neutral fermion, and
+        # dE = sech^2(s/2)/2 dR/(R (a + b sigma(s))) for Dirac
+        import mpmath
+
+        def ratio_error(p):
+            m_reg, m_irr = orc._branch_pair(p, FAST)
+            q = mpmath.mpf(p)
+            exact = 2 ** (-2 * q) * mpmath.gamma(1 - q) / mpmath.gamma(1 + q)
+            return float(mpmath.mpf(m_irr) / m_reg / exact - 1)
+
+        ext = ab.Extension.from_xi(xi)
+        for mu in (0.1, 0.25, 0.4, 0.6, 0.85):
+            ch = dirac_channel(mu)
+            p, (a, b, _) = orc._dirac_line(ch, xi)
+            want = ab.solve_bound_energy(ch, ext).E
+            u = ch.tau * want
+            sigma = (1.0 - u) / 2.0  # the logistic of s = ln((1 - u)/(1 + u))
+            predicted = -ch.tau * 0.5 * (1.0 - u * u) * ratio_error(p) / (a + b * sigma)
+            got = orc.dirac_shoot(ch, ext, FAST).E - want
+            assert got == pytest.approx(predicted, rel=1e-3)
+        for gamma in (0.25, 0.4, 0.55, 0.7, 0.85):
+            ch = ac_channel(gamma)
+            want = ac.ac_bound_energy(ch, ext).E_n
+            predicted = -want * ratio_error(gamma) / gamma
+            got = orc.schrodinger_shoot(ch, ext, FAST).E - want
+            assert got == pytest.approx(predicted, rel=1e-3)
 
 
 class TestFrobeniusFactor:
@@ -432,10 +468,10 @@ class TestGoldenShoots:
     # E, match_residual, convergence_order_estimate, r_min_sensitivity,
     # evaluations
     CASES = {
-        "ab-off": (-0.5660019994848642, 1e-12, NAN, NAN, 2),
-        "ac-off": (-0.49999999655447325, 4.999999965544733e-13, NAN, NAN, 2),
-        "ab-on": (-0.5660019994848642, 1e-12, 4.273795339255187, 0.0, 6),
-        "ac-on": (-0.49999999655447325, 4.999999965544733e-13, 3.6625677032756614, 0.0, 6),
+        "ab-off": (-0.5660019994849268, 3.3982086828953253e-16, NAN, NAN, 2),
+        "ac-off": (-0.49999999655447236, 4.999999965544724e-16, NAN, NAN, 2),
+        "ab-on": (-0.5660019994849268, 3.3982086828953253e-16, 4.2736990237836565, 0.0, 6),
+        "ac-on": (-0.49999999655447236, 4.999999965544724e-16, 3.6625635443291156, 0.0, 6),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -515,18 +551,6 @@ class TestCoarseningLadder:
         ]
         assert all(math.isfinite(q) for q in orders), orders
 
-    def test_probe_without_a_root_gives_nan_diagnostics(self, monkeypatch):
-        # a probe window too narrow to hold the 2*dx rung's root: the level
-        # stands and every diagnostic reads NaN
-        ext = ab.Extension.from_xi(-1.0)
-        want = orc.dirac_shoot(dirac_channel(0.25), ext, FAST)
-        monkeypatch.setattr(orc, "_PROBE_HALF_WIDTH", 1e-12)
-        res = orc.dirac_shoot(dirac_channel(0.25), ext)
-        assert (res.E, res.match_residual) == (want.E, want.match_residual)
-        assert math.isnan(res.convergence_order_estimate)
-        assert math.isnan(res.r_min_sensitivity)
-        assert math.isnan(res.error_estimate)
-
     def test_error_estimate_needs_the_ladder(self):
         ext = ab.Extension.from_xi(-1.0)
         assert math.isnan(orc.dirac_shoot(dirac_channel(0.25), ext, FAST).error_estimate)
@@ -571,18 +595,78 @@ class TestCoarseningLadder:
 
 
 class TestSignScan:
-    """A solve brackets its closed-form mismatch by the two ends of its
-    window and refines inside; the level count evaluates every point of a
-    fixed scan of the gap.  Each solve integrates one pair of template
-    branches at its own step."""
+    """A shoot solves each rung's line in a bracket it takes in closed form,
+    with no search; the level count evaluates every point of a fixed scan of
+    the gap.  Each solve integrates one pair of template branches at its own
+    step."""
 
     @staticmethod
-    def sector(monkeypatch, sector):
-        """(channel, shoot, mismatch calls as (config, x, value), window)."""
+    def sector(sector):
         if sector == "ab":
-            ch, shoot, window = dirac_channel(0.25), orc.dirac_shoot, orc._GAP_WINDOW
-        else:
-            ch, shoot, window = ac_channel(0.5), orc.schrodinger_shoot, orc._AC_WINDOW
+            return dirac_channel(0.25), orc.dirac_shoot
+        return ac_channel(0.5), orc.schrodinger_shoot
+
+    @staticmethod
+    def record_branch_pairs(monkeypatch):
+        """The (config, R) of every branch-pair integration, as they run."""
+        calls = []
+        original = orc._branch_pair
+
+        def recorded(p, cfg):
+            m_reg, m_irr = original(p, cfg)
+            calls.append((cfg, m_irr / m_reg))
+            return m_reg, m_irr
+
+        monkeypatch.setattr(orc, "_branch_pair", recorded)
+        return calls
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    def test_shoot_brackets_in_closed_form(self, monkeypatch, sector):
+        # every rung hands Brent the inverses of its line's piecewise-linear
+        # bounds at t - b ln 2 and t, t = ln R - c, whose values straddle 0;
+        # the neutral fermion's line is linear, so the inverse is its root
+        # and Brent never runs
+        ch, shoot = self.sector(sector)
+        ext = ab.Extension.from_xi(-1.0)
+        pairs = self.record_branch_pairs(monkeypatch)
+        brackets = []
+        find_root = nk.find_root_bracketed
+
+        def recorded(f, bracket, tol_x):
+            brackets.append(bracket)
+            assert tol_x == 1e-15
+            return find_root(f, bracket, tol_x=tol_x)
+
+        monkeypatch.setattr(nk, "find_root_bracketed", recorded)
+        res = shoot(ch, ext, orc.ShootingConfig())
+        assert res.evaluations == 2 * len(pairs) == 6
+        if sector == "ac":
+            _, (a, _, c) = orc._ac_line(ch.gamma, ext.xi)
+            assert brackets == []
+            assert a * math.log(-res.E) + c == pytest.approx(math.log(pairs[0][1]), abs=1e-15)
+            return
+        _, (a, b, c) = orc._dirac_line(ch, ext.xi)
+        assert len(brackets) == len(pairs)
+        for bracket, (_, ratio) in zip(brackets, pairs):
+            t = math.log(ratio) - c
+            for x, want in ((bracket.lo, t - b * math.log(2.0)), (bracket.hi, t)):
+                assert a * x + b * max(x, 0.0) == pytest.approx(want, abs=1e-15)
+            assert bracket.f_lo < 0.0 < bracket.f_hi
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    def test_probes_scan_at_working_settings(self, monkeypatch, sector):
+        # the base solve runs at the config's step, the two ladder probes at
+        # twice and four times it, and no solve uses any other step
+        ch, shoot = self.sector(sector)
+        pairs = self.record_branch_pairs(monkeypatch)
+        cfg = orc.ShootingConfig()
+        res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
+        configs = [c for c, _ in pairs]
+        assert configs[0] == cfg
+        assert [c.numerov_dx for c in configs[1:]] == [cfg.numerov_dx * 2, cfg.numerov_dx * 4]
+        assert res.evaluations == 2 * len(configs)
+
+    def test_count_scans_every_grid_point(self, monkeypatch):
         calls = []
         original = orc._mismatch
 
@@ -590,70 +674,20 @@ class TestSignScan:
             miss = original(p, mix, cfg)
 
             def recorded(x):
-                value = miss(x)
-                calls.append((cfg, x, value))
-                return value
+                calls.append((cfg, x))
+                return miss(x)
 
             return recorded
 
         monkeypatch.setattr(orc, "_mismatch", wrapped)
-        return ch, shoot, calls, window
-
-    @pytest.mark.parametrize("sector", ["ab", "ac"])
-    def test_shoot_stops_at_first_bracket(self, monkeypatch, sector):
-        # the mismatch changes sign at most once per window, so the window
-        # is the first bracket: the first two evaluations are its ends, of
-        # opposite signs, and Brent stays between them
-        ch, shoot, calls, window = self.sector(monkeypatch, sector)
-        res = shoot(ch, ab.Extension.from_xi(-1.0), FAST)
-        xs = [x for _, x, _ in calls]
-        assert tuple(xs[:2]) == window
-        assert calls[0][2] * calls[1][2] < 0.0
-        assert all(window[0] < x < window[1] for x in xs[2:])
-        assert {cfg for cfg, _, _ in calls} == {FAST}
-        assert res.evaluations == 2
-
-    @pytest.mark.parametrize("sector", ["ab", "ac"])
-    def test_probes_scan_at_working_settings(self, monkeypatch, sector):
-        # the base solve runs at the config's step, the two ladder probes at
-        # twice and four times it, and no solve uses any other step
-        ch, shoot, calls, _ = self.sector(monkeypatch, sector)
-        cfg = orc.ShootingConfig()
-        res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
-        configs = {c for c, _, _ in calls}
-        probes = configs - {cfg}
-        assert sorted(c.numerov_dx for c in probes) == [cfg.numerov_dx * 2, cfg.numerov_dx * 4]
-        assert res.evaluations == 2 * len(configs)
-
-    @pytest.mark.parametrize("sector", ["ab", "ac"])
-    def test_probe_brackets_grow_from_the_base_root(self, monkeypatch, sector):
-        # a probe evaluates x0 -+ w for w = 1e-6, 2e-6, 4e-6, ... about the
-        # base root x0 until its mismatch changes sign, and Brent refines
-        # inside that bracket
-        ch, shoot, calls, _ = self.sector(monkeypatch, sector)
-        cfg = orc.ShootingConfig()
-        res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
-        x0 = ch.tau * res.E if sector == "ab" else math.log(-res.E)
-        for probe in {c for c, _, _ in calls} - {cfg}:
-            xs = [x for c, x, _ in calls if c == probe]
-            values = [value for c, _, value in calls if c == probe]
-            j = next(i for i in range(len(xs) // 2) if values[2 * i] * values[2 * i + 1] <= 0.0)
-            for i in range(j + 1):
-                lo, hi = xs[2 * i], xs[2 * i + 1]
-                assert (lo + hi) / 2.0 == pytest.approx(x0, rel=0.0, abs=1e-15)
-                assert (hi - lo) / 2.0 == pytest.approx(1e-6 * 2**i, rel=1e-6)
-            assert all(lo <= x <= hi for x in xs[2 * j + 2 :])
-
-    def test_count_scans_every_grid_point(self, monkeypatch):
-        _, _, calls, window = self.sector(monkeypatch, "ab")
-        grid = orc._scan_grid(window, orc._COUNT_POINTS)
+        grid = orc._scan_grid(orc._GAP_WINDOW, orc._COUNT_POINTS)
         cases = ((0.25, -1.0), (0.4, -0.3), (0.6, -2.0), (0.85, -1.0))
         for k, (mu, xi) in enumerate(cases, start=1):
             n = orc.count_dirac_levels(dirac_channel(mu), ab.Extension.from_xi(xi), FAST)
             assert n == 1
             assert len(calls) == k * orc._COUNT_POINTS
-            assert [x for _, x, _ in calls[-orc._COUNT_POINTS :]] == grid
-        assert {cfg for cfg, _, _ in calls} == {FAST}
+            assert [x for _, x in calls[-orc._COUNT_POINTS :]] == grid
+        assert {cfg for cfg, _ in calls} == {FAST}
 
     def test_sign_changes_yields_every_bracket_in_order(self):
         seen = []
@@ -675,13 +709,15 @@ class TestSignScan:
 
 
 class TestOneSignChangePerWindow:
-    """What the shoot's end bracket rests on: over a dense scan of a sector's
-    window the closed-form mismatch changes sign at most once, exactly once
-    when the window's two ends differ in sign, and then at the analytic
-    level.  Only the closed form is scanned; the analytic level is the
+    """What the monotone line of ln|rho| says of the mismatch: over a dense
+    scan of a window the closed-form mismatch changes sign at most once,
+    exactly once when the window's two ends differ in sign, and then at the
+    analytic level.  Only the closed form is scanned; the analytic level is the
     test's, and the oracle calls no level formula (see TestIndependence)."""
 
     SCAN_POINTS = 2001
+    # the neutral fermion's scan in y = ln(-E/m)
+    AC_WINDOW = (math.log(1e-8), math.log(1e6))
 
     def check(self, miss, window, level_x):
         grid = orc._scan_grid(window, self.SCAN_POINTS)
@@ -702,11 +738,7 @@ class TestOneSignChangePerWindow:
         log_xi=st.floats(-3.0, 3.0),
     )
     def test_dirac(self, family, nu, tau_side, log_xi):
-        # each (l, s) family, with nu_tilde = l + mu + s/2 of either sign, so
-        # that tau = s sign(nu_tilde) takes both values
-        l, s = family
-        ch = dirac_channel(tau_side * nu - l - 0.5 * s, l=l, s=s)
-        assert ch.tau == tau_side * s and ch.regime is ab.Regime.EXTENDED
+        ch = family_channel(family, nu, tau_side)
         ext = ab.Extension.from_xi(-(10.0**log_xi))
         miss = closed_form(*orc._dirac_template(ch, ch.s * ext.xi))
         self.check(miss, orc._GAP_WINDOW, lambda: ch.tau * ab.solve_bound_energy(ch, ext).E)
@@ -716,8 +748,163 @@ class TestOneSignChangePerWindow:
     def test_ac(self, gamma, log_xi):
         ch = ac_channel(gamma)
         ext = ab.Extension.from_xi(-(10.0**log_xi))
-        miss = closed_form(*orc._ac_template(gamma, -ext.xi))
-        self.check(miss, orc._AC_WINDOW, lambda: math.log(-ac.ac_bound_energy(ch, ext).E_n))
+        miss = closed_form(*ac_template(gamma, ext.xi))
+        self.check(miss, self.AC_WINDOW, lambda: math.log(-ac.ac_bound_energy(ch, ext).E_n))
+
+
+def softplus(x):
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def line_value(line, x):
+    a, b, c = line
+    return a * x + b * softplus(x) + c
+
+
+def family_channel(family, nu, tau_side):
+    """The channel of an (l, s) family at nu, with nu_tilde = l + mu + s/2
+    of either sign, so that tau = s sign(nu_tilde) takes both values."""
+    l, s = family
+    ch = dirac_channel(tau_side * nu - l - 0.5 * s, l=l, s=s)
+    assert ch.tau == tau_side * s and ch.regime is ab.Regime.EXTENDED
+    return ch
+
+
+_FAMILIES = st.sampled_from([(0, -1), (-1, 1), (0, 1), (1, -1)])
+
+
+class TestLine:
+    """Each sector's line is ln|rho| = ln|c_reg k^(-2p)/c_irr| of its
+    template's mix, and the root a shoot solves for is where the closed-form
+    mismatch changes sign."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=_FAMILIES,
+        nu=st.floats(0.01, 0.49),
+        tau_side=st.sampled_from([1, -1]),
+        log_xi=st.floats(-3.0, 3.0),
+        x=st.floats(-40.0, 40.0),
+    )
+    def test_dirac_line_is_the_template(self, family, nu, tau_side, log_xi, x):
+        # at |s| = 40, 1 -+ u is 8e-18, below an ulp of 1, so the mix is read
+        # at a 40-digit u = -tanh(s/2)
+        import mpmath
+
+        ch = family_channel(family, nu, tau_side)
+        xi = -(10.0**log_xi)
+        p, line = orc._dirac_line(ch, xi)
+        p_mix, mix = orc._dirac_template(ch, ch.s * xi)
+        assert p == p_mix
+        with mpmath.workdps(40):
+            k, c_reg, c_irr = mix(-mpmath.tanh(mpmath.mpf(x) / 2))
+            want = float(mpmath.log(abs(c_reg * mpmath.mpf(k) ** (-2 * p) / c_irr)))
+        assert line_value(line, x) == pytest.approx(want, rel=0.0, abs=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(0.01, 0.99), log_xi=st.floats(-3.0, 3.0), y=st.floats(-40.0, 40.0))
+    def test_ac_line_is_the_template(self, gamma, log_xi, y):
+        xi = -(10.0**log_xi)
+        p, line = orc._ac_line(gamma, xi)
+        k, c_reg, c_irr = ac_template(gamma, xi)[1](y)
+        assert p == gamma
+        want = math.log(abs(c_reg * k ** (-2 * p) / c_irr))
+        assert line_value(line, y) == pytest.approx(want, rel=0.0, abs=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=_FAMILIES,
+        nu=st.floats(0.01, 0.49),
+        tau_side=st.sampled_from([1, -1]),
+        log_xi=st.floats(-3.0, 3.0),
+    )
+    def test_root_is_a_sign_change_of_the_mismatch(self, family, nu, tau_side, log_xi):
+        # the mismatch changes sign within 16 ulps of 1/2 (1.8e-15) of
+        # u0 = -tanh(x0/2); 30000 random channels read 7 at worst
+        ch = family_channel(family, nu, tau_side)
+        xi = -(10.0**log_xi)
+        p, line = orc._dirac_line(ch, xi)
+        m_reg, m_irr = orc._branch_pair(p, FAST)
+        u0 = -math.tanh(0.5 * orc._root(line, math.log(m_irr / m_reg)))
+        d = 16 * math.ulp(0.5)
+        assume(abs(u0) + d < 1.0)
+        miss = closed_form(*orc._dirac_template(ch, ch.s * xi))
+        assert miss(u0 - d) * miss(u0 + d) <= 0.0
+
+
+def master_log_lambda(nu, xi):
+    """ln(lambda/m) of the master level, from a 30-digit Newton root of its
+    s-form ln|xi| = (1/2 - nu) s + 2 nu ln(1 + e^s) + ln Gamma(1/2+nu)/Gamma(1/2-nu),
+    which descends monotonically from the right on this convex curve."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        nu, target = mpmath.mpf(nu), mpmath.log(-mpmath.mpf(xi))
+        lng = mpmath.loggamma(0.5 + nu) - mpmath.loggamma(0.5 - nu)
+
+        def g(s):
+            return (0.5 - nu) * s + 2 * nu * mpmath.log1p(mpmath.exp(s)) + lng - target
+
+        g0 = g(0)
+        s = -g0 / (0.5 + nu) if g0 > 0 else -g0 / (0.5 - nu)
+        for _ in range(200):
+            step = g(s) / (0.5 - nu + 2 * nu / (1 + mpmath.exp(-s)))
+            s -= step
+            if abs(step) <= mpmath.mpf(10) ** -26 * (1 + abs(s)):
+                return float(-mpmath.log(mpmath.cosh(s / 2)))
+        raise AssertionError(f"s-form Newton did not converge at nu={nu}, xi={xi}")
+
+
+class TestReach:
+    """The oracle finds the level of every xi = -10^k, k = -300 ... 300, to
+    the connection-ratio envelope over the slope of ln|rho| in the scan
+    variable.  The root is read in that variable, as ln lambda (Dirac) or
+    ln(-E/m) (neutral fermion): E rounds to -+m, or leaves the double range,
+    long before the scan variable does."""
+
+    XIS = [-(10.0**k) for k in range(-300, 301, 5)]
+    ENVELOPE = TestConnectionRatioEnvelope.ENVELOPE[0.1]
+
+    @pytest.mark.parametrize(
+        "mu, l, s", [(0.25, 0, -1), (0.45, 0, -1), (0.95, 0, -1), (0.25, -1, 1)]
+    )
+    def test_dirac(self, mu, l, s):
+        # nu = 0.25 and 0.05 at tau = +1, 0.45 and 0.25 at tau = -1;
+        # d ln lambda/ds = 1/2 - sigma(s) lies within +-1/2, so ln lambda is
+        # off by at most half of the root's error
+        ch = dirac_channel(mu, l=l, s=s)
+        for xi in self.XIS:
+            p, line = orc._dirac_line(ch, xi)
+            m_reg, m_irr = orc._branch_pair(p, FAST)
+            x = orc._root(line, math.log(m_irr / m_reg))
+            a, b, _ = line
+            slope = a + b * 0.5 * (1.0 + math.tanh(0.5 * x))
+            got = math.log(2.0) + 0.5 * x - softplus(x)
+            want = master_log_lambda(ch.nu, xi)
+            assert got == pytest.approx(want, rel=0.0, abs=self.ENVELOPE / slope), xi
+            assert orc.dirac_shoot(ch, ab.Extension.from_xi(xi), FAST) is not None
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.95])
+    def test_ac(self, gamma):
+        # E = -m e^y overflows past y = 709.78, where the shoot gives None
+        import mpmath
+
+        ch = ac_channel(gamma)
+        for xi in self.XIS:
+            p, line = orc._ac_line(gamma, xi)
+            m_reg, m_irr = orc._branch_pair(p, FAST)
+            y = orc._root(line, math.log(m_irr / m_reg))
+            with mpmath.workdps(30):
+                g = mpmath.mpf(gamma)
+                log_ratio = mpmath.loggamma(1 - g) - mpmath.loggamma(1 + g)
+                want = float(mpmath.log(2) - (mpmath.log(-mpmath.mpf(xi)) + log_ratio) / g)
+            tol = self.ENVELOPE / gamma
+            assert y == pytest.approx(want, rel=0.0, abs=tol), xi
+            res = orc.schrodinger_shoot(ch, ab.Extension.from_xi(xi), FAST)
+            if want > 709.79:
+                assert res is None
+            elif want < 709.78:
+                assert res.E == pytest.approx(-math.exp(want), rel=2.0 * tol, abs=1e-300)
 
 
 class TestIntegratorKernels:
