@@ -621,11 +621,12 @@ class TestSignScan:
         return calls
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
-    def test_shoot_brackets_in_closed_form(self, monkeypatch, sector):
+    def test_shoot_stops_at_first_bracket(self, monkeypatch, sector):
         # every rung hands Brent the inverses of its line's piecewise-linear
-        # bounds at t - b ln 2 and t, t = ln R - c, whose values straddle 0;
-        # the neutral fermion's line is linear, so the inverse is its root
-        # and Brent never runs
+        # bounds at t - b ln 2 and t, t = ln R - c, whose values straddle 0,
+        # and Brent stays between them: no rung searches for a bracket.  The
+        # neutral fermion's line is linear, so the inverse is its root and
+        # Brent never runs
         ch, shoot = self.sector(sector)
         ext = ab.Extension.from_xi(-1.0)
         pairs = self.record_branch_pairs(monkeypatch)
@@ -635,7 +636,12 @@ class TestSignScan:
         def recorded(f, bracket, tol_x):
             brackets.append(bracket)
             assert tol_x == 1e-15
-            return find_root(f, bracket, tol_x=tol_x)
+
+            def inside(x):
+                assert bracket.lo <= x <= bracket.hi
+                return f(x)
+
+            return find_root(inside, bracket, tol_x=tol_x)
 
         monkeypatch.setattr(nk, "find_root_bracketed", recorded)
         res = shoot(ch, ext, orc.ShootingConfig())
@@ -665,6 +671,39 @@ class TestSignScan:
         assert configs[0] == cfg
         assert [c.numerov_dx for c in configs[1:]] == [cfg.numerov_dx * 2, cfg.numerov_dx * 4]
         assert res.evaluations == 2 * len(configs)
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    def test_probe_brackets_grow_from_the_base_root(self, monkeypatch, sector):
+        # the ladder probes solve the same line at their own R, so their
+        # roots move off the base root x0 by a distance that grows with the
+        # step (here by more than 8 per doubling, order ~4) and stays below
+        # 2e-6 in x; a Dirac probe's closed-form bracket still holds x0
+        ch, shoot = self.sector(sector)
+        roots = []
+        solve = orc._root
+
+        def recorded(line, log_ratio):
+            roots.append(solve(line, log_ratio))
+            return roots[-1]
+
+        monkeypatch.setattr(orc, "_root", recorded)
+        brackets = []
+        find_root = nk.find_root_bracketed
+
+        def bracketed(f, bracket, tol_x):
+            brackets.append(bracket)
+            return find_root(f, bracket, tol_x=tol_x)
+
+        monkeypatch.setattr(nk, "find_root_bracketed", bracketed)
+        res = shoot(ch, ab.Extension.from_xi(-1.0), orc.ShootingConfig())
+        x0 = roots[0]
+        e0 = -ch.tau * math.tanh(0.5 * x0) if sector == "ab" else -math.exp(x0)
+        assert res.E == pytest.approx(e0, rel=1e-15)
+        d2, d4 = (abs(x - x0) for x in roots[1:])
+        assert 0.0 < 8.0 * d2 < d4 < 2e-6
+        if sector == "ab":
+            assert len(brackets) == 3
+            assert all(b.lo < x0 < b.hi for b in brackets[1:])
 
     def test_count_scans_every_grid_point(self, monkeypatch):
         calls = []
