@@ -14,7 +14,6 @@ from .ab_spectrum import (
     RadialDoublet,
     Regime,
     RegimeError,
-    SpectralPoint,
     bound_doublet,
     conjugate_channel,
     continuum_doublet,

@@ -43,7 +43,6 @@ __all__ = [
     "Extension",
     "BoundLevel",
     "RadialDoublet",
-    "SpectralPoint",
     "flux_decompose",
     "master_xi_of_energy",
     "log_abs_master_xi",
@@ -194,16 +193,6 @@ class BoundLevel:
 
 
 @dataclass(frozen=True)
-class SpectralPoint:
-    E: float
-    density: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.density):
-            raise ValueError("SpectralPoint: density must be finite")
-
-
-@dataclass(frozen=True)
 class RadialDoublet:
     """Evaluator for a two-component radial profile (f1(r), f2(r)).
 
@@ -337,11 +326,11 @@ def solve_bound_energy(ch: DiracChannel, ext: Extension) -> Optional[BoundLevel]
 # ---------------------------------------------------------------------------
 
 
-def _printed_omega(ch: DiracChannel, lam: complex) -> complex:
-    # ratio * (2 lambda / m)^(-2 nu) * 4 s lambda, the same expression for a
-    # real gap lambda and a complex continuum one
-    nu, s = ch.nu, ch.s
-    return _wronskian_gamma_ratio(nu, s) * (2.0 * lam / ch.m) ** (-2.0 * nu) * 4.0 * s * lam
+def _printed_omega(ratio: float, nu: float, s: int, m: float, lam: complex) -> complex:
+    # ratio * (2 lambda / m)^(-2 nu) * 4 s lambda with ratio =
+    # _wronskian_gamma_ratio(nu, s), the same expression for a real gap
+    # lambda and a complex continuum one
+    return ratio * (2.0 * lam / m) ** (-2.0 * nu) * 4.0 * s * lam
 
 
 def paper_omega(ch: DiracChannel, E: float) -> float:
@@ -357,7 +346,8 @@ def paper_omega(ch: DiracChannel, E: float) -> float:
     m = ch.m
     if not abs(E) < m:
         raise EnergyDomainError(f"paper_omega: need |E| < m, got E={E}")
-    return _printed_omega(ch, math.sqrt((m - E) * (m + E)))
+    nu, s = ch.nu, ch.s
+    return _printed_omega(_wronskian_gamma_ratio(nu, s), nu, s, m, math.sqrt((m - E) * (m + E)))
 
 
 def paper_omega_xi(ch: DiracChannel, ext: Extension, E: float) -> float:
@@ -460,6 +450,43 @@ def printed_level(ch: DiracChannel, ext: Extension, variant: str) -> Optional[Bo
 # ---------------------------------------------------------------------------
 
 
+def _continued_omega(ch: DiracChannel, ext: Extension) -> Callable[[float], complex]:
+    # omega_xi_continued's checks and its Gamma ratio, once per channel and
+    # extension; the returned function of E does the rest
+    _require_extended(ch, "omega_xi_continued")
+    xi = ext.xi
+    if math.isinf(xi):
+        raise ValueError("omega_xi_continued: xi must be finite")
+    m, s, nu = ch.m, ch.s, ch.nu
+    ratio = _wronskian_gamma_ratio(nu, s)
+    xi_int = s * xi
+
+    def omega(E: float) -> complex:
+        if not abs(E) > m:
+            raise EnergyDomainError(f"omega_xi_continued: need |E| > m, got E={E}")
+        # (|E| - m)(|E| + m) overflows for m near the largest accepted masses
+        e = abs(E) / m
+        k = m * math.sqrt((e - 1.0) * (e + 1.0))
+        lam_c = complex(0.0, -math.copysign(1.0, E)) * k
+        return _printed_omega(ratio, nu, s, m, lam_c) + 4.0 * s * lam_c * xi_int
+
+    return omega
+
+
+def _density_on_rim(ch: DiracChannel, ext: Extension) -> Callable[[float], float]:
+    # spectral_density as a function of E, with the checks and Gamma work of
+    # _continued_omega done once; a table builds it once for all its rows
+    omega = _continued_omega(ch, ext)
+
+    def density(E: float) -> float:
+        value = (1j / omega(E)).imag / math.pi
+        if not math.isfinite(value):  # the CLI prints this text as its error line
+            raise ValueError("SpectralPoint: density must be finite")
+        return value
+
+    return density
+
+
 def omega_xi_continued(ch: DiracChannel, ext: Extension, E: float) -> complex:
     """omega_xi continued to the upper rim of the continuum, |E| > m.
 
@@ -468,21 +495,10 @@ def omega_xi_continued(ch: DiracChannel, ext: Extension, E: float) -> complex:
     is combined with the channel-aligned internal parameter s*xi so that its
     gap zero sits on the bound-state side (xi < 0) for every channel.
     """
-    _require_extended(ch, "omega_xi_continued")
-    xi = ext.xi
-    if math.isinf(xi):
-        raise ValueError("omega_xi_continued: xi must be finite")
-    m, s = ch.m, ch.s
-    if not abs(E) > m:
-        raise EnergyDomainError(f"omega_xi_continued: need |E| > m, got E={E}")
-    # (|E| - m)(|E| + m) overflows for m near the largest accepted masses
-    e = abs(E) / m
-    k = m * math.sqrt((e - 1.0) * (e + 1.0))
-    lam_c = complex(0.0, -math.copysign(1.0, E)) * k
-    return _printed_omega(ch, lam_c) + 4.0 * s * lam_c * (s * xi)
+    return _continued_omega(ch, ext)(E)
 
 
-def spectral_density(ch: DiracChannel, ext: Extension, E: float) -> SpectralPoint:
+def spectral_density(ch: DiracChannel, ext: Extension, E: float) -> float:
     """Continuum spectral density dsigma/dE at |E| > m.
 
     Evaluates (1/pi) Im[kappa / omega_xi(E+i0)] with the first-sheet branch
@@ -490,11 +506,10 @@ def spectral_density(ch: DiracChannel, ext: Extension, E: float) -> SpectralPoin
     the constant phase the complex normalization factors of the two reference
     solutions contribute to the true Wronskian, and with it the density is a
     nonnegative, continuous spectral weight wherever omega_xi does not vanish
-    (it never does on |E| > m).
+    (it never does on |E| > m).  A density that is not finite (omega_xi
+    over- or underflows) raises ValueError.
     """
-    w = omega_xi_continued(ch, ext, E)
-    density = (complex(0.0, 1.0) / w).imag / math.pi
-    return SpectralPoint(E=E, density=density)
+    return _density_on_rim(ch, ext)(E)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,8 @@ def ac_wronskian(ch: ACChannel, E_n: float) -> float:
 
 
 def _gamma_quotient(g: float) -> float:
-    # Gamma(1+gamma)/Gamma(1-gamma), taken once per level and its residual
+    # Gamma(1+gamma)/Gamma(1-gamma), taken once per level and its residual,
+    # and once per point of the continued Wronskian
     return nk.gamma_fn(1.0 + g) / nk.gamma_fn(1.0 - g)
 
 
@@ -168,26 +169,13 @@ def _log_gamma_ratio(g: float, quotient: float) -> float:
     return math.log(quotient)
 
 
-def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
-    """Closed-form bound level, or None for xi >= 0 (including xi = infinity).
-
-    Extended:      E_n = -2m (-xi Gamma(1-gamma)/Gamma(1+gamma))^(-1/gamma)
-    LogCritical:   E_0 = -4m exp(2 (xi - euler))     (separate parameter chart)
-    Regular:       RegimeError (no extension, no bound state)
-
-    The extended level takes the Gamma ratio's power -1/gamma as the exp of
-    _log_gamma_ratio over gamma, so it keeps full precision as gamma -> 0.  A
-    level whose E_n or kappa over- or underflows the double range is an
-    EnergyDomainError.
-    """
-    g = ch.gamma
+def _ac_level(g: float, m: float, xi: float) -> Optional[tuple[float, float, float]]:
+    # (E_n, kappa, residual) of ac_bound_energy's level at gamma = g, or None
+    # where there is none: a regular gamma or xi >= 0.  A table calls it per
+    # row, without the channel and level objects.
     regime = _regime(g)
-    if regime is ACRegime.REGULAR:
-        raise RegimeError(f"ac_bound_energy: gamma={g:.6g} is regular; no bound state")
-    xi = ext.xi
-    if not xi < 0.0:
+    if regime is ACRegime.REGULAR or not xi < 0.0:
         return None
-    m = ch.m
     log_critical = regime is ACRegime.LOG_CRITICAL
     if log_critical:
         E_n = -4.0 * m * math.exp(2.0 * (xi - EULER_GAMMA))
@@ -208,6 +196,29 @@ def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
         )
     # mismatch of the level equation omega(E_n) = -xi
     residual = 0.0 if log_critical else abs(_omega(quotient, g, m, E_n) + xi)
+    return E_n, kappa, residual
+
+
+def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
+    """Closed-form bound level, or None for xi >= 0 (including xi = infinity).
+
+    Extended:      E_n = -2m (-xi Gamma(1-gamma)/Gamma(1+gamma))^(-1/gamma)
+    LogCritical:   E_0 = -4m exp(2 (xi - euler))     (separate parameter chart)
+    Regular:       RegimeError (no extension, no bound state)
+
+    The extended level takes the Gamma ratio's power -1/gamma as the exp of
+    _log_gamma_ratio over gamma, so it keeps full precision as gamma -> 0.  A
+    level whose E_n or kappa over- or underflows the double range is an
+    EnergyDomainError.
+    """
+    g = ch.gamma
+    if _regime(g) is ACRegime.REGULAR:
+        raise RegimeError(f"ac_bound_energy: gamma={g:.6g} is regular; no bound state")
+    xi = ext.xi
+    level = _ac_level(g, ch.m, xi)
+    if level is None:
+        return None
+    E_n, kappa, residual = level
     return ACLevel(E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=residual)
 
 
@@ -331,8 +342,7 @@ def ac_omega_xi_continued(ch: ACChannel, ext: Extension, E_n: float) -> complex:
         raise EnergyDomainError(f"ac_omega_xi_continued: need E_n > 0, got {E_n}")
     g, m = ch.gamma, ch.m
     k = math.sqrt(2.0 * m * E_n)
-    ratio = nk.gamma_fn(1.0 + g) / nk.gamma_fn(1.0 - g)
-    omega_c = ratio * (2.0 * m / k) ** (2.0 * g) * cmath.exp(1j * math.pi * g)
+    omega_c = _gamma_quotient(g) * (2.0 * m / k) ** (2.0 * g) * cmath.exp(1j * math.pi * g)
     return omega_c + xi
 
 

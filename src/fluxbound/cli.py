@@ -255,8 +255,9 @@ def _extension(params: dict) -> ab.Extension:
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def emit_table(rows: list[dict], columns: Sequence[str], fmt: str) -> bytes:
-    """Serialize rows to CSV (header + 17-significant-digit values) or JSON.
+def emit_table(rows: list[tuple], columns: Sequence[str], fmt: str) -> bytes:
+    """Serialize rows, each a tuple of cells in column order, to CSV (header
+    + 17-significant-digit values) or JSON.
 
     A CSV row is one %-template applied to its cells: "%s" (str) for an int
     or str cell, "%.17g" (format(v, ".17g")) for any other.  Rows whose cells
@@ -265,16 +266,15 @@ def emit_table(rows: list[dict], columns: Sequence[str], fmt: str) -> bytes:
     if fmt == "json":
         payload = [
             {
-                col: (row[col] if isinstance(row[col], (int, str)) else float(row[col]))
-                for col in columns
+                col: (v if isinstance(v, (int, str)) else float(v))
+                for col, v in zip(columns, row)
             }
             for row in rows
         ]
         return (json.dumps(payload, indent=1, sort_keys=False) + "\n").encode()
     lines = [",".join(columns)]
     templates: dict[tuple, str] = {}
-    for row in rows:
-        cells = tuple([row[col] for col in columns])
+    for cells in rows:
         kinds = tuple(map(type, cells))
         template = templates.get(kinds)
         if template is None:
@@ -285,7 +285,7 @@ def emit_table(rows: list[dict], columns: Sequence[str], fmt: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _sweep_row(ch: ab.DiracChannel, ext: ab.Extension, variant: str) -> dict:
+def _sweep_row(ch: ab.DiracChannel, ext: ab.Extension, variant: str) -> tuple:
     """One sweep row; a channel outside the extended regime has no level and
     gives tau = 0 and NaN level columns."""
     extended = ch.regime is ab.Regime.EXTENDED
@@ -298,45 +298,21 @@ def _sweep_row(ch: ab.DiracChannel, ext: ab.Extension, variant: str) -> dict:
         level = ab.solve_bound_energy(ch, ext)
     else:
         level = ab.printed_level(ch, ext, variant)
-    row = {
-        "beta": beta,
-        "l": ch.l,
-        "s": ch.s,
-        "mu": ch.mu,
-        "nu": ch.nu,
-        "tau": ch.tau if extended else 0,
-        "xi": ext.xi,
-        "E_over_m": math.nan,
-        "lambda_over_m": math.nan,
-        "residual": math.nan,
-    }
-    if level is not None:
-        row["E_over_m"] = level.E / ch.m
-        row["lambda_over_m"] = level.lam / ch.m
-        row["residual"] = level.residual
-    return row
+    head = (beta, ch.l, ch.s, ch.mu, ch.nu, ch.tau if extended else 0, ext.xi)
+    if level is None:
+        return (*head, math.nan, math.nan, math.nan)
+    return (*head, level.E / ch.m, level.lam / ch.m, level.residual)
 
 
-def _ac_row(ch: ac.ACChannel, ext: ab.Extension) -> dict:
-    """One AC sweep row; a regular channel (gamma >= 1) has no level and gives
-    NaN level columns."""
-    g = ch.gamma
-    level = None if ac._regime(g) is ac.ACRegime.REGULAR else ac.ac_bound_energy(ch, ext)
-    row = {
-        "gamma": g,
-        "l": ch.l,
-        "zeta": ch.zeta,
-        "coupling": ch.coupling,
-        "xi": ext.xi,
-        "E_over_m": math.nan,
-        "kappa_over_m": math.nan,
-        "residual": math.nan,
-    }
-    if level is not None:
-        row["E_over_m"] = level.E_n / ch.m
-        row["kappa_over_m"] = level.kappa / ch.m
-        row["residual"] = level.residual
-    return row
+def _ac_row(g: float, l: int, zeta: int, coupling: float, m: float, xi: float) -> tuple:
+    """One AC sweep row of the channel gamma = g = |l + zeta*coupling| with
+    mass m at extension xi; a regular channel (gamma >= 1) has no level and
+    gives NaN level columns."""
+    level = ac._ac_level(g, m, xi)
+    if level is None:
+        return (g, l, zeta, coupling, xi, math.nan, math.nan, math.nan)
+    E_n, kappa, residual = level
+    return (g, l, zeta, coupling, xi, E_n / m, kappa / m, residual)
 
 
 def _dirac_channel(params: dict, what: str) -> ab.DiracChannel:
@@ -376,7 +352,7 @@ def run(spec: RunSpec) -> int:
     return 0
 
 
-def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
+def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
     params = spec.params
     ext = _extension(params)
     mass = params["mass"]
@@ -403,10 +379,8 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         ch = _dirac_channel(params, "ab-density")
         lo, hi, n = _parse_grid(params["energy_grid"])
 
-        rows = [
-            {"E_over_m": e, "density": ab.spectral_density(ch, ext, e * mass).density}
-            for e in _grid_points(lo, hi, n)
-        ]
+        density = ab._density_on_rim(ch, ext)
+        rows = [(e, density(e * mass)) for e in _grid_points(lo, hi, n)]
         return rows, _DENSITY_COLUMNS
 
     if spec.command == "ab-wavefunction":
@@ -419,7 +393,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
         rows = []
         for rm in _grid_points(lo, hi, n):
             f1, f2 = doublet(rm / mass)
-            rows.append({"r_times_m": rm, "f1": f1, "f2": f2})
+            rows.append((rm, f1, f2))
         return rows, _WAVEFUNCTION_COLUMNS
 
     if spec.command == "ac-solve":
@@ -428,15 +402,14 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
             raise ab.RegimeError(
                 f"channel gamma={ch.gamma:.6g} is regular: no extension family"
             )
-        return [_ac_row(ch, ext)], _AC_COLUMNS
+        return [_ac_row(ch.gamma, ch.l, ch.zeta, ch.coupling, mass, ext.xi)], _AC_COLUMNS
 
     if spec.command == "ac-sweep":
         lo, hi, n = _parse_grid(params["gamma_grid"])
 
-        rows = [
-            _ac_row(ac.ACChannel(m=mass, coupling=-g, l=0, zeta=1), ext)
-            for g in _grid_points(lo, hi, n)
-        ]
+        # the l = 0, zeta = 1 channel of coupling -g, whose gamma is |g|
+        xi = ext.xi
+        rows = [_ac_row(abs(g), 0, 1, -g, mass, xi) for g in _grid_points(lo, hi, n)]
         return rows, _AC_COLUMNS
 
     if spec.command == "oracle-check":
@@ -466,14 +439,14 @@ def _dispatch(spec: RunSpec) -> tuple[list[dict], Sequence[str]]:
             return [], _ORACLE_COLUMNS
         return (
             [
-                {
-                    "E_analytic_over_m": e_an / mass,
-                    "E_oracle_over_m": numeric.E / mass,
-                    "abs_diff_over_m": abs(e_an - numeric.E) / mass,
-                    "match_residual": numeric.match_residual / mass,
-                    "r_min_sensitivity": numeric.r_min_sensitivity / mass,
-                    "convergence_order": numeric.convergence_order_estimate,
-                }
+                (
+                    e_an / mass,
+                    numeric.E / mass,
+                    abs(e_an - numeric.E) / mass,
+                    numeric.match_residual / mass,
+                    numeric.r_min_sensitivity / mass,
+                    numeric.convergence_order_estimate,
+                )
             ],
             _ORACLE_COLUMNS,
         )

@@ -373,7 +373,7 @@ def test_a9_spectral_density():
         for i in range(200):
             e = 1.001 + (10.0 - 1.001) * i / 199.0
             min_omega = min(min_omega, abs(ab.omega_xi_continued(ch, ext, e)))
-            min_density = min(min_density, ab.spectral_density(ch, ext, e).density)
+            min_density = min(min_density, ab.spectral_density(ch, ext, e))
 
         # continuity via grid-scan refinement: the density is smooth in ln k
         # up to its integrable edge divergence, so the largest log-jump on a
@@ -381,7 +381,7 @@ def test_a9_spectral_density():
         def max_log_jump(n):
             ks = [k_lo * (k_hi / k_lo) ** (i / (n - 1)) for i in range(n)]
             ds = [
-                ab.spectral_density(ch, ext, math.sqrt(1.0 + k * k)).density
+                ab.spectral_density(ch, ext, math.sqrt(1.0 + k * k))
                 for k in ks
             ]
             return max(

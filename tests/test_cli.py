@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fluxbound import ab_spectrum as ab
+from fluxbound import ac_spectrum as ac
 from fluxbound import cli
 
 E_GOLDEN = -0.56600199969254444
@@ -184,7 +186,7 @@ class TestUsageErrors:
 
 class TestEmitTable:
     def test_sweep_schema_columns(self):
-        rows = [dict.fromkeys(cli._SWEEP_COLUMNS, 1.0)]
+        rows = [(1.0,) * len(cli._SWEEP_COLUMNS)]
         payload = cli.emit_table(rows, cli._SWEEP_COLUMNS, "csv").decode()
         header = payload.splitlines()[0]
         assert header == "beta,l,s,mu,nu,tau,xi,E_over_m,lambda_over_m,residual"
@@ -194,12 +196,12 @@ class TestEmitTable:
         assert ",".join(cli._WAVEFUNCTION_COLUMNS) == "r_times_m,f1,f2"
 
     def test_csv_round_trip_full_precision(self):
-        rows = [{"x": 0.1 + 0.2, "y": E_GOLDEN}, {"x": 1.0 / 3.0, "y": 2.0**-52}]
+        rows = [(0.1 + 0.2, E_GOLDEN), (1.0 / 3.0, 2.0**-52)]
         payload = cli.emit_table(rows, ("x", "y"), "csv").decode()
         parsed = list(csv.DictReader(io.StringIO(payload)))
-        for raw, row in zip(rows, parsed):
-            assert float(row["x"]) == raw["x"]
-            assert float(row["y"]) == raw["y"]
+        for (x, y), row in zip(rows, parsed):
+            assert float(row["x"]) == x
+            assert float(row["y"]) == y
 
     def test_csv_matches_per_cell_formatting(self):
         # each cell is str(v) for an int or str and format(v, ".17g") for
@@ -207,28 +209,26 @@ class TestEmitTable:
         # the same columns need different templates
         columns = ("a", "b", "c", "d")
         rows = [
-            {"a": 3, "b": 0.1, "c": "x", "d": math.nan},
-            {"a": True, "b": 7, "c": -0.0, "d": math.inf},
-            {"a": -math.inf, "b": "y", "c": 5e-324, "d": False},
-            {"a": 3, "b": 1e300, "c": "x", "d": -2},
-            {"a": 3, "b": 0.1, "c": "x", "d": 2.0**-1074 * 3},
+            (3, 0.1, "x", math.nan),
+            (True, 7, -0.0, math.inf),
+            (-math.inf, "y", 5e-324, False),
+            (3, 1e300, "x", -2),
+            (3, 0.1, "x", 2.0**-1074 * 3),
         ]
 
         def cell(v):
             return str(v) if isinstance(v, (int, str)) else format(v, ".17g")
 
-        want = "a,b,c,d\n" + "".join(
-            ",".join(cell(row[col]) for col in columns) + "\n" for row in rows
-        )
+        want = "a,b,c,d\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
         assert cli.emit_table(rows, columns, "csv").decode() == want
 
     def test_json_shape(self):
-        payload = cli.emit_table([{"a": 1.5}, {"a": 2.5}], ("a",), "json")
+        payload = cli.emit_table([(1.5,), (2.5,)], ("a",), "json")
         data = json.loads(payload)
         assert data == [{"a": 1.5}, {"a": 2.5}]
 
     def test_newline_endings(self):
-        payload = cli.emit_table([{"a": 1.0}], ("a",), "csv")
+        payload = cli.emit_table([(1.0,)], ("a",), "csv")
         assert b"\r" not in payload
         assert payload.endswith(b"\n")
 
@@ -674,3 +674,122 @@ class TestParserCache:
             assert "usage:" in capsys.readouterr().out
         assert cli.main(["ab-solve", "--mu", "0.25", "--xi", "-1"]) == 0
         assert capsys.readouterr().out.startswith("beta,")
+
+
+def _csv_dicts(out: bytes) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(out.decode())))
+
+
+class TestTablesEqualTheLibrary:
+    """Each table row holds the library's values at the row's inputs, bit for
+    bit: the tables build each channel's energy-independent part once, and
+    the per-row arithmetic must stay the library's."""
+
+    @pytest.mark.parametrize("mass", ["1", "3"])
+    @pytest.mark.parametrize("grid", ["1.01:10:25", "-10:-1.01:25"])
+    @pytest.mark.parametrize("mu", ["0.25", "0.75"])
+    def test_ab_density(self, mass, grid, mu):
+        m = float(mass)
+        argv = ["ab-density", "--mu", mu, "--xi", "-0.7", "--mass", mass, f"--energy-grid={grid}"]
+        code, out, err = main_in_process(argv)
+        assert (code, err) == (0, "")
+        rows = _csv_dicts(out)
+        assert len(rows) == 25
+        ch = ab.DiracChannel(m=m, l=0, s=-1, mu=float(mu))
+        ext = ab.Extension.from_xi(-0.7)
+        for row in rows:
+            want = ab.spectral_density(ch, ext, float(row["E_over_m"]) * m)
+            assert float(row["density"]) == want
+
+    @pytest.mark.parametrize("mass", ["1", "3"])
+    def test_ac_sweep_over_every_chart(self, mass):
+        # the grid hits gamma = 0 exactly (the log-critical chart), runs
+        # through the extended channels on both signs of the coupling and
+        # ends in regular channels, whose rows have NaN level columns
+        m = float(mass)
+        argv = ["ac-sweep", "--gamma-grid=-0.5:1.5:41", "--xi", "-1", "--mass", mass]
+        code, out, err = main_in_process(argv)
+        assert (code, err) == (0, "")
+        rows = _csv_dicts(out)
+        grid = cli._grid_points(-0.5, 1.5, 41)
+        assert len(rows) == len(grid)
+        ext = ab.Extension.from_xi(-1.0)
+        regimes = set()
+        for row, g in zip(rows, grid):
+            assert (row["l"], row["zeta"], row["xi"]) == ("0", "1", "-1")
+            assert float(row["coupling"]) == -g
+            ch = ac.ACChannel(m=m, coupling=-g, l=0, zeta=1)
+            assert float(row["gamma"]) == ch.gamma
+            regimes.add(ch.regime)
+            got = [float(row[c]) for c in ("E_over_m", "kappa_over_m", "residual")]
+            if ch.regime is ac.ACRegime.REGULAR:
+                assert all(math.isnan(v) for v in got)
+                continue
+            level = ac.ac_bound_energy(ch, ext)
+            assert got == [level.E_n / m, level.kappa / m, level.residual]
+        assert 0.0 in grid
+        assert regimes == set(ac.ACRegime)
+
+    def test_ac_solve_prints_l_and_zeta_as_ints(self):
+        argv = ["ac-solve", "--coupling", "0.3", "--l", "1", "--zeta", "-1", "--xi", "-1"]
+        code, out, err = main_in_process(argv)
+        assert (code, err) == (0, "")
+        (row,) = _csv_dicts(out)
+        assert (row["l"], row["zeta"]) == ("1", "-1")
+        ch = ac.ACChannel(m=1.0, coupling=0.3, l=1, zeta=-1)
+        level = ac.ac_bound_energy(ch, ab.Extension.from_xi(-1.0))
+        got = [float(row[c]) for c in ("gamma", "coupling", "E_over_m", "kappa_over_m", "residual")]
+        assert got == [ch.gamma, 0.3, level.E_n, level.kappa, level.residual]
+
+
+class TestTableErrorLines:
+    """A table that cannot be built exits 2 with the library's error line;
+    the density checks the channel and the extension before any row and each
+    energy at its row."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["ab-density", "--mu", "1.2", "--xi", "-1", "--energy-grid", "1.01:10:20"],
+                "omega_xi_continued: channel nu=0.7 is regular; "
+                "requires the extended regime 0 < nu < 1/2",
+            ),
+            (
+                ["ab-density", "--mu", "0.25", "--theta", "3.141592653589793",
+                 "--energy-grid", "1.01:10:20"],
+                "omega_xi_continued: xi must be finite",
+            ),
+            (
+                ["ab-density", "--mu", "0.25", "--xi", "-1", "--energy-grid=0.5:2:4"],
+                "omega_xi_continued: need |E| > m, got E=0.5",
+            ),
+            (
+                ["ab-density", "--mu", "0.25", "--xi", "-1", "--energy-grid=0.5:2:4",
+                 "--mass", "3"],
+                "omega_xi_continued: need |E| > m, got E=1.5",
+            ),
+            (
+                ["ab-density", "--mu", "0.75", "--xi", "-1", "--energy-grid=-3:-1:4",
+                 "--mass", "3"],
+                "omega_xi_continued: need |E| > m, got E=-3.0",
+            ),
+            (
+                ["ab-density", "--mu", "0.25", "--xi=-1e300", "--energy-grid=-1e300:-2:40"],
+                "SpectralPoint: density must be finite",
+            ),
+            (
+                ["ac-sweep", "--gamma-grid=0.01:0.5:3", "--xi=-1e-5"],
+                "ac_bound_energy: the level at gamma=0.01, xi=-1e-05 lies outside "
+                "the double range",
+            ),
+            (
+                ["ac-sweep", "--gamma-grid=0.01:0.5:3", "--xi=-1e5"],
+                "ac_bound_energy: the level at gamma=0.01, xi=-100000.0 lies outside "
+                "the double range",
+            ),
+        ],
+    )
+    def test_error_line(self, argv, error):
+        want = json.dumps({"error": error, "kind": "domain"}) + "\n"
+        assert main_in_process(argv) == (2, b"", want)
