@@ -28,21 +28,22 @@ error falls as its fourth power.
 
 The mismatch is the growing-mode coefficient times a smooth positive scale
 (the cross product over the grid's free growth exp(10)), so no value needs
-renormalizing.  It takes two integrations, not one per energy: in z neither
-the equation u'' = [(g^2 - 1/4)/z^2 + 1] u nor the grid holds the energy,
-the template c_reg r^p F_p + c_irr r^-p F_-p (in r^(-1/2) u) holds it only in
-its coefficients, and Numerov is linear.  So the mismatch at E is, to
-rounding,
+renormalizing.  It takes one Numerov sweep, not one integration per energy:
+in z neither the equation u'' = [(g^2 - 1/4)/z^2 + 1] u nor the grid holds
+the energy, the template c_reg r^p F_p + c_irr r^-p F_-p (in r^(-1/2) u)
+holds it only in its coefficients, and Numerov is linear.  So the mismatch
+at E is, to rounding,
 
     k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr)
         = c_irr k^(p - 1/2) M_irr (1 + rho/R),    rho = c_reg k^(-2p)/c_irr,
 
 with M_reg and M_irr the mismatches of the branches z^(+-p) F_(+-p)
-integrated once at k = 1, and R = M_irr/M_reg their connection ratio.  A
-level is where rho = -R.  rho < 0 for every xi < 0, so a level exists
-exactly when R > 0, and it solves ln|rho(x)| = ln R on the whole real line
-of the sector's scan variable x, where, with softplus(x) = max(x, 0) +
-log1p(e^-|x|),
+integrated at k = 1, both in that one sweep (each step's x, coefficient and
+denominator serve both branches), and R = M_irr/M_reg their connection
+ratio.  A level is where rho = -R.  rho < 0 for every xi < 0, so a level
+exists exactly when R > 0, and it solves ln|rho(x)| = ln R on the whole
+real line of the sector's scan variable x, where, with softplus(x) =
+max(x, 0) + log1p(e^-|x|),
 
     ln|rho(x)| = a x + b softplus(x) + c:
 
@@ -57,8 +58,9 @@ Each line is strictly monotone, so each xi < 0 has one level, which _root
 brackets in closed form; the scan variables cover the whole gap and the
 whole negative axis.  Both sectors run one skeleton, ``_shoot``, which does
 this at the base step and, with diagnostics on, at twice and four times it
-(the discretization ladder); ``OracleResult.evaluations`` counts its Numerov
-integrations.
+(the discretization ladder); ``OracleResult.evaluations`` counts its branch
+integrations, 2 per solve, and ``OracleResult.numerov_steps`` the steps of
+its sweeps, one per solve.
 
 The oracle stays independent of the analytic route: it uses the ODE, its
 Frobenius template, linearity and this scaling, and calls no level formula,
@@ -127,9 +129,12 @@ class OracleResult:
     energy units: 1e-15 |dE/dx|, so 1e-15 m sech(s/2)^2/2 for Dirac and
     1e-15 |E| for the neutral fermion, whose root is exact (see _root).
 
-    evaluations counts the shoot's integrations, two (the template's two
-    branches) per solve: 2 with diagnostics off and 6 with them on, where
-    the ladder's two probes integrate 0.75 times the base solve's steps.
+    evaluations counts the shoot's branch integrations, two (the template's
+    two branches) per solve: 2 with diagnostics off and 6 with them on.  One
+    Numerov sweep carries both branches of a solve, and numerov_steps is the
+    sum of its sweeps' steps: 100 at the default step with diagnostics off,
+    and 175 with them on, where the ladder's two probes take 0.75 times the
+    base solve's steps.
 
     error_estimate is Richardson's a-posteriori error of E, |E(dx) -
     E(2dx)|/15 for the Numerov step dx = numerov_dx.  The factor 15 =
@@ -149,6 +154,7 @@ class OracleResult:
     r_min_sensitivity: float
     evaluations: int = 0
     error_estimate: float = math.nan
+    numerov_steps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +188,20 @@ _SEED_Z = 2.0
 _TAIL_Z = 12.0
 
 
-def _branch_pair(p: float, cfg: ShootingConfig) -> tuple[float, float]:
+def _branch_values(p: float, z: float) -> tuple[float, float]:
+    """The branch pair z^(+-p) F_(+-p)(z^2) at z on the k = 1 grid."""
+    z2 = z**2
+    return z**p * _frobenius_factor(p, z2), z**-p * _frobenius_factor(-p, z2)
+
+
+def _branch_pair(
+    p: float, dx: float, at_seed: Optional[tuple[float, float]] = None
+) -> tuple[float, float]:
     """(M_reg, M_irr): the mismatches of the branches z^(+-p) F_(+-p)(z^2)
-    on the k = 1 grid."""
-
-    def branch(a: float) -> Callable[[float], float]:
-        return lambda z: z**a * _frobenius_factor(a, z**2)
-
-    return _numerov_miss(abs(p), 1.0, branch(p), cfg), _numerov_miss(abs(p), 1.0, branch(-p), cfg)
+    on the k = 1 grid at step dx, both from one Numerov sweep.  at_seed is
+    the pair's value at the seed radius, the same at every step, which a
+    shoot computes once for all its rungs."""
+    return _numerov_miss(abs(p), 1.0, lambda z: _branch_values(p, z), dx, at_seed)
 
 
 # mix(x) -> (k, c_reg, c_irr): the tail decay constant and the template's
@@ -201,7 +213,7 @@ def _mismatch(p: float, mix: Mix, cfg: ShootingConfig) -> Callable[[float], floa
     """x -> the template's tail mismatch at scan variable x (m = 1 units):
     the closed form k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr), read
     from the branch pair integrated once, here, at cfg's step."""
-    m_reg, m_irr = _branch_pair(p, cfg)
+    m_reg, m_irr = _branch_pair(p, cfg.numerov_dx)
 
     def miss_x(x: float) -> float:
         k, c_reg, c_irr = mix(x)
@@ -288,17 +300,22 @@ def _shoot(
 
     p and line are the sector's (see the module docstring); to_e(x) gives E/m
     and |d(E/m)/dx|.  Each rung, the step dx and with diagnostics 2dx and 4dx,
-    integrates the branch pair, reads R and solves the line (see _root).
+    integrates the branch pair in one sweep, reads R and solves the line (see
+    _root).  The pair's value at the seed radius is the same on every rung,
+    so it is computed once.
     None where a rung's R is not positive or E is not finite.  The order is
     log2(|E(2dx) - E(4dx)| / |E(dx) - E(2dx)|), NaN unless the coarser
     difference is the larger and the finer is above the 1e-11 m rounding
     floor; error_estimate is |E(dx) - E(2dx)|/15 (Richardson, order 4).
     """
     factors = (1, *_LADDER) if cfg.diagnostics else (1,)
+    at_seed = _branch_values(p, _SEED_Z)
     roots = []
+    steps = 0
     for factor in factors:
-        rung = cfg if factor == 1 else ShootingConfig(cfg.numerov_dx * factor, False)
-        m_reg, m_irr = _branch_pair(p, rung)
+        dx = cfg.numerov_dx * factor
+        m_reg, m_irr = _branch_pair(p, dx, at_seed)
+        steps += _sweep_steps(dx)
         ratio = m_irr / m_reg
         if not ratio > 0.0:
             return None
@@ -310,14 +327,14 @@ def _shoot(
     evals = 2 * len(factors)
     resid_e = m * _ROOT_TOL * de_dx
     if not cfg.diagnostics:
-        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals)
+        return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals, numerov_steps=steps)
     e2, e4 = (to_e(x)[0] for x in roots[1:])
     d1 = abs(e0 - e2)
     d2 = abs(e2 - e4)
     # a ladder that does not converge, or whose finer difference is
     # rounding noise, gives no order
     order = math.log2(d2 / d1) if d2 > d1 > _ORDER_FLOOR else _DIAG_NAN
-    return OracleResult(m * e0, resid_e, order, 0.0, evals, m * d1 / 15.0)
+    return OracleResult(m * e0, resid_e, order, 0.0, evals, m * d1 / 15.0, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -417,61 +434,86 @@ def count_dirac_levels(
 def _numerov_pass(
     c: float,
     k2: float,
-    y0: float,
-    y1: float,
+    y0: tuple[float, float],
+    y1: tuple[float, float],
     x0: float,
     h: float,
     n: int,
-) -> tuple[float, float]:
-    """n Numerov steps for y'' = (c/x^2 + k2) y on x = x0 + i*h from (y0, y1).
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """n Numerov steps for y'' = (c/x^2 + k2) y on x = x0 + i*h, for two
+    solutions at once.
 
-    Returns the last two values.  Nothing is renormalized: over the oracle's
-    grids, 10 decay lengths long, the solution grows by about e^10.
+    y0 and y1 hold both solutions' values at x0 and x0 + h; returns their
+    values at the last two grid points, (y_(n-1), y_n), each a pair.  Each
+    step computes x, the coefficient w and the denominator 1 - h^2 w/12 once
+    and applies them to both solutions, each of which otherwise takes the
+    operations of a one-solution sweep, in the same order.  Nothing is
+    renormalized: over the oracle's grids, 10 decay lengths long, the
+    solutions grow by about e^10.
     """
     hh = h * h
     h2_12 = hh / 12.0
     x1 = x0 + h
-    w_cur = c / (x1 * x1) + k2
-    t_prev = y0 * (1.0 - h2_12 * (c / (x0 * x0) + k2))
-    t_cur = y1 * (1.0 - h2_12 * w_cur)
-    y_prev, y_cur = y0, y1
+    w = c / (x1 * x1) + k2
+    d0 = 1.0 - h2_12 * (c / (x0 * x0) + k2)
+    d1 = 1.0 - h2_12 * w
+    (a0, b0), (a1, b1) = y0, y1
+    # t = (1 - h^2 w/12) y, advanced by t_next = 2 t - t_prev + h^2 w y
+    ta0, ta1 = a0 * d0, a1 * d1
+    tb0, tb1 = b0 * d0, b1 * d1
     for i in range(2, n + 1):
-        t_next = 2.0 * t_cur - t_prev + hh * w_cur * y_cur
+        hw = hh * w
+        ta0, ta1 = ta1, 2.0 * ta1 - ta0 + hw * a1
+        tb0, tb1 = tb1, 2.0 * tb1 - tb0 + hw * b1
         x = x0 + i * h
-        w_next = c / (x * x) + k2
-        y_next = t_next / (1.0 - h2_12 * w_next)
-        t_prev, t_cur = t_cur, t_next
-        y_prev, y_cur = y_cur, y_next
-        w_cur = w_next
-    return y_prev, y_cur
+        w = c / (x * x) + k2
+        d = 1.0 - h2_12 * w
+        a0, a1 = a1, ta1 / d
+        b0, b1 = b1, tb1 / d
+    return (a0, b0), (a1, b1)
+
+
+def _sweep_steps(dx: float) -> int:
+    """Numerov steps of one sweep at step dx: counted in z, so that every k
+    takes the same n as the shared branch pair at k = 1."""
+    return math.ceil((_TAIL_Z - _SEED_Z) / dx)
 
 
 def _numerov_miss(
-    g: float, k: float, seed: Callable[[float], float], cfg: ShootingConfig
-) -> float:
-    """Tail mismatch for u'' = [(g^2 - 1/4)/r^2 + k^2] u by Numerov.
+    g: float,
+    k: float,
+    seed: Callable[[float], tuple[float, float]],
+    dx: float,
+    at_seed: Optional[tuple[float, float]] = None,
+) -> tuple[float, float]:
+    """Tail mismatches of two solutions of u'' = [(g^2 - 1/4)/r^2 + k^2] u,
+    from one Numerov sweep.
 
-    The grid runs from the seed radius _SEED_Z/k to the tail end _TAIL_Z/k.
-    The mismatch is the cross product of the last two tail values with the
-    decaying asymptote sqrt(r) K_g(k r), times exp(-k*(r_tail - r_seed)):
-    the growing-mode coefficient times a smooth positive scale.
+    The grid runs from the seed radius _SEED_Z/k to the tail end _TAIL_Z/k
+    in _sweep_steps(dx) steps.  Each mismatch is the cross product of the
+    solution's last two tail values with the decaying asymptote
+    sqrt(r) K_g(k r), times exp(-k*(r_tail - r_seed)): the growing-mode
+    coefficient times a smooth positive scale.  The asymptote and the scale
+    are evaluated once for both solutions.
 
-    seed(r) = r^(-1/2) u(r) is the sector's domain template, each branch
-    continued by its summed Frobenius factor, which converges at every r; its
-    values at the first two grid points start the grid.  Evaluating the
-    series out to r_seed, instead of transporting the mixture numerically
-    from deep inside the power-law zone, keeps the microscopic
+    seed(r) gives r^(-1/2) u(r) of both solutions: the sector's domain
+    template or its branches, each continued by its summed Frobenius factor,
+    which converges at every r.  Its values at the first two grid points
+    start the grid; at_seed, when given, is its value at r_seed.  Evaluating
+    the series out to r_seed, instead of transporting the mixture
+    numerically from deep inside the power-law zone, keeps the microscopic
     regular-branch share (relative error / r^(2 g)) exact.
     """
     r_seed, r_tail = _SEED_Z / k, _TAIL_Z / k
-    # count the steps in z, so that every k takes the same n as the shared
-    # branch pair at k = 1
-    n = math.ceil((_TAIL_Z - _SEED_Z) / cfg.numerov_dx)
+    n = _sweep_steps(dx)
     h_r = (r_tail - r_seed) / n
-    u_0 = math.sqrt(r_seed) * seed(r_seed)
-    u_1 = math.sqrt(r_seed + h_r) * seed(r_seed + h_r)
+    r_1 = r_seed + h_r
+    a_0, b_0 = seed(r_seed) if at_seed is None else at_seed
+    a_1, b_1 = seed(r_1)
+    s_0, s_1 = math.sqrt(r_seed), math.sqrt(r_1)
+    u_0, u_1 = (s_0 * a_0, s_0 * b_0), (s_1 * a_1, s_1 * b_1)
     g2 = g * g
-    ub, ua = _numerov_pass(g2 - 0.25, k * k, u_0, u_1, r_seed, h_r, n)
+    (ub_a, ub_b), (ua_a, ua_b) = _numerov_pass(g2 - 0.25, k * k, u_0, u_1, r_seed, h_r, n)
     rb = r_seed + (n - 1) * h_r
     ra = r_tail
     w1 = (4.0 * g2 - 1.0) / 8.0
@@ -481,8 +523,9 @@ def _numerov_miss(
         zr = k * r
         return math.exp(-k * (r - rb)) * (1.0 + w1 / zr + w2 / (zr * zr))
 
-    num = ua * asym(rb) - ub * asym(ra)
-    return num * math.exp(-k * (r_tail - r_seed))
+    asym_b, asym_a = asym(rb), asym(ra)
+    scale = math.exp(-k * (r_tail - r_seed))
+    return (ua_a * asym_b - ub_a * asym_a) * scale, (ua_b * asym_b - ub_b * asym_a) * scale
 
 
 def _ac_line(g: float, xi: float) -> tuple[float, Line]:

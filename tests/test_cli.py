@@ -793,3 +793,65 @@ class TestTableErrorLines:
     def test_error_line(self, argv, error):
         want = json.dumps({"error": error, "kind": "domain"}) + "\n"
         assert main_in_process(argv) == (2, b"", want)
+
+
+_ORACLE_CHECK_HEADER = (
+    b"E_analytic_over_m,E_oracle_over_m,abs_diff_over_m,match_residual,"
+    b"r_min_sensitivity,convergence_order\n"
+)
+
+
+class TestOracleCheckBytes:
+    """oracle-check's stdout, byte for byte, as the oracle printed it when
+    each template branch had a Numerov sweep of its own: the fused sweep
+    takes each branch through the same operations, so no byte moves."""
+
+    @pytest.mark.parametrize(
+        "args, row",
+        [
+            (
+                "--mu 0.25 --xi -1",
+                b"-0.5660019996925445,-0.5660019994849268,2.0761770080923725e-10,"
+                b"3.3982086828953253e-16,0,4.2736990237836565\n",
+            ),
+            (
+                "--sector ac --gamma 0.5 --xi -1",
+                b"-0.50000000000000022,-0.49999999655447236,3.44552786302188e-09,"
+                b"4.9999999655447244e-16,0,3.6625635443291156\n",
+            ),
+            (
+                "--mu 0.25 --xi -1 --resolution=0.05",
+                b"-0.5660019996925445,-0.56600199968201836,1.0526135518773572e-11,"
+                b"3.3982086817797828e-16,0,4.3632786423314887\n",
+            ),
+            (
+                "--mu 0.25 --xi -1 --mass 3",
+                b"-0.5660019996925445,-0.5660019994849268,2.0761770080923725e-10,"
+                b"3.3982086828953253e-16,0,4.2736990237836565\n",
+            ),
+            ("--mu 0.25 --xi -1e20", b"-1,-1,0,1.0144569530822881e-42,0,nan\n"),
+            (
+                "--sector ac --gamma 0.05 --xi -0.3",
+                b"-18045567293.783653,-18045567308.327778,14.544124603271484,"
+                b"1.8045567308327781e-05,0,6.8798177062330703\n",
+            ),
+        ],
+    )
+    def test_csv(self, args, row):
+        assert main_in_process(["oracle-check", *args.split()]) == (
+            0,
+            _ORACLE_CHECK_HEADER + row,
+            "",
+        )
+
+    def test_json(self):
+        want = (
+            b'[\n {\n  "E_analytic_over_m": -0.5660019996925445,\n'
+            b'  "E_oracle_over_m": -0.5660019994849268,\n'
+            b'  "abs_diff_over_m": 2.0761770080923725e-10,\n'
+            b'  "match_residual": 3.3982086828953253e-16,\n'
+            b'  "r_min_sensitivity": 0.0,\n'
+            b'  "convergence_order": 4.2736990237836565\n }\n]\n'
+        )
+        argv = ["oracle-check", "--mu", "0.25", "--xi", "-1", "--format", "json"]
+        assert main_in_process(argv) == (0, want, "")

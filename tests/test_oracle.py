@@ -22,11 +22,21 @@ E_GOLDEN = -0.56600199969254444
 E_REFEREE = 0.9990435200046799
 
 FAST = orc.ShootingConfig(diagnostics=False)
+DX = FAST.numerov_dx
 
 
 def closed_form(p, mix, cfg=FAST):
     """The closed-form mismatch at cfg's step."""
     return orc._mismatch(p, mix, cfg)
+
+
+def per_energy_miss(g, k, template, cfg=FAST):
+    """The mismatch of the full template, r -> r^(-1/2) u(r), integrated at
+    its own k: the route a shoot took at each energy before the closed form.
+    The kernel sweeps it in both of its slots, which must agree bit for bit."""
+    miss, twin = orc._numerov_miss(g, k, lambda r: (template(r),) * 2, cfg.numerov_dx)
+    assert miss == twin
+    return miss
 
 
 def ac_template(gamma, xi):
@@ -202,7 +212,7 @@ class TestDeepLevelRelativeAccuracy:
                 frob = orc._frobenius_factor
                 return r**gamma * frob(gamma, z2) - xi_int * r**-gamma * frob(-gamma, z2)
 
-            return orc._numerov_miss(gamma, kappa, seed, FAST)
+            return per_energy_miss(gamma, kappa, seed)
 
         assert orc._SEED_Z / math.sqrt(-2.0 * analytic) < 0.035
         below, above = direct_miss(analytic * (1.0 + 1e-8)), direct_miss(analytic * (1.0 - 1e-8))
@@ -240,15 +250,16 @@ class TestSmoothMismatch:
         assert 0.4 <= ratio <= 0.6
 
     def test_golden_shoot_evaluation_count(self, monkeypatch):
-        # evaluations counts Numerov integrations: a solve integrates the
-        # template's two branches once, so the base solve and each diagnostic
-        # probe make 2, and so does a level count
+        # evaluations counts branch integrations: a solve integrates the
+        # template's two branches once, in one sweep, so the base solve and
+        # each diagnostic probe make 2, and so does a level count
         calls = []
         original = orc._numerov_miss
 
-        def counted(g, k, seed, cfg):
-            calls.append(cfg)
-            return original(g, k, seed, cfg)
+        def counted(g, k, seed, dx, at_seed=None):
+            misses = original(g, k, seed, dx, at_seed)
+            calls.extend(misses)
+            return misses
 
         monkeypatch.setattr(orc, "_numerov_miss", counted)
         ext = ab.Extension.from_xi(-1.0)
@@ -307,7 +318,7 @@ class TestClosedForm:
             def seed(r):
                 return template_f1(ch, xi_int, r, E) / math.sqrt(r)
 
-            want = orc._numerov_miss(abs(l + mu), lam, seed, cfg)
+            want = per_energy_miss(abs(l + mu), lam, seed, cfg)
             assert miss(u) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [0.15, 0.5, 0.85])
@@ -322,7 +333,7 @@ class TestClosedForm:
                 frob = orc._frobenius_factor
                 return r**gamma * frob(gamma, z2) - r**-gamma * frob(-gamma, z2)
 
-            want = orc._numerov_miss(gamma, kappa, seed, cfg)
+            want = per_energy_miss(gamma, kappa, seed, cfg)
             assert miss(y) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("p", [-0.75, -0.25, 0.15, 0.5, 0.85])
@@ -330,7 +341,7 @@ class TestClosedForm:
         # the branches z^(+-p) F grow as 2^(+-p) Gamma(1 +- p) e^z / sqrt(2 pi z),
         # so M_irr / M_reg is the analytic route's Gamma ratio, to Numerov's
         # truncation error (below 7e-9 at the default step)
-        m_reg, m_irr = orc._branch_pair(p, FAST)
+        m_reg, m_irr = orc._branch_pair(p, DX)
         gamma_ratio = 2.0 ** (-2.0 * p) * math.gamma(1.0 - p) / math.gamma(1.0 + p)
         assert m_irr / m_reg == pytest.approx(gamma_ratio, rel=1e-7)
 
@@ -351,12 +362,11 @@ class TestConnectionRatioEnvelope:
     def relative_errors(dx):
         import mpmath
 
-        cfg = orc.ShootingConfig(numerov_dx=dx, diagnostics=False)
         errs = {}
         with mpmath.workdps(30):
             for k in range(1, 100):
                 for p in (k / 100.0, -k / 100.0):
-                    m_reg, m_irr = orc._branch_pair(p, cfg)
+                    m_reg, m_irr = orc._branch_pair(p, dx)
                     q = mpmath.mpf(p)
                     exact = 2 ** (-2 * q) * mpmath.gamma(1 - q) / mpmath.gamma(1 + q)
                     errs[p] = float(mpmath.mpf(m_irr) / m_reg / exact - 1)
@@ -379,7 +389,7 @@ class TestConnectionRatioEnvelope:
         import mpmath
 
         def ratio_error(p):
-            m_reg, m_irr = orc._branch_pair(p, FAST)
+            m_reg, m_irr = orc._branch_pair(p, DX)
             q = mpmath.mpf(p)
             exact = 2 ** (-2 * q) * mpmath.gamma(1 - q) / mpmath.gamma(1 + q)
             return float(mpmath.mpf(m_irr) / m_reg / exact - 1)
@@ -466,12 +476,12 @@ class TestGoldenShoots:
 
     NAN = math.nan
     # E, match_residual, convergence_order_estimate, r_min_sensitivity,
-    # evaluations
+    # evaluations, numerov_steps
     CASES = {
-        "ab-off": (-0.5660019994849268, 3.3982086828953253e-16, NAN, NAN, 2),
-        "ac-off": (-0.49999999655447236, 4.999999965544724e-16, NAN, NAN, 2),
-        "ab-on": (-0.5660019994849268, 3.3982086828953253e-16, 4.2736990237836565, 0.0, 6),
-        "ac-on": (-0.49999999655447236, 4.999999965544724e-16, 3.6625635443291156, 0.0, 6),
+        "ab-off": (-0.5660019994849268, 3.3982086828953253e-16, NAN, NAN, 2, 100),
+        "ac-off": (-0.49999999655447236, 4.999999965544724e-16, NAN, NAN, 2, 100),
+        "ab-on": (-0.5660019994849268, 3.3982086828953253e-16, 4.2736990237836565, 0.0, 6, 175),
+        "ac-on": (-0.49999999655447236, 4.999999965544724e-16, 3.6625635443291156, 0.0, 6, 175),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -483,7 +493,7 @@ class TestGoldenShoots:
             res = orc.dirac_shoot(dirac_channel(0.25), ext, cfg)
         else:
             res = orc.schrodinger_shoot(ac_channel(0.5), ext, cfg)
-        *floats, evaluations = self.CASES[case]
+        *floats, evaluations, numerov_steps = self.CASES[case]
         got = (res.E, res.match_residual, res.convergence_order_estimate, res.r_min_sensitivity)
         for value, want in zip(got, floats):
             if math.isnan(want):
@@ -491,8 +501,10 @@ class TestGoldenShoots:
             else:
                 assert value == pytest.approx(want, rel=1e-12, abs=0.0)
         # one pair of branch integrations per solve: the base solve and, with
-        # diagnostics on, the two ladder probes
+        # diagnostics on, the two ladder probes; each pair is one sweep of
+        # 100 steps at the base step, and 50 and 25 at the probes'
         assert res.evaluations == evaluations
+        assert res.numerov_steps == numerov_steps
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_tail_length_does_not_move_the_level(self, monkeypatch, sector):
@@ -558,27 +570,18 @@ class TestCoarseningLadder:
         assert 0.0 < res.error_estimate < 1e-8
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
-    def test_probes_cost_less_than_the_base_solve(self, monkeypatch, sector):
+    def test_probes_cost_less_than_the_base_solve(self, sector):
         # counted in Numerov steps, not seconds: the probes at 2dx and 4dx
         # take half and a quarter of the base solve's steps
-        steps = []
-        original = orc._numerov_pass
-
-        def counted(c, k2, y0, y1, x0, h, n):
-            steps.append(n)
-            return original(c, k2, y0, y1, x0, h, n)
-
-        monkeypatch.setattr(orc, "_numerov_pass", counted)
         ext = ab.Extension.from_xi(-1.0)
         total = {}
         for diag in (False, True):
-            steps.clear()
             cfg = orc.ShootingConfig(diagnostics=diag)
             if sector == "ab":
-                orc.dirac_shoot(dirac_channel(0.25), ext, cfg)
+                res = orc.dirac_shoot(dirac_channel(0.25), ext, cfg)
             else:
-                orc.schrodinger_shoot(ac_channel(0.5), ext, cfg)
-            total[diag] = sum(steps)
+                res = orc.schrodinger_shoot(ac_channel(0.5), ext, cfg)
+            total[diag] = res.numerov_steps
         assert total[True] <= 1.8 * total[False]
 
     @pytest.mark.parametrize(
@@ -597,8 +600,8 @@ class TestCoarseningLadder:
 class TestSignScan:
     """A shoot solves each rung's line in a bracket it takes in closed form,
     with no search; the level count evaluates every point of a fixed scan of
-    the gap.  Each solve integrates one pair of template branches at its own
-    step."""
+    the gap.  Each solve integrates one pair of template branches, in one
+    sweep, at its own step."""
 
     @staticmethod
     def sector(sector):
@@ -608,13 +611,13 @@ class TestSignScan:
 
     @staticmethod
     def record_branch_pairs(monkeypatch):
-        """The (config, R) of every branch-pair integration, as they run."""
+        """The (step, R) of every branch-pair integration, as they run."""
         calls = []
         original = orc._branch_pair
 
-        def recorded(p, cfg):
-            m_reg, m_irr = original(p, cfg)
-            calls.append((cfg, m_irr / m_reg))
+        def recorded(p, dx, at_seed=None):
+            m_reg, m_irr = original(p, dx, at_seed)
+            calls.append((dx, m_irr / m_reg))
             return m_reg, m_irr
 
         monkeypatch.setattr(orc, "_branch_pair", recorded)
@@ -667,10 +670,10 @@ class TestSignScan:
         pairs = self.record_branch_pairs(monkeypatch)
         cfg = orc.ShootingConfig()
         res = shoot(ch, ab.Extension.from_xi(-1.0), cfg)
-        configs = [c for c, _ in pairs]
-        assert configs[0] == cfg
-        assert [c.numerov_dx for c in configs[1:]] == [cfg.numerov_dx * 2, cfg.numerov_dx * 4]
-        assert res.evaluations == 2 * len(configs)
+        steps = [dx for dx, _ in pairs]
+        assert steps[0] == cfg.numerov_dx
+        assert steps[1:] == [cfg.numerov_dx * 2, cfg.numerov_dx * 4]
+        assert res.evaluations == 2 * len(steps)
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_probe_brackets_grow_from_the_base_root(self, monkeypatch, sector):
@@ -863,7 +866,7 @@ class TestLine:
         ch = family_channel(family, nu, tau_side)
         xi = -(10.0**log_xi)
         p, line = orc._dirac_line(ch, xi)
-        m_reg, m_irr = orc._branch_pair(p, FAST)
+        m_reg, m_irr = orc._branch_pair(p, DX)
         u0 = -math.tanh(0.5 * orc._root(line, math.log(m_irr / m_reg)))
         d = 16 * math.ulp(0.5)
         assume(abs(u0) + d < 1.0)
@@ -914,7 +917,7 @@ class TestReach:
         ch = dirac_channel(mu, l=l, s=s)
         for xi in self.XIS:
             p, line = orc._dirac_line(ch, xi)
-            m_reg, m_irr = orc._branch_pair(p, FAST)
+            m_reg, m_irr = orc._branch_pair(p, DX)
             x = orc._root(line, math.log(m_irr / m_reg))
             a, b, _ = line
             slope = a + b * 0.5 * (1.0 + math.tanh(0.5 * x))
@@ -931,7 +934,7 @@ class TestReach:
         ch = ac_channel(gamma)
         for xi in self.XIS:
             p, line = orc._ac_line(gamma, xi)
-            m_reg, m_irr = orc._branch_pair(p, FAST)
+            m_reg, m_irr = orc._branch_pair(p, DX)
             y = orc._root(line, math.log(m_irr / m_reg))
             with mpmath.workdps(30):
                 g = mpmath.mpf(gamma)
@@ -944,6 +947,35 @@ class TestReach:
                 assert res is None
             elif want < 709.78:
                 assert res.E == pytest.approx(-math.exp(want), rel=2.0 * tol, abs=1e-300)
+
+
+def numerov_one(c, k2, y0, y1, x0, h, n):
+    """The one-solution Numerov sweep, as the kernel ran before it carried
+    two solutions: each of the kernel's two slots must give its bits."""
+    hh = h * h
+    h2_12 = hh / 12.0
+    x1 = x0 + h
+    w_cur = c / (x1 * x1) + k2
+    t_prev = y0 * (1.0 - h2_12 * (c / (x0 * x0) + k2))
+    t_cur = y1 * (1.0 - h2_12 * w_cur)
+    y_prev, y_cur = y0, y1
+    for i in range(2, n + 1):
+        t_next = 2.0 * t_cur - t_prev + hh * w_cur * y_cur
+        x = x0 + i * h
+        w_next = c / (x * x) + k2
+        y_next = t_next / (1.0 - h2_12 * w_next)
+        t_prev, t_cur = t_cur, t_next
+        y_prev, y_cur = y_cur, y_next
+        w_cur = w_next
+    return y_prev, y_cur
+
+
+def numerov(c, k2, y0, y1, x0, h, n):
+    """One solution through the two-solution kernel, carried in both slots,
+    which must agree bit for bit."""
+    (a_prev, b_prev), (a_n, b_n) = orc._numerov_pass(c, k2, (y0, y0), (y1, y1), x0, h, n)
+    assert (a_prev, a_n) == (b_prev, b_n)
+    return a_prev, a_n
 
 
 class TestIntegratorKernels:
@@ -962,7 +994,7 @@ class TestIntegratorKernels:
         for h in (0.02, 0.01):
             n = round(span / h)
             k = sign * kappa
-            _, y_n = orc._numerov_pass(
+            _, y_n = numerov(
                 0.0, kappa * kappa, math.exp(k * x0), math.exp(k * (x0 + h)), x0, h, n
             )
             err = abs(math.log(y_n) - k * (x0 + n * h))
@@ -979,7 +1011,7 @@ class TestIntegratorKernels:
         # 1e250 at which a kernel would renormalize; the unrenormalized pass
         # stays finite and keeps the phase-error bound over the whole span
         kappa, x0, h, n = 2.0, 0.5, 0.02, 15000
-        _, y_n = orc._numerov_pass(
+        _, y_n = numerov(
             0.0, kappa * kappa, math.exp(kappa * x0), math.exp(kappa * (x0 + h)), x0, h, n
         )
         assert 1e250 < y_n < math.inf
@@ -990,6 +1022,63 @@ class TestIntegratorKernels:
         # c = 2, k2 = 0: y = x^2 solves y'' = (2/x^2) y, and Numerov is exact
         # for it, so only rounding remains
         x0, h, n = 1.0, 0.01, 500
-        y_prev, y_n = orc._numerov_pass(2.0, 0.0, x0 * x0, (x0 + h) ** 2, x0, h, n)
+        y_prev, y_n = numerov(2.0, 0.0, x0 * x0, (x0 + h) ** 2, x0, h, n)
         assert y_n == pytest.approx((x0 + n * h) ** 2, rel=1e-12)
         assert y_prev == pytest.approx((x0 + (n - 1) * h) ** 2, rel=1e-12)
+
+
+class TestTwoSolutionSweep:
+    """One Numerov sweep carries both branches of the pair: each step's x,
+    coefficient and denominator are computed once and applied to both, and
+    each branch otherwise takes the operations of a one-solution sweep in
+    the same order, so the pair is bit for bit the two one-solution sweeps."""
+
+    PS = [sign * k / 100.0 for k in range(1, 100) for sign in (1, -1)]
+    STEPS = [factor * DX for factor in (1, *orc._LADDER)]
+
+    @staticmethod
+    def one_branch_miss(p, dx):
+        """M of the branch z^p F_p(z^2) from one one-solution sweep and its
+        own asymptote, as the mismatch was read before the fused sweep."""
+        g = abs(p)
+        n = math.ceil((orc._TAIL_Z - orc._SEED_Z) / dx)
+        r_seed, r_tail = orc._SEED_Z, orc._TAIL_Z
+        h = (r_tail - r_seed) / n
+
+        def u(z):
+            return math.sqrt(z) * (z**p * orc._frobenius_factor(p, z**2))
+
+        ub, ua = numerov_one(g * g - 0.25, 1.0, u(r_seed), u(r_seed + h), r_seed, h, n)
+        rb = r_seed + (n - 1) * h
+        w1 = (4.0 * g * g - 1.0) / 8.0
+        w2 = (4.0 * g * g - 1.0) * (4.0 * g * g - 9.0) / 128.0
+
+        def asym(r):
+            return math.exp(-(r - rb)) * (1.0 + w1 / r + w2 / (r * r))
+
+        return (ua * asym(rb) - ub * asym(r_tail)) * math.exp(-(r_tail - r_seed))
+
+    @pytest.mark.parametrize("dx", STEPS, ids=["dx", "2dx", "4dx"])
+    def test_each_branch_is_its_one_solution_sweep(self, dx):
+        n = math.ceil((orc._TAIL_Z - orc._SEED_Z) / dx)
+        h = (orc._TAIL_Z - orc._SEED_Z) / n
+        x0 = orc._SEED_Z
+        for p in self.PS:
+            c = p * p - 0.25
+            u0, u1 = (
+                tuple(math.sqrt(z) * v for v in orc._branch_values(p, z)) for z in (x0, x0 + h)
+            )
+            (reg_prev, irr_prev), (reg_n, irr_n) = orc._numerov_pass(c, 1.0, u0, u1, x0, h, n)
+            assert (reg_prev, reg_n) == numerov_one(c, 1.0, u0[0], u1[0], x0, h, n), p
+            assert (irr_prev, irr_n) == numerov_one(c, 1.0, u0[1], u1[1], x0, h, n), p
+            want = (self.one_branch_miss(p, dx), self.one_branch_miss(-p, dx))
+            assert orc._branch_pair(p, dx) == want, p
+
+    @pytest.mark.parametrize("dx", STEPS, ids=["dx", "2dx", "4dx"])
+    def test_pair_at_minus_p_is_the_swapped_pair(self, dx):
+        # and the seed value a shoot computes once for its rungs is the one
+        # each rung would compute itself
+        for p in self.PS:
+            assert orc._branch_pair(-p, dx) == orc._branch_pair(p, dx)[::-1], p
+            at_seed = orc._branch_values(p, orc._SEED_Z)
+            assert orc._branch_pair(p, dx, at_seed) == orc._branch_pair(p, dx), p
