@@ -645,22 +645,21 @@ def conjugate_channel(
 # ---------------------------------------------------------------------------
 
 
-def fit_boundary_xi(
-    doublet: RadialDoublet,
-    ch: DiracChannel,
-    r_small: float = 1e-7,
-    r_large: float = 1e-5,
-) -> float:
+# the two radii, in units of 1/m, of fit_boundary_xi's small-r fit
+_FIT_MR = (1e-7, 1e-5)
+
+
+def fit_boundary_xi(doublet: RadialDoublet, ch: DiracChannel) -> float:
     """Recover the extension parameter from a doublet's small-r coefficients.
 
     Fits the r^(+nu) coefficient of the carrying component and the r^(-nu)
-    coefficient of the companion on two small radii (exactly determined 2x2
-    systems; the neglected series terms enter at relative O(r_large^2)), and
+    coefficient of the companion at m r = 1e-7 and 1e-5 (exactly determined
+    2x2 systems; the neglected series terms enter at relative 1e-10), and
     maps the internal ratio back to the reported orientation.
     """
     _require_extended(ch, "fit_boundary_xi")
     m, nu, tau, s = ch.m, ch.nu, ch.tau, ch.s
-    ra, rb = r_small / m, r_large / m
+    ra, rb = (mr / m for mr in _FIT_MR)
     fa = doublet.evaluator(ra)
     fb = doublet.evaluator(rb)
     i_reg = 0 if tau == 1 else 1

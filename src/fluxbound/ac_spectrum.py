@@ -283,37 +283,26 @@ def ac_wavefunction(level: ACLevel) -> RadialDoublet:
     return RadialDoublet(evaluator=evaluator, small_r_exponents=(0.5 - g, math.nan))
 
 
-def _bessel_i_series(a: float, x: float) -> float:
-    # ascending series of I_a(x); ample for the x <= 1 radii used below
-    term = (0.5 * x) ** a * nk.rgamma(a + 1.0)
-    total = term
-    x2 = 0.25 * x * x
-    for k in range(1, 60):
-        term *= x2 / (k * (a + k))
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total
-
-
 def fit_ac_boundary_xi(doublet: RadialDoublet, ch: ACChannel, kappa: float) -> float:
     """Recover the extension parameter from the profile's boundary behavior.
 
     The single component holds both powers r^(1/2 +- gamma), so a truncated
     monomial fit degrades as gamma -> 1; instead the profile is projected on
-    the exact regular/irregular local solutions (normalized to the domain
-    template (m r)^(+-gamma)) at two moderate radii.  The raw internal ratio
-    is then mapped back to the reported orientation (bound side at xi < 0).
+    the exact regular/irregular local solutions at two moderate radii,
+    sqrt(m r) times the template's Frobenius branches
+    (m r)^(+-gamma) F_(+-gamma)((kappa r)^2), which are
+    Gamma(1 +- gamma) (2m/kappa)^(+-gamma) sqrt(m r) I_(+-gamma)(kappa r).
+    The raw internal ratio is then mapped back to the reported orientation
+    (bound side at xi < 0).
     """
     _require_extended(ch, "fit_ac_boundary_xi")
     g, m = ch.gamma, ch.m
-    pref = (2.0 * m / kappa) ** g
 
     def basis(r: float) -> tuple[float, float]:
-        x = kappa * r
-        sq = math.sqrt(m * r)
-        b_reg = nk.gamma_fn(1.0 + g) * pref * _bessel_i_series(g, x) * sq
-        b_irr = nk.gamma_fn(1.0 - g) / pref * _bessel_i_series(-g, x) * sq
+        x2, mr = (kappa * r) ** 2, m * r
+        sq = math.sqrt(mr)
+        b_reg = mr**g * nk.frobenius_factor(g, x2) * sq
+        b_irr = mr**-g * nk.frobenius_factor(-g, x2) * sq
         return b_reg, b_irr
 
     ra, rb = 0.35 / kappa, 0.85 / kappa
@@ -324,8 +313,8 @@ def fit_ac_boundary_xi(doublet: RadialDoublet, ch: ACChannel, kappa: float) -> f
     det = a11 * a22 - a12 * a21
     p_coef = (ya * a22 - yb * a12) / det
     q_coef = (a11 * yb - a21 * ya) / det
-    xi_internal = -(q_coef / p_coef)
-    return -xi_internal
+    # the internal ratio is -q/p, and the reported xi its negative
+    return q_coef / p_coef
 
 
 def ac_omega_xi_continued(ch: ACChannel, ext: Extension, E_n: float) -> complex:

@@ -47,6 +47,7 @@ from typing import Optional, Sequence
 
 from . import ab_spectrum as ab
 from . import ac_spectrum as ac
+from . import numkernel as nk
 from . import oracle as orc
 
 __all__ = ["main", "parse_args", "run", "emit_table", "RunSpec"]
@@ -90,10 +91,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise UsageError(f"grid bounds must be finite and increasing, got {text!r}")
     return lo, hi, n
-
-
-def _grid_points(lo: float, hi: float, n: int) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -371,7 +368,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
 
         rows = [
             _sweep_row(ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=beta), ext, variant)
-            for beta in _grid_points(lo, hi, n)
+            for beta in nk.linear_grid(lo, hi, n)
         ]
         return rows, _SWEEP_COLUMNS
 
@@ -380,7 +377,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
         lo, hi, n = _parse_grid(params["energy_grid"])
 
         density = ab._density_on_rim(ch, ext)
-        rows = [(e, density(e * mass)) for e in _grid_points(lo, hi, n)]
+        rows = [(e, density(e * mass)) for e in nk.linear_grid(lo, hi, n)]
         return rows, _DENSITY_COLUMNS
 
     if spec.command == "ab-wavefunction":
@@ -391,7 +388,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
         doublet = ab.bound_doublet(level)
         lo, hi, n = _parse_grid(params["r_grid"])
         rows = []
-        for rm in _grid_points(lo, hi, n):
+        for rm in nk.linear_grid(lo, hi, n):
             f1, f2 = doublet(rm / mass)
             rows.append((rm, f1, f2))
         return rows, _WAVEFUNCTION_COLUMNS
@@ -409,7 +406,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
 
         # the l = 0, zeta = 1 channel of coupling -g, whose gamma is |g|
         xi = ext.xi
-        rows = [_ac_row(abs(g), 0, 1, -g, mass, xi) for g in _grid_points(lo, hi, n)]
+        rows = [_ac_row(abs(g), 0, 1, -g, mass, xi) for g in nk.linear_grid(lo, hi, n)]
         return rows, _AC_COLUMNS
 
     if spec.command == "oracle-check":

@@ -1,12 +1,14 @@
 """Self-contained double-precision numerical kernel.
 
-Provides the three primitives everything else is built on:
+Provides the primitives everything else is built on:
 
-* real-argument gamma functions (``gamma_fn``, ``log_gamma``, ``rgamma``),
+* real-argument gamma functions (``gamma_fn``, ``log_gamma``),
+* the origin's Frobenius series 0F1(; 1 + a; z^2/4) (``frobenius_factor``),
 * Bessel functions of real order (``bessel_j``, ``bessel_k``), the pair
   (J_{a-1}, J_a) from one J recurrence (``bessel_j_pair``), and the
   closed-form norm integral of K squared (``bessel_k_square_integral``),
-* bracketed root finding (``find_root_bracketed`` on a validated ``Bracket``).
+* bracketed root finding (``find_root_bracketed`` on a validated ``Bracket``)
+  and the equally spaced grid of every scan and table (``linear_grid``).
 
 Only the Python standard library is used.  The gamma functions are
 ``math.gamma`` and ``math.lgamma`` behind the domain and pole checks; J is
@@ -38,12 +40,13 @@ __all__ = [
     "ConvergenceError",
     "gamma_fn",
     "log_gamma",
-    "rgamma",
+    "frobenius_factor",
     "bessel_j",
     "bessel_j_pair",
     "bessel_k",
     "bessel_k_square_integral",
     "find_root_bracketed",
+    "linear_grid",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -100,27 +103,28 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def rgamma(x: float) -> float:
-    """Reciprocal gamma 1/Gamma(x); entire, returns 0.0 at the poles.
+# ---------------------------------------------------------------------------
+# Frobenius series at the origin
+# ---------------------------------------------------------------------------
 
-    Where Gamma overflows near the origin (|x| below about 5.6e-309),
-    1/Gamma(x) = x (1 + euler x + ...) rounds to x, which is returned.  Where
-    Gamma underflows (left of x = -177), 1/Gamma overflows and
-    ``OverflowError`` is raised.
+
+def frobenius_factor(a: float, z2: float) -> float:
+    """F_a(z^2) = 0F1(; 1 + a; z^2/4) = sum_n (z^2/4)^n / (n! (1 + a)_n).
+
+    Series factor of the local solution r^(a+1/2) about the origin, summed
+    by t_n = t_(n-1) (z^2/4) / (n (n + a)) until a term no longer changes the
+    sum.  The series converges for every z, and for a > -1 every term is
+    positive, so the sum carries no cancellation (DLMF 10.25.2).
     """
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    if x > 170.0:
-        # 1/Gamma underflows gracefully
-        return math.exp(-log_gamma(x))
-    try:
-        g = gamma_fn(x)
-    except OverflowError:
-        return x
-    r = 1.0 / g if g != 0.0 else math.inf
-    if math.isinf(r):
-        raise OverflowError(f"rgamma: 1/Gamma({x}) exceeds double range")
-    return r
+    q = 0.25 * z2
+    term = total = 1.0
+    n = 0
+    while True:
+        n += 1
+        term *= q / (n * (n + a))
+        if total + term == total:
+            return total
+        total += term
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +249,8 @@ def _k_temme(mu: float, z: float) -> tuple[float, float]:
         fact2 = 1.0 + e * e / 6.0 + e**4 / 120.0
     else:
         fact2 = math.sinh(e) / e
-    gampl = rgamma(1.0 + mu)  # 1/Gamma(1+mu)
-    gammi = rgamma(1.0 - mu)  # 1/Gamma(1-mu)
+    gampl = 1.0 / gamma_fn(1.0 + mu)
+    gammi = 1.0 / gamma_fn(1.0 - mu)
     if abs(mu) < 1e-3:
         mu2 = mu * mu
         gam1 = -(_RG_C2 + mu2 * (_RG_C4 + mu2 * _RG_C6))
@@ -356,7 +360,7 @@ def bessel_k_square_integral(order: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bracketed root finding
+# bracketed root finding and grids
 # ---------------------------------------------------------------------------
 
 
@@ -441,3 +445,8 @@ def find_root_bracketed(
             c, fc = a, fa
             d = e = b - a
     raise ConvergenceError("find_root_bracketed: max iterations exceeded")
+
+
+def linear_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 equally spaced points lo + (hi - lo) i/(n - 1), i = 0 ... n - 1."""
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]

@@ -63,10 +63,11 @@ integrations, 2 per solve, and ``OracleResult.numerov_steps`` the steps of
 its sweeps, one per solve.
 
 The oracle stays independent of the analytic route: it uses the ODE, its
-Frobenius template, linearity and this scaling, and calls no level formula,
-Gamma ratio or Bessel function.  The analytic levels solve the same line
-with the Gamma-function connection ratio 2^(-2p) Gamma(1-p)/Gamma(1+p) in
-place of R, so a level's error is R's error over the line's slope in x.
+Frobenius template (the kernel's ``frobenius_factor``), linearity and this
+scaling, and calls no level formula, Gamma ratio or Bessel function.  The
+analytic levels solve the same line with the Gamma-function connection
+ratio 2^(-2p) Gamma(1-p)/Gamma(1+p) in place of R, so a level's error is
+R's error over the line's slope in x.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import numkernel as nk
 from .ab_spectrum import DiracChannel, Extension, Regime, RegimeError
@@ -162,25 +163,6 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def _frobenius_factor(a: float, z2: float) -> float:
-    """F_a(z^2) = 0F1(; 1 + a; z^2/4) = sum_n (z^2/4)^n / (n! (1 + a)_n).
-
-    Series factor of the local solution r^(a+1/2) about the origin, summed
-    by t_n = t_(n-1) (z^2/4) / (n (n + a)) until a term no longer changes the
-    sum.  The series converges for every z, and for a > -1 every term is
-    positive, so the sum carries no cancellation (DLMF 10.25.2).
-    """
-    q = 0.25 * z2
-    term = total = 1.0
-    n = 0
-    while True:
-        n += 1
-        term *= q / (n * (n + a))
-        if total + term == total:
-            return total
-        total += term
-
-
 # every grid runs from the seed radius z = _SEED_Z, where the summed template
 # series hands over to Numerov, to the tail end z = _TAIL_Z, 10 decay lengths
 # further out
@@ -191,7 +173,7 @@ _TAIL_Z = 12.0
 def _branch_values(p: float, z: float) -> tuple[float, float]:
     """The branch pair z^(+-p) F_(+-p)(z^2) at z on the k = 1 grid."""
     z2 = z**2
-    return z**p * _frobenius_factor(p, z2), z**-p * _frobenius_factor(-p, z2)
+    return z**p * nk.frobenius_factor(p, z2), z**-p * nk.frobenius_factor(-p, z2)
 
 
 def _branch_pair(
@@ -225,26 +207,6 @@ def _mismatch(p: float, mix: Mix, cfg: ShootingConfig) -> Callable[[float], floa
 # ---------------------------------------------------------------------------
 # the shooting skeleton
 # ---------------------------------------------------------------------------
-
-
-def _scan_grid(window: tuple[float, float], n: int) -> list[float]:
-    lo, hi = window
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
-def _sign_changes(
-    miss: Callable[[float], float], grid: Sequence[float]
-) -> Iterator[tuple[float, float, float, float]]:
-    """Brackets (x_lo, x_hi, f_lo, f_hi) of the mismatch's sign changes over
-    the grid, in order, each yielded as soon as the scan reaches its upper
-    end; a grid point where the mismatch is exactly zero opens a bracket."""
-    prev_x = grid[0]
-    prev_f = miss(prev_x)
-    for x in grid[1:]:
-        fx = miss(x)
-        if prev_f == 0.0 or prev_f * fx < 0.0:
-            yield prev_x, x, prev_f, fx
-        prev_x, prev_f = x, fx
 
 
 _DIAG_NAN = float("nan")
@@ -342,8 +304,8 @@ def _shoot(
 # ---------------------------------------------------------------------------
 
 
-# the level count's scan of u = tau*E over the gap
-_GAP_WINDOW = (-1.0 + 1e-9, 1.0 - 1e-9)
+# the level count's scan of u = tau*E, between the doubles next to -+1
+_GAP_WINDOW = (math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0))
 _COUNT_POINTS = 48
 
 
@@ -408,6 +370,13 @@ def dirac_shoot(
     return _shoot(cfg, ch.m, *_dirac_line(ch, xi), to_e)
 
 
+def _sign_changes(miss: Callable[[float], float], grid: Sequence[float]) -> int:
+    """Sign changes of the mismatch between neighbouring grid points; an
+    exact zero changes sign with the next point."""
+    f = [miss(x) for x in grid]
+    return sum(1 for a, b in zip(f, f[1:]) if a == 0.0 or a * b < 0.0)
+
+
 def count_dirac_levels(
     ch: DiracChannel, ext: Extension, cfg: ShootingConfig = ShootingConfig()
 ) -> int:
@@ -416,14 +385,16 @@ def count_dirac_levels(
     A shoot never evaluates the mismatch: the level's uniqueness rests on
     its line's monotonicity.  The count scans the closed-form mismatch
     itself, from one pair of branch integrations, and so checks that
-    uniqueness independently."""
+    uniqueness independently.  The scan's ends are the doubles next to
+    u = tau*E/m = -+1, so it counts every level whose u lies between them
+    and none whose E rounds to -+m; one whose u rounds to an end may miss."""
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("count_dirac_levels: requires an extended-regime channel")
     xi = ext.xi
     if not xi < 0.0:
         return 0
     miss_u = _mismatch(*_dirac_template(ch, ch.s * xi), cfg)
-    return sum(1 for _ in _sign_changes(miss_u, _scan_grid(_GAP_WINDOW, _COUNT_POINTS)))
+    return _sign_changes(miss_u, nk.linear_grid(*_GAP_WINDOW, _COUNT_POINTS))
 
 
 # ---------------------------------------------------------------------------

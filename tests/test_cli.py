@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fluxbound import ab_spectrum as ab
 from fluxbound import ac_spectrum as ac
 from fluxbound import cli
+from fluxbound import numkernel as nk
 
 E_GOLDEN = -0.56600199969254444
 
@@ -711,7 +712,7 @@ class TestTablesEqualTheLibrary:
         code, out, err = main_in_process(argv)
         assert (code, err) == (0, "")
         rows = _csv_dicts(out)
-        grid = cli._grid_points(-0.5, 1.5, 41)
+        grid = nk.linear_grid(-0.5, 1.5, 41)
         assert len(rows) == len(grid)
         ext = ab.Extension.from_xi(-1.0)
         regimes = set()
@@ -854,4 +855,39 @@ class TestOracleCheckBytes:
             b'  "convergence_order": 4.2736990237836565\n }\n]\n'
         )
         argv = ["oracle-check", "--mu", "0.25", "--xi", "-1", "--format", "json"]
+        assert main_in_process(argv) == (0, want, "")
+
+
+class TestTableBytes:
+    """Two tables' stdout, byte for byte, as the package printed them when K's
+    series took 1/Gamma(1 +- mu) from a separate reciprocal gamma and each
+    table module laid out its own grid.  The wavefunction's radii reach
+    lambda r = 2.47, so its rows cross K's seam at z = 2; the sweep's grid
+    hits gamma = 0 and the regular rows."""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (
+                ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", "0.01:3:5"],
+                b"r_times_m,f1,f2\n"
+                b"0.01,0.21018553707939189,-2.2993359217407874\n"
+                b"0.75750000000000006,0.21591658090793767,-0.5290114927014794\n"
+                b"1.5050000000000001,0.12124297480167835,-0.26820607247885908\n"
+                b"2.2524999999999999,0.066534983931555464,-0.14103931132900185\n"
+                b"3,0.036250591661783037,-0.075039555675174799\n",
+            ),
+            (
+                ["ac-sweep", "--xi", "-1", "--gamma-grid=-0.5:1.5:5"],
+                b"gamma,l,zeta,coupling,xi,E_over_m,kappa_over_m,residual\n"
+                b"0.5,0,1,0.5,-1,-0.50000000000000022,1.0000000000000002,0\n"
+                b"0,0,1,-0,-1,-0.17065062030470429,0.58420992854401965,0\n"
+                b"0.5,0,1,-0.5,-1,-0.50000000000000022,1.0000000000000002,0\n"
+                b"1,0,1,-1,-1,nan,nan,nan\n"
+                b"1.5,0,1,-1.5,-1,nan,nan,nan\n",
+            ),
+        ],
+        ids=["ab-wavefunction", "ac-sweep"],
+    )
+    def test_csv(self, argv, want):
         assert main_in_process(argv) == (0, want, "")

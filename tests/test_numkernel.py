@@ -107,22 +107,6 @@ class TestGamma:
         with pytest.raises(nk.KernelDomainError):
             nk.log_gamma(-1.0)
 
-    def test_rgamma_zero_at_poles(self):
-        assert nk.rgamma(0.0) == 0.0
-        assert nk.rgamma(-3.0) == 0.0
-        assert nk.rgamma(2.5) == pytest.approx(1.0 / nk.gamma_fn(2.5), rel=1e-14)
-
-    @pytest.mark.parametrize("x", [1e-320, -1e-320, 5e-324, 2e-309, -5e-309])
-    def test_rgamma_where_gamma_overflows(self, x):
-        # 1/Gamma(x) = x (1 + euler x + ...) rounds to x next to the origin
-        assert nk.rgamma(x) == x
-
-    @pytest.mark.parametrize("x", [-177.5, -178.5, -190.5, -1000.5])
-    def test_rgamma_overflows_where_gamma_underflows(self, x):
-        # |1/Gamma(-177.5)| is 1.5e323, and it grows leftward
-        with pytest.raises(OverflowError):
-            nk.rgamma(x)
-
     def test_domain_errors(self):
         with pytest.raises(nk.KernelDomainError):
             nk.gamma_fn(math.nan)
@@ -335,6 +319,36 @@ class TestBesselK:
         for a, z in ((0.2, 0.8), (0.45, 3.1), (1.3, 6.0)):
             lhs = nk.bessel_k(a, z) * i_series(a + 1, z) + nk.bessel_k(a + 1, z) * i_series(a, z)
             assert lhs == pytest.approx(1.0 / z, rel=1e-10)
+
+    # K over its Temme range z <= 2 at the orders of the wavefunction tables:
+    # ab-wavefunction's |nu_tilde -+ s/2| for mu = 0.25 and 0.4 at (l, s) =
+    # (0, -1), mu = 0.25 at (-1, 1) and mu = 0.75 at (0, 1), and the AC
+    # profile's gamma = 0.15, 0.5, 0.85; repr values as the kernel gave them
+    # when the series took 1/Gamma(1 +- mu) from a separate reciprocal gamma
+    TEMME_Z = (1e-6, 0.01, 0.3, 1.0, 1.7, 2.0)
+    TEMME_PIN = {
+        0.15: ("26.990827916380017", "5.210629677379733", "1.3992957749044557",
+               "0.42449973794461865", "0.1663840493026783", "0.11442624441871649"),
+        0.25: ("68.10722788973493", "6.165741264139239", "1.44804263070737",
+               "0.43073977444858585", "0.16797284012531927", "0.11537827684085745"),
+        0.4: ("367.5937742651957", "9.010471810777922", "1.5726114220123963",
+              "0.44628593983466885", "0.17190296980560066", "0.11772913317042438"),
+        0.5: ("1253.31288400199", "12.408434532846933", "1.6951610563392836",
+              "0.4610685044478946", "0.17560418370135844", "0.11993777196806124"),
+        0.6: ("4493.024007846371", "17.81122139109175", "1.855386793918985",
+              "0.4797156948928658", "0.18022546162955616", "0.12268844029732627"),
+        0.75: ("32585.643058426394", "32.54345278535705", "2.1828038539659773",
+               "0.5157753006959186", "0.18902094816394263", "0.1279029786291786"),
+        0.85: ("126223.1957288337", "50.21823112237483", "2.4740453197463683",
+               "0.5459262288750256", "0.19624280735202296", "0.13216515496216288"),
+        1.75: ("48878464655.746826", "4887.683659067696", "12.362061900537256",
+               "1.2044027254924639", "0.33475602968173923", "0.2113055108127414"),
+    }
+
+    @pytest.mark.parametrize("order", sorted(TEMME_PIN))
+    def test_temme_range_pinned(self, order):
+        got = tuple(repr(nk.bessel_k(order, z)) for z in self.TEMME_Z)
+        assert got == self.TEMME_PIN[order]
 
     def test_domain_error(self):
         with pytest.raises(nk.KernelDomainError):

@@ -209,7 +209,7 @@ class TestDeepLevelRelativeAccuracy:
 
             def seed(r):
                 z2 = (kappa * r) ** 2
-                frob = orc._frobenius_factor
+                frob = nk.frobenius_factor
                 return r**gamma * frob(gamma, z2) - xi_int * r**-gamma * frob(-gamma, z2)
 
             return per_energy_miss(gamma, kappa, seed)
@@ -279,7 +279,7 @@ def template_f1(ch, xi_int, r, E):
     Frobenius factor: the seed a shoot integrated at each energy before the
     closed form.  The pair is built in u = tau*E with the r^(+nu) carrying
     component first; for tau = -1, f1 is the companion component."""
-    frob = orc._frobenius_factor
+    frob = nk.frobenius_factor
     nu, s, u = ch.nu, ch.s, ch.tau * E
     z2 = (1.0 - E) * (1.0 + E) * r * r
     reg = (
@@ -311,7 +311,7 @@ class TestClosedForm:
         ch = dirac_channel(mu, l=l, s=s)
         xi_int = ch.s * -1.0
         miss = closed_form(*orc._dirac_template(ch, xi_int), cfg)
-        for u in orc._scan_grid(orc._GAP_WINDOW, 8):
+        for u in nk.linear_grid(*orc._GAP_WINDOW, 8):
             E = ch.tau * u
             lam = math.sqrt((1.0 - E) * (1.0 + E))
 
@@ -325,12 +325,12 @@ class TestClosedForm:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "coarsest-rung"])
     def test_ac_mix_is_the_per_energy_integration(self, gamma, cfg):
         miss = closed_form(*ac_template(gamma, -1.0), cfg)
-        for y in orc._scan_grid((math.log(1e-8), math.log(1e6)), 8):
+        for y in nk.linear_grid(math.log(1e-8), math.log(1e6), 8):
             kappa = math.sqrt(2.0 * math.exp(y))
 
             def seed(r):
                 z2 = (kappa * r) ** 2
-                frob = orc._frobenius_factor
+                frob = nk.frobenius_factor
                 return r**gamma * frob(gamma, z2) - r**-gamma * frob(-gamma, z2)
 
             want = per_energy_miss(gamma, kappa, seed, cfg)
@@ -413,8 +413,9 @@ class TestConnectionRatioEnvelope:
 
 
 class TestFrobeniusFactor:
-    """The template's series factor is 0F1(; 1 + a; z^2/4) summed in full:
-    the oracle seeds its tail grid from it at z = 2."""
+    """The template's series factor is 0F1(; 1 + a; z^2/4) summed in full,
+    by the kernel's ``frobenius_factor``: the oracle seeds its tail grid from
+    it at z = 2, and the AC boundary fit takes its basis from it."""
 
     @pytest.mark.parametrize("a", [-0.999, -0.75, -0.25, 0.15, 0.85])
     @pytest.mark.parametrize("z", [0.05, 0.5, 2.0, 8.0])
@@ -422,7 +423,7 @@ class TestFrobeniusFactor:
         import mpmath
 
         want = float(mpmath.hyp0f1(1 + mpmath.mpf(a), mpmath.mpf(z * z) / 4))
-        assert orc._frobenius_factor(a, z * z) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert nk.frobenius_factor(a, z * z) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestRenormalization:
@@ -445,7 +446,9 @@ class TestRenormalization:
 
 class TestIndependence:
     """The oracle reaches its levels from the ODE and its Frobenius template
-    alone: no level formula, bound profile or Bessel function."""
+    alone.  The template's series lives in the kernel, beside the Gamma and
+    Bessel functions, and the oracle calls no level formula, bound profile,
+    Gamma ratio or Bessel function."""
 
     def test_shoots_without_the_analytic_route(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -458,6 +461,9 @@ class TestIndependence:
             (ac, "ac_bound_energy"),
             (ac, "ac_wavefunction"),
             (nk, "bessel_k"),
+            (nk, "bessel_j"),
+            (nk, "gamma_fn"),
+            (nk, "log_gamma"),
         ):
             monkeypatch.setattr(module, name, forbidden)
         ext = ab.Extension.from_xi(-1.0)
@@ -722,7 +728,7 @@ class TestSignScan:
             return recorded
 
         monkeypatch.setattr(orc, "_mismatch", wrapped)
-        grid = orc._scan_grid(orc._GAP_WINDOW, orc._COUNT_POINTS)
+        grid = nk.linear_grid(*orc._GAP_WINDOW, orc._COUNT_POINTS)
         cases = ((0.25, -1.0), (0.4, -0.3), (0.6, -2.0), (0.85, -1.0))
         for k, (mu, xi) in enumerate(cases, start=1):
             n = orc.count_dirac_levels(dirac_channel(mu), ab.Extension.from_xi(xi), FAST)
@@ -732,22 +738,27 @@ class TestSignScan:
         assert {cfg for cfg, _ in calls} == {FAST}
 
     def test_sign_changes_yields_every_bracket_in_order(self):
+        # the count scans the grid in order and counts each bracket once
         seen = []
 
         def f(x):
             seen.append(x)
             return (x - 1.5) * (x - 3.5) * (x - 6.5)
 
-        scan = orc._sign_changes(f, [float(i) for i in range(9)])
-        assert next(scan) == (1.0, 2.0, f(1.0), f(2.0))
-        assert max(seen) == 2.0
-        assert list(scan) == [(3.0, 4.0, f(3.0), f(4.0)), (6.0, 7.0, f(6.0), f(7.0))]
+        grid = [float(i) for i in range(9)]
+        assert orc._sign_changes(f, grid) == 3
+        assert seen == grid
+        assert orc._sign_changes(f, grid[:3]) == 1
+        assert orc._sign_changes(f, [7.0, 8.0]) == 0
 
     def test_sign_changes_exact_zero_opens_a_bracket(self):
         def f(x):
             return x - 2.0
 
-        assert list(orc._sign_changes(f, [0.0, 1.0, 2.0, 3.0, 4.0])) == [(2.0, 3.0, 0.0, 1.0)]
+        assert orc._sign_changes(f, [0.0, 1.0, 2.0, 3.0, 4.0]) == 1
+        # a zero at the last point opens nothing, and one at the first does
+        assert orc._sign_changes(f, [0.0, 1.0, 2.0]) == 0
+        assert orc._sign_changes(f, [2.0, 3.0]) == 1
 
 
 class TestOneSignChangePerWindow:
@@ -762,7 +773,7 @@ class TestOneSignChangePerWindow:
     AC_WINDOW = (math.log(1e-8), math.log(1e6))
 
     def check(self, miss, window, level_x):
-        grid = orc._scan_grid(window, self.SCAN_POINTS)
+        grid = nk.linear_grid(*window, self.SCAN_POINTS)
         positive = [miss(x) > 0.0 for x in grid]
         changes = [i for i in range(len(grid) - 1) if positive[i] != positive[i + 1]]
         assert len(changes) <= 1, [grid[i] for i in changes]
@@ -949,6 +960,34 @@ class TestReach:
                 assert res.E == pytest.approx(-math.exp(want), rel=2.0 * tol, abs=1e-300)
 
 
+class TestCountReach:
+    """The level count scans u = tau*E/m between the doubles next to -1 and
+    1, so it counts every level whose u lies strictly between them.  A level
+    whose E rounds to -+m lies beyond the scan and is not counted, and one
+    whose u rounds to a scan end is counted only when it lies inside it."""
+
+    END = math.nextafter(1.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=_FAMILIES,
+        nu=st.floats(0.005, 0.495),
+        tau_side=st.sampled_from([1, -1]),
+        log_xi=st.floats(-12.0, 12.0),
+    )
+    def test_counts_every_level_inside_the_scan(self, family, nu, tau_side, log_xi):
+        ch = family_channel(family, nu, tau_side)
+        ext = ab.Extension.from_xi(-(10.0**log_xi))
+        u = ch.tau * orc.dirac_shoot(ch, ext, FAST).E
+        n = orc.count_dirac_levels(ch, ext, FAST)
+        if abs(u) < self.END:
+            assert n == 1, u
+        elif abs(u) == 1.0:
+            assert n == 0, u
+        else:
+            assert n in (0, 1), u
+
+
 def numerov_one(c, k2, y0, y1, x0, h, n):
     """The one-solution Numerov sweep, as the kernel ran before it carried
     two solutions: each of the kernel's two slots must give its bits."""
@@ -1046,7 +1085,7 @@ class TestTwoSolutionSweep:
         h = (r_tail - r_seed) / n
 
         def u(z):
-            return math.sqrt(z) * (z**p * orc._frobenius_factor(p, z**2))
+            return math.sqrt(z) * (z**p * nk.frobenius_factor(p, z**2))
 
         ub, ua = numerov_one(g * g - 0.25, 1.0, u(r_seed), u(r_seed + h), r_seed, h, n)
         rb = r_seed + (n - 1) * h
