@@ -15,28 +15,19 @@ from .ab_spectrum import (
     Regime,
     RegimeError,
     bound_doublet,
-    conjugate_channel,
     continuum_doublet,
-    fit_boundary_xi,
     flux_decompose,
     master_xi_of_energy,
-    paper_level_lhs,
-    paper_omega,
-    paper_omega_xi,
-    printed_level,
     solve_bound_energy,
-    spectral_density,
 )
 from .ac_spectrum import (
     ACChannel,
     ACLevel,
     ACRegime,
     ac_bound_energy,
-    ac_solve_cross_check,
     ac_special_levels,
     ac_wavefunction,
     ac_wronskian,
-    fit_ac_boundary_xi,
 )
 from .numkernel import (
     Bracket,
@@ -53,6 +44,13 @@ from .oracle import (
     count_dirac_levels,
     dirac_shoot,
     schrodinger_shoot,
+)
+from .printed import (
+    paper_level_lhs,
+    paper_omega,
+    paper_omega_xi,
+    printed_level,
+    spectral_density,
 )
 
 __version__ = "0.1.0"

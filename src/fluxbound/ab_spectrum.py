@@ -22,6 +22,12 @@ weight.  The reported xi is kept in the orientation in which bound states
 exist exactly for xi < 0 and the midgap zero mode sits at xi = -1, uniformly
 over all channels.
 
+This module holds the referee-fixed physics: the master extension curve and
+its levels, the normalized bound doublets and the continuum eigen-doublets.
+The paper's Wronskian and level equations as printed, and the continuum
+density built on that Wronskian, are a comparison mode and live in
+``fluxbound.printed``, which reads this module; this module never reads it.
+
 Everything here is a pure function of immutable values.
 """
 
@@ -47,16 +53,8 @@ __all__ = [
     "master_xi_of_energy",
     "log_abs_master_xi",
     "solve_bound_energy",
-    "paper_omega",
-    "paper_omega_xi",
-    "paper_level_lhs",
-    "printed_level",
-    "omega_xi_continued",
-    "spectral_density",
     "bound_doublet",
     "continuum_doublet",
-    "conjugate_channel",
-    "fit_boundary_xi",
     "CRITICAL_TOL",
 ]
 
@@ -221,16 +219,6 @@ def _require_extended(ch: DiracChannel, what: str) -> None:
         )
 
 
-def _wronskian_gamma_ratio(nu: float, s: int) -> float:
-    # Gamma(2 nu) Gamma(-nu+(1-s)/2) / [Gamma(-2 nu) Gamma(nu+(1-s)/2)], the
-    # prefactor of the printed Wronskian
-    return (
-        nk.gamma_fn(2.0 * nu)
-        * nk.gamma_fn(-nu + 0.5 * (1 - s))
-        / (nk.gamma_fn(-2.0 * nu) * nk.gamma_fn(nu + 0.5 * (1 - s)))
-    )
-
-
 # ln Gamma(1/2+nu)/Gamma(1/2-nu) = sum_j c_j nu^(2j+1), with c_0 = 2 psi(1/2)
 # and c_j = -2 (2^(2j+1) - 1) zeta(2j+1)/(2j+1); the radius is 1/2, and 12
 # terms hold 1e-18 relative up to _LOG_RATIO_SERIES_MAX_NU
@@ -322,197 +310,6 @@ def solve_bound_energy(ch: DiracChannel, ext: Extension) -> Optional[BoundLevel]
 
 
 # ---------------------------------------------------------------------------
-# printed Wronskian forms (comparison mode)
-# ---------------------------------------------------------------------------
-
-
-def _printed_omega(ratio: float, nu: float, s: int, m: float, lam: complex) -> complex:
-    # ratio * (2 lambda / m)^(-2 nu) * 4 s lambda with ratio =
-    # _wronskian_gamma_ratio(nu, s), the same expression for a real gap
-    # lambda and a complex continuum one
-    return ratio * (2.0 * lam / m) ** (-2.0 * nu) * 4.0 * s * lam
-
-
-def paper_omega(ch: DiracChannel, E: float) -> float:
-    """The gap Wronskian exactly as printed:
-
-    omega(E) = [Gamma(2 nu) Gamma(-nu+(1-s)/2)] / [Gamma(-2 nu) Gamma(nu+(1-s)/2)]
-               * (2 lambda / m)^(-2 nu) * 4 s lambda.
-
-    Depends on E only through lambda, so it cannot distinguish +-E; kept for
-    comparison against the master curve.
-    """
-    _require_extended(ch, "paper_omega")
-    m = ch.m
-    if not abs(E) < m:
-        raise EnergyDomainError(f"paper_omega: need |E| < m, got E={E}")
-    nu, s = ch.nu, ch.s
-    return _printed_omega(_wronskian_gamma_ratio(nu, s), nu, s, m, math.sqrt((m - E) * (m + E)))
-
-
-def paper_omega_xi(ch: DiracChannel, ext: Extension, E: float) -> float:
-    """omega_xi(E) = omega(E) + 4 s lambda xi, exactly as printed."""
-    xi = ext.xi
-    if math.isinf(xi):
-        raise ValueError("paper_omega_xi: xi must be finite")
-    m = ch.m
-    lam = math.sqrt((m - E) * (m + E))
-    return paper_omega(ch, E) + 4.0 * ch.s * lam * xi
-
-
-_LEVEL_VARIANTS = ("levab", "lev0", "lev1")
-
-
-def _printed_power_law(ch: DiracChannel, variant: str) -> tuple[float, float]:
-    """(ratio, p) of a printed level equation ratio * (lambda/m)^p = xi.
-
-    "levab" has the Wronskian prefactor and p = -2 nu; "lev0" and "lev1" are
-    printed for one channel family only, and lev1 at beta is lev0 at 1 - beta,
-    bit for bit, since 1 - beta is exact for 1/2 < beta < 1.
-    """
-    if variant == "levab":
-        return _wronskian_gamma_ratio(ch.nu, ch.s), -2.0 * ch.nu
-    n, beta = ch.flux_parts
-    family = (ch.l + n == 0 and ch.s == -1) or (ch.l + n == -1 and ch.s == 1)
-    if not family:
-        raise RegimeError(
-            "paper_level_lhs: lev0/lev1 are printed for the l+n=0, s=-1 "
-            "(equivalently l+n=-1, s=+1) channels only"
-        )
-    if abs(beta - 0.5) < CRITICAL_TOL:
-        raise nk.PoleError("paper_level_lhs: Gamma pole at beta = 1/2")
-    if variant == "lev0" and not 0.0 < beta < 0.5:
-        raise RegimeError("paper_level_lhs: lev0 requires 0 < beta < 1/2")
-    if variant == "lev1" and not 0.5 < beta < 1.0:
-        raise RegimeError("paper_level_lhs: lev1 requires 1/2 < beta < 1")
-    b = beta if variant == "lev0" else 1.0 - beta
-    ratio = (
-        nk.gamma_fn(1.0 - 2.0 * b)
-        * nk.gamma_fn(0.5 + b)
-        / (nk.gamma_fn(2.0 * b - 1.0) * nk.gamma_fn(1.5 - b))
-    )
-    return ratio, 1.0 - 2.0 * b
-
-
-def paper_level_lhs(ch: DiracChannel, E: float, variant: str) -> float:
-    """Left-hand side of the printed level equations, for comparison only.
-
-    The printed variants disagree among themselves (a 2^(2 nu) factor between
-    "levab" and the Wronskian root, and an inverted lambda power in
-    "lev0"/"lev1"); they are exposed verbatim so the discrepancies can be
-    inspected, with the ODE oracle as referee.
-    """
-    if variant not in _LEVEL_VARIANTS:
-        raise ValueError(f"paper_level_lhs: unknown variant {variant!r}")
-    _require_extended(ch, "paper_level_lhs")
-    m = ch.m
-    if not abs(E) < m:
-        raise EnergyDomainError(f"paper_level_lhs: need |E| < m, got E={E}")
-    ratio, p = _printed_power_law(ch, variant)
-    return ratio * (math.sqrt((m - E) * (m + E)) / m) ** p
-
-
-def printed_level(ch: DiracChannel, ext: Extension, variant: str) -> Optional[BoundLevel]:
-    """Gap level of a printed level equation in closed form, for comparison only.
-
-    Each is a power law ratio * (lambda/scale)^p = target in lambda: "wr00"
-    (omega_xi = 0) is "levab"'s with scale m/2 and target -xi, the others have
-    scale m and target xi.  The printed forms see only lambda, so E takes the
-    sign of the master level, read off one comparison at E = 0.  None for
-    xi >= 0 or without a root with 0 < lambda < m; the residual is
-    |ratio (lambda/scale)^p - target|.
-    """
-    if variant != "wr00" and variant not in _LEVEL_VARIANTS:
-        raise ValueError(f"printed_level: unknown variant {variant!r}")
-    _require_extended(ch, "printed_level")
-    m, xi = ch.m, ext.xi
-    if not xi < 0.0:
-        return None
-    ratio, p = _printed_power_law(ch, "levab" if variant == "wr00" else variant)
-    scale, target = (0.5 * m, -xi) if variant == "wr00" else (m, xi)
-    q = target / ratio
-    # ln(lambda/scale) = ln(q)/p; above 1 it already puts lambda above m, so
-    # capping it there keeps exp finite without admitting a root
-    lam = scale * math.exp(min(math.log(q) / p, 1.0)) if q > 0.0 else 0.0
-    if not 0.0 < lam < m:
-        return None
-    # |master xi| falls along u = tau*E, so the master level has u >= 0
-    # exactly when |master xi(0)| >= -xi
-    log_abs_xi0 = _log_abs_xi(ch.nu, 0.0, _log_gamma_ratio(ch.nu))
-    u_sign = 1.0 if log_abs_xi0 >= math.log(-xi) else -1.0
-    e = math.sqrt((m - lam) * (m + lam))
-    residual = abs(ratio * (lam / scale) ** p - target)
-    return BoundLevel(E=ch.tau * u_sign * e, lam=lam, xi=xi, channel=ch, residual=residual)
-
-
-# ---------------------------------------------------------------------------
-# continuum spectral density
-# ---------------------------------------------------------------------------
-
-
-def _continued_omega(ch: DiracChannel, ext: Extension) -> Callable[[float], complex]:
-    # omega_xi_continued's checks and its Gamma ratio, once per channel and
-    # extension; the returned function of E does the rest
-    _require_extended(ch, "omega_xi_continued")
-    xi = ext.xi
-    if math.isinf(xi):
-        raise ValueError("omega_xi_continued: xi must be finite")
-    m, s, nu = ch.m, ch.s, ch.nu
-    ratio = _wronskian_gamma_ratio(nu, s)
-    xi_int = s * xi
-
-    def omega(E: float) -> complex:
-        if not abs(E) > m:
-            raise EnergyDomainError(f"omega_xi_continued: need |E| > m, got E={E}")
-        # (|E| - m)(|E| + m) overflows for m near the largest accepted masses
-        e = abs(E) / m
-        k = m * math.sqrt((e - 1.0) * (e + 1.0))
-        lam_c = complex(0.0, -math.copysign(1.0, E)) * k
-        return _printed_omega(ratio, nu, s, m, lam_c) + 4.0 * s * lam_c * xi_int
-
-    return omega
-
-
-def _density_on_rim(ch: DiracChannel, ext: Extension) -> Callable[[float], float]:
-    # spectral_density as a function of E, with the checks and Gamma work of
-    # _continued_omega done once; a table builds it once for all its rows
-    omega = _continued_omega(ch, ext)
-
-    def density(E: float) -> float:
-        value = (1j / omega(E)).imag / math.pi
-        if not math.isfinite(value):  # the CLI prints this text as its error line
-            raise ValueError("SpectralPoint: density must be finite")
-        return value
-
-    return density
-
-
-def omega_xi_continued(ch: DiracChannel, ext: Extension, E: float) -> complex:
-    """omega_xi continued to the upper rim of the continuum, |E| > m.
-
-    First-sheet branch: lambda(E + i0) = -i sign(E) sqrt(E^2 - m^2), i.e.
-    lambda^(-2 nu) -> k^(-2 nu) exp(i sign(E) pi nu).  The printed Wronskian
-    is combined with the channel-aligned internal parameter s*xi so that its
-    gap zero sits on the bound-state side (xi < 0) for every channel.
-    """
-    return _continued_omega(ch, ext)(E)
-
-
-def spectral_density(ch: DiracChannel, ext: Extension, E: float) -> float:
-    """Continuum spectral density dsigma/dE at |E| > m.
-
-    Evaluates (1/pi) Im[kappa / omega_xi(E+i0)] with the first-sheet branch
-    above.  The energy-independent phase kappa = i is calibrated once: it is
-    the constant phase the complex normalization factors of the two reference
-    solutions contribute to the true Wronskian, and with it the density is a
-    nonnegative, continuous spectral weight wherever omega_xi does not vanish
-    (it never does on |E| > m).  A density that is not finite (omega_xi
-    over- or underflows) raises ValueError.
-    """
-    return _density_on_rim(ch, ext)(E)
-
-
-# ---------------------------------------------------------------------------
 # wave functions
 # ---------------------------------------------------------------------------
 
@@ -598,7 +395,8 @@ def continuum_doublet(ch: DiracChannel, ext: Extension, E: float) -> RadialDoubl
     channel is the tau = +1 one at -E with its two components swapped.  The
     doublet is twice the domain template with C = 1: the carrying component
     leads with 2 (m r)^nu and the companion with -2 s xi (m r)^(-nu) (-2 (m r)^(-nu)
-    at xi = infinity).  fit_boundary_xi reads only their ratio.
+    at xi = infinity).  The extension is fixed by the ratio of these two
+    leading coefficients alone, so the factor 2 does not move it.
     """
     m = ch.m
     if not abs(E) > m:
@@ -625,54 +423,3 @@ def continuum_doublet(ch: DiracChannel, ext: Extension, E: float) -> RadialDoubl
         evaluator = lambda r: carrying_first(r)[::-1]
         expo = expo[::-1]
     return RadialDoublet(evaluator=evaluator, small_r_exponents=expo)
-
-
-def conjugate_channel(
-    ch: DiracChannel, ext: Extension
-) -> tuple[DiracChannel, Extension]:
-    """Radial conjugate sector: (nu_tilde, s) -> (-nu_tilde, -s) via (l, s, mu) -> (-l, -s, -mu).
-
-    The sigma_3 map flips the internal component ratio together with the
-    orientation sign, so the reported extension parameter is unchanged; nu and
-    tau are invariant and the conjugate channel shares the master xi(E) curve.
-    """
-    mapped = DiracChannel(m=ch.m, l=-ch.l, s=-ch.s, mu=-ch.mu)
-    return mapped, ext
-
-
-# ---------------------------------------------------------------------------
-# boundary-condition round trip
-# ---------------------------------------------------------------------------
-
-
-# the two radii, in units of 1/m, of fit_boundary_xi's small-r fit
-_FIT_MR = (1e-7, 1e-5)
-
-
-def fit_boundary_xi(doublet: RadialDoublet, ch: DiracChannel) -> float:
-    """Recover the extension parameter from a doublet's small-r coefficients.
-
-    Fits the r^(+nu) coefficient of the carrying component and the r^(-nu)
-    coefficient of the companion at m r = 1e-7 and 1e-5 (exactly determined
-    2x2 systems; the neglected series terms enter at relative 1e-10), and
-    maps the internal ratio back to the reported orientation.
-    """
-    _require_extended(ch, "fit_boundary_xi")
-    m, nu, tau, s = ch.m, ch.nu, ch.tau, ch.s
-    ra, rb = (mr / m for mr in _FIT_MR)
-    fa = doublet.evaluator(ra)
-    fb = doublet.evaluator(rb)
-    i_reg = 0 if tau == 1 else 1
-    i_irr = 1 - i_reg
-
-    def solve2(p: float, q: float, ya: float, yb: float) -> float:
-        # [ra^p ra^q; rb^p rb^q] [c1 c2]^T = [ya yb]^T; returns c1
-        a11, a12 = ra**p, ra**q
-        a21, a22 = rb**p, rb**q
-        det = a11 * a22 - a12 * a21
-        return (ya * a22 - yb * a12) / det
-
-    p_coef = solve2(nu, 1.0 - nu, fa[i_reg], fb[i_reg])
-    q_coef = solve2(-nu, 1.0 + nu, fa[i_irr], fb[i_irr])
-    xi_internal = -(q_coef / p_coef) * m ** (2.0 * nu)
-    return s * xi_internal

@@ -42,12 +42,10 @@ __all__ = [
     "EULER_GAMMA",
     "ac_wronskian",
     "ac_bound_energy",
-    "ac_solve_cross_check",
     "ac_special_levels",
     "ac_wavefunction",
     "ac_omega_xi_continued",
     "ac_spectral_density",
-    "fit_ac_boundary_xi",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -222,34 +220,6 @@ def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
     return ACLevel(E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=residual)
 
 
-def ac_solve_cross_check(ch: ACChannel, ext: Extension) -> ACLevel:
-    """Same level found by bracketed root search on the level equation.
-
-    Solves ln omega(E_n) = ln(-xi) in y = ln(kappa/m); agrees with the closed
-    form to better than 1e-9 m by construction of the root tolerance.
-    """
-    _require_extended(ch, "ac_solve_cross_check")
-    xi = ext.xi
-    if not xi < 0.0:
-        raise ValueError("ac_solve_cross_check: requires finite xi < 0")
-    g, m = ch.gamma, ch.m
-    quotient = _gamma_quotient(g)
-    lng = _log_gamma_ratio(g, quotient)
-    target = math.log(-xi)
-
-    def h(y: float) -> float:
-        # ln omega at kappa = m e^y
-        return lng + 2.0 * g * (math.log(2.0) - y) - target
-
-    bracket = nk.Bracket.from_function(h, -60.0, 60.0)
-    y = nk.find_root_bracketed(h, bracket, tol_x=1e-15)
-    kappa = m * math.exp(y)
-    E_n = -kappa * kappa / (2.0 * m)
-    return ACLevel(
-        E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=abs(_omega(quotient, g, m, E_n) + xi)
-    )
-
-
 def ac_special_levels(c: float, ext: Extension) -> tuple[float, float]:
     """The levels of the two channel families at -M a = c in (0,1).
 
@@ -281,40 +251,6 @@ def ac_wavefunction(level: ACLevel) -> RadialDoublet:
         return scale * math.sqrt(r) * nk.bessel_k(g, kappa * r), 0.0
 
     return RadialDoublet(evaluator=evaluator, small_r_exponents=(0.5 - g, math.nan))
-
-
-def fit_ac_boundary_xi(doublet: RadialDoublet, ch: ACChannel, kappa: float) -> float:
-    """Recover the extension parameter from the profile's boundary behavior.
-
-    The single component holds both powers r^(1/2 +- gamma), so a truncated
-    monomial fit degrades as gamma -> 1; instead the profile is projected on
-    the exact regular/irregular local solutions at two moderate radii,
-    sqrt(m r) times the template's Frobenius branches
-    (m r)^(+-gamma) F_(+-gamma)((kappa r)^2), which are
-    Gamma(1 +- gamma) (2m/kappa)^(+-gamma) sqrt(m r) I_(+-gamma)(kappa r).
-    The raw internal ratio is then mapped back to the reported orientation
-    (bound side at xi < 0).
-    """
-    _require_extended(ch, "fit_ac_boundary_xi")
-    g, m = ch.gamma, ch.m
-
-    def basis(r: float) -> tuple[float, float]:
-        x2, mr = (kappa * r) ** 2, m * r
-        sq = math.sqrt(mr)
-        b_reg = mr**g * nk.frobenius_factor(g, x2) * sq
-        b_irr = mr**-g * nk.frobenius_factor(-g, x2) * sq
-        return b_reg, b_irr
-
-    ra, rb = 0.35 / kappa, 0.85 / kappa
-    a11, a12 = basis(ra)
-    a21, a22 = basis(rb)
-    ya = doublet.evaluator(ra)[0]
-    yb = doublet.evaluator(rb)[0]
-    det = a11 * a22 - a12 * a21
-    p_coef = (ya * a22 - yb * a12) / det
-    q_coef = (a11 * yb - a21 * ya) / det
-    # the internal ratio is -q/p, and the reported xi its negative
-    return q_coef / p_coef
 
 
 def ac_omega_xi_continued(ch: ACChannel, ext: Extension, E_n: float) -> complex:

@@ -49,6 +49,7 @@ from . import ab_spectrum as ab
 from . import ac_spectrum as ac
 from . import numkernel as nk
 from . import oracle as orc
+from . import printed
 
 __all__ = ["main", "parse_args", "run", "emit_table", "RunSpec"]
 
@@ -294,7 +295,7 @@ def _sweep_row(ch: ab.DiracChannel, ext: ab.Extension, variant: str) -> tuple:
     elif variant == "master":
         level = ab.solve_bound_energy(ch, ext)
     else:
-        level = ab.printed_level(ch, ext, variant)
+        level = printed.printed_level(ch, ext, variant)
     head = (beta, ch.l, ch.s, ch.mu, ch.nu, ch.tau if extended else 0, ext.xi)
     if level is None:
         return (*head, math.nan, math.nan, math.nan)
@@ -376,7 +377,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
         ch = _dirac_channel(params, "ab-density")
         lo, hi, n = _parse_grid(params["energy_grid"])
 
-        density = ab._density_on_rim(ch, ext)
+        density = printed._density_on_rim(ch, ext)
         rows = [(e, density(e * mass)) for e in nk.linear_grid(lo, hi, n)]
         return rows, _DENSITY_COLUMNS
 

@@ -382,10 +382,6 @@ class Bracket:
                 "do not straddle zero"
             )
 
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        return cls(lo, hi, f(lo), f(hi))
-
 
 def find_root_bracketed(
     f: Callable[[float], float],

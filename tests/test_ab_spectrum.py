@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 
 from fluxbound import ab_spectrum as ab
 from fluxbound import numkernel as nk
+from fluxbound import printed as pr
+
+import routes
 
 # frozen golden fixtures
 E_GOLDEN = -0.56600199969254444  # l=0, s=-1, mu=0.25, xi=-1
@@ -290,14 +293,14 @@ class TestPaperOmega:
     def test_finite_and_real_across_gap(self):
         ch = channel(mu=0.25)
         for i in range(-9, 10):
-            val = ab.paper_omega(ch, 0.1 * i)
+            val = pr.paper_omega(ch, 0.1 * i)
             assert math.isfinite(val)
 
     def test_sign_constant_in_energy(self):
         for mu in (0.2, 0.8):
             ch = channel(mu=mu)
             signs = {
-                math.copysign(1.0, ab.paper_omega(ch, 0.1 * i)) for i in range(-9, 10)
+                math.copysign(1.0, pr.paper_omega(ch, 0.1 * i)) for i in range(-9, 10)
             }
             assert len(signs) == 1
 
@@ -307,7 +310,7 @@ class TestPaperOmega:
             ch = ab.DiracChannel(m=1.0, l=0 if s == -1 else -1, s=s, mu=mu)
             if ch.regime is not ab.Regime.EXTENDED:
                 continue
-            lhs = abs(ab.paper_omega(ch, 0.0) / (4.0 * s * 1.0))
+            lhs = abs(pr.paper_omega(ch, 0.0) / (4.0 * s * 1.0))
             rhs = abs(ab.master_xi_of_energy(ch, 0.0))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -315,16 +318,16 @@ class TestPaperOmega:
 class TestPaperOmegaXi:
     def test_reduces_to_omega_at_xi_zero(self):
         ch = channel(mu=0.25)
-        assert ab.paper_omega_xi(ch, ab.Extension.from_xi(0.0), 0.3) == pytest.approx(
-            ab.paper_omega(ch, 0.3), rel=1e-14
+        assert pr.paper_omega_xi(ch, ab.Extension.from_xi(0.0), 0.3) == pytest.approx(
+            pr.paper_omega(ch, 0.3), rel=1e-14
         )
 
     def test_linear_in_xi(self):
         ch = channel(mu=0.25)
         e = -0.4
         lam = math.sqrt(1 - e * e)
-        w1 = ab.paper_omega_xi(ch, ab.Extension.from_xi(2.0), e)
-        w2 = ab.paper_omega_xi(ch, ab.Extension.from_xi(-3.0), e)
+        w1 = pr.paper_omega_xi(ch, ab.Extension.from_xi(2.0), e)
+        w2 = pr.paper_omega_xi(ch, ab.Extension.from_xi(-3.0), e)
         assert w1 - w2 == pytest.approx(4.0 * ch.s * lam * 5.0, rel=1e-12)
 
     def test_vanishes_at_its_own_root(self):
@@ -333,11 +336,11 @@ class TestPaperOmegaXi:
         ch = channel(mu=0.25)
 
         def f(e):
-            return ab.paper_omega_xi(ch, ab.Extension.from_xi(0.6), e)
+            return pr.paper_omega_xi(ch, ab.Extension.from_xi(0.6), e)
 
-        root = nk.find_root_bracketed(f, nk.Bracket.from_function(f, 0.0, 0.95))
-        assert abs(f(root)) <= 1e-9 * abs(ab.paper_omega(ch, root))
-        g = lambda e: ab.paper_omega_xi(ch, ab.Extension.from_xi(-0.6), e)
+        root = nk.find_root_bracketed(f, nk.Bracket(0.0, 0.95, f(0.0), f(0.95)))
+        assert abs(f(root)) <= 1e-9 * abs(pr.paper_omega(ch, root))
+        g = lambda e: pr.paper_omega_xi(ch, ab.Extension.from_xi(-0.6), e)
         assert g(0.0) * g(0.95) > 0.0  # no root at xi < 0 in the printed form
 
 
@@ -346,15 +349,15 @@ class TestPaperLevelVariants:
         e = 0.2
         values = []
         for beta in (0.46, 0.48, 0.49, 0.499):
-            values.append(ab.paper_level_lhs(channel(mu=beta), e, "lev0"))
+            values.append(pr.paper_level_lhs(channel(mu=beta), e, "lev0"))
         diffs = [abs(v + 1.0) for v in values]
         assert diffs == sorted(diffs, reverse=True)
         assert diffs[-1] < 5e-3
 
     def test_lev1_at_mirror_flux_reproduces_lev0(self):
         e = 0.55
-        lhs0 = ab.paper_level_lhs(channel(mu=0.3), e, "lev0")
-        lhs1 = ab.paper_level_lhs(channel(mu=0.7), e, "lev1")
+        lhs0 = pr.paper_level_lhs(channel(mu=0.3), e, "lev0")
+        lhs1 = pr.paper_level_lhs(channel(mu=0.7), e, "lev1")
         assert lhs1 == pytest.approx(lhs0, rel=1e-12)
 
     def test_levab_vs_wronskian_root_ratio(self):
@@ -362,15 +365,15 @@ class TestPaperLevelVariants:
         ch = channel(mu=0.25)
         e = -0.37
         lam = math.sqrt(1 - e * e)
-        levab = ab.paper_level_lhs(ch, e, "levab")
-        wr_root = -ab.paper_omega(ch, e) / (4.0 * ch.s * lam)
+        levab = pr.paper_level_lhs(ch, e, "levab")
+        wr_root = -pr.paper_omega(ch, e) / (4.0 * ch.s * lam)
         assert levab / wr_root == pytest.approx(-(2.0 ** (2.0 * ch.nu)), rel=1e-12)
 
     def test_family_restriction(self):
         with pytest.raises(ab.RegimeError):
-            ab.paper_level_lhs(ab.DiracChannel(m=1, l=1, s=-1, mu=0.25), 0.1, "lev0")
+            pr.paper_level_lhs(ab.DiracChannel(m=1, l=1, s=-1, mu=0.25), 0.1, "lev0")
         with pytest.raises(ab.RegimeError):
-            ab.paper_level_lhs(channel(mu=0.7), 0.1, "lev0")
+            pr.paper_level_lhs(channel(mu=0.7), 0.1, "lev0")
 
 
 class TestPrintedLevel:
@@ -407,13 +410,13 @@ class TestPrintedLevel:
         ch = ab.DiracChannel(m=m, l=l, s=s, mu=mu)
         for xi in (-0.05, -0.4, -1.0, -4.0):
             ext = ab.Extension.from_xi(xi)
-            level = ab.printed_level(ch, ext, variant)
+            level = pr.printed_level(ch, ext, variant)
             f = self.printed_equation(ch, variant, ext.xi)
             lo, hi = math.log(m) - 60.0, math.log(m) - 1e-12
             if f(lo) * f(hi) > 0.0:
                 assert level is None
                 continue
-            lam = math.exp(nk.find_root_bracketed(f, nk.Bracket.from_function(f, lo, hi), tol_x=1e-15))
+            lam = math.exp(nk.find_root_bracketed(f, nk.Bracket(lo, hi, f(lo), f(hi)), tol_x=1e-15))
             sign = math.copysign(1.0, ab.solve_bound_energy(ch, ext).E)
             assert level.lam == pytest.approx(lam, rel=1e-12)
             assert level.E == pytest.approx(sign * math.sqrt(m * m - lam * lam), rel=1e-12)
@@ -423,7 +426,7 @@ class TestPrintedLevel:
         # levab and lev0/lev1 have roots on s = -1 channels, wr00 on s = +1;
         # wr00/levab need |xi| above the prefactor, lev0/lev1 below it
         found = {
-            v: ab.printed_level(channel(l=l, s=s, mu=mu), ab.Extension.from_xi(xi), v)
+            v: pr.printed_level(channel(l=l, s=s, mu=mu), ab.Extension.from_xi(xi), v)
             for v, l, s, mu, xi in (("wr00", -1, 1, 0.3, -1.0), ("levab", 0, -1, 0.3, -1.0),
                                     ("lev0", 0, -1, 0.3, -0.4), ("lev1", 0, -1, 0.7, -0.4))
         }
@@ -431,11 +434,11 @@ class TestPrintedLevel:
 
     def test_no_master_level_means_none(self):
         for v in ("wr00", "levab", "lev0"):
-            assert ab.printed_level(channel(mu=0.3), ab.Extension.from_xi(0.5), v) is None
+            assert pr.printed_level(channel(mu=0.3), ab.Extension.from_xi(0.5), v) is None
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            ab.printed_level(channel(), ab.Extension.from_xi(-1.0), "lev0lev1")
+            pr.printed_level(channel(), ab.Extension.from_xi(-1.0), "lev0lev1")
 
 
 class TestSpectralDensity:
@@ -444,8 +447,8 @@ class TestSpectralDensity:
         ext = ab.Extension.from_xi(-1.0)
         for i in range(60):
             e = 1.001 + (10.0 - 1.001) * i / 59.0
-            assert abs(ab.omega_xi_continued(ch, ext, e)) > 0.0
-            assert abs(ab.omega_xi_continued(ch, ext, -e)) > 0.0
+            assert abs(pr.omega_xi_continued(ch, ext, e)) > 0.0
+            assert abs(pr.omega_xi_continued(ch, ext, -e)) > 0.0
 
     def test_density_nonnegative_and_continuous(self):
         ch = channel(mu=0.25)
@@ -455,7 +458,7 @@ class TestSpectralDensity:
             k_hi = math.sqrt(100.0 - 1.0)
             ks = [k_lo * (k_hi / k_lo) ** (i / 399.0) for i in range(400)]
             dens = [
-                ab.spectral_density(ch, ext, math.sqrt(1.0 + k * k))
+                pr.spectral_density(ch, ext, math.sqrt(1.0 + k * k))
                 for k in ks
             ]
             assert min(dens) >= 0.0
@@ -469,13 +472,13 @@ class TestSpectralDensity:
     def test_pointwise_limit_xi_to_zero(self):
         ch = channel(mu=0.25)
         for e in (1.5, 3.0, -2.2):
-            d0 = ab.spectral_density(ch, ab.Extension.from_xi(0.0), e)
-            d1 = ab.spectral_density(ch, ab.Extension.from_xi(-1e-9), e)
+            d0 = pr.spectral_density(ch, ab.Extension.from_xi(0.0), e)
+            d1 = pr.spectral_density(ch, ab.Extension.from_xi(-1e-9), e)
             assert d1 == pytest.approx(d0, rel=1e-6)
 
     def test_gap_energies_rejected(self):
         with pytest.raises(ab.EnergyDomainError):
-            ab.spectral_density(channel(), ab.Extension.from_xi(-1.0), 0.5)
+            pr.spectral_density(channel(), ab.Extension.from_xi(-1.0), 0.5)
 
 
 class TestBoundDoublet:
@@ -532,7 +535,7 @@ class TestBoundDoublet:
             ch = channel(mu=mu)
             level = ab.solve_bound_energy(ch, ab.Extension.from_xi(xi))
             doublet = ab.bound_doublet(level)
-            fitted = ab.fit_boundary_xi(doublet, ch)
+            fitted = routes.fit_boundary_xi(doublet, ch)
             assert fitted == pytest.approx(xi, rel=1e-8, abs=1e-10)
 
     def test_declared_small_r_slopes(self):
@@ -669,7 +672,7 @@ class TestContinuumDoublet:
         ch = channel(mu=0.25)
         for e_val in (1.5, -2.0):
             doublet = ab.continuum_doublet(ch, ab.Extension.from_xi(-1.0), e_val)
-            assert ab.fit_boundary_xi(doublet, ch) == pytest.approx(-1.0, rel=1e-8)
+            assert routes.fit_boundary_xi(doublet, ch) == pytest.approx(-1.0, rel=1e-8)
 
     def test_solves_radial_system(self):
         ch = channel(mu=0.3)
@@ -719,14 +722,14 @@ class TestConjugateChannel:
     def test_involution(self):
         ch = channel(l=2, s=-1, mu=0.3)
         ext = ab.Extension.from_xi(-0.8)
-        twice_ch, twice_ext = ab.conjugate_channel(*ab.conjugate_channel(ch, ext))
+        twice_ch, twice_ext = routes.conjugate_channel(*routes.conjugate_channel(ch, ext))
         assert twice_ch == ch
         assert twice_ext == ext
 
     def test_indices_invariant_curve_identical(self):
         ch = channel(mu=0.25)
         ext = ab.Extension.from_xi(-1.0)
-        mapped, mext = ab.conjugate_channel(ch, ext)
+        mapped, mext = routes.conjugate_channel(ch, ext)
         assert mapped.nu_tilde == -ch.nu_tilde
         assert mapped.s == -ch.s
         assert mapped.nu == ch.nu
@@ -741,6 +744,6 @@ class TestConjugateChannel:
 
     def test_zero_mode_channel_maps_to_zero_mode_channel(self):
         ch = channel(mu=0.5)  # nu = 0 critical (midgap zero-mode channel)
-        mapped, _ = ab.conjugate_channel(ch, ab.Extension.from_xi(-1.0))
+        mapped, _ = routes.conjugate_channel(ch, ab.Extension.from_xi(-1.0))
         assert mapped.nu == 0.0
         assert mapped.regime is ab.Regime.CRITICAL

