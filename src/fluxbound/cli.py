@@ -417,8 +417,8 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
             # it sets numerov_dx, and the diagnostic ladder integrates at up
             # to 4 times it, which must stay below 1.  A check's cost grows
             # as 1/resolution, while rounding stops the levels from improving
-            # below about 1e-2: the golden Dirac shoot lands 8.8e-14 m from
-            # the analytic level at 1e-2, 1.8e-12 m at 1e-3 and 6.4e-11 m at
+            # below about 1e-2: the golden Dirac shoot lands 2.3e-14 m from
+            # the analytic level at 1e-2, 2.9e-14 m at 1e-3 and 6.8e-13 m at
             # 1e-4, where each integration takes 100000 steps
             if not 1e-3 <= resolution < 0.25:
                 raise UsageError(f"--resolution must lie in [1e-3, 0.25), got {resolution!r}")

@@ -2,10 +2,10 @@
 
 The oracle never touches the analytic level formulas: it seeds the radial
 problem with the extension-family boundary template (each branch continued
-by the summed Frobenius series of the ODE itself), integrates outward, and
-measures the admixture of the growing mode deep in the classically forbidden
-tail via a cross product with the decaying asymptotic solution.  Bound
-levels are the energies where that mismatch vanishes.
+by the summed Frobenius series of the ODE itself) and measures the
+template's admixture of the mode that grows deep in the classically
+forbidden tail, as its cross product with the decaying asymptotic solution.
+Bound levels are the energies where that mismatch vanishes.
 
 The extension parameter fixes the template at r = 0, and away from the
 origin the radial equations hold no length but the tail decay length 1/k, so
@@ -18,28 +18,33 @@ u'' = [(g^2 - 1/4)/r^2 + k^2] u of the neutral-fermion sector with
 g = |l + mu| and k = lambda.  The Frobenius series converges at every
 radius, and for an index above -1 every term is positive, so nothing cancels
 (DLMF 10.25.2); the template is evaluated directly out to the seed radius
-z = 2, past the power-law zone where Numerov loses most, and Numerov
-integrates one linear grid from there through 10 decay lengths of the tail,
-to z = 12, in steps of numerov_dx (100 at the default 0.1).  An error in the
-decaying solution reaches the growing-mode coefficient damped by
-exp(-2(12 - z)), so on the A3 grids a tail to z = 40 moves no level by more
-than 8.2e-14 m, and the one resolution knob is the step numerov_dx; the
-error falls as its fourth power.
+z = 2, past the power-law zone where Numerov loses most.  Numerov's one
+linear grid runs from there through 10 decay lengths of the tail, to
+z = 12, in steps of numerov_dx (100 at the default 0.1), and the one
+resolution knob is that step; the error falls as its fourth power.
 
-The mismatch is the growing-mode coefficient times a smooth positive scale
-(the cross product over the grid's free growth exp(10)), so no value needs
-renormalizing.  It takes one Numerov sweep, not one integration per energy:
-in z neither the equation u'' = [(g^2 - 1/4)/z^2 + 1] u nor the grid holds
-the energy, the template c_reg r^p F_p + c_irr r^-p F_-p (in r^(-1/2) u)
-holds it only in its coefficients, and Numerov is linear.  So the mismatch
+The mismatch of a solution is its cross product with the decaying
+asymptote at the grid's last two points, over the grid's free growth
+exp(10): the growing-mode coefficient times a smooth positive scale, so no
+value needs renormalizing.  Numerov's three-term form conserves the
+discrete Wronskian of any two solutions exactly (Blatt, J. Comput. Phys. 1
+(1967) 382), so that cross product is read at the seed instead: one sweep
+carries the decaying asymptote inward from z = 12 to z = 2, the direction in
+which it grows, and every solution's mismatch is its cross product with the
+swept asymptote at the first two grid points.  The inward sweep damps the
+error of the asymptote's tail values, so on the A3 grids a tail to z = 40
+moves no level by more than 1.4e-15 m.  It takes one sweep, not one
+integration per energy: in z neither the equation
+u'' = [(g^2 - 1/4)/z^2 + 1] u nor the grid holds the energy, the template
+c_reg r^p F_p + c_irr r^-p F_-p (in r^(-1/2) u) holds it only in its
+coefficients, and the mismatch is linear in the solution.  So the mismatch
 at E is, to rounding,
 
     k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr)
         = c_irr k^(p - 1/2) M_irr (1 + rho/R),    rho = c_reg k^(-2p)/c_irr,
 
-with M_reg and M_irr the mismatches of the branches z^(+-p) F_(+-p)
-integrated at k = 1, both in that one sweep (each step's x, coefficient and
-denominator serve both branches), and R = M_irr/M_reg their connection
+with M_reg and M_irr the mismatches of the branches z^(+-p) F_(+-p) at
+k = 1, both read from that one sweep, and R = M_irr/M_reg their connection
 ratio.  A level is where rho = -R.  rho < 0 for every xi < 0, so a level
 exists exactly when R > 0, and it solves ln|rho(x)| = ln R on the whole
 real line of the sector's scan variable x, where, with softplus(x) =
@@ -58,9 +63,9 @@ Each line is strictly monotone, so each xi < 0 has one level, which _root
 brackets in closed form; the scan variables cover the whole gap and the
 whole negative axis.  Both sectors run one skeleton, ``_shoot``, which does
 this at the base step and, with diagnostics on, at twice and four times it
-(the discretization ladder); ``OracleResult.evaluations`` counts its branch
-integrations, 2 per solve, and ``OracleResult.numerov_steps`` the steps of
-its sweeps, one per solve.
+(the discretization ladder); ``OracleResult.evaluations`` counts the
+Numerov solutions it integrates, one per solve, and
+``OracleResult.numerov_steps`` the steps of its sweeps.
 
 The oracle stays independent of the analytic route: it uses the ODE, its
 Frobenius template (the kernel's ``frobenius_factor``), linearity and this
@@ -72,6 +77,7 @@ R's error over the line's slope in x.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -101,14 +107,15 @@ class ShootingConfig:
     numerov_dx is the Numerov grid step of both sectors in units of 1/k, the
     oracle's only length, with k the tail decay constant (lambda =
     sqrt(1 - E^2) for Dirac, kappa = sqrt(-2E) for Schroedinger, in units of
-    m).  The default 0.1 takes 100 steps from z = 2 to z = 12 and puts the
-    golden shoots 2.1e-10 m (Dirac) and 3.4e-9 m (neutral fermion) off; at
-    0.05 four of the 50 A3 ladders fall below the rounding floor and give no
-    order.  Every integrated step stays below 1, and with diagnostics on the
-    coarsest ladder rung integrates at 4*numerov_dx, so numerov_dx lies below
-    0.25 (below 1 with diagnostics off): at 0.24 the golden shoots are
-    9.1e-9 m (Dirac) and 9.6e-8 m (neutral fermion) off.  diagnostics
-    enables the coarsened-step re-solves (see _shoot).
+    m).  At the default 0.1 a solve's one sweep takes 100 steps, from z = 12
+    in to z = 2, and the golden shoots land 2.1e-10 m (Dirac) and 3.4e-9 m
+    (neutral fermion) off; at 0.05 four of the 50 A3 ladders fall below the
+    rounding floor and give no order.  Every integrated step stays below 1,
+    and with diagnostics on the coarsest ladder rung integrates at
+    4*numerov_dx, so numerov_dx lies below 0.25 (below 1 with diagnostics
+    off): at 0.24 the golden shoots are 9.1e-9 m (Dirac) and 9.6e-8 m
+    (neutral fermion) off.  diagnostics enables the coarsened-step re-solves
+    (see _shoot).
     """
 
     numerov_dx: float = 0.1
@@ -130,12 +137,12 @@ class OracleResult:
     energy units: 1e-15 |dE/dx|, so 1e-15 m sech(s/2)^2/2 for Dirac and
     1e-15 |E| for the neutral fermion, whose root is exact (see _root).
 
-    evaluations counts the shoot's branch integrations, two (the template's
-    two branches) per solve: 2 with diagnostics off and 6 with them on.  One
-    Numerov sweep carries both branches of a solve, and numerov_steps is the
-    sum of its sweeps' steps: 100 at the default step with diagnostics off,
-    and 175 with them on, where the ladder's two probes take 0.75 times the
-    base solve's steps.
+    evaluations counts the Numerov solutions the shoot integrates, one per
+    solve (the decaying asymptote, from which both template branches read
+    their mismatches): 1 with diagnostics off and 3 with them on.
+    numerov_steps is the sum of its sweeps' steps: 100 at the default step
+    with diagnostics off, and 175 with them on, where the ladder's two
+    probes take 0.75 times the base solve's steps.
 
     error_estimate is Richardson's a-posteriori error of E, |E(dx) -
     E(2dx)|/15 for the Numerov step dx = numerov_dx.  The factor 15 =
@@ -179,11 +186,48 @@ def _branch_values(p: float, z: float) -> tuple[float, float]:
 def _branch_pair(
     p: float, dx: float, at_seed: Optional[tuple[float, float]] = None
 ) -> tuple[float, float]:
-    """(M_reg, M_irr): the mismatches of the branches z^(+-p) F_(+-p)(z^2)
-    on the k = 1 grid at step dx, both from one Numerov sweep.  at_seed is
-    the pair's value at the seed radius, the same at every step, which a
-    shoot computes once for all its rungs."""
-    return _numerov_miss(abs(p), 1.0, lambda z: _branch_values(p, z), dx, at_seed)
+    """(M_reg, M_irr): the tail mismatches of the branches z^(+-p) F_(+-p)(z^2)
+    on the k = 1 grid at step dx, both read at the seed from one inward
+    sweep.  at_seed is the pair's value at the seed radius, the same at
+    every step, which a shoot computes once for all its rungs.
+
+    The grid runs from the seed z_0 = _SEED_Z to the tail end z_n = _TAIL_Z
+    in n = _sweep_steps(dx) steps.  A branch's mismatch is its cross
+    product u_n a_(n-1) - u_(n-1) a_n with the decaying asymptote
+    a(z) = e^(-z) (1 + w1/z + w2/z^2) at the last two grid points, times
+    the free growth's inverse exp(-(z_n - z_0)): the growing-mode
+    coefficient times a smooth positive scale.  Numerov's t-form
+    t_i = d_i u_i, d_i = 1 - h^2 w_i/12, conserves the discrete Wronskian
+    t_(i+1) s_i - t_i s_(i+1) of any two solutions exactly, so the
+    asymptote, swept inward to z_0 (see _numerov_in), gives every branch's
+    mismatch as its cross product with the branch's summed series at z_0
+    and z_1.  The asymptote's tail values are divided by d_(n-1) d_n, so
+    that the seed's t-form cross product is the tail's in u.
+    """
+    n = _sweep_steps(dx)
+    h = (_TAIL_Z - _SEED_Z) / n
+    g2 = p * p
+    c = g2 - 0.25
+    hh_12 = h * h / 12.0
+
+    def d(z: float) -> float:
+        return 1.0 - hh_12 * (c / (z * z) + 1.0)
+
+    z_b = _SEED_Z + (n - 1) * h
+    w1 = (4.0 * g2 - 1.0) / 8.0
+    w2 = (4.0 * g2 - 1.0) * (4.0 * g2 - 9.0) / 128.0
+    scale = math.exp(-(_TAIL_Z - _SEED_Z))
+    a_n = scale * math.exp(z_b - _TAIL_Z) * (1.0 + w1 / _TAIL_Z + w2 / (_TAIL_Z * _TAIL_Z))
+    a_b = scale * (1.0 + w1 / z_b + w2 / (z_b * z_b))
+    t_tail = (a_n / d(z_b), a_b / d(_TAIL_Z))
+    t_0, t_1 = _numerov_in(c, 1.0, h, _inner_q(_SEED_Z, _TAIL_Z, n), t_tail)
+    z_1 = _SEED_Z + h
+    reg_0, irr_0 = _branch_values(p, _SEED_Z) if at_seed is None else at_seed
+    reg_1, irr_1 = _branch_values(p, z_1)
+    # U_1 T_0 - U_0 T_1, with U_i = d_i sqrt(z_i) times the branch's series
+    s_0 = d(_SEED_Z) * math.sqrt(_SEED_Z) * t_1
+    s_1 = d(z_1) * math.sqrt(z_1) * t_0
+    return reg_1 * s_1 - reg_0 * s_0, irr_1 * s_1 - irr_0 * s_0
 
 
 # mix(x) -> (k, c_reg, c_irr): the tail decay constant and the template's
@@ -215,7 +259,8 @@ _LN_MAX = math.log(sys.float_info.max)
 # Brent's tolerance in the scan variable, for the base root and every probe
 _ROOT_TOL = 1e-15
 # below this |E(dx) - E(2dx)| (in units of m) the rung difference is rounding
-# noise: at dx = 1e-3 it reads 2.5e-14 to 3.1e-12 and the orders -5 to 6
+# noise: at dx = 1e-3 on the A3 grids it reads 4.1e-16 to 6.2e-13 and the
+# orders -6.9 to 0.7
 _ORDER_FLOOR = 1e-11
 
 # (a, b, c): ln|rho(x)| = a x + b softplus(x) + c over a sector's scan
@@ -262,7 +307,7 @@ def _shoot(
 
     p and line are the sector's (see the module docstring); to_e(x) gives E/m
     and |d(E/m)/dx|.  Each rung, the step dx and with diagnostics 2dx and 4dx,
-    integrates the branch pair in one sweep, reads R and solves the line (see
+    reads the branch pair from one sweep, forms R and solves the line (see
     _root).  The pair's value at the seed radius is the same on every rung,
     so it is computed once.
     None where a rung's R is not positive or E is not finite.  The order is
@@ -285,8 +330,8 @@ def _shoot(
     e0, de_dx = to_e(roots[0])
     if not math.isfinite(m * e0):
         return None
-    # each solve integrates the template's two branches
-    evals = 2 * len(factors)
+    # each solve integrates one solution, the decaying asymptote
+    evals = len(factors)
     resid_e = m * _ROOT_TOL * de_dx
     if not cfg.diagnostics:
         return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals, numerov_steps=steps)
@@ -344,16 +389,17 @@ def _dirac_line(ch: DiracChannel, xi: float) -> tuple[float, Line]:
 def dirac_shoot(
     ch: DiracChannel, ext: Extension, cfg: ShootingConfig = ShootingConfig()
 ) -> Optional[OracleResult]:
-    """Bound level of the Dirac channel from outward shooting, or None.
+    """Bound level of the Dirac channel from Numerov shooting, or None.
 
     Seeds f1 from the domain template with the channel-sign component
-    pairing and internal weight s*xi (see _dirac_template), integrates its
-    exact second-order equation f1'' = [a(a - 1)/r^2 + lambda^2] f1 into the
-    tail, and solves for the growing-mode admixture's zero over the whole
-    line of s = ln((1 - u)/(1 + u)), u = tau*E/m.  Since s(E + 1) does not
-    vanish in the gap, f2 = ((a/r) f1 - f1')/(s(E + 1)) decays exactly when
-    f1 does.  Every xi < 0 has a level, whose E rounds to -+m where lambda
-    falls below 1.5e-8 m; None for xi >= 0.
+    pairing and internal weight s*xi (see _dirac_template), matches it to the
+    tail of its exact second-order equation
+    f1'' = [a(a - 1)/r^2 + lambda^2] f1, and solves for the growing-mode
+    admixture's zero over the whole line of s = ln((1 - u)/(1 + u)),
+    u = tau*E/m.  Since s(E + 1) does not vanish in the gap,
+    f2 = ((a/r) f1 - f1')/(s(E + 1)) decays exactly when f1 does.  Every
+    xi < 0 has a level, whose E rounds to -+m where lambda falls below
+    1.5e-8 m; None for xi >= 0.
     """
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("dirac_shoot: requires an extended-regime channel")
@@ -384,7 +430,7 @@ def count_dirac_levels(
 
     A shoot never evaluates the mismatch: the level's uniqueness rests on
     its line's monotonicity.  The count scans the closed-form mismatch
-    itself, from one pair of branch integrations, and so checks that
+    itself, from one branch pair read from one sweep, and so checks that
     uniqueness independently.  The scan's ends are the doubles next to
     u = tau*E/m = -+1, so it counts every level whose u lies between them
     and none whose E rounds to -+m; one whose u rounds to an end may miss."""
@@ -402,101 +448,49 @@ def count_dirac_levels(
 # ---------------------------------------------------------------------------
 
 
-def _numerov_pass(
-    c: float,
-    k2: float,
-    y0: tuple[float, float],
-    y1: tuple[float, float],
-    x0: float,
-    h: float,
-    n: int,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """n Numerov steps for y'' = (c/x^2 + k2) y on x = x0 + i*h, for two
-    solutions at once.
+# the grid memo's bound: a shoot's three rungs and a few more steps
+_GRID_MEMO = 8
 
-    y0 and y1 hold both solutions' values at x0 and x0 + h; returns their
-    values at the last two grid points, (y_(n-1), y_n), each a pair.  Each
-    step computes x, the coefficient w and the denominator 1 - h^2 w/12 once
-    and applies them to both solutions, each of which otherwise takes the
-    operations of a one-solution sweep, in the same order.  Nothing is
-    renormalized: over the oracle's grids, 10 decay lengths long, the
-    solutions grow by about e^10.
+
+@functools.lru_cache(maxsize=_GRID_MEMO)
+def _inner_q(x_first: float, x_last: float, n: int) -> tuple[float, ...]:
+    """q_i = 1/x_i^2 at the inner points of the n-step grid from x_first to
+    x_last, in the inward order i = n - 1, ..., 1.  The grid holds neither
+    energy nor channel, so its ends and step count are the whole key."""
+    h = (x_last - x_first) / n
+    return tuple(1.0 / (x * x) for x in (x_first + i * h for i in range(n - 1, 0, -1)))
+
+
+def _numerov_in(
+    c: float, k2: float, h: float, q: Sequence[float], t_last: tuple[float, float]
+) -> tuple[float, float]:
+    """One solution of y'' = (c/x^2 + k2) y swept inward by Numerov, in its
+    t-form t_i = (1 - h^2 w_i/12) y_i with w_i = c q_i + k2.
+
+    q holds q_i = 1/x_i^2 at the grid's inner points, outermost first (see
+    _inner_q), and t_last the solution's (t_n, t_(n-1)); returns (t_0, t_1),
+    each step being t_(i-1) = B_i t_i - t_(i+1) with
+    B_i = 2 + h^2 w_i/(1 - h^2 w_i/12).  Nothing is renormalized: over the
+    oracle's grids, 10 decay lengths long, the decaying solution grows
+    inward by about e^10.
     """
     hh = h * h
-    h2_12 = hh / 12.0
-    x1 = x0 + h
-    w = c / (x1 * x1) + k2
-    d0 = 1.0 - h2_12 * (c / (x0 * x0) + k2)
-    d1 = 1.0 - h2_12 * w
-    (a0, b0), (a1, b1) = y0, y1
-    # t = (1 - h^2 w/12) y, advanced by t_next = 2 t - t_prev + h^2 w y
-    ta0, ta1 = a0 * d0, a1 * d1
-    tb0, tb1 = b0 * d0, b1 * d1
-    for i in range(2, n + 1):
-        hw = hh * w
-        ta0, ta1 = ta1, 2.0 * ta1 - ta0 + hw * a1
-        tb0, tb1 = tb1, 2.0 * tb1 - tb0 + hw * b1
-        x = x0 + i * h
-        w = c / (x * x) + k2
-        d = 1.0 - h2_12 * w
-        a0, a1 = a1, ta1 / d
-        b0, b1 = b1, tb1 / d
-    return (a0, b0), (a1, b1)
+    hc, hk2 = hh * c, hh * k2
+    # 1 - h^2 w_i/12 = d_k - hc_12 q_i
+    d_k, hc_12 = 1.0 - hk2 / 12.0, hc / 12.0
+    t_out, t = t_last
+    for qi in q:
+        # B_i t - t_out summed as (2 t - t_out) + (B_i - 2) t: B_i rounded
+        # whole would carry h^2 w_i to ulp(2) alone, a bias that builds up
+        # over the sweep where w is nearly constant
+        t_out, t = t, t + t - t_out + (hc * qi + hk2) / (d_k - hc_12 * qi) * t
+    return t, t_out
 
 
 def _sweep_steps(dx: float) -> int:
-    """Numerov steps of one sweep at step dx: counted in z, so that every k
-    takes the same n as the shared branch pair at k = 1."""
+    """Numerov steps of one sweep at step dx, counted in z from the seed
+    _SEED_Z to the tail end _TAIL_Z."""
     return math.ceil((_TAIL_Z - _SEED_Z) / dx)
-
-
-def _numerov_miss(
-    g: float,
-    k: float,
-    seed: Callable[[float], tuple[float, float]],
-    dx: float,
-    at_seed: Optional[tuple[float, float]] = None,
-) -> tuple[float, float]:
-    """Tail mismatches of two solutions of u'' = [(g^2 - 1/4)/r^2 + k^2] u,
-    from one Numerov sweep.
-
-    The grid runs from the seed radius _SEED_Z/k to the tail end _TAIL_Z/k
-    in _sweep_steps(dx) steps.  Each mismatch is the cross product of the
-    solution's last two tail values with the decaying asymptote
-    sqrt(r) K_g(k r), times exp(-k*(r_tail - r_seed)): the growing-mode
-    coefficient times a smooth positive scale.  The asymptote and the scale
-    are evaluated once for both solutions.
-
-    seed(r) gives r^(-1/2) u(r) of both solutions: the sector's domain
-    template or its branches, each continued by its summed Frobenius factor,
-    which converges at every r.  Its values at the first two grid points
-    start the grid; at_seed, when given, is its value at r_seed.  Evaluating
-    the series out to r_seed, instead of transporting the mixture
-    numerically from deep inside the power-law zone, keeps the microscopic
-    regular-branch share (relative error / r^(2 g)) exact.
-    """
-    r_seed, r_tail = _SEED_Z / k, _TAIL_Z / k
-    n = _sweep_steps(dx)
-    h_r = (r_tail - r_seed) / n
-    r_1 = r_seed + h_r
-    a_0, b_0 = seed(r_seed) if at_seed is None else at_seed
-    a_1, b_1 = seed(r_1)
-    s_0, s_1 = math.sqrt(r_seed), math.sqrt(r_1)
-    u_0, u_1 = (s_0 * a_0, s_0 * b_0), (s_1 * a_1, s_1 * b_1)
-    g2 = g * g
-    (ub_a, ub_b), (ua_a, ua_b) = _numerov_pass(g2 - 0.25, k * k, u_0, u_1, r_seed, h_r, n)
-    rb = r_seed + (n - 1) * h_r
-    ra = r_tail
-    w1 = (4.0 * g2 - 1.0) / 8.0
-    w2 = (4.0 * g2 - 1.0) * (4.0 * g2 - 9.0) / 128.0
-
-    def asym(r: float) -> float:
-        zr = k * r
-        return math.exp(-k * (r - rb)) * (1.0 + w1 / zr + w2 / (zr * zr))
-
-    asym_b, asym_a = asym(rb), asym(ra)
-    scale = math.exp(-k * (r_tail - r_seed))
-    return (ua_a * asym_b - ub_a * asym_a) * scale, (ua_b * asym_b - ub_b * asym_a) * scale
 
 
 def _ac_line(g: float, xi: float) -> tuple[float, Line]:

@@ -186,9 +186,12 @@ def _continued_omega(ch: DiracChannel, ext: Extension) -> Callable[[float], comp
     def omega(E: float) -> complex:
         if not abs(E) > m:
             raise EnergyDomainError(f"omega_xi_continued: need |E| > m, got E={E}")
-        # (|E| - m)(|E| + m) overflows for m near the largest accepted masses
+        # (|E| - m)(|E| + m) overflows for m near the largest accepted
+        # masses, and (e - 1)(e + 1) for e above about 1.3e154, where the
+        # roots are taken apart
         e = abs(E) / m
-        k = m * math.sqrt((e - 1.0) * (e + 1.0))
+        k2 = (e - 1.0) * (e + 1.0)
+        k = m * (math.sqrt(k2) if k2 < math.inf else math.sqrt(e - 1.0) * math.sqrt(e + 1.0))
         lam_c = complex(0.0, -math.copysign(1.0, E)) * k
         return _printed_omega(ratio, nu, s, m, lam_c) + 4.0 * s * lam_c * xi_int
 

@@ -3,8 +3,9 @@
 Each function here re-derives a closed-form result by another road: a
 boundary parameter fitted from a profile's small-r coefficients, a level
 found by Brent's method on its level equation, a channel mapped to its
-radial conjugate.  No CLI command uses them, so they live beside the tests
-that call them rather than in the package.
+radial conjugate, a tail mismatch integrated outward from the seed.  No
+CLI command uses them, so they live beside the tests that call them rather
+than in the package.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 from fluxbound import ab_spectrum as ab
 from fluxbound import ac_spectrum as ac
 from fluxbound import numkernel as nk
+from fluxbound import oracle as orc
 
 # the two radii, in units of 1/m, of fit_boundary_xi's small-r fit
 _FIT_MR = (1e-7, 1e-5)
@@ -119,3 +121,77 @@ def ac_solve_cross_check(ch: ac.ACChannel, ext: ab.Extension) -> ac.ACLevel:
     return ac.ACLevel(
         E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=abs(ac._omega(quotient, g, m, E_n) + xi)
     )
+
+
+def numerov_pass(c, k2, y0, y1, x0, h, n):
+    """n Numerov steps for y'' = (c/x^2 + k2) y on x = x0 + i*h, for two
+    solutions at once.
+
+    y0 and y1 hold both solutions' values at x0 and x0 + h; returns their
+    values at the last two grid points, (y_(n-1), y_n), each a pair.  Each
+    step computes x, the coefficient w and the denominator 1 - h^2 w/12 once
+    and applies them to both solutions.  Nothing is renormalized: over the
+    oracle's grids, 10 decay lengths long, the solutions grow by about e^10.
+    """
+    hh = h * h
+    h2_12 = hh / 12.0
+    x1 = x0 + h
+    w = c / (x1 * x1) + k2
+    d0 = 1.0 - h2_12 * (c / (x0 * x0) + k2)
+    d1 = 1.0 - h2_12 * w
+    (a0, b0), (a1, b1) = y0, y1
+    # t = (1 - h^2 w/12) y, advanced by t_next = 2 t - t_prev + h^2 w y
+    ta0, ta1 = a0 * d0, a1 * d1
+    tb0, tb1 = b0 * d0, b1 * d1
+    for i in range(2, n + 1):
+        hw = hh * w
+        ta0, ta1 = ta1, 2.0 * ta1 - ta0 + hw * a1
+        tb0, tb1 = tb1, 2.0 * tb1 - tb0 + hw * b1
+        x = x0 + i * h
+        w = c / (x * x) + k2
+        d = 1.0 - h2_12 * w
+        a0, a1 = a1, ta1 / d
+        b0, b1 = b1, tb1 / d
+    return (a0, b0), (a1, b1)
+
+
+def numerov_miss(g, k, seed, dx):
+    """Tail mismatches of two solutions of u'' = [(g^2 - 1/4)/r^2 + k^2] u,
+    integrated outward in one Numerov sweep: the oracle's route before it
+    swept the decaying asymptote inward.
+
+    The grid runs from the seed radius _SEED_Z/k to the tail end _TAIL_Z/k
+    in _sweep_steps(dx) steps.  Each mismatch is the cross product of the
+    solution's last two tail values with the decaying asymptote
+    sqrt(r) K_g(k r), times exp(-k*(r_tail - r_seed)).  seed(r) gives
+    r^(-1/2) u(r) of both solutions, and its values at the first two grid
+    points start the grid.
+    """
+    r_seed, r_tail = orc._SEED_Z / k, orc._TAIL_Z / k
+    n = orc._sweep_steps(dx)
+    h_r = (r_tail - r_seed) / n
+    r_1 = r_seed + h_r
+    a_0, b_0 = seed(r_seed)
+    a_1, b_1 = seed(r_1)
+    s_0, s_1 = math.sqrt(r_seed), math.sqrt(r_1)
+    u_0, u_1 = (s_0 * a_0, s_0 * b_0), (s_1 * a_1, s_1 * b_1)
+    g2 = g * g
+    (ub_a, ub_b), (ua_a, ua_b) = numerov_pass(g2 - 0.25, k * k, u_0, u_1, r_seed, h_r, n)
+    rb = r_seed + (n - 1) * h_r
+    w1 = (4.0 * g2 - 1.0) / 8.0
+    w2 = (4.0 * g2 - 1.0) * (4.0 * g2 - 9.0) / 128.0
+
+    def asym(r):
+        zr = k * r
+        return math.exp(-k * (r - rb)) * (1.0 + w1 / zr + w2 / (zr * zr))
+
+    asym_b, asym_a = asym(rb), asym(r_tail)
+    scale = math.exp(-k * (r_tail - r_seed))
+    return (ua_a * asym_b - ub_a * asym_a) * scale, (ua_b * asym_b - ub_b * asym_a) * scale
+
+
+def outward_branch_pair(p, dx):
+    """(M_reg, M_irr) of the branches z^(+-p) F_(+-p)(z^2) on the k = 1
+    grid, both integrated outward to the tail: the reference for the
+    oracle's inward _branch_pair."""
+    return numerov_miss(abs(p), 1.0, lambda z: orc._branch_values(p, z), dx)

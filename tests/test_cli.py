@@ -348,6 +348,30 @@ class TestRunCommands:
                 assert got[0] == want[0]
                 assert got[1] * float(mass) == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("grid", ["2:1e200:3", "-1e200:-5e199:3"])
+    def test_density_beyond_the_overflow_of_k_squared(self, capsys, grid):
+        # (e - 1)(e + 1) overflows for e above about 1.3e154, and these rows
+        # exited 2 with "density must be finite"; the density falls as
+        # |E|^-(1 + 2 nu) there, 2.69e-302 at |E| = 1e200
+        assert cli.main(["ab-density", "--mu", "0.25", "--xi", "-1", f"--energy-grid={grid}"]) == 0
+        rows = {
+            abs(float(e)): float(d)
+            for e, d in (line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+        }
+        assert len(rows) == 3 and all(math.isfinite(d) and d > 0.0 for d in rows.values())
+        assert rows[1e200] == pytest.approx(2.6896319582317064e-302, rel=1e-12)
+        assert rows[1e200] / rows[5e199] == pytest.approx(2.0**-1.5, rel=1e-12)
+
+    def test_density_continues_across_the_overflow_of_k_squared(self, capsys):
+        # either side of e = 1.3e154, k is sqrt((e - 1)(e + 1)) and
+        # sqrt(e - 1) sqrt(e + 1), and the density keeps its power law
+        argv = ["ab-density", "--mu", "0.25", "--xi", "-1", "--energy-grid=1e154:2e154:2"]
+        assert cli.main(argv) == 0
+        (_, lo), (_, hi) = (
+            map(float, line.split(",")) for line in capsys.readouterr().out.splitlines()[1:]
+        )
+        assert hi / lo == pytest.approx(2.0**-1.5, rel=1e-12)
+
     def test_wavefunction_table(self):
         code, out, _ = run_cli(
             ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", "0.1:5:7"]
@@ -596,32 +620,75 @@ _COMMANDS = st.one_of(
     _MU.map(lambda mu: ["oracle-check", "--mu", mu]),
     _GAMMA.map(lambda g: ["oracle-check", "--sector", "ac", "--gamma", g]),
 )
+# oracle-check's resolution over its whole range [1e-3, 0.25), or the default
+_RESOLUTION = st.one_of(
+    st.just([]),
+    st.sampled_from([1e-3, 0.2499]).map(lambda r: [f"--resolution={r!r}"]),
+    st.floats(1e-3, 0.25, exclude_max=True).map(lambda r: [f"--resolution={r!r}"]),
+)
+# the default mass, the edges of the accepted range (1.5e-154 to 1.3e154)
+# and beyond them, or any double
+_MASS = st.one_of(
+    st.just([]),
+    st.sampled_from([1.5e-154, 1.3e154, 1.4e-154, 2e154, 0.0, -1.0, 3.0])
+    | st.floats(1e-3, 1e3)
+    | st.floats(),
+).map(lambda m: m if m == [] else [f"--mass={m!r}"])
 
 
 class TestExtensionContract:
     """Every extension parameter, at the edges of the double range and off
-    them, gives exit 0 with finite rows or exit 2 with one JSON line."""
+    them, with oracle-check's resolution anywhere in [1e-3, 0.25) and any
+    mass, gives exit 0 with finite rows or exit 2 with one JSON line."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(command=_COMMANDS, extension=_EXTENSIONS)
-    @example(command=["ac-sweep", "--gamma-grid", "0.001:0.5:3"], extension=["--xi", "-0.001"])
-    @example(command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e-300"])
-    @example(command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e300"])
-    @example(command=["ab-solve", "--mu", "0.25"], extension=["--xi", "-inf"])
+    @settings(max_examples=400, deadline=None)
+    @given(command=_COMMANDS, extension=_EXTENSIONS, resolution=_RESOLUTION, mass=_MASS)
+    @example(
+        command=["ac-sweep", "--gamma-grid", "0.001:0.5:3"],
+        extension=["--xi", "-0.001"],
+        resolution=[],
+        mass=[],
+    )
+    @example(
+        command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e-300"], resolution=[], mass=[]
+    )
+    @example(
+        command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e300"], resolution=[], mass=[]
+    )
+    @example(
+        command=["ab-solve", "--mu", "0.25"], extension=["--xi", "-inf"], resolution=[], mass=[]
+    )
     @example(  # E rounds to -m exactly, with lambda = 1.05e-8 m
         command=["ab-wavefunction", "--mu", "0.25", "--r-grid", "0.1:5:5"],
         extension=["--xi", "-883873354192"],
+        resolution=[],
+        mass=[],
     )
-    def test_exit_0_with_finite_rows_or_exit_2(self, command, extension):
-        code, out, err = main_in_process(command + extension)
-        if command[0] == "oracle-check" and command[-1] != "0":
+    @example(  # the finest resolution at the largest accepted mass
+        command=["oracle-check", "--mu", "0.25"],
+        extension=["--xi", "-1"],
+        resolution=["--resolution=0.001"],
+        mass=["--mass=1.3e154"],
+    )
+    @example(  # the coarsest resolution at the smallest accepted mass
+        command=["oracle-check", "--sector", "ac", "--gamma", "0.5"],
+        extension=["--xi", "-1e-10"],
+        resolution=["--resolution=0.2499"],
+        mass=["--mass=1.5e-154"],
+    )
+    def test_exit_0_with_finite_rows_or_exit_2(self, command, extension, resolution, mass):
+        oracle = command[0] == "oracle-check"
+        argv = command + (resolution if oracle else []) + extension + mass
+        code, out, err = main_in_process(argv)
+        if oracle and command[-1] != "0":
             # the oracle reaches every level of an extended channel that the
-            # analytic route finds (gamma = 0 is log-critical, not extended)
+            # analytic route finds (gamma = 0 is log-critical, not extended),
+            # at every resolution
             if command[1] == "--mu":
                 solve = ["ab-solve", *command[1:]]
             else:
                 solve = ["ac-solve", *command[3:]]
-            solved, rows, _ = main_in_process(solve + extension)
+            solved, rows, _ = main_in_process(solve + extension + mass)
             level = solved == 0 and next(csv.DictReader(io.StringIO(rows.decode())))
             if level and math.isfinite(float(level["E_over_m"])):
                 assert code == 0
@@ -822,8 +889,8 @@ class TestTableErrorLines:
                  "--mass", "3"],
                 "omega_xi_continued: need |E| > m, got E=-3.0",
             ),
-            (
-                ["ab-density", "--mu", "0.25", "--xi=-1e300", "--energy-grid=-1e300:-2:40"],
+            (  # 4 s lambda overflows above |E| = 4.5e307 m
+                ["ab-density", "--mu", "0.25", "--xi=-1e300", "--energy-grid=-1.7e308:-1e308:3"],
                 "spectral_density: density must be finite",
             ),
             (
@@ -850,38 +917,42 @@ _ORACLE_CHECK_HEADER = (
 
 
 class TestOracleCheckBytes:
-    """oracle-check's stdout, byte for byte, as the oracle printed it when
-    each template branch had a Numerov sweep of its own: the fused sweep
-    takes each branch through the same operations, so no byte moves."""
+    """oracle-check's stdout, byte for byte, as the oracle prints it when
+    each rung sweeps the decaying asymptote inward and reads both branch
+    mismatches at the seed.  Against the outward sweep of both branches,
+    which these rows pinned before, the levels moved by rounding alone
+    (by 2.7e-15 m at most, and by 1.3e-4 m at E = -1.8e10 m) and the orders
+    by up to 2.7e-7 relative, or 7.4e-6 at --resolution 0.05, whose finer
+    ladder difference 1.05e-11 m sits at the rounding floor."""
 
     @pytest.mark.parametrize(
         "args, row",
         [
             (
                 "--mu 0.25 --xi -1",
-                b"-0.5660019996925445,-0.5660019994849268,2.0761770080923725e-10,"
-                b"3.3982086828953253e-16,0,4.2736990237836565\n",
+                b"-0.5660019996925445,-0.56600199948492846,2.0761603547470031e-10,"
+                b"3.3982086828953154e-16,0,4.2736984253752635\n",
             ),
             (
                 "--sector ac --gamma 0.5 --xi -1",
-                b"-0.50000000000000022,-0.49999999655447236,3.44552786302188e-09,"
-                b"4.9999999655447244e-16,0,3.6625635443291156\n",
+                b"-0.50000000000000022,-0.49999999655447258,3.445527640977275e-09,"
+                b"4.9999999655447264e-16,0,3.6625634999209251\n",
             ),
             (
                 "--mu 0.25 --xi -1 --resolution=0.05",
-                b"-0.5660019996925445,-0.56600199968201836,1.0526135518773572e-11,"
-                b"3.3982086817797828e-16,0,4.3632786423314887\n",
+                b"-0.5660019996925445,-0.5660019996820157,1.0528800054032672e-11,"
+                b"3.3982086817797981e-16,0,4.3633109292764463\n",
             ),
             (
                 "--mu 0.25 --xi -1 --mass 3",
-                b"-0.5660019996925445,-0.5660019994849268,2.0761770080923725e-10,"
-                b"3.3982086828953253e-16,0,4.2736990237836565\n",
+                b"-0.5660019996925445,-0.56600199948492846,2.0761607248213446e-10,"
+                b"3.3982086828953154e-16,0,4.2736984253752635\n",
             ),
             ("--mu 0.25 --xi -1e20", b"-1,-1,0,1.0144569530822881e-42,0,nan\n"),
             (
                 "--sector ac --gamma 0.05 --xi -0.3",
-                b"-18045567293.783653,-18045567308.327778,14.544124603271484,"
-                b"1.8045567308327781e-05,0,6.8798177062330703\n",
+                b"-18045567293.783653,-18045567308.327908,14.544254302978516,"
+                b"1.8045567308327909e-05,0,6.8798195700252771\n",
             ),
         ],
     )
@@ -895,11 +966,11 @@ class TestOracleCheckBytes:
     def test_json(self):
         want = (
             b'[\n {\n  "E_analytic_over_m": -0.5660019996925445,\n'
-            b'  "E_oracle_over_m": -0.5660019994849268,\n'
-            b'  "abs_diff_over_m": 2.0761770080923725e-10,\n'
-            b'  "match_residual": 3.3982086828953253e-16,\n'
+            b'  "E_oracle_over_m": -0.5660019994849285,\n'
+            b'  "abs_diff_over_m": 2.076160354747003e-10,\n'
+            b'  "match_residual": 3.3982086828953154e-16,\n'
             b'  "r_min_sensitivity": 0.0,\n'
-            b'  "convergence_order": 4.2736990237836565\n }\n]\n'
+            b'  "convergence_order": 4.2736984253752635\n }\n]\n'
         )
         argv = ["oracle-check", "--mu", "0.25", "--xi", "-1", "--format", "json"]
         assert main_in_process(argv) == (0, want, "")

@@ -7,12 +7,13 @@ regression test.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import routes
 from fluxbound import ab_spectrum as ab
 from fluxbound import ac_spectrum as ac
 from fluxbound import numkernel as nk
@@ -31,10 +32,11 @@ def closed_form(p, mix, cfg=FAST):
 
 
 def per_energy_miss(g, k, template, cfg=FAST):
-    """The mismatch of the full template, r -> r^(-1/2) u(r), integrated at
-    its own k: the route a shoot took at each energy before the closed form.
-    The kernel sweeps it in both of its slots, which must agree bit for bit."""
-    miss, twin = orc._numerov_miss(g, k, lambda r: (template(r),) * 2, cfg.numerov_dx)
+    """The mismatch of the full template, r -> r^(-1/2) u(r), integrated
+    outward at its own k by the reference route: the route a shoot took at
+    each energy before the closed form.  The route sweeps it in both of its
+    slots, which must agree bit for bit."""
+    miss, twin = routes.numerov_miss(g, k, lambda r: (template(r),) * 2, cfg.numerov_dx)
     assert miss == twin
     return miss
 
@@ -250,26 +252,25 @@ class TestSmoothMismatch:
         assert 0.4 <= ratio <= 0.6
 
     def test_golden_shoot_evaluation_count(self, monkeypatch):
-        # evaluations counts branch integrations: a solve integrates the
-        # template's two branches once, in one sweep, so the base solve and
-        # each diagnostic probe make 2, and so does a level count
+        # evaluations counts the Numerov solutions integrated: a solve sweeps
+        # one, the decaying asymptote, so the base solve and each diagnostic
+        # probe make 1, and so does a level count
         calls = []
-        original = orc._numerov_miss
+        original = orc._numerov_in
 
-        def counted(g, k, seed, dx, at_seed=None):
-            misses = original(g, k, seed, dx, at_seed)
-            calls.extend(misses)
-            return misses
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(orc, "_numerov_miss", counted)
+        monkeypatch.setattr(orc, "_numerov_in", counted)
         ext = ab.Extension.from_xi(-1.0)
         assert orc.count_dirac_levels(dirac_channel(0.25), ext, FAST) == 1
-        assert len(calls) == 2
+        assert len(calls) == 1
         for shoot, ch in (
             (orc.dirac_shoot, dirac_channel(0.25)),
             (orc.schrodinger_shoot, ac_channel(0.5)),
         ):
-            for cfg, want in ((FAST, 2), (orc.ShootingConfig(), 6)):
+            for cfg, want in ((FAST, 1), (orc.ShootingConfig(), 3)):
                 calls.clear()
                 assert shoot(ch, ext, cfg).evaluations == len(calls) == want
 
@@ -484,10 +485,10 @@ class TestGoldenShoots:
     # E, match_residual, convergence_order_estimate, r_min_sensitivity,
     # evaluations, numerov_steps
     CASES = {
-        "ab-off": (-0.5660019994849268, 3.3982086828953253e-16, NAN, NAN, 2, 100),
-        "ac-off": (-0.49999999655447236, 4.999999965544724e-16, NAN, NAN, 2, 100),
-        "ab-on": (-0.5660019994849268, 3.3982086828953253e-16, 4.2736990237836565, 0.0, 6, 175),
-        "ac-on": (-0.49999999655447236, 4.999999965544724e-16, 3.6625635443291156, 0.0, 6, 175),
+        "ab-off": (-0.5660019994849285, 3.3982086828953154e-16, NAN, NAN, 1, 100),
+        "ac-off": (-0.4999999965544726, 4.999999965544726e-16, NAN, NAN, 1, 100),
+        "ab-on": (-0.5660019994849285, 3.3982086828953154e-16, 4.2736984253752635, 0.0, 3, 175),
+        "ac-on": (-0.4999999965544726, 4.999999965544726e-16, 3.662563499920925, 0.0, 3, 175),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -506,18 +507,18 @@ class TestGoldenShoots:
                 assert math.isnan(value)
             else:
                 assert value == pytest.approx(want, rel=1e-12, abs=0.0)
-        # one pair of branch integrations per solve: the base solve and, with
-        # diagnostics on, the two ladder probes; each pair is one sweep of
-        # 100 steps at the base step, and 50 and 25 at the probes'
+        # one integrated solution per solve: the base solve and, with
+        # diagnostics on, the two ladder probes; each is one sweep of 100
+        # steps at the base step, and 50 and 25 at the probes'
         assert res.evaluations == evaluations
         assert res.numerov_steps == numerov_steps
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_tail_length_does_not_move_the_level(self, monkeypatch, sector):
-        # an error in the decaying solution reaches the growing-mode
-        # coefficient damped by exp(-2z), so a tail 10 decay lengths long
-        # gives the level of one 38 long; a shorter one moves the Dirac level
-        # by 1.5e-12 at _TAIL_Z = 8 and by 3.5e-9 at 5
+        # an error in the asymptote's tail values reaches the growing-mode
+        # coefficient damped by exp(-2z) on its inward sweep, so a tail 10
+        # decay lengths long gives the level of one 38 long; a shorter one
+        # moves the Dirac level by 1.5e-12 at _TAIL_Z = 8 and by 3.5e-9 at 5
         ext = ab.Extension.from_xi(-1.0)
 
         def shoot():
@@ -606,8 +607,8 @@ class TestCoarseningLadder:
 class TestSignScan:
     """A shoot solves each rung's line in a bracket it takes in closed form,
     with no search; the level count evaluates every point of a fixed scan of
-    the gap.  Each solve integrates one pair of template branches, in one
-    sweep, at its own step."""
+    the gap.  Each solve reads one pair of template branches from one
+    sweep at its own step."""
 
     @staticmethod
     def sector(sector):
@@ -654,7 +655,7 @@ class TestSignScan:
 
         monkeypatch.setattr(nk, "find_root_bracketed", recorded)
         res = shoot(ch, ext, orc.ShootingConfig())
-        assert res.evaluations == 2 * len(pairs) == 6
+        assert res.evaluations == len(pairs) == 3
         if sector == "ac":
             _, (a, _, c) = orc._ac_line(ch.gamma, ext.xi)
             assert brackets == []
@@ -679,7 +680,7 @@ class TestSignScan:
         steps = [dx for dx, _ in pairs]
         assert steps[0] == cfg.numerov_dx
         assert steps[1:] == [cfg.numerov_dx * 2, cfg.numerov_dx * 4]
-        assert res.evaluations == 2 * len(steps)
+        assert res.evaluations == len(steps)
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_probe_brackets_grow_from_the_base_root(self, monkeypatch, sector):
@@ -988,132 +989,129 @@ class TestCountReach:
             assert n in (0, 1), u
 
 
-def numerov_one(c, k2, y0, y1, x0, h, n):
-    """The one-solution Numerov sweep, as the kernel ran before it carried
-    two solutions: each of the kernel's two slots must give its bits."""
-    hh = h * h
-    h2_12 = hh / 12.0
-    x1 = x0 + h
-    w_cur = c / (x1 * x1) + k2
-    t_prev = y0 * (1.0 - h2_12 * (c / (x0 * x0) + k2))
-    t_cur = y1 * (1.0 - h2_12 * w_cur)
-    y_prev, y_cur = y0, y1
-    for i in range(2, n + 1):
-        t_next = 2.0 * t_cur - t_prev + hh * w_cur * y_cur
-        x = x0 + i * h
-        w_next = c / (x * x) + k2
-        y_next = t_next / (1.0 - h2_12 * w_next)
-        t_prev, t_cur = t_cur, t_next
-        y_prev, y_cur = y_cur, y_next
-        w_cur = w_next
-    return y_prev, y_cur
+def numerov(c, k2, y_n, y_b, x0, h, n):
+    """(y_0, y_1) of the solution of y'' = (c/x^2 + k2) y on x = x0 + i*h
+    whose values at x0 + n*h and x0 + (n - 1)*h are y_n and y_b, swept
+    inward by the package's kernel."""
+    hh_12 = h * h / 12.0
+    x = [x0 + i * h for i in range(n + 1)]
 
+    def d(xi):
+        return 1.0 - hh_12 * (c / (xi * xi) + k2)
 
-def numerov(c, k2, y0, y1, x0, h, n):
-    """One solution through the two-solution kernel, carried in both slots,
-    which must agree bit for bit."""
-    (a_prev, b_prev), (a_n, b_n) = orc._numerov_pass(c, k2, (y0, y0), (y1, y1), x0, h, n)
-    assert (a_prev, a_n) == (b_prev, b_n)
-    return a_prev, a_n
+    q = [1.0 / (xi * xi) for xi in reversed(x[1:n])]
+    t_0, t_1 = orc._numerov_in(c, k2, h, q, (y_n * d(x[n]), y_b * d(x[n - 1])))
+    return t_0 / d(x[0]), t_1 / d(x[1])
 
 
 class TestIntegratorKernels:
-    """The Numerov kernel against closed-form solutions of the equation it
-    solves; a mistyped coefficient shows here as a lost order, not only as a
-    far-off level."""
+    """The inward Numerov kernel against closed-form solutions of the
+    equation it solves; a mistyped coefficient shows here as a lost order,
+    not only as a far-off level."""
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_numerov_exponentials(self, sign):
-        # c = 0: y'' = kappa^2 y.  Numerov's phase error is (kappa h)^5/480 per
-        # step, so exp(+kappa x) is off by kappa L (kappa h)^4/480 after a
-        # span L; exact seeds of exp(-kappa x) also carry a discrete growing
-        # mode of relative size (kappa h)^4/960, amplified by exp(2 kappa L)
+        # c = 0: y'' = kappa^2 y, swept inward from exact values at the
+        # outer end.  Numerov's phase error is (kappa h)^5/480 per step, so
+        # exp(-kappa x), which grows inward, is off by kappa L (kappa h)^4/480
+        # after a span L; exact seeds of exp(+kappa x) also carry a discrete
+        # inward-growing mode of relative size (kappa h)^4/960, amplified by
+        # exp(2 kappa L)
         kappa, x0, span = 1.5, 0.5, 3.0
         errs = []
         for h in (0.02, 0.01):
             n = round(span / h)
             k = sign * kappa
-            _, y_n = numerov(
-                0.0, kappa * kappa, math.exp(k * x0), math.exp(k * (x0 + h)), x0, h, n
-            )
-            err = abs(math.log(y_n) - k * (x0 + n * h))
+            x_n = x0 + n * h
+            y_n, y_b = math.exp(k * x_n), math.exp(k * (x_n - h))
+            y_0, _ = numerov(0.0, kappa * kappa, y_n, y_b, x0, h, n)
+            err = abs(math.log(y_0) - k * x0)
             kh4 = (kappa * h) ** 4
             bound = kh4 * kappa * span / 480.0
-            if sign < 0:
+            if sign > 0:
                 bound += kh4 * math.exp(2.0 * kappa * span) / 960.0
             assert err <= 2.0 * bound
             errs.append(err)
         assert 14.0 <= errs[0] / errs[1] <= 18.0
 
     def test_numerov_exponential_through_renormalization(self):
-        # exp(kappa x) out to x = 300.5 reaches e^601, about 1e261, past the
-        # 1e250 at which a kernel would renormalize; the unrenormalized pass
-        # stays finite and keeps the phase-error bound over the whole span
+        # exp(-kappa x) swept in from x = 300.5 to 0.5 grows by e^600, about
+        # 1e260, past the 1e250 at which a kernel would renormalize; the
+        # unrenormalized sweep stays finite and keeps the phase-error bound
+        # over the whole span
         kappa, x0, h, n = 2.0, 0.5, 0.02, 15000
-        _, y_n = numerov(
-            0.0, kappa * kappa, math.exp(kappa * x0), math.exp(kappa * (x0 + h)), x0, h, n
-        )
-        assert 1e250 < y_n < math.inf
-        err = abs(math.log(y_n) - kappa * (x0 + n * h))
+        y_0, _ = numerov(0.0, kappa * kappa, 1.0, math.exp(kappa * h), x0, h, n)
+        assert 1e250 < y_0 < math.inf
+        err = abs(math.log(y_0) - kappa * (n * h))
         assert err <= 2.0 * kappa * (n * h) * (kappa * h) ** 4 / 480.0
 
     def test_numerov_power_law_exact(self):
         # c = 2, k2 = 0: y = x^2 solves y'' = (2/x^2) y, and Numerov is exact
-        # for it, so only rounding remains
-        x0, h, n = 1.0, 0.01, 500
-        y_prev, y_n = numerov(2.0, 0.0, x0 * x0, (x0 + h) ** 2, x0, h, n)
-        assert y_n == pytest.approx((x0 + n * h) ** 2, rel=1e-12)
-        assert y_prev == pytest.approx((x0 + (n - 1) * h) ** 2, rel=1e-12)
+        # for it, so only rounding remains.  The sweep runs from x = 1 to 6
+        # (a negative step from the grid's far end), the direction in which
+        # x^2 grows and the other solution 1/x decays
+        x0, h, n = 6.0, -0.01, 500
+        x_n = x0 + n * h
+        y_0, y_1 = numerov(2.0, 0.0, x_n * x_n, (x_n - h) ** 2, x0, h, n)
+        assert y_0 == pytest.approx(x0 * x0, rel=1e-12)
+        assert y_1 == pytest.approx((x0 + h) ** 2, rel=1e-12)
 
 
-class TestTwoSolutionSweep:
-    """One Numerov sweep carries both branches of the pair: each step's x,
-    coefficient and denominator are computed once and applied to both, and
-    each branch otherwise takes the operations of a one-solution sweep in
-    the same order, so the pair is bit for bit the two one-solution sweeps."""
+class TestInwardSweep:
+    """A solve sweeps one solution, the decaying asymptote, inward from the
+    tail, and reads each branch's mismatch at the seed through Numerov's
+    conserved discrete Wronskian.  In exact arithmetic that is the tail
+    cross product of the branch integrated outward, the reference route of
+    ``routes.outward_branch_pair``, so the two differ by rounding alone."""
 
     PS = [sign * k / 100.0 for k in range(1, 100) for sign in (1, -1)]
-    STEPS = [factor * DX for factor in (1, *orc._LADDER)]
+    LADDER_STEPS = [factor * DX for factor in (1, *orc._LADDER)]
+    # the worst |M/M_ref - 1| of either branch and |R/R_ref - 1| over PS,
+    # measured at 2.6e-15 and 1.8e-15 (dx 0.4), 6.7e-15 and 6.6e-15 (0.2),
+    # 1.5e-14 and 1.2e-14 (0.1), 3.6e-14 and 3.0e-14 (0.05), 2.7e-13 and
+    # 2.8e-13 (0.01), 9.3e-12 and 1.0e-11 (0.001).  Against the recurrence
+    # summed in 40 digits at dx 0.001, the inward route's R is off by at
+    # most 3.5e-13 and the outward route's by up to 6.6e-12 (p = 0.1, 0.5
+    # and 0.77), so the bound measures the reference's rounding
+    BOUNDS = {0.4: 8e-15, 0.2: 2e-14, 0.1: 5e-14, 0.05: 1e-13, 0.01: 1e-12, 0.001: 3e-11}
+    # the Wronskian's drift along one sweep measured 5.1e-15 at p = 0.25 and
+    # 5.3e-15 at -0.75
+    WRONSKIAN_DRIFT = 2e-14
 
-    @staticmethod
-    def one_branch_miss(p, dx):
-        """M of the branch z^p F_p(z^2) from one one-solution sweep and its
-        own asymptote, as the mismatch was read before the fused sweep."""
-        g = abs(p)
-        n = math.ceil((orc._TAIL_Z - orc._SEED_Z) / dx)
-        r_seed, r_tail = orc._SEED_Z, orc._TAIL_Z
-        h = (r_tail - r_seed) / n
-
-        def u(z):
-            return math.sqrt(z) * (z**p * nk.frobenius_factor(p, z**2))
-
-        ub, ua = numerov_one(g * g - 0.25, 1.0, u(r_seed), u(r_seed + h), r_seed, h, n)
-        rb = r_seed + (n - 1) * h
-        w1 = (4.0 * g * g - 1.0) / 8.0
-        w2 = (4.0 * g * g - 1.0) * (4.0 * g * g - 9.0) / 128.0
-
-        def asym(r):
-            return math.exp(-(r - rb)) * (1.0 + w1 / r + w2 / (r * r))
-
-        return (ua * asym(rb) - ub * asym(r_tail)) * math.exp(-(r_tail - r_seed))
-
-    @pytest.mark.parametrize("dx", STEPS, ids=["dx", "2dx", "4dx"])
-    def test_each_branch_is_its_one_solution_sweep(self, dx):
-        n = math.ceil((orc._TAIL_Z - orc._SEED_Z) / dx)
-        h = (orc._TAIL_Z - orc._SEED_Z) / n
-        x0 = orc._SEED_Z
+    @pytest.mark.parametrize("dx", sorted(BOUNDS, reverse=True))
+    def test_mismatches_match_the_outward_route(self, dx):
+        bound = self.BOUNDS[dx]
         for p in self.PS:
-            c = p * p - 0.25
-            u0, u1 = (
-                tuple(math.sqrt(z) * v for v in orc._branch_values(p, z)) for z in (x0, x0 + h)
-            )
-            (reg_prev, irr_prev), (reg_n, irr_n) = orc._numerov_pass(c, 1.0, u0, u1, x0, h, n)
-            assert (reg_prev, reg_n) == numerov_one(c, 1.0, u0[0], u1[0], x0, h, n), p
-            assert (irr_prev, irr_n) == numerov_one(c, 1.0, u0[1], u1[1], x0, h, n), p
-            want = (self.one_branch_miss(p, dx), self.one_branch_miss(-p, dx))
-            assert orc._branch_pair(p, dx) == want, p
+            got = orc._branch_pair(p, dx)
+            want = routes.outward_branch_pair(p, dx)
+            for g, w in (*zip(got, want), (got[1] / got[0], want[1] / want[0])):
+                assert g == pytest.approx(w, rel=bound, abs=0.0), p
 
-    @pytest.mark.parametrize("dx", STEPS, ids=["dx", "2dx", "4dx"])
+    @pytest.mark.parametrize("p", [0.25, -0.75])
+    def test_wronskian_is_conserved_along_one_sweep(self, p):
+        # t_(i+1) s_i - t_i s_(i+1) of the kernel's inward asymptote t (the
+        # sweep stopped at every grid point) and the reference's outward
+        # branch s, both in Numerov's t-form, at every i of one grid
+        n = orc._sweep_steps(DX)
+        h = (orc._TAIL_Z - orc._SEED_Z) / n
+        c = p * p - 0.25
+        z = [orc._SEED_Z + i * h for i in range(n + 1)]
+        d = [1.0 - h * h / 12.0 * (c / (x * x) + 1.0) for x in z]
+        q = orc._inner_q(orc._SEED_Z, orc._TAIL_Z, n)
+        tail = (d[n] * math.exp(-z[n]), d[n - 1] * math.exp(-z[n - 1]))
+        t = [orc._numerov_in(c, 1.0, h, q[:j], tail)[0] for j in range(n - 1, 0, -1)]
+        t += tail[::-1]
+        u0, u1 = (
+            tuple(math.sqrt(x) * v for v in orc._branch_values(p, x)) for x in (z[0], z[1])
+        )
+        s = [d[0] * u0[0]] + [
+            d[i] * routes.numerov_pass(c, 1.0, u0, u1, z[0], h, i)[1][0] for i in range(1, n + 1)
+        ]
+        wronskians = [t[i + 1] * s[i] - t[i] * s[i + 1] for i in range(n)]
+        drift = max(abs(w / wronskians[0] - 1.0) for w in wronskians)
+        assert drift <= self.WRONSKIAN_DRIFT, drift
+
+    @pytest.mark.parametrize("dx", LADDER_STEPS, ids=["dx", "2dx", "4dx"])
     def test_pair_at_minus_p_is_the_swapped_pair(self, dx):
         # and the seed value a shoot computes once for its rungs is the one
         # each rung would compute itself
@@ -1121,3 +1119,29 @@ class TestTwoSolutionSweep:
             assert orc._branch_pair(-p, dx) == orc._branch_pair(p, dx)[::-1], p
             at_seed = orc._branch_values(p, orc._SEED_Z)
             assert orc._branch_pair(p, dx, at_seed) == orc._branch_pair(p, dx), p
+
+
+class TestGridMemo:
+    """The inward sweep reads 1/z^2 of its grid from a memo keyed by the
+    grid alone, its ends and step count, and bounded in size."""
+
+    def test_memo_stays_bounded(self):
+        ext = ab.Extension.from_xi(-1.0)
+        for k in range(20):
+            cfg = orc.ShootingConfig(numerov_dx=0.01 * (k + 1))
+            assert orc.dirac_shoot(dirac_channel(0.25), ext, cfg) is not None
+            assert orc._inner_q.cache_info().currsize <= orc._GRID_MEMO
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    def test_shoot_after_cache_clear_is_bit_identical(self, sector):
+        ext = ab.Extension.from_xi(-1.0)
+
+        def shoot():
+            if sector == "ab":
+                return astuple(orc.dirac_shoot(dirac_channel(0.25), ext))
+            return astuple(orc.schrodinger_shoot(ac_channel(0.5), ext))
+
+        shoot()
+        memoized = shoot()
+        orc._inner_q.cache_clear()
+        assert shoot() == memoized
