@@ -32,6 +32,12 @@ extension, whose rows have no level.
 A flat ``key = value`` config file (# comments) can prefill any long flag;
 its values pass the flag's own type and choices checks, and explicit flags
 win.
+
+A command's argv is parsed by that command's own argparse sub-parser; the
+top-level parser parses only argv that does not start with a command name
+(no command, an unknown one, ``--help``/``-h``, a leading ``--``).  Every
+argv gets the result, message and exit code of argparse's full top-level
+pass.
 """
 
 from __future__ import annotations
@@ -121,10 +127,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept for the process: parsing
-    leaves it unchanged, and a process that calls main() many times would
-    otherwise spend most of a short command building it again."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its {command: sub-parser} map, built on first
+    use and kept for the process: parsing leaves them unchanged, and a
+    process that calls main() many times would otherwise spend most of a
+    short command building them again.  The top-level parser parses only
+    argv that does not start with a command name (see ``_parse``)."""
     parser = _Parser(
         prog="fluxbound",
         description="Bound states and spectral densities in point-flux backgrounds.",
@@ -176,15 +184,35 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, ab_channel=True, ac_channel=True)
     p.add_argument("--sector", choices=("ab", "ac"), default="ab")
     p.add_argument("--resolution", type=float, default=None, help="override integrator resolution")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> dict:
+    """argv's values by flag name, with the command under "command".
+
+    argparse's top-level pass would hand every token after the command to
+    the command's sub-parser and report the tokens it leaves; a command's
+    argv goes straight to that sub-parser, with the same report, which
+    spares the top-level pass's scan of every token.  Any other argv (no
+    command, an unknown one, --help/-h, a leading '--') takes the top-level
+    pass."""
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return vars(parser.parse_args(argv))
+    namespace, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return {"command": argv[0], **vars(namespace)}
 
 
 def parse_args(argv: Sequence[str]) -> RunSpec:
     """Parse and validate argv into a RunSpec; config-file values are
-    overridden by explicit flags."""
-    parser = _build_parser()
+    overridden by explicit flags.  A command's argv is parsed by that
+    command's own sub-parser, and argparse's top-level parser parses only
+    argv that does not start with a command name."""
     argv = _join_negative_values(argv)
-    params = vars(parser.parse_args(argv))
+    params = _parse(argv)
     config_path = params.pop("config")
     if config_path:
         # each value passes its flag's type and choices checks; config flags
@@ -196,7 +224,7 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
                 continue
             flags.append(f"--{key.replace('_', '-')}={raw}")
             try:
-                params = vars(parser.parse_args([argv[0], *flags, *argv[1:]]))
+                params = _parse([argv[0], *flags, *argv[1:]])
             except UsageError as exc:
                 raise UsageError(
                     f"config file {config_path}: {key} = {raw!r}: {exc}"

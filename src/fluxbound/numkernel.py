@@ -444,5 +444,7 @@ def find_root_bracketed(
 
 
 def linear_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n >= 2 equally spaced points lo + (hi - lo) i/(n - 1), i = 0 ... n - 1."""
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    """n >= 2 equally spaced points lo + (hi - lo) i/(n - 1), i = 0 ... n - 2,
+    then hi itself: the formula's last point can round away from hi, to 0.0
+    for (-1e200, -2) and an ulp off for (-4, -1.01)."""
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]

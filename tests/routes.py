@@ -3,15 +3,17 @@
 Each function here re-derives a closed-form result by another road: a
 boundary parameter fitted from a profile's small-r coefficients, a level
 found by Brent's method on its level equation, a channel mapped to its
-radial conjugate, a tail mismatch integrated outward from the seed.  No
-CLI command uses them, so they live beside the tests that call them rather
-than in the package.
+radial conjugate, a tail mismatch integrated outward from the seed, a CLI
+argv parsed by argparse's full top-level pass.  No CLI command uses them,
+so they live beside the tests that call them rather than in the package.
 """
 
 import math
+from unittest import mock
 
 from fluxbound import ab_spectrum as ab
 from fluxbound import ac_spectrum as ac
+from fluxbound import cli
 from fluxbound import numkernel as nk
 from fluxbound import oracle as orc
 
@@ -195,3 +197,16 @@ def outward_branch_pair(p, dx):
     grid, both integrated outward to the tail: the reference for the
     oracle's inward _branch_pair."""
     return numerov_miss(abs(p), 1.0, lambda z: orc._branch_values(p, z), dx)
+
+
+def top_level_parse_args(argv) -> cli.RunSpec:
+    """``cli.parse_args`` with every parse, the config file's re-parses
+    included, through argparse's full top-level pass: it hands a command's
+    tokens on to the command's sub-parser and reports the tokens that
+    sub-parser leaves."""
+
+    def full_pass(argv):
+        return vars(cli._build_parser()[0].parse_args(argv))
+
+    with mock.patch.object(cli, "_parse", full_pass):
+        return cli.parse_args(argv)

@@ -1,11 +1,13 @@
 """CLI front end: parsing, schemas, round trips, exit codes, determinism."""
 
+import collections
 import contextlib
 import csv
 import inspect
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -18,6 +20,8 @@ from fluxbound import ac_spectrum as ac
 from fluxbound import cli
 from fluxbound import numkernel as nk
 from fluxbound import printed as pr
+
+import routes
 
 E_GOLDEN = -0.56600199969254444
 
@@ -348,11 +352,12 @@ class TestRunCommands:
                 assert got[0] == want[0]
                 assert got[1] * float(mass) == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("grid", ["2:1e200:3", "-1e200:-5e199:3"])
+    @pytest.mark.parametrize("grid", ["2:1e200:3", "-1e200:-5e199:3", "-1e200:-2:3"])
     def test_density_beyond_the_overflow_of_k_squared(self, capsys, grid):
         # (e - 1)(e + 1) overflows for e above about 1.3e154, and these rows
         # exited 2 with "density must be finite"; the density falls as
-        # |E|^-(1 + 2 nu) there, 2.69e-302 at |E| = 1e200
+        # |E|^-(1 + 2 nu) there, 2.69e-302 at |E| = 1e200.  The last grid
+        # ends at E = -2m, not at the 0.0 that lo + (hi - lo) rounds to
         assert cli.main(["ab-density", "--mu", "0.25", "--xi", "-1", f"--energy-grid={grid}"]) == 0
         rows = {
             abs(float(e)): float(d)
@@ -789,6 +794,163 @@ class TestParserCache:
             assert "usage:" in capsys.readouterr().out
         assert cli.main(["ab-solve", "--mu", "0.25", "--xi", "-1"]) == 0
         assert capsys.readouterr().out.startswith("beta,")
+
+
+# each flag with values to draw, valid ones first; a value may be negative,
+# out of range, of the wrong type or outside the flag's choices
+_COMMON_FLAGS = [
+    ("--mass", ["2", "1e-200", "-1"]),
+    ("--theta", ["3", "0.5", "7"]),
+    ("--format", ["json", "csv", "xml"]),
+    ("--output", ["out.csv"]),
+]
+_AB_FLAGS = [
+    ("--mu", ["0.25", "0.7", "-0.3"]),
+    ("--l", ["0", "-1", "x"]),
+    ("--s", ["-1", "1", "3"]),
+]
+_AC_FLAGS = [
+    ("--gamma", ["0.5", "-0.2"]),
+    ("--coupling", ["-0.5", "-1e-3"]),
+    ("--zeta", ["1", "-1", "2"]),
+    ("--l", ["0"]),
+]
+_COMMAND_FLAGS = {
+    "ab-solve": _AB_FLAGS + [("--level-eq", ["master", "wr00", "bogus"])],
+    "ab-sweep": _AB_FLAGS + [("--level-eq", ["levab"])],
+    "ab-density": _AB_FLAGS,
+    "ab-wavefunction": _AB_FLAGS,
+    "ac-solve": _AC_FLAGS,
+    "ac-sweep": _AC_FLAGS,
+    "oracle-check": _AB_FLAGS
+    + _AC_FLAGS[:3]
+    + [("--sector", ["ab", "ac", "xy"]), ("--resolution", ["0.05", "-0.01", "1e-2"])],
+}
+# the extension and the grids that parse_args requires, drawn more often
+_REQUIRED_FLAGS = {
+    "ab-sweep": [("--beta-grid", ["0.1:0.9:5", "-1.5:1.5:7"])],
+    "ab-density": [("--energy-grid", ["-4:-1.01:5", "1.01:10:3"])],
+    "ab-wavefunction": [("--r-grid", ["0.1:5:3"])],
+    "ac-sweep": [("--gamma-grid", ["0.1:0.9:5", "-0.5:0.5:3"])],
+}
+_XI = ("--xi", ["-1", "-1e-3", "-inf", "2", "nan", "abc"])
+# stray tokens: unknown flags, extra positionals, help, '--', a flag without
+# its value, abbreviations (--m is ambiguous), a second command name
+_NOISE = [
+    "--bogus", "extra", "--", "-h", "--help", "-x", "--help=1", "-1", "--xi", "--res", "--m",
+    "--gam", "ab-solve", "",
+]
+
+
+def _parse_corpus(configs: list[str]) -> list[list[str]]:
+    """1500 seeded argv over every command: flags in the '=' and the space
+    form, in any order and abbreviated, config files, stray tokens, and a
+    head that is a command, nothing, an unknown command, '--' or help."""
+    rng = random.Random(2028)
+    corpus = []
+    for _ in range(1500):
+        command = rng.choice(list(_COMMAND_FLAGS))
+        drawn = rng.sample(_COMMON_FLAGS + _COMMAND_FLAGS[command], rng.randint(0, 3))
+        drawn += [f for f in [_XI, *_REQUIRED_FLAGS.get(command, [])] if rng.random() < 0.85]
+        if rng.random() < 0.3:
+            drawn.append(("--config", configs))
+        rng.shuffle(drawn)
+        argv = []
+        for flag, values in drawn:
+            value = values[0] if rng.random() < 0.6 else rng.choice(values)
+            if rng.random() < 0.2:
+                flag = flag[: rng.randint(3, len(flag))]
+            argv += [f"{flag}={value}"] if rng.random() < 0.4 else [flag, value]
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            argv.insert(rng.randint(0, len(argv)), rng.choice(_NOISE))
+        heads = ([command], [], ["no-such-command"], ["--"], ["-h"], ["--help"], [command[:5]])
+        corpus.append(rng.choices(heads, weights=(80, 4, 4, 4, 3, 3, 2))[0] + argv)
+    return corpus
+
+
+def _parse_outcome(parse, argv):
+    """What parse(argv) gives: a RunSpec, a UsageError's text or the code of
+    a SystemExit, with what it printed on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("spec", repr(parse(argv)))
+        except cli.UsageError as exc:
+            result = ("usage", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParsePath:
+    """A command's argv goes straight to its sub-parser; every argv still
+    gets what argparse's full top-level pass gives it (``routes``)."""
+
+    @staticmethod
+    def configs(tmp_path) -> list[str]:
+        texts = {
+            "good": "mu = 0.7\nxi = -2\nformat = json\nresolution = 0.1\n",
+            "wrong_type": "l = abc\n",
+            "outside_choices": "format = xml\n",
+            "unknown_keys": "# only gamma has a flag\nfoo = 1\ngamma = 0.3\n",
+            "malformed": "mu 0.7\n",
+        }
+        for name, text in texts.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+        return [str(tmp_path / f"{name}.cfg") for name in [*texts, "missing"]]
+
+    def test_every_argv_parses_as_the_top_level_pass(self, tmp_path):
+        kinds = collections.Counter()
+        for argv in _parse_corpus(self.configs(tmp_path)):
+            got = _parse_outcome(cli.parse_args, argv)
+            assert got == _parse_outcome(routes.top_level_parse_args, argv), argv
+            (kind, value), out, _ = got
+            kinds[kind] += 1
+            if kind == "usage":
+                kinds[value.split(":")[0]] += 1
+                kinds["unrecognized"] += "unrecognized arguments" in value
+                kinds["config"] += ".cfg" in value
+            kinds["help"] += "usage:" in out
+        # the corpus reaches every path: specs, the top-level parser's and
+        # the sub-parsers' errors, leftover tokens, config files and help
+        assert kinds["spec"] >= 300 and kinds["exit"] >= 100 and kinds["help"] == kinds["exit"]
+        assert kinds["fluxbound"] >= 200 and kinds["fluxbound ab-solve"] >= 40
+        assert kinds["unrecognized"] >= 100 and kinds["config"] >= 40
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["no-such-command", "--xi", "-1"],
+                "fluxbound: argument command: invalid choice: 'no-such-command' (choose from "
+                "'ab-solve', 'ab-sweep', 'ab-density', 'ab-wavefunction', 'ac-solve', "
+                "'ac-sweep', 'oracle-check')",
+            ),
+            (
+                ["--", "ab-solve", "--mu", "0.25", "--xi", "-1"],
+                "fluxbound: argument command: invalid choice: '--' (choose from "
+                "'ab-solve', 'ab-sweep', 'ab-density', 'ab-wavefunction', 'ac-solve', "
+                "'ac-sweep', 'oracle-check')",
+            ),
+            ([], "fluxbound: the following arguments are required: command"),
+            (["--xi", "-1"], "fluxbound: the following arguments are required: command"),
+            (
+                ["ab-solve", "--mu", "0.25", "--xi", "-1", "--bogus", "3"],
+                "fluxbound: unrecognized arguments: --bogus 3",
+            ),
+            (
+                ["ac-solve", "extra", "--gamma", "0.5", "--xi", "-1"],
+                "fluxbound: unrecognized arguments: extra",
+            ),
+            (
+                ["ab-solve", "--mu", "0.25", "--", "--xi", "-1"],
+                "fluxbound: unrecognized arguments: -- --xi=-1",
+            ),
+        ],
+    )
+    def test_top_level_message(self, capsys, argv, error):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", json.dumps({"error": error, "kind": "usage"}) + "\n")
 
 
 def _csv_dicts(out: bytes) -> list[dict]:

@@ -397,6 +397,26 @@ class TestRootFinder:
         assert abs(f(root)) < 1e-9
 
 
+class TestLinearGrid:
+    @pytest.mark.parametrize(
+        "lo, hi, n",
+        [(-1e200, -2.0, 3), (-4.0, -1.01, 5), (0.1, 0.9, 17), (1.01, 10.0, 200), (-1.5, 1.5, 61)],
+    )
+    def test_ends_at_lo_and_hi(self, lo, hi, n):
+        # lo + (hi - lo) for the last point gives 0.0 for the first grid and
+        # -1.0099999999999998 for the second
+        grid = nk.linear_grid(lo, hi, n)
+        assert len(grid) == n and grid[0] == lo and grid[-1] == hi
+        assert grid[:-1] == [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)]
+
+    def test_random_grids_end_at_hi(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            lo, hi = sorted(round(rng.uniform(-50.0, 50.0), rng.randint(0, 3)) for _ in range(2))
+            if lo < hi:
+                assert nk.linear_grid(lo, hi, rng.randint(2, 300))[-1] == hi
+
+
 class TestBesselKSquareIntegral:
     @pytest.mark.parametrize("a", [0.0, 1e-10] + [0.05 * k for k in range(1, 20)])
     def test_matches_quadrature(self, a, semiline_integral):
