@@ -30,11 +30,9 @@ from .ac_spectrum import (
     ac_wronskian,
 )
 from .numkernel import (
-    Bracket,
     bessel_j,
     bessel_j_pair,
     bessel_k,
-    find_root_bracketed,
     gamma_fn,
     log_gamma,
 )

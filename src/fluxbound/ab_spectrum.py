@@ -280,10 +280,11 @@ def master_xi_of_energy(ch: DiracChannel, E: float) -> float:
 def solve_bound_energy(ch: DiracChannel, ext: Extension) -> Optional[BoundLevel]:
     """Unique gap level with master_xi_of_energy(ch, E) = xi, or None for xi >= 0.
 
-    Newton from s = 0 on ln|master xi| = ln(-xi) in s = ln((m - u)/(m + u)),
-    where the curve is increasing and convex: every step after the first lies
-    right of the root and moves down to it, so the solve stops at the first
-    step that does not decrease s.  E = -tau m tanh(s/2), lambda = m / cosh(s/2)
+    In s = ln((m - u)/(m + u)) the level equation ln|master xi| = ln(-xi) is
+    the increasing, convex line (1/2 - nu) s + 2 nu softplus(s) = t with
+    t = ln(-xi) - ln Gamma(1/2+nu)/Gamma(1/2-nu), formed once, and the
+    kernel's ``solve_line`` finds its root by Newton from s = 0, as the
+    oracle does with its own t.  E = -tau m tanh(s/2), lambda = m / cosh(s/2)
     (0 only where it underflows), residual |master xi - xi| at s.
     """
     _require_extended(ch, "solve_bound_energy")
@@ -293,15 +294,7 @@ def solve_bound_energy(ch: DiracChannel, ext: Extension) -> Optional[BoundLevel]
     m, nu = ch.m, ch.nu
     target = math.log(-xi)
     log_ratio = _log_gamma_ratio(nu)
-
-    def newton(s: float) -> float:
-        logistic = math.exp(min(s, 0.0)) / (1.0 + math.exp(-abs(s)))
-        slope = 0.5 - nu + 2.0 * nu * logistic
-        return s - (_log_abs_xi(nu, s, log_ratio) - target) / slope
-
-    s = newton(0.0)
-    while (s_next := newton(s)) < s:
-        s = s_next
+    s = nk.solve_line(0.5 - nu, 2.0 * nu, target - log_ratio)
     half = math.exp(-0.5 * abs(s))  # lambda = m / cosh(s/2) without overflow
     E = -ch.tau * m * math.tanh(0.5 * s)
     lam = 2.0 * m * half / (1.0 + half * half)

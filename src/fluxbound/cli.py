@@ -97,6 +97,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise UsageError(f"grid needs at least 2 points, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise UsageError(f"grid bounds must be finite and increasing, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"grid width hi - lo overflows, got {text!r}")
     return lo, hi, n
 
 

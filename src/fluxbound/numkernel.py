@@ -7,8 +7,9 @@ Provides the primitives everything else is built on:
 * Bessel functions of real order (``bessel_j``, ``bessel_k``), the pair
   (J_{a-1}, J_a) from one J recurrence (``bessel_j_pair``), and the
   closed-form norm integral of K squared (``bessel_k_square_integral``),
-* bracketed root finding (``find_root_bracketed`` on a validated ``Bracket``)
-  and the equally spaced grid of every scan and table (``linear_grid``).
+* the root of the level line a x + b softplus(x) = t that both sectors'
+  analytic levels and the oracle solve (``solve_line``), and the equally
+  spaced grid of every scan and table (``linear_grid``).
 
 Only the Python standard library is used.  The gamma functions are
 ``math.gamma`` and ``math.lgamma`` behind the domain and pole checks; J is
@@ -29,14 +30,10 @@ All functions are pure and hold no global mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 __all__ = [
-    "Bracket",
     "KernelDomainError",
     "PoleError",
-    "NoSignChangeError",
     "ConvergenceError",
     "gamma_fn",
     "log_gamma",
@@ -45,11 +42,9 @@ __all__ = [
     "bessel_j_pair",
     "bessel_k",
     "bessel_k_square_integral",
-    "find_root_bracketed",
+    "solve_line",
     "linear_grid",
 ]
-
-_EPS = 2.220446049250313e-16
 
 
 class KernelDomainError(ValueError):
@@ -58,10 +53,6 @@ class KernelDomainError(ValueError):
 
 class PoleError(KernelDomainError):
     """Gamma function evaluated at a nonpositive integer."""
-
-
-class NoSignChangeError(ValueError):
-    """Bracket endpoints do not straddle a sign change."""
 
 
 class ConvergenceError(RuntimeError):
@@ -360,87 +351,35 @@ def bessel_k_square_integral(order: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bracketed root finding and grids
+# the level line and grids
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """A validated sign-change interval for a scalar function."""
+def solve_line(a: float, b: float, t: float) -> float:
+    """The x with a x + b softplus(x) = t, softplus(x) = max(x, 0) + log1p(e^-|x|).
 
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"Bracket: lo must be < hi, got [{self.lo}, {self.hi}]")
-        if not (self.f_lo * self.f_hi < 0.0 or self.f_lo == 0.0 or self.f_hi == 0.0):
-            raise NoSignChangeError(
-                f"Bracket: f({self.lo})={self.f_lo} and f({self.hi})={self.f_hi} "
-                "do not straddle zero"
-            )
-
-
-def find_root_bracketed(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol_x: float = 1e-13,
-) -> float:
-    """Brent's method: bisection with secant/inverse-quadratic acceleration.
-
-    Returns x* inside the initial bracket with f(x*) = 0 or bracket width
-    below tol_x (plus the inevitable ~eps*|x| floor), within 200 iterations.
-    Deterministic for fixed inputs.
+    The level line of both sectors (b = 0 with a != 0, or b > 0 with a > 0):
+    with b = 0 the root is t/a.  Otherwise the line increases with slope
+    a + b sigma(x), sigma the logistic, and is convex, so every Newton step
+    lands at or right of the root; from x = 0 the steps after the first
+    descend onto it, and the solve stops at the first step that does not
+    decrease x.  That also ends it where a step overflows to -+inf or NaN.
+    The caller forms t once: a step that evaluated the line's offset and
+    its target separately would cancel them against each other.
     """
-    a, b = bracket.lo, bracket.hi
-    fa, fb = bracket.f_lo, bracket.f_hi
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(200):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * tol_x
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            s, e = e, d
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * s * q):
-                d = p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        if abs(d) > tol:
-            b += d
-        else:
-            b += tol if m > 0.0 else -tol
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-    raise ConvergenceError("find_root_bracketed: max iterations exceeded")
+    if b == 0.0:
+        return t / a
+
+    def newton(x: float) -> float:
+        e = math.exp(-abs(x))
+        softplus = max(x, 0.0) + math.log1p(e)
+        logistic = (1.0 if x >= 0.0 else e) / (1.0 + e)
+        return x - (a * x + b * softplus - t) / (a + b * logistic)
+
+    x = newton(0.0)
+    while (x_next := newton(x)) < x:
+        x = x_next
+    return x
 
 
 def linear_grid(lo: float, hi: float, n: int) -> list[float]:

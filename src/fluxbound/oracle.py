@@ -59,13 +59,15 @@ max(x, 0) + log1p(e^-|x|),
 - neutral fermion: x = y = ln(-E/m), kappa = sqrt(2 e^y) m, a = -g, b = 0,
   c = -g ln 2 - ln|xi| and p = g.
 
-Each line is strictly monotone, so each xi < 0 has one level, which _root
-brackets in closed form; the scan variables cover the whole gap and the
-whole negative axis.  Both sectors run one skeleton, ``_shoot``, which does
-this at the base step and, with diagnostics on, at twice and four times it
-(the discretization ladder); ``OracleResult.evaluations`` counts the
-Numerov solutions it integrates, one per solve, and
-``OracleResult.numerov_steps`` the steps of its sweeps.
+Each line is strictly monotone, so each xi < 0 has one level, the root of
+a x + b softplus(x) = t with t = ln R - c.  The kernel's ``solve_line``
+finds it, t/a for the neutral fermion and by convex Newton for Dirac; the
+analytic Dirac level is the same solve with its own t.  The scan variables
+cover the whole gap and the whole negative axis.  Both sectors run one
+skeleton, ``_shoot``, which does this at the base step and, with
+diagnostics on, at twice and four times it (the discretization ladder);
+``OracleResult.evaluations`` counts the Numerov solutions it integrates,
+one per solve, and ``OracleResult.numerov_steps`` the steps of its sweeps.
 
 The oracle stays independent of the analytic route: it uses the ODE, its
 Frobenius template (the kernel's ``frobenius_factor``), linearity and this
@@ -133,9 +135,10 @@ class ShootingConfig:
 class OracleResult:
     """A shot level with the Numerov integrations it took.
 
-    match_residual is Brent's root tolerance 1e-15 in the scan variable, in
+    match_residual is a fixed resolution of 1e-15 in the scan variable, in
     energy units: 1e-15 |dE/dx|, so 1e-15 m sech(s/2)^2/2 for Dirac and
-    1e-15 |E| for the neutral fermion, whose root is exact (see _root).
+    1e-15 |E| for the neutral fermion.  It is not a solver tolerance: the
+    line's root is solved to rounding (see _shoot).
 
     evaluations counts the Numerov solutions the shoot integrates, one per
     solve (the decaying asymptote, from which both template branches read
@@ -256,8 +259,8 @@ def _mismatch(p: float, mix: Mix, cfg: ShootingConfig) -> Callable[[float], floa
 _DIAG_NAN = float("nan")
 _LN2 = math.log(2.0)
 _LN_MAX = math.log(sys.float_info.max)
-# Brent's tolerance in the scan variable, for the base root and every probe
-_ROOT_TOL = 1e-15
+# match_residual's fixed resolution in the scan variable
+_X_RESOLUTION = 1e-15
 # below this |E(dx) - E(2dx)| (in units of m) the rung difference is rounding
 # noise: at dx = 1e-3 on the A3 grids it reads 4.1e-16 to 6.2e-13 and the
 # orders -6.9 to 0.7
@@ -266,34 +269,6 @@ _ORDER_FLOOR = 1e-11
 # (a, b, c): ln|rho(x)| = a x + b softplus(x) + c over a sector's scan
 # variable x (see the module docstring)
 Line = tuple[float, float, float]
-
-
-def _root(line: Line, log_ratio: float) -> float:
-    """The x with ln|rho(x)| = log_ratio, for a line with b >= 0.
-
-    softplus(x) - max(x, 0) lies in (0, ln 2], so with t = log_ratio - c the
-    root lies between the inverses of the piecewise-linear a x + b max(x, 0)
-    at t - b ln 2 and at t.  With b = 0 (the neutral fermion) both are the
-    root.  Otherwise (Dirac, where a > 0 and a + b > 0) ln|rho| increases,
-    and Brent refines that bracket.
-    """
-    a, b, c = line
-    t = log_ratio - c
-
-    def inverse(v: float) -> float:
-        return v / (a + b) if v >= 0.0 else v / a
-
-    lo, hi = inverse(t - b * _LN2), inverse(t)
-    if lo == hi:
-        return hi
-
-    def excess(x: float) -> float:
-        return a * x + b * (max(x, 0.0) + math.log1p(math.exp(-abs(x)))) - t
-
-    # excess(lo) <= 0 <= excess(hi), so an end of the wrong sign is rounding
-    # and holds the root
-    bracket = nk.Bracket(lo, hi, min(excess(lo), 0.0), max(excess(hi), 0.0))
-    return nk.find_root_bracketed(excess, bracket, tol_x=_ROOT_TOL)
 
 
 def _shoot(
@@ -307,15 +282,17 @@ def _shoot(
 
     p and line are the sector's (see the module docstring); to_e(x) gives E/m
     and |d(E/m)/dx|.  Each rung, the step dx and with diagnostics 2dx and 4dx,
-    reads the branch pair from one sweep, forms R and solves the line (see
-    _root).  The pair's value at the seed radius is the same on every rung,
-    so it is computed once.
+    reads the branch pair from one sweep, forms R and hands the kernel's
+    ``solve_line`` the line's a and b with t = ln R - c, formed once here.
+    The pair's value at the seed radius is the same on every rung, so it is
+    computed once.
     None where a rung's R is not positive or E is not finite.  The order is
     log2(|E(2dx) - E(4dx)| / |E(dx) - E(2dx)|), NaN unless the coarser
     difference is the larger and the finer is above the 1e-11 m rounding
     floor; error_estimate is |E(dx) - E(2dx)|/15 (Richardson, order 4).
     """
     factors = (1, *_LADDER) if cfg.diagnostics else (1,)
+    a, b, c = line
     at_seed = _branch_values(p, _SEED_Z)
     roots = []
     steps = 0
@@ -326,13 +303,13 @@ def _shoot(
         ratio = m_irr / m_reg
         if not ratio > 0.0:
             return None
-        roots.append(_root(line, math.log(ratio)))
+        roots.append(nk.solve_line(a, b, math.log(ratio) - c))
     e0, de_dx = to_e(roots[0])
     if not math.isfinite(m * e0):
         return None
     # each solve integrates one solution, the decaying asymptote
     evals = len(factors)
-    resid_e = m * _ROOT_TOL * de_dx
+    resid_e = m * _X_RESOLUTION * de_dx
     if not cfg.diagnostics:
         return OracleResult(m * e0, resid_e, _DIAG_NAN, _DIAG_NAN, evals, numerov_steps=steps)
     e2, e4 = (to_e(x)[0] for x in roots[1:])
@@ -349,13 +326,15 @@ def _shoot(
 # ---------------------------------------------------------------------------
 
 
-# the level count's scan of u = tau*E, between the doubles next to -+1
-_GAP_WINDOW = (math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0))
+# the level count's scan of s = ln((1 - u)/(1 + u)): it holds the s of the
+# doubles next to u = -+1, about +-37.4
+_COUNT_WINDOW = (-40.0, 40.0)
 _COUNT_POINTS = 48
 
 
 def _dirac_template(ch: DiracChannel, xi_int: float) -> tuple[float, Mix]:
-    """(p, mix) of the f1 component of the domain template over u = tau*E.
+    """(p, mix) of the f1 component of the domain template over
+    s = ln((1 - u)/(1 + u)), u = tau*E.
 
     The template pair, built in u with the r^(+nu) carrying component first,
     is r^nu - xi_int (u + 1)/(s(2nu - 1)) r^(1 - nu) and
@@ -363,18 +342,20 @@ def _dirac_template(ch: DiracChannel, xi_int: float) -> tuple[float, Mix]:
     by its Frobenius factor.  f1 is the carrying component for tau = +1 and
     the companion one for tau = -1 (a tau = -1 channel is the tau = +1 one
     at -E with its components swapped); in r^(-1/2) f1 its branches are
-    r^(+-p) with p = nu - 1/2 or nu + 1/2, and |p| = |l + mu|.
+    r^(+-p) with p = nu - 1/2 or nu + 1/2, and |p| = |l + mu|.  The mix
+    takes u + 1 = 2/(1 + e^s), u - 1 = -2/(1 + e^-s) and lambda = sech(s/2)
+    from s itself, so none cancels where u rounds to -+1.
     """
     nu, s = ch.nu, ch.s
 
-    def lam(u: float) -> float:
-        return math.sqrt((1.0 - u) * (1.0 + u))
+    def lam(x: float) -> float:
+        return 1.0 / math.cosh(0.5 * x)
 
     if ch.tau == 1:
-        w = -xi_int / (s * (2.0 * nu - 1.0))
-        return nu - 0.5, lambda u: (lam(u), 1.0, w * (u + 1.0))
-    w = 1.0 / (s * (2.0 * nu + 1.0))
-    return nu + 0.5, lambda u: (lam(u), w * (u - 1.0), -xi_int)
+        w = -2.0 * xi_int / (s * (2.0 * nu - 1.0))
+        return nu - 0.5, lambda x: (lam(x), 1.0, w / (1.0 + math.exp(x)))
+    w = -2.0 / (s * (2.0 * nu + 1.0))
+    return nu + 0.5, lambda x: (lam(x), w / (1.0 + math.exp(-x)), -xi_int)
 
 
 def _dirac_line(ch: DiracChannel, xi: float) -> tuple[float, Line]:
@@ -431,16 +412,17 @@ def count_dirac_levels(
     A shoot never evaluates the mismatch: the level's uniqueness rests on
     its line's monotonicity.  The count scans the closed-form mismatch
     itself, from one branch pair read from one sweep, and so checks that
-    uniqueness independently.  The scan's ends are the doubles next to
-    u = tau*E/m = -+1, so it counts every level whose u lies between them
-    and none whose E rounds to -+m; one whose u rounds to an end may miss."""
+    uniqueness independently.  The scan runs over s = ln((1 - u)/(1 + u)),
+    u = tau*E/m, from -40 to 40, past the s of the doubles next to u = -+1
+    (about +-37.4), so it counts every level whose E does not round to -+m;
+    a level beyond |s| = 40 has E = -+m and is not counted."""
     if ch.regime is not Regime.EXTENDED:
         raise RegimeError("count_dirac_levels: requires an extended-regime channel")
     xi = ext.xi
     if not xi < 0.0:
         return 0
-    miss_u = _mismatch(*_dirac_template(ch, ch.s * xi), cfg)
-    return _sign_changes(miss_u, nk.linear_grid(*_GAP_WINDOW, _COUNT_POINTS))
+    miss_s = _mismatch(*_dirac_template(ch, ch.s * xi), cfg)
+    return _sign_changes(miss_s, nk.linear_grid(*_COUNT_WINDOW, _COUNT_POINTS))
 
 
 # ---------------------------------------------------------------------------

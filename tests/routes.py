@@ -2,7 +2,7 @@
 
 Each function here re-derives a closed-form result by another road: a
 boundary parameter fitted from a profile's small-r coefficients, a level
-found by Brent's method on its level equation, a channel mapped to its
+found by bisection on its level equation, a channel mapped to its
 radial conjugate, a tail mismatch integrated outward from the seed, a CLI
 argv parsed by argparse's full top-level pass.  No CLI command uses them,
 so they live beside the tests that call them rather than in the package.
@@ -97,11 +97,27 @@ def fit_ac_boundary_xi(doublet: ab.RadialDoublet, ch: ac.ACChannel, kappa: float
     return q_coef / p_coef
 
 
-def ac_solve_cross_check(ch: ac.ACChannel, ext: ab.Extension) -> ac.ACLevel:
-    """The neutral-fermion level found by bracketed root search on the level equation.
+def bisect(f, lo: float, hi: float) -> float:
+    """A root of f between lo < hi, where f changes sign, by bisection until
+    the midpoint is one of the two ends: f's sign change is then between
+    neighbouring doubles."""
+    positive_lo = f(lo) > 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
-    Solves ln omega(E_n) = ln(-xi) in y = ln(kappa/m); agrees with the closed
-    form to better than 1e-9 m by construction of the root tolerance.
+
+def ac_solve_cross_check(ch: ac.ACChannel, ext: ab.Extension) -> ac.ACLevel:
+    """The neutral-fermion level found by bisection on the level equation.
+
+    Solves ln omega(E_n) = ln(-xi) in y = ln(kappa/m) to neighbouring
+    doubles, so it agrees with the closed form to better than 1e-9 m.
     """
     ac._require_extended(ch, "ac_solve_cross_check")
     xi = ext.xi
@@ -116,8 +132,7 @@ def ac_solve_cross_check(ch: ac.ACChannel, ext: ab.Extension) -> ac.ACLevel:
         # ln omega at kappa = m e^y
         return lng + 2.0 * g * (math.log(2.0) - y) - target
 
-    bracket = nk.Bracket(-60.0, 60.0, h(-60.0), h(60.0))
-    y = nk.find_root_bracketed(h, bracket, tol_x=1e-15)
+    y = bisect(h, -60.0, 60.0)
     kappa = m * math.exp(y)
     E_n = -kappa * kappa / (2.0 * m)
     return ac.ACLevel(

@@ -170,8 +170,9 @@ def test_levels_against_mpmath():
     # xi = -1, so the level is -2m (Gamma(1-gamma)/Gamma(1+gamma))^(-1/gamma)
     # with no rounding in xi: the error is that of the Gamma ratio's log
     # times 1/gamma, so a log that lost eps/gamma would show as gamma -> 0;
-    # 0.3554 and 0.8783 are the worst points of 1900-point scans; Brent's
-    # tol_x of 1e-15 in y = ln(kappa/m) holds the cross-check to 5e-15
+    # 0.3554 and 0.8783 are the worst points of 1900-point scans; the
+    # cross-check bisects y = ln(kappa/m) to neighbouring doubles and reads
+    # 7.6e-16 at worst here
     gammas = [10.0 ** (-k / 4) for k in range(1, 37)] + [0.1, 0.25, 0.3554, 0.5, 0.8783, 0.99]
     ext = Extension.from_xi(-1.0)
     with mpmath.workdps(30):

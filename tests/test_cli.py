@@ -177,6 +177,24 @@ class TestUsageErrors:
             assert report["error"].startswith("--resolution must lie in [1e-3, 0.25)")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ab-sweep", "--xi", "-1", "--beta-grid=-1.7e308:1.7e308:3"],
+            ["ac-sweep", "--xi", "-1", "--gamma-grid=-1.7e308:1.7e308:3"],
+            ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid=-1.7e308:1.7e308:3"],
+            ["ab-density", "--mu", "0.25", "--xi", "-1", "--energy-grid=-1.7e308:1.7e308:3"],
+        ],
+    )
+    def test_grid_whose_width_overflows(self, capsys, argv):
+        # finite bounds whose width hi - lo overflows: the grid itself is the
+        # bad input, where linear_grid would make its first point nan
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = "grid width hi - lo overflows, got '-1.7e308:1.7e308:3'"
+        assert err == json.dumps({"error": error, "kind": "usage"}) + "\n"
+
+    @pytest.mark.parametrize(
         "flag, value", [("--xi", "nan"), ("--theta", "nan"), ("--theta", "7"), ("--theta", "-0.1")]
     )
     def test_bad_extension_named_by_its_flag(self, capsys, flag, value):
@@ -1081,11 +1099,12 @@ _ORACLE_CHECK_HEADER = (
 class TestOracleCheckBytes:
     """oracle-check's stdout, byte for byte, as the oracle prints it when
     each rung sweeps the decaying asymptote inward and reads both branch
-    mismatches at the seed.  Against the outward sweep of both branches,
-    which these rows pinned before, the levels moved by rounding alone
-    (by 2.7e-15 m at most, and by 1.3e-4 m at E = -1.8e10 m) and the orders
-    by up to 2.7e-7 relative, or 7.4e-6 at --resolution 0.05, whose finer
-    ladder difference 1.05e-11 m sits at the rounding floor."""
+    mismatches at the seed, and solves its line by the kernel's convex
+    Newton.  Against Brent on a closed-form bracket, which these rows pinned
+    before, the --resolution 0.05 level moved by 2 ulps and its order by
+    3.7e-7 relative (its finer ladder difference 1.05e-11 m sits at the
+    rounding floor), and the --xi -1e20 match_residual, 1e-15 |dE/ds| at
+    the root, in its last digits."""
 
     @pytest.mark.parametrize(
         "args, row",
@@ -1102,15 +1121,15 @@ class TestOracleCheckBytes:
             ),
             (
                 "--mu 0.25 --xi -1 --resolution=0.05",
-                b"-0.5660019996925445,-0.5660019996820157,1.0528800054032672e-11,"
-                b"3.3982086817797981e-16,0,4.3633109292764463\n",
+                b"-0.5660019996925445,-0.56600199968201548,1.0529022098637597e-11,"
+                b"3.3982086817797986e-16,0,4.3633125546624338\n",
             ),
             (
                 "--mu 0.25 --xi -1 --mass 3",
                 b"-0.5660019996925445,-0.56600199948492846,2.0761607248213446e-10,"
                 b"3.3982086828953154e-16,0,4.2736984253752635\n",
             ),
-            ("--mu 0.25 --xi -1e20", b"-1,-1,0,1.0144569530822881e-42,0,nan\n"),
+            ("--mu 0.25 --xi -1e20", b"-1,-1,0,1.0144569530822809e-42,0,nan\n"),
             (
                 "--sector ac --gamma 0.05 --xi -0.3",
                 b"-18045567293.783653,-18045567308.327908,14.544254302978516,"

@@ -1,4 +1,4 @@
-"""Kernel tests: gamma, Bessel J/K, the closed-form K norm, root finder.
+"""Kernel tests: gamma, Bessel J/K, the closed-form K norm, the level line.
 
 Expected values are either closed forms, high-precision reference constants,
 computed by independent oracles implemented here (stdlib-lgamma series
@@ -356,45 +356,78 @@ class TestBesselK:
 
 
 # ---------------------------------------------------------------------------
-# root finding
+# the level line
 # ---------------------------------------------------------------------------
 
 
-class TestRootFinder:
-    def test_sqrt_two(self):
-        f = lambda x: x * x - 2.0
-        root = nk.find_root_bracketed(f, nk.Bracket(1.0, 2.0, f(1.0), f(2.0)))
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
+def line_root(a, b, t):
+    """The root of a x + b ln(1 + e^x) = t from a 40-digit mpmath.findroot:
+    Newton from the right of the root, where this convex line sends it down
+    monotonically, on the line scaled by max(1, |t|) so that its residual
+    check holds at every t."""
+    with mpmath.workdps(40):
+        a, b, t = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(t)
+        scale = max(1, abs(t))
 
-    def test_linear_through_zero(self):
-        f = lambda x: x
-        root = nk.find_root_bracketed(f, nk.Bracket(-1.0, 1.0, f(-1.0), f(1.0)))
-        assert abs(root) <= 1e-12
+        def f(x):
+            return (a * x + b * mpmath.log1p(mpmath.exp(x)) - t) / scale
 
-    def test_no_sign_change_raises(self):
-        with pytest.raises(nk.NoSignChangeError):
-            nk.Bracket(0.0, 1.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            nk.Bracket(1.0, 0.0, -1.0, 2.0)
+        def df(x):
+            return (a + b / (1 + mpmath.exp(-x))) / scale
 
-    def test_deterministic(self):
-        f = lambda x: math.cos(x) - x
-        br = nk.Bracket(0.0, 1.0, f(0.0), f(1.0))
-        r1 = nk.find_root_bracketed(f, br)
-        r2 = nk.find_root_bracketed(f, br)
-        assert r1 == r2
+        start = t / (a + b) if t >= 0 else t / a
+        if f(start) == 0:
+            return float(start)
+        return float(mpmath.findroot(f, start, solver="newton", df=df, maxsteps=400))
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(min_value=-3.0, max_value=-0.01),
-        st.floats(min_value=0.01, max_value=3.0),
-        st.floats(min_value=0.2, max_value=4.0),
+
+class TestSolveLine:
+    """``solve_line`` solves a x + b softplus(x) = t, the level line of both
+    sectors: Dirac's a = 1/2 - nu, b = 2 nu over s, the neutral fermion's
+    a = -gamma, b = 0 over y, with t over the whole double range."""
+
+    LINES = [(0.5 - nu, 2.0 * nu) for nu in (1e-9, 1e-6, 1e-3, 0.1, 0.25, 0.4, 0.49, 0.499999)] + [
+        (-gamma, 0.0) for gamma in (1e-3, 0.3, 0.5, 0.999)
+    ]
+    TARGETS = [0.0] + [sign * 10.0**k for k in range(-300, 301, 20) for sign in (1.0, -1.0)]
+
+    @pytest.mark.parametrize("a, b", LINES)
+    def test_matches_mpmath(self, a, b):
+        # the worst of these 756 roots is 2.0 ulps off (nu = 0.4, t = 1)
+        for t in self.TARGETS:
+            want = line_root(a, b, t)
+            got = nk.solve_line(a, b, t)
+            assert abs(got - want) <= 2.5 * math.ulp(want), (t, got, want)
+
+    def test_forms_no_offset_against_its_target(self):
+        # the analytic line at nu = 0.499999, xi = -1e-6: t is formed once,
+        # so the root is the 40-digit one; a Newton step that subtracted
+        # ln(-xi) from the line's Gamma-ratio offset instead lands 2.7e-11 off
+        nu = 0.499999
+        t = math.log(1e-6) - (math.lgamma(0.5 + nu) - math.lgamma(0.5 - nu))
+        got = nk.solve_line(0.5 - nu, 2.0 * nu, t)
+        assert got == pytest.approx(-11.4808, abs=1e-4)
+        assert abs(got - line_root(0.5 - nu, 2.0 * nu, t)) <= math.ulp(got)
+
+    def test_flat_line_is_one_division(self):
+        rng = random.Random(3)
+        for _ in range(2000):
+            a = -rng.uniform(1e-3, 1.0)
+            t = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)
+            assert nk.solve_line(a, 0.0, t) == t / a
+
+    @pytest.mark.parametrize(
+        "a, b, t, want",
+        [
+            (0.25, 0.5, 1.7e308, math.inf),  # the first step overflows
+            (0.25, 0.5, -1.7e308, -math.inf),
+            (1e-10, 1.0, -1e300, -math.inf),  # a later step overflows
+            (0.25, 0.5, math.nan, math.nan),
+        ],
     )
-    def test_root_inside_bracket(self, lo, hi, scale):
-        f = lambda x: math.tanh(scale * x) + 0.3 * x
-        root = nk.find_root_bracketed(f, nk.Bracket(lo, hi, f(lo), f(hi)))
-        assert lo <= root <= hi
-        assert abs(f(root)) < 1e-9
+    def test_overflowing_step_ends_the_solve(self, a, b, t, want):
+        got = nk.solve_line(a, b, t)
+        assert got == want or math.isnan(got) and math.isnan(want)
 
 
 class TestLinearGrid:

@@ -41,10 +41,37 @@ def per_energy_miss(g, k, template, cfg=FAST):
     return miss
 
 
+def s_of_u(u):
+    """The Dirac scan variable s = ln((1 - u)/(1 + u)) of u = tau*E/m."""
+    return math.log((1.0 - u) / (1.0 + u))
+
+
+def level_s(level):
+    """s of an analytic level, from lambda where u rounds toward -+1:
+    1 -+ u = lambda^2/(1 +- u) at m = 1."""
+    u = level.channel.tau * level.E
+    if u >= 0.0:
+        return 2.0 * math.log(level.lam / (1.0 + u))
+    return 2.0 * math.log((1.0 - u) / level.lam)
+
+
 def ac_template(gamma, xi):
     """(p, mix) of the neutral fermion's domain template
     f ~ (m r)^gamma + xi (m r)^(-gamma) over y = ln(-E/m), kappa = sqrt(2 e^y)."""
     return gamma, lambda y: (math.sqrt(2.0 * math.exp(y)), 1.0, xi)
+
+
+def record_line_solves(monkeypatch):
+    """The ((a, b, t), x) of every kernel solve_line call, as they run."""
+    calls = []
+    original = nk.solve_line
+
+    def recorded(a, b, t):
+        calls.append(((a, b, t), original(a, b, t)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(nk, "solve_line", recorded)
+    return calls
 
 
 def dirac_channel(mu, l=0, s=-1):
@@ -232,10 +259,10 @@ class TestSmoothMismatch:
     def test_dirac_mismatch_linear_at_root(self, mu, xi):
         ch = dirac_channel(mu)
         e_star = ab.solve_bound_energy(ch, ab.Extension.from_xi(xi)).E
-        miss_u = closed_form(*orc._dirac_template(ch, ch.s * xi))
+        miss_s = closed_form(*orc._dirac_template(ch, ch.s * xi))
 
         def miss(E):
-            return miss_u(ch.tau * E)
+            return miss_s(s_of_u(ch.tau * E))
 
         ratio = miss(e_star + self.DELTA) / miss(e_star + 2.0 * self.DELTA)
         assert 0.4 <= ratio <= 0.6
@@ -302,6 +329,8 @@ class TestClosedForm:
     the base step and at the coarsest diagnostic rung, 4 times that step."""
 
     CONFIGS = (FAST, replace(FAST, numerov_dx=4 * FAST.numerov_dx))
+    # u = tau*E/m between the doubles next to -+1
+    GAP = (math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0))
 
     @pytest.mark.parametrize(
         "l, s, mu",
@@ -312,7 +341,7 @@ class TestClosedForm:
         ch = dirac_channel(mu, l=l, s=s)
         xi_int = ch.s * -1.0
         miss = closed_form(*orc._dirac_template(ch, xi_int), cfg)
-        for u in nk.linear_grid(*orc._GAP_WINDOW, 8):
+        for u in nk.linear_grid(*self.GAP, 8):
             E = ch.tau * u
             lam = math.sqrt((1.0 - E) * (1.0 + E))
 
@@ -320,7 +349,7 @@ class TestClosedForm:
                 return template_f1(ch, xi_int, r, E) / math.sqrt(r)
 
             want = per_energy_miss(abs(l + mu), lam, seed, cfg)
-            assert miss(u) == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert miss(s_of_u(u)) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [0.15, 0.5, 0.85])
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "coarsest-rung"])
@@ -465,6 +494,9 @@ class TestIndependence:
             (nk, "bessel_j"),
             (nk, "gamma_fn"),
             (nk, "log_gamma"),
+            (ab, "_log_gamma_ratio"),
+            (ab, "log_abs_master_xi"),
+            (ac, "_log_gamma_ratio"),
         ):
             monkeypatch.setattr(module, name, forbidden)
         ext = ab.Extension.from_xi(-1.0)
@@ -605,10 +637,9 @@ class TestCoarseningLadder:
 
 
 class TestSignScan:
-    """A shoot solves each rung's line in a bracket it takes in closed form,
-    with no search; the level count evaluates every point of a fixed scan of
-    the gap.  Each solve reads one pair of template branches from one
-    sweep at its own step."""
+    """A shoot solves each rung's line once, with no search; the level count
+    evaluates every point of a fixed scan of the gap.  Each solve reads one
+    pair of template branches from one sweep at its own step."""
 
     @staticmethod
     def sector(sector):
@@ -632,42 +663,26 @@ class TestSignScan:
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_shoot_stops_at_first_bracket(self, monkeypatch, sector):
-        # every rung hands Brent the inverses of its line's piecewise-linear
-        # bounds at t - b ln 2 and t, t = ln R - c, whose values straddle 0,
-        # and Brent stays between them: no rung searches for a bracket.  The
-        # neutral fermion's line is linear, so the inverse is its root and
-        # Brent never runs
+        # every rung hands the kernel's solve_line its line's a and b with
+        # t = ln R - c, formed once by the shoot, and the shoot reads E off
+        # the base rung's root: no rung searches.  The neutral fermion's
+        # line is linear, so its root is t/a
         ch, shoot = self.sector(sector)
         ext = ab.Extension.from_xi(-1.0)
         pairs = self.record_branch_pairs(monkeypatch)
-        brackets = []
-        find_root = nk.find_root_bracketed
-
-        def recorded(f, bracket, tol_x):
-            brackets.append(bracket)
-            assert tol_x == 1e-15
-
-            def inside(x):
-                assert bracket.lo <= x <= bracket.hi
-                return f(x)
-
-            return find_root(inside, bracket, tol_x=tol_x)
-
-        monkeypatch.setattr(nk, "find_root_bracketed", recorded)
+        solves = record_line_solves(monkeypatch)
         res = shoot(ch, ext, orc.ShootingConfig())
-        assert res.evaluations == len(pairs) == 3
+        if sector == "ab":
+            _, (a, b, c) = orc._dirac_line(ch, ext.xi)
+            e0 = -ch.tau * math.tanh(0.5 * solves[0][1])
+        else:
+            _, (a, b, c) = orc._ac_line(ch.gamma, ext.xi)
+            e0 = -math.exp(solves[0][1])
+        assert res.evaluations == len(pairs) == len(solves) == 3
+        assert [args for args, _ in solves] == [(a, b, math.log(ratio) - c) for _, ratio in pairs]
+        assert res.E == e0
         if sector == "ac":
-            _, (a, _, c) = orc._ac_line(ch.gamma, ext.xi)
-            assert brackets == []
-            assert a * math.log(-res.E) + c == pytest.approx(math.log(pairs[0][1]), abs=1e-15)
-            return
-        _, (a, b, c) = orc._dirac_line(ch, ext.xi)
-        assert len(brackets) == len(pairs)
-        for bracket, (_, ratio) in zip(brackets, pairs):
-            t = math.log(ratio) - c
-            for x, want in ((bracket.lo, t - b * math.log(2.0)), (bracket.hi, t)):
-                assert a * x + b * max(x, 0.0) == pytest.approx(want, abs=1e-15)
-            assert bracket.f_lo < 0.0 < bracket.f_hi
+            assert all(x == t / a for (_, _, t), x in solves)
 
     @pytest.mark.parametrize("sector", ["ab", "ac"])
     def test_probes_scan_at_working_settings(self, monkeypatch, sector):
@@ -687,33 +702,15 @@ class TestSignScan:
         # the ladder probes solve the same line at their own R, so their
         # roots move off the base root x0 by a distance that grows with the
         # step (here by more than 8 per doubling, order ~4) and stays below
-        # 2e-6 in x; a Dirac probe's closed-form bracket still holds x0
+        # 2e-6 in x
         ch, shoot = self.sector(sector)
-        roots = []
-        solve = orc._root
-
-        def recorded(line, log_ratio):
-            roots.append(solve(line, log_ratio))
-            return roots[-1]
-
-        monkeypatch.setattr(orc, "_root", recorded)
-        brackets = []
-        find_root = nk.find_root_bracketed
-
-        def bracketed(f, bracket, tol_x):
-            brackets.append(bracket)
-            return find_root(f, bracket, tol_x=tol_x)
-
-        monkeypatch.setattr(nk, "find_root_bracketed", bracketed)
+        solves = record_line_solves(monkeypatch)
         res = shoot(ch, ab.Extension.from_xi(-1.0), orc.ShootingConfig())
-        x0 = roots[0]
+        x0, x2, x4 = (x for _, x in solves)
         e0 = -ch.tau * math.tanh(0.5 * x0) if sector == "ab" else -math.exp(x0)
         assert res.E == pytest.approx(e0, rel=1e-15)
-        d2, d4 = (abs(x - x0) for x in roots[1:])
+        d2, d4 = abs(x2 - x0), abs(x4 - x0)
         assert 0.0 < 8.0 * d2 < d4 < 2e-6
-        if sector == "ab":
-            assert len(brackets) == 3
-            assert all(b.lo < x0 < b.hi for b in brackets[1:])
 
     def test_count_scans_every_grid_point(self, monkeypatch):
         calls = []
@@ -729,7 +726,7 @@ class TestSignScan:
             return recorded
 
         monkeypatch.setattr(orc, "_mismatch", wrapped)
-        grid = nk.linear_grid(*orc._GAP_WINDOW, orc._COUNT_POINTS)
+        grid = nk.linear_grid(*orc._COUNT_WINDOW, orc._COUNT_POINTS)
         cases = ((0.25, -1.0), (0.4, -0.3), (0.6, -2.0), (0.85, -1.0))
         for k, (mu, xi) in enumerate(cases, start=1):
             n = orc.count_dirac_levels(dirac_channel(mu), ab.Extension.from_xi(xi), FAST)
@@ -792,13 +789,13 @@ class TestOneSignChangePerWindow:
         tau_side=st.sampled_from([1, -1]),
         log_xi=st.floats(-3.0, 3.0),
     )
-    # the level's u = tau E/m is 0.9999999999999999, the window's upper end
+    # the level's u = tau E/m is 0.9999999999999999, the double next to 1
     @example(family=(0, -1), nu=0.41796875, tau_side=1, log_xi=-2.375)
     def test_dirac(self, family, nu, tau_side, log_xi):
         ch = family_channel(family, nu, tau_side)
         ext = ab.Extension.from_xi(-(10.0**log_xi))
         miss = closed_form(*orc._dirac_template(ch, ch.s * ext.xi))
-        self.check(miss, orc._GAP_WINDOW, lambda: ch.tau * ab.solve_bound_energy(ch, ext).E)
+        self.check(miss, orc._COUNT_WINDOW, lambda: level_s(ab.solve_bound_energy(ch, ext)))
 
     @settings(max_examples=150, deadline=None)
     @given(gamma=st.floats(0.05, 0.95), log_xi=st.floats(-2.0, 2.0))
@@ -844,8 +841,8 @@ class TestLine:
         x=st.floats(-40.0, 40.0),
     )
     def test_dirac_line_is_the_template(self, family, nu, tau_side, log_xi, x):
-        # at |s| = 40, 1 -+ u is 8e-18, below an ulp of 1, so the mix is read
-        # at a 40-digit u = -tanh(s/2)
+        # at |s| = 40, 1 -+ u is 8e-18, below an ulp of 1: the mix forms it
+        # from s, and its log is taken at 40 digits
         import mpmath
 
         ch = family_channel(family, nu, tau_side)
@@ -854,8 +851,8 @@ class TestLine:
         p_mix, mix = orc._dirac_template(ch, ch.s * xi)
         assert p == p_mix
         with mpmath.workdps(40):
-            k, c_reg, c_irr = mix(-mpmath.tanh(mpmath.mpf(x) / 2))
-            want = float(mpmath.log(abs(c_reg * mpmath.mpf(k) ** (-2 * p) / c_irr)))
+            k, c_reg, c_irr = (mpmath.mpf(v) for v in mix(x))
+            want = float(mpmath.log(abs(c_reg * k ** (-2 * p) / c_irr)))
         assert line_value(line, x) == pytest.approx(want, rel=0.0, abs=1e-13)
 
     @settings(max_examples=200, deadline=None)
@@ -876,17 +873,17 @@ class TestLine:
         log_xi=st.floats(-3.0, 3.0),
     )
     def test_root_is_a_sign_change_of_the_mismatch(self, family, nu, tau_side, log_xi):
-        # the mismatch changes sign within 16 ulps of 1/2 (1.8e-15) of
-        # u0 = -tanh(x0/2); 30000 random channels read 7 at worst
+        # the mismatch changes sign within 48 ulps of max(1, |x0|) of the
+        # root x0 that the shoot's solve_line returns; 20000 random channels
+        # read 20 at worst
         ch = family_channel(family, nu, tau_side)
         xi = -(10.0**log_xi)
-        p, line = orc._dirac_line(ch, xi)
+        p, (a, b, c) = orc._dirac_line(ch, xi)
         m_reg, m_irr = orc._branch_pair(p, DX)
-        u0 = -math.tanh(0.5 * orc._root(line, math.log(m_irr / m_reg)))
-        d = 16 * math.ulp(0.5)
-        assume(abs(u0) + d < 1.0)
+        x0 = nk.solve_line(a, b, math.log(m_irr / m_reg) - c)
         miss = closed_form(*orc._dirac_template(ch, ch.s * xi))
-        assert miss(u0 - d) * miss(u0 + d) <= 0.0
+        d = 48 * math.ulp(max(1.0, abs(x0)))
+        assert miss(x0 - d) * miss(x0 + d) <= 0.0
 
 
 def master_log_lambda(nu, xi):
@@ -933,8 +930,8 @@ class TestReach:
         for xi in self.XIS:
             p, line = orc._dirac_line(ch, xi)
             m_reg, m_irr = orc._branch_pair(p, DX)
-            x = orc._root(line, math.log(m_irr / m_reg))
-            a, b, _ = line
+            a, b, c = line
+            x = nk.solve_line(a, b, math.log(m_irr / m_reg) - c)
             slope = a + b * 0.5 * (1.0 + math.tanh(0.5 * x))
             got = math.log(2.0) + 0.5 * x - softplus(x)
             want = master_log_lambda(ch.nu, xi)
@@ -950,7 +947,8 @@ class TestReach:
         for xi in self.XIS:
             p, line = orc._ac_line(gamma, xi)
             m_reg, m_irr = orc._branch_pair(p, DX)
-            y = orc._root(line, math.log(m_irr / m_reg))
+            a, _, c = line
+            y = nk.solve_line(a, 0.0, math.log(m_irr / m_reg) - c)
             with mpmath.workdps(30):
                 g = mpmath.mpf(gamma)
                 log_ratio = mpmath.loggamma(1 - g) - mpmath.loggamma(1 + g)
@@ -965,12 +963,11 @@ class TestReach:
 
 
 class TestCountReach:
-    """The level count scans u = tau*E/m between the doubles next to -1 and
-    1, so it counts every level whose u lies strictly between them.  A level
-    whose E rounds to -+m lies beyond the scan and is not counted, and one
-    whose u rounds to a scan end is counted only when it lies inside it."""
-
-    END = math.nextafter(1.0, 0.0)
+    """The level count scans s = ln((1 - u)/(1 + u)), u = tau*E/m, from -40
+    to 40, past the s of the doubles next to u = -+1, so it counts every
+    level whose E does not round to -+m, one whose u rounds to an end double
+    included.  A level whose E rounds to -+m is counted exactly when the
+    shoot's root s lies inside the scan."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -979,17 +976,56 @@ class TestCountReach:
         tau_side=st.sampled_from([1, -1]),
         log_xi=st.floats(-12.0, 12.0),
     )
+    # the level's u is 0.9999999999999999, and a scan of u between the
+    # doubles next to -+1 does not count it
+    @example(family=(0, -1), nu=0.09707831633664998, tau_side=1, log_xi=-6.80334721872861)
     def test_counts_every_level_inside_the_scan(self, family, nu, tau_side, log_xi):
         ch = family_channel(family, nu, tau_side)
         ext = ab.Extension.from_xi(-(10.0**log_xi))
         u = ch.tau * orc.dirac_shoot(ch, ext, FAST).E
+        p, (a, b, c) = orc._dirac_line(ch, ext.xi)
+        m_reg, m_irr = orc._branch_pair(p, DX)
+        x0 = nk.solve_line(a, b, math.log(m_irr / m_reg) - c)
+        assume(abs(abs(x0) - orc._COUNT_WINDOW[1]) > 1e-9)
         n = orc.count_dirac_levels(ch, ext, FAST)
-        if abs(u) < self.END:
+        if abs(u) < 1.0:
             assert n == 1, u
-        elif abs(u) == 1.0:
-            assert n == 0, u
+        assert n == (abs(x0) < orc._COUNT_WINDOW[1]), (u, x0)
+
+
+class TestOneLineSolver:
+    """Both routes solve their level line with the kernel's solve_line: the
+    analytic Dirac level in one call, a shoot in one call per rung, and the
+    neutral fermion's shoot with b = 0.  Only t differs between the routes
+    (TestIndependence keeps the analytic t out of the oracle)."""
+
+    def test_analytic_level_makes_one_call(self, monkeypatch):
+        solves = record_line_solves(monkeypatch)
+        for mu, xi in ((0.25, -1.0), (0.6, -0.3), (0.999999, -1e-6)):
+            ch = dirac_channel(mu)
+            solves.clear()
+            level = ab.solve_bound_energy(ch, ab.Extension.from_xi(xi))
+            (((a, b, t), x),) = solves
+            assert (a, b) == (0.5 - ch.nu, 2.0 * ch.nu)
+            assert t == math.log(-xi) - ab._log_gamma_ratio(ch.nu)
+            assert level.E == -ch.tau * math.tanh(0.5 * x)
+
+    @pytest.mark.parametrize("sector", ["ab", "ac"])
+    @pytest.mark.parametrize("diagnostics, rungs", [(False, 1), (True, 3)])
+    def test_shoot_makes_one_call_per_rung(self, monkeypatch, sector, diagnostics, rungs):
+        solves = record_line_solves(monkeypatch)
+        ext = ab.Extension.from_xi(-1.0)
+        cfg = orc.ShootingConfig(diagnostics=diagnostics)
+        if sector == "ab":
+            ch = dirac_channel(0.25)
+            res = orc.dirac_shoot(ch, ext, cfg)
+            line = (0.5 - ch.nu, 2.0 * ch.nu)
         else:
-            assert n in (0, 1), u
+            ch = ac_channel(0.5)
+            res = orc.schrodinger_shoot(ch, ext, cfg)
+            line = (-ch.gamma, 0.0)
+        assert len(solves) == res.evaluations == rungs
+        assert all((a, b) == line for (a, b, _), _ in solves)
 
 
 def numerov(c, k2, y_n, y_b, x0, h, n):
