@@ -34,7 +34,6 @@ from .numkernel import (
     bessel_j_pair,
     bessel_k,
     gamma_fn,
-    log_gamma,
 )
 from .oracle import (
     OracleResult,

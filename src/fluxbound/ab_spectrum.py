@@ -24,6 +24,8 @@ over all channels.
 
 This module holds the referee-fixed physics: the master extension curve and
 its levels, the normalized bound doublets and the continuum eigen-doublets.
+The master curve's ln Gamma(1/2+nu)/Gamma(1/2-nu) comes by Legendre's
+duplication formula from the kernel's ``log_gamma_ratio``.
 The paper's Wronskian and level equations as printed, and the continuum
 density built on that Wronskian, are a comparison mode and live in
 ``fluxbound.printed``, which reads this module; this module never reads it.
@@ -144,8 +146,9 @@ class DiracChannel:
 
     @property
     def regime(self) -> Regime:
+        # exact for every finite nu, also where 2 nu overflows (an integer nu)
         nu = self.nu
-        if abs(nu - round(2.0 * nu) / 2.0) < CRITICAL_TOL:
+        if abs(math.remainder(nu, 0.5)) < CRITICAL_TOL:
             return Regime.CRITICAL
         return Regime.EXTENDED if nu < 0.5 else Regime.REGULAR
 
@@ -219,28 +222,10 @@ def _require_extended(ch: DiracChannel, what: str) -> None:
         )
 
 
-# ln Gamma(1/2+nu)/Gamma(1/2-nu) = sum_j c_j nu^(2j+1), with c_0 = 2 psi(1/2)
-# and c_j = -2 (2^(2j+1) - 1) zeta(2j+1)/(2j+1); the radius is 1/2, and 12
-# terms hold 1e-18 relative up to _LOG_RATIO_SERIES_MAX_NU
-_LOG_RATIO_SERIES = (
-    -3.927020052042847, -5.60959888141144, -12.857904163777787, -36.588673779286914,
-    -113.7836197186951, -372.3657461950241, -1260.3084838507716, -4369.066971298543,
-    -15420.235413544893, -55188.210573802164, -199728.76192385622, -729444.1739207918,
-)
-_LOG_RATIO_SERIES_MAX_NU = 0.1
-
-
 def _log_gamma_ratio(nu: float) -> float:
-    # ln Gamma(1/2+nu)/Gamma(1/2-nu) for 0 < nu < 1/2.  The lgamma difference
-    # (like the log of the ratio) cancels to a relative error of about eps/nu
-    # as nu -> 0, so small nu takes the odd series instead.
-    if nu < _LOG_RATIO_SERIES_MAX_NU:
-        nu2 = nu * nu
-        acc = 0.0
-        for c in reversed(_LOG_RATIO_SERIES):
-            acc = acc * nu2 + c
-        return acc * nu
-    return nk.log_gamma(0.5 + nu) - nk.log_gamma(0.5 - nu)
+    # ln Gamma(1/2+nu)/Gamma(1/2-nu) for 0 < nu < 1/2, by Legendre's
+    # duplication formula (DLMF 5.5.5) from the kernel's ln Gamma(1+x)/Gamma(1-x)
+    return nk.log_gamma_ratio(2.0 * nu) - nk.log_gamma_ratio(nu) - 4.0 * nu * math.log(2.0)
 
 
 def _log_abs_xi(nu: float, s: float, log_ratio: float) -> float:

@@ -14,6 +14,8 @@ closed form
 
 gamma = 0 is a separate logarithmic chart with its own closed form
 E_0 = -4 m exp(2(xi - euler)); gamma >= 1 has no extension and no bound state.
+The level, its residual and the Wronskian take ln Gamma(1+gamma)/Gamma(1-gamma)
+from the kernel's ``log_gamma_ratio``.
 The reported xi is oriented so that the bound side is xi < 0 (the raw internal
 template ratio of the decaying K_gamma profile is -xi).
 """
@@ -122,49 +124,13 @@ def ac_wronskian(ch: ACChannel, E_n: float) -> float:
     if not E_n < 0.0:
         raise EnergyDomainError(f"ac_wronskian: need E_n < 0, got {E_n}")
     g = ch.gamma
-    return _omega(_gamma_quotient(g), g, ch.m, E_n)
+    return _omega(math.exp(nk.log_gamma_ratio(g)), g, ch.m, E_n)
 
 
-def _gamma_quotient(g: float) -> float:
-    # Gamma(1+gamma)/Gamma(1-gamma), taken once per level and its residual,
-    # and once per point of the continued Wronskian
-    return nk.gamma_fn(1.0 + g) / nk.gamma_fn(1.0 - g)
-
-
-def _omega(quotient: float, g: float, m: float, E_n: float) -> float:
-    # ac_wronskian without its checks, for a validated gamma's _gamma_quotient
+def _omega(ratio: float, g: float, m: float, E_n: float) -> float:
+    # ac_wronskian without its checks, for ratio = Gamma(1+gamma)/Gamma(1-gamma)
     kappa = math.sqrt(-2.0 * m * E_n)
-    return quotient * (2.0 * m / kappa) ** (2.0 * g)
-
-
-# ln Gamma(1+gamma)/Gamma(1-gamma) = sum_j c_j gamma^(2j+1), with
-# c_0 = -2 euler and c_j = -2 zeta(2j+1)/(2j+1); the radius is 1, and 14
-# terms hold 1e-17 relative up to _LOG_RATIO_SERIES_MAX_GAMMA
-_LOG_RATIO_SERIES = (
-    -1.1544313298030657, -0.8013712687730629, -0.41477110205734796, -0.2880997935376922,
-    -0.22266853173912937, -0.18190803429165808, -0.1538650328227044, -0.13333741176484093,
-    -0.11764795731736917, -0.10526335875923332, -0.09523814066028445, -0.08695653210608052,
-    -0.08000000238428027, -0.07407407462597865,
-)
-_LOG_RATIO_SERIES_MAX_GAMMA = 0.25
-
-
-def _log_gamma_ratio(g: float, quotient: float) -> float:
-    # ln Gamma(1+gamma)/Gamma(1-gamma) for 0 < gamma < 1, from quotient =
-    # _gamma_quotient(g) from 0.25 up.  The level raises
-    # the ratio to the power -1/gamma, so an error in its log grows by
-    # 1/gamma.  The log of the ratio (like the lgamma difference) cancels to
-    # eps/gamma as gamma -> 0, so small gamma takes the odd series instead.
-    # From 0.25 up the level is 2.9e-15 relative off mpmath at worst; the
-    # lgamma difference gives 4.7e-15 there, since lgamma loses relative
-    # precision between its zeros at 1 and 2, where 1 + gamma lies.
-    if g < _LOG_RATIO_SERIES_MAX_GAMMA:
-        g2 = g * g
-        acc = 0.0
-        for c in reversed(_LOG_RATIO_SERIES):
-            acc = acc * g2 + c
-        return acc * g
-    return math.log(quotient)
+    return ratio * (2.0 * m / kappa) ** (2.0 * g)
 
 
 def _ac_level(g: float, m: float, xi: float) -> Optional[tuple[float, float, float]]:
@@ -178,9 +144,10 @@ def _ac_level(g: float, m: float, xi: float) -> Optional[tuple[float, float, flo
     if log_critical:
         E_n = -4.0 * m * math.exp(2.0 * (xi - EULER_GAMMA))
     else:
-        # the base's Gamma ratio to the power -1/gamma, exp(ln ratio / gamma)
-        quotient = _gamma_quotient(g)
-        ratio_power = math.exp(_log_gamma_ratio(g, quotient) / g)
+        # the base's Gamma ratio to the power -1/gamma, exp(ln ratio / gamma):
+        # an error in the log grows by 1/gamma, so the log is taken directly
+        log_ratio = nk.log_gamma_ratio(g)
+        ratio_power = math.exp(log_ratio / g)
         try:
             E_n = -2.0 * m * (-xi) ** (-1.0 / g) * ratio_power
         except OverflowError:  # a float power raises where a product gives inf
@@ -193,7 +160,7 @@ def _ac_level(g: float, m: float, xi: float) -> Optional[tuple[float, float, flo
             "the double range"
         )
     # mismatch of the level equation omega(E_n) = -xi
-    residual = 0.0 if log_critical else abs(_omega(quotient, g, m, E_n) + xi)
+    residual = 0.0 if log_critical else abs(_omega(math.exp(log_ratio), g, m, E_n) + xi)
     return E_n, kappa, residual
 
 
@@ -205,9 +172,9 @@ def ac_bound_energy(ch: ACChannel, ext: Extension) -> Optional[ACLevel]:
     Regular:       RegimeError (no extension, no bound state)
 
     The extended level takes the Gamma ratio's power -1/gamma as the exp of
-    _log_gamma_ratio over gamma, so it keeps full precision as gamma -> 0.  A
-    level whose E_n or kappa over- or underflows the double range is an
-    EnergyDomainError.
+    the kernel's log_gamma_ratio over gamma, so it keeps full precision as
+    gamma -> 0.  A level whose E_n or kappa over- or underflows the double
+    range is an EnergyDomainError.
     """
     g = ch.gamma
     if _regime(g) is ACRegime.REGULAR:
@@ -267,7 +234,8 @@ def ac_omega_xi_continued(ch: ACChannel, ext: Extension, E_n: float) -> complex:
         raise EnergyDomainError(f"ac_omega_xi_continued: need E_n > 0, got {E_n}")
     g, m = ch.gamma, ch.m
     k = math.sqrt(2.0 * m * E_n)
-    omega_c = _gamma_quotient(g) * (2.0 * m / k) ** (2.0 * g) * cmath.exp(1j * math.pi * g)
+    ratio = math.exp(nk.log_gamma_ratio(g))
+    omega_c = ratio * (2.0 * m / k) ** (2.0 * g) * cmath.exp(1j * math.pi * g)
     return omega_c + xi
 
 

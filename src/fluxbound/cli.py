@@ -3,11 +3,13 @@
 Emits CSV (17 significant digits, '\\n' line endings) or JSON tables with
 deterministic, byte-identical output for identical inputs.  Exit codes:
 0 success, 2 with one JSON line ``{"error", "kind"}`` on stderr for a usage
-error (kind "usage": bad or missing flags, grids, config values, a mass whose
-square is not a finite normal float, a ``--resolution`` outside [1e-3, 0.25),
-a NaN ``--xi`` or a ``--theta`` outside [0, 2pi); ``--r-min`` is an unknown
-flag, since the oracle's only length is the tail decay length 1/k) or a
-domain error (kind "domain": critical or regular regime requests, a
+error (kind "usage": bad or missing flags, grids, config values, a grid of
+more than 100000 points, a radius beyond the double range, a mass whose square is not a finite normal float, a
+``--resolution`` outside [1e-3, 0.25), a NaN ``--xi`` or a ``--theta``
+outside [0, 2pi), a non-finite ``--mu``, ``--gamma`` or ``--coupling``, an
+``--l`` beyond 2**53 in magnitude; ``--r-min`` is an unknown flag, since the
+oracle's only length is the tail decay length 1/k) or a domain error (kind
+"domain": critical or regular regime requests, a
 neutral-fermion level beyond the double range, an ``ab-wavefunction`` level
 whose lambda underflows to 0), 1 internal failure.  ``oracle-check`` prints
 its header alone where either route has no level; the oracle reaches every
@@ -87,6 +89,9 @@ class RunSpec:
     out_path: Optional[str]
 
 
+_MAX_GRID_POINTS = 100_000  # a table's rows are built in memory before they are written
+
+
 def _parse_grid(text: str) -> tuple[float, float, int]:
     try:
         lo_s, hi_s, n_s = text.split(":")
@@ -95,10 +100,14 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise UsageError(f"grid must be 'lo:hi:n', got {text!r}") from exc
     if n < 2:
         raise UsageError(f"grid needs at least 2 points, got {n}")
+    if n > _MAX_GRID_POINTS:
+        raise UsageError(f"grid takes at most {_MAX_GRID_POINTS} points, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise UsageError(f"grid bounds must be finite and increasing, got {text!r}")
     if not math.isfinite(hi - lo):
         raise UsageError(f"grid width hi - lo overflows, got {text!r}")
+    if not math.isfinite((hi - lo) * (n - 2)):  # linear_grid's largest product
+        raise UsageError(f"grid step product (hi - lo)*(n - 2) overflows, got {text!r}")
     return lo, hi, n
 
 
@@ -241,6 +250,13 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
         raise UsageError(
             f"--mass must be positive with mass**2 a finite normal float, got {mass!r}"
         )
+    for flag in ("mu", "gamma", "coupling"):
+        value = params.get(flag)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value!r}")
+    # the channel index l + mu + s/2 (or l + zeta*coupling) is a double
+    if "l" in params and not abs(params["l"]) <= 2**53:
+        raise UsageError(f"--l must lie in [-2**53, 2**53], got {params['l']}")
     command = params.pop("command")
     fmt = params.pop("format")
     out_path = params.pop("output")
@@ -418,6 +434,8 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
             return [], _WAVEFUNCTION_COLUMNS
         doublet = ab.bound_doublet(level)
         lo, hi, n = _parse_grid(params["r_grid"])
+        if not hi / mass < math.inf:
+            raise UsageError(f"--r-grid: the radius {hi!r}/m overflows at --mass {mass!r}")
         rows = []
         for rm in nk.linear_grid(lo, hi, n):
             f1, f2 = doublet(rm / mass)

@@ -2,7 +2,8 @@
 
 Provides the primitives everything else is built on:
 
-* real-argument gamma functions (``gamma_fn``, ``log_gamma``),
+* the real-argument gamma function (``gamma_fn``) and both sectors' Gamma
+  ratio ln Gamma(1+x)/Gamma(1-x) (``log_gamma_ratio``),
 * the origin's Frobenius series 0F1(; 1 + a; z^2/4) (``frobenius_factor``),
 * Bessel functions of real order (``bessel_j``, ``bessel_k``), the pair
   (J_{a-1}, J_a) from one J recurrence (``bessel_j_pair``), and the
@@ -11,8 +12,8 @@ Provides the primitives everything else is built on:
   analytic levels and the oracle solve (``solve_line``), and the equally
   spaced grid of every scan and table (``linear_grid``).
 
-Only the Python standard library is used.  The gamma functions are
-``math.gamma`` and ``math.lgamma`` behind the domain and pole checks; J is
+Only the Python standard library is used.  Gamma is ``math.gamma`` behind
+the domain and pole checks; J is
 Miller's backward recurrence at every order and argument, normalized by a
 Neumann sum (3.0e-15 of max(|J|, sqrt(2/(pi z))) off mpmath over the orders
 the continuum passes for z up to 60), and ``bessel_j_pair`` takes J one
@@ -36,7 +37,7 @@ __all__ = [
     "PoleError",
     "ConvergenceError",
     "gamma_fn",
-    "log_gamma",
+    "log_gamma_ratio",
     "frobenius_factor",
     "bessel_j",
     "bessel_j_pair",
@@ -87,11 +88,34 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 (``math.lgamma``), finite up to x of about 2.5e305."""
-    if not x > 0.0:
-        raise KernelDomainError(f"log_gamma: requires x > 0, got {x}")
-    return math.lgamma(x)
+# ln Gamma(1+x)/Gamma(1-x) = sum_j c_j x^(2j+1), with c_0 = -2 euler and
+# c_j = -2 zeta(2j+1)/(2j+1) (DLMF 5.7.3); the radius is 1, and 14 terms hold
+# 1e-17 relative up to _LOG_RATIO_SERIES_MAX_X
+_LOG_RATIO_SERIES = (
+    -1.1544313298030657, -0.8013712687730629, -0.41477110205734796, -0.2880997935376922,
+    -0.22266853173912937, -0.18190803429165808, -0.1538650328227044, -0.13333741176484093,
+    -0.11764795731736917, -0.10526335875923332, -0.09523814066028445, -0.08695653210608052,
+    -0.08000000238428027, -0.07407407462597865,
+)
+_LOG_RATIO_SERIES_MAX_X = 0.25
+
+
+def log_gamma_ratio(x: float) -> float:
+    """L(x) = ln Gamma(1+x)/Gamma(1-x) for 0 <= x < 1: the odd series below
+    x = 1/4, where the log of the ``gamma_fn`` quotient taken above would
+    cancel to eps/x.  Against mpmath the worst relative error is 2.1e-16
+    below the seam and 3.6e-15 just above it.  The Dirac ratio follows by
+    duplication (DLMF 5.5.5): ln Gamma(1/2+nu)/Gamma(1/2-nu) = L(2 nu) - L(nu) - 4 nu ln 2.
+    """
+    if not 0.0 <= x < 1.0:
+        raise KernelDomainError(f"log_gamma_ratio: requires 0 <= x < 1, got {x}")
+    if x < _LOG_RATIO_SERIES_MAX_X:
+        x2 = x * x
+        acc = 0.0
+        for c in reversed(_LOG_RATIO_SERIES):
+            acc = acc * x2 + c
+        return acc * x
+    return math.log(gamma_fn(1.0 + x) / gamma_fn(1.0 - x))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +311,9 @@ def _k_integral(a: float, z: float) -> float:
     else:
         t_star = 0.0
         peak = -z
+    scale = math.exp(peak)
+    if scale == 0.0:  # K underflows; far out z cosh(t) rounds to z, and the sum would not end
+        return 0.0
     h = 0.2 / math.sqrt(max(1.0, z, a))
     acc = 0.5 * math.exp(-z - peak)  # t = 0 term: cosh(0)=1
     t = h
@@ -302,7 +329,7 @@ def _k_integral(a: float, z: float) -> float:
         t += h
         if t > 800.0:  # pragma: no cover
             raise ConvergenceError("bessel_k integral did not truncate")
-    return acc * h * math.exp(peak)
+    return acc * h * scale
 
 
 def bessel_k(order: float, z: float) -> float:

@@ -23,9 +23,8 @@ from .ab_spectrum import (
     EnergyDomainError,
     Extension,
     RegimeError,
-    _log_abs_xi,
-    _log_gamma_ratio,
     _require_extended,
+    log_abs_master_xi,
 )
 
 __all__ = [
@@ -160,8 +159,7 @@ def printed_level(ch: DiracChannel, ext: Extension, variant: str) -> Optional[Bo
         return None
     # |master xi| falls along u = tau*E, so the master level has u >= 0
     # exactly when |master xi(0)| >= -xi
-    log_abs_xi0 = _log_abs_xi(ch.nu, 0.0, _log_gamma_ratio(ch.nu))
-    u_sign = 1.0 if log_abs_xi0 >= math.log(-xi) else -1.0
+    u_sign = 1.0 if log_abs_master_xi(ch, 0.0) >= math.log(-xi) else -1.0
     e = math.sqrt((m - lam) * (m + lam))
     residual = abs(ratio * (lam / scale) ** p - target)
     return BoundLevel(E=ch.tau * u_sign * e, lam=lam, xi=xi, channel=ch, residual=residual)

@@ -124,8 +124,7 @@ def ac_solve_cross_check(ch: ac.ACChannel, ext: ab.Extension) -> ac.ACLevel:
     if not xi < 0.0:
         raise ValueError("ac_solve_cross_check: requires finite xi < 0")
     g, m = ch.gamma, ch.m
-    quotient = ac._gamma_quotient(g)
-    lng = ac._log_gamma_ratio(g, quotient)
+    lng = nk.log_gamma_ratio(g)
     target = math.log(-xi)
 
     def h(y: float) -> float:
@@ -136,7 +135,7 @@ def ac_solve_cross_check(ch: ac.ACChannel, ext: ab.Extension) -> ac.ACLevel:
     kappa = m * math.exp(y)
     E_n = -kappa * kappa / (2.0 * m)
     return ac.ACLevel(
-        E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=abs(ac._omega(quotient, g, m, E_n) + xi)
+        E_n=E_n, kappa=kappa, xi=xi, channel=ch, residual=abs(ac.ac_wronskian(ch, E_n) + xi)
     )
 
 

@@ -7,6 +7,7 @@ finding on the master curve and confirmed by the ODE oracle before freezing
 """
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -262,6 +263,29 @@ _GRID = {
     xi: [(l, s, k / 200.0) for k in range(1, 100) for l, s in ((0, -1), (-1, 1))]
     for xi in (-1e-3, -0.01, -0.2, -0.5, -1.0, -2.0, -5.0, -30.0, -1e3)
 } | {xi: [(0, -1, 0.25)] for xi in (-1e-4, -1e-6, -1e-12, -1e20, -1e300)}
+
+
+class TestLogGammaRatio:
+    def test_against_mpmath(self):
+        # ln Gamma(1/2+nu)/Gamma(1/2-nu) by duplication from the kernel's
+        # ln Gamma(1+x)/Gamma(1-x), against mpmath at 40 + |log10 nu| digits
+        # (the ratio is O(nu)) over 3000 log-uniform nu in (1e-12, 0.1) and
+        # 5000 uniform in (0.1, 1/2).  These read 1.4e-15, at nu = 0.14,
+        # where 2 nu lies just right of the kernel's seam at 1/4.  The
+        # ratio's own odd series below nu = 0.1 with an lgamma difference
+        # above it reads 2.5e-15 on the same draws, over the bound
+        rng = random.Random(3002)
+        nus = [10.0 ** rng.uniform(-12.0, -1.0) for _ in range(3000)]
+        nus += [rng.uniform(0.1, 0.5) for _ in range(5000)]
+        worst = 0.0
+        for nu in nus:
+            if not 0.0 < nu < 0.5:
+                continue
+            with mpmath.workdps(40 + int(abs(math.log10(nu)))):
+                x = mpmath.mpf(nu)
+                want = mpmath.loggamma(0.5 + x) - mpmath.loggamma(0.5 - x)
+            worst = max(worst, float(abs((ab._log_gamma_ratio(nu) - want) / want)))
+        assert worst <= 2e-15
 
 
 class TestMasterLevelAgainstMpmath:

@@ -203,6 +203,63 @@ class TestUsageErrors:
         assert report["kind"] == "usage"
         assert report["error"].startswith(f"{flag}: ")
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["ab-solve", "--mu", "inf"], "--mu", "inf"),
+            (["ab-wavefunction", "--r-grid", "1:2:2", "--mu", "-inf"], "--mu", "-inf"),
+            (["ab-density", "--energy-grid", "1.1:2:2", "--mu", "nan"], "--mu", "nan"),
+            (["oracle-check", "--mu", "nan"], "--mu", "nan"),
+            (["ac-solve", "--gamma", "nan"], "--gamma", "nan"),
+            (["oracle-check", "--sector", "ac", "--gamma", "inf"], "--gamma", "inf"),
+            (["ac-solve", "--coupling", "-inf"], "--coupling", "-inf"),
+        ],
+    )
+    def test_non_finite_channel_value_named_by_its_flag(self, capsys, argv, flag, value):
+        assert cli.main([*argv, "--xi", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = f"{flag} must be finite, got {value}"
+        assert err == json.dumps({"error": error, "kind": "usage"}) + "\n"
+
+    @pytest.mark.parametrize("l", [2**53 + 1, -(2**53) - 1, 10**400])
+    def test_l_beyond_the_exact_integers(self, capsys, l):
+        # --l 2**53 still parses; 10**400 has no double at all
+        assert cli.parse_args(["ab-solve", "--mu", "0.25", "--xi", "-1", "--l", str(2**53)])
+        for argv in (["ab-solve", "--mu", "0.25"], ["ac-solve", "--coupling", "0.3"]):
+            assert cli.main([*argv, "--xi", "-1", "--l", str(l)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            error = f"--l must lie in [-2**53, 2**53], got {l}"
+            assert err == json.dumps({"error": error, "kind": "usage"}) + "\n"
+
+    def test_grid_whose_points_overflow(self, capsys):
+        # a finite width whose multiples overflow would put inf in the grid
+        argv = ["ab-sweep", "--xi", "-1", "--beta-grid=0:8.98846567431158e307:4"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = "grid step product (hi - lo)*(n - 2) overflows, got '0:8.98846567431158e307:4'"
+        assert err == json.dumps({"error": error, "kind": "usage"}) + "\n"
+        assert cli._parse_grid("0:8.98846567431158e307:3") == (0.0, 8.98846567431158e307, 3)
+
+    def test_radius_beyond_the_double_range(self, capsys):
+        argv = ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", "1:1e308:2"]
+        assert cli.main([*argv, "--mass", "1e-150"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = "--r-grid: the radius 1e+308/m overflows at --mass 1e-150"
+        assert err == json.dumps({"error": error, "kind": "usage"}) + "\n"
+        assert cli.main([*argv, "--mass", "1"]) == 0
+
+    def test_grid_point_cap(self, capsys):
+        assert cli._parse_grid("0.1:0.9:100000") == (0.1, 0.9, 100000)
+        assert cli.main(["ac-sweep", "--xi", "-1", "--gamma-grid", "0.1:0.9:100001"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = "grid takes at most 100000 points, got 100001"
+        assert err == json.dumps({"error": error, "kind": "usage"}) + "\n"
+
     @pytest.mark.parametrize("argv", [["--help"], ["ab-solve", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         assert cli.main(argv) == 0
@@ -337,6 +394,34 @@ class TestRunCommands:
         report = json.loads(line)
         assert report["kind"] == "domain"
         assert "gamma=" in report["error"] and "xi=" in report["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ab-solve"],
+            ["ab-density", "--energy-grid", "1.1:2:2"],
+            ["ab-wavefunction", "--r-grid", "1:2:2"],
+            ["oracle-check"],
+        ],
+    )
+    @pytest.mark.parametrize("mu", ["1e308", "-1.7976931348623157e308"])
+    def test_critical_flux_where_twice_nu_overflows(self, capsys, argv, mu):
+        # such a flux is an integer, so its channel is critical
+        assert cli.main([*argv, "--mu", mu, "--xi", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        report = json.loads(line)
+        assert report["kind"] == "domain" and "is critical" in report["error"]
+
+    def test_sweep_rows_of_critical_fluxes_far_out(self, capsys):
+        assert cli.main(["ab-sweep", "--xi", "-1", "--beta-grid=1e308:1.7e308:2"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [float(row["mu"]) for row in rows] == [1e308, 1.7e308]
+        for row in rows:
+            assert row["tau"] == "0"
+            level = (row[col] for col in ("E_over_m", "lambda_over_m", "residual"))
+            assert all(math.isnan(float(v)) for v in level)
 
     def test_regular_channel_exits_2_with_reason(self):
         code, out, err = run_cli(["ab-solve", "--l", "1", "--s", "1", "--mu", "0.2", "--xi", "-1"])
@@ -627,21 +712,48 @@ _EXTENSIONS = st.one_of(
     st.tuples(st.just("--xi"), st.sampled_from(_XI_EDGES) | st.floats(-10.0, 10.0) | st.floats()),
     st.tuples(st.just("--theta"), st.floats(0.0, 2.0 * math.pi) | st.floats()),
 ).map(lambda pair: [pair[0], repr(pair[1])])
-_MU = st.sampled_from(["0.25", "0.1", "0.7", "0.45"])
-_GAMMA = st.sampled_from(["0.5", "0.2", "0.9", "0"])
+
+
+def _or_any_double(*sampled):
+    # one of the sampled values, or any double, NaN and +-inf included
+    return st.sampled_from(sampled) | st.floats().map(repr)
+
+
+_MU = _or_any_double("0.25", "0.1", "0.7", "0.45")
+_GAMMA = _or_any_double("0.5", "0.2", "0.9", "0")
+_L = st.sampled_from(["0", "1", "-1"]) | st.integers().map(str)
+_AB_CHANNEL = _MU.map(lambda mu: ["--mu", mu]) | st.tuples(_MU, _L).map(
+    lambda pair: ["--mu", pair[0], "--l", pair[1]]
+)
+_AC_CHANNEL = _GAMMA.map(lambda g: ["--gamma", g]) | st.tuples(
+    _or_any_double("-0.3", "0.5", "1.2"), _L, st.sampled_from(["1", "-1"])
+).map(lambda t: ["--coupling", t[0], "--l", t[1], "--zeta", t[2]])
+
+
+def _grid(lo, hi):
+    # lo:hi:n with n from 2 to 5
+    return st.integers(2, 5).map(lambda n: f"{lo}:{hi}:{n}")
+
+
 _PRINTED_LEVEL_EQ = st.sampled_from(["wr00", "levab", "lev0lev1"])
 _COMMANDS = st.one_of(
-    _MU.map(lambda mu: ["ab-solve", "--mu", mu]),
-    st.tuples(_MU, _PRINTED_LEVEL_EQ).map(
-        lambda pair: ["ab-solve", "--mu", pair[0], "--level-eq", pair[1]]
+    _AB_CHANNEL.map(lambda ch: ["ab-solve", *ch]),
+    st.tuples(_AB_CHANNEL, _PRINTED_LEVEL_EQ).map(
+        lambda pair: ["ab-solve", *pair[0], "--level-eq", pair[1]]
     ),
-    _PRINTED_LEVEL_EQ.map(lambda v: ["ab-sweep", "--beta-grid", "0.1:0.9:5", "--level-eq", v]),
-    _GAMMA.map(lambda g: ["ac-solve", "--gamma", g]),
-    st.just(["ac-sweep", "--gamma-grid", "0.001:0.5:3"]),
-    _MU.map(lambda mu: ["ab-wavefunction", "--mu", mu, "--r-grid", "0.1:5:5"]),
-    _MU.map(lambda mu: ["ab-density", "--mu", mu, "--energy-grid", "-4:-1.01:5"]),
-    _MU.map(lambda mu: ["oracle-check", "--mu", mu]),
-    _GAMMA.map(lambda g: ["oracle-check", "--sector", "ac", "--gamma", g]),
+    st.tuples(_grid("0.1", "0.9"), _PRINTED_LEVEL_EQ).map(
+        lambda pair: ["ab-sweep", "--beta-grid", pair[0], "--level-eq", pair[1]]
+    ),
+    _AC_CHANNEL.map(lambda ch: ["ac-solve", *ch]),
+    _grid("0.001", "0.5").map(lambda grid: ["ac-sweep", "--gamma-grid", grid]),
+    st.tuples(_AB_CHANNEL, _grid("0.1", "5")).map(
+        lambda pair: ["ab-wavefunction", *pair[0], "--r-grid", pair[1]]
+    ),
+    st.tuples(_AB_CHANNEL, _grid("-4", "-1.01")).map(
+        lambda pair: ["ab-density", *pair[0], "--energy-grid", pair[1]]
+    ),
+    _AB_CHANNEL.map(lambda ch: ["oracle-check", *ch]),
+    _AC_CHANNEL.map(lambda ch: ["oracle-check", "--sector", "ac", *ch]),
 )
 # oracle-check's resolution over its whole range [1e-3, 0.25), or the default
 _RESOLUTION = st.one_of(
@@ -661,8 +773,10 @@ _MASS = st.one_of(
 
 class TestExtensionContract:
     """Every extension parameter, at the edges of the double range and off
-    them, with oracle-check's resolution anywhere in [1e-3, 0.25) and any
-    mass, gives exit 0 with finite rows or exit 2 with one JSON line."""
+    them, with oracle-check's resolution anywhere in [1e-3, 0.25), any mass,
+    any double as the flux or the neutral fermion's index or coupling, any
+    --l and grids of 2 to 5 points, gives exit 0 with finite rows or exit 2
+    with one JSON line."""
 
     @settings(max_examples=400, deadline=None)
     @given(command=_COMMANDS, extension=_EXTENSIONS, resolution=_RESOLUTION, mass=_MASS)
@@ -699,21 +813,77 @@ class TestExtensionContract:
         resolution=["--resolution=0.2499"],
         mass=["--mass=1.5e-154"],
     )
+    # a flux whose 2 nu overflows, or that is not finite
+    @example(command=["ab-solve", "--mu", "inf"], extension=["--xi", "-1"], resolution=[], mass=[])
+    @example(
+        command=["ab-density", "--mu", "-inf", "--energy-grid", "1.1:2:2"],
+        extension=["--xi", "-1"],
+        resolution=[],
+        mass=[],
+    )
+    @example(
+        command=["ab-wavefunction", "--mu", "1e308", "--r-grid", "1:2:2"],
+        extension=["--xi", "-1"],
+        resolution=[],
+        mass=[],
+    )
+    @example(
+        command=["oracle-check", "--mu", "1e308"], extension=["--xi", "-1"], resolution=[], mass=[]
+    )
+    @example(
+        command=["ab-sweep", "--beta-grid=1e308:1.7e308:2", "--level-eq", "levab"],
+        extension=["--xi", "-1"],
+        resolution=[],
+        mass=[],
+    )
+    @example(  # an --l without a double
+        command=["ac-solve", "--coupling", "0.3", "--l", str(10**400), "--zeta", "1"],
+        extension=["--xi", "-1"],
+        resolution=[],
+        mass=[],
+    )
+    @example(  # grid points beyond the double range
+        command=["ab-sweep", "--beta-grid=0:8.98846567431158e307:4", "--level-eq", "levab"],
+        extension=["--xi", "-1"],
+        resolution=[],
+        mass=[],
+    )
+    @example(  # lambda r far beyond K's underflow, where z cosh(t) rounds to z
+        command=["ab-wavefunction", "--mu", "0.25", "--r-grid", "1e17:1e18:3"],
+        extension=["--xi", "-1"],
+        resolution=[],
+        mass=[],
+    )
+    @example(  # a radius r = r_times_m/m beyond the double range
+        command=["ab-wavefunction", "--mu", "0.25", "--r-grid", "1:1e308:2"],
+        extension=["--xi", "-1"],
+        resolution=[],
+        mass=["--mass=1e-150"],
+    )
+    @example(  # a grid of 10**12 points, which would not fit in memory
+        command=["ac-sweep", "--gamma-grid", "0.1:0.9:1000000000000"],
+        extension=["--xi", "-1"],
+        resolution=[],
+        mass=[],
+    )
     def test_exit_0_with_finite_rows_or_exit_2(self, command, extension, resolution, mass):
         oracle = command[0] == "oracle-check"
         argv = command + (resolution if oracle else []) + extension + mass
         code, out, err = main_in_process(argv)
-        if oracle and command[-1] != "0":
+        if oracle:
             # the oracle reaches every level of an extended channel that the
             # analytic route finds (gamma = 0 is log-critical, not extended),
             # at every resolution
-            if command[1] == "--mu":
-                solve = ["ab-solve", *command[1:]]
-            else:
+            if command[1] == "--sector":
                 solve = ["ac-solve", *command[3:]]
+            else:
+                solve = ["ab-solve", *command[1:]]
             solved, rows, _ = main_in_process(solve + extension + mass)
             level = solved == 0 and next(csv.DictReader(io.StringIO(rows.decode())))
-            if level and math.isfinite(float(level["E_over_m"])):
+            extended = level and (
+                "gamma" not in level or ac._regime(float(level["gamma"])) is ac.ACRegime.EXTENDED
+            )
+            if extended and math.isfinite(float(level["E_over_m"])):
                 assert code == 0
         if code == 2:
             assert out == b""
@@ -1104,14 +1274,17 @@ class TestOracleCheckBytes:
     before, the --resolution 0.05 level moved by 2 ulps and its order by
     3.7e-7 relative (its finer ladder difference 1.05e-11 m sits at the
     rounding floor), and the --xi -1e20 match_residual, 1e-15 |dE/ds| at
-    the root, in its last digits."""
+    the root, in its last digits.  With the Dirac Gamma ratio taken by
+    duplication from the kernel's log_gamma_ratio instead of its own odd
+    series and an lgamma difference, the analytic --mu 0.25 level moved by
+    2 ulps and abs_diff with it."""
 
     @pytest.mark.parametrize(
         "args, row",
         [
             (
                 "--mu 0.25 --xi -1",
-                b"-0.5660019996925445,-0.56600199948492846,2.0761603547470031e-10,"
+                b"-0.56600199969254428,-0.56600199948492846,2.0761581343009539e-10,"
                 b"3.3982086828953154e-16,0,4.2736984253752635\n",
             ),
             (
@@ -1121,12 +1294,12 @@ class TestOracleCheckBytes:
             ),
             (
                 "--mu 0.25 --xi -1 --resolution=0.05",
-                b"-0.5660019996925445,-0.56600199968201548,1.0529022098637597e-11,"
+                b"-0.56600199969254428,-0.56600199968201548,1.0528800054032672e-11,"
                 b"3.3982086817797986e-16,0,4.3633125546624338\n",
             ),
             (
                 "--mu 0.25 --xi -1 --mass 3",
-                b"-0.5660019996925445,-0.56600199948492846,2.0761607248213446e-10,"
+                b"-0.56600199969254428,-0.56600199948492846,2.0761585043752953e-10,"
                 b"3.3982086828953154e-16,0,4.2736984253752635\n",
             ),
             ("--mu 0.25 --xi -1e20", b"-1,-1,0,1.0144569530822809e-42,0,nan\n"),
@@ -1146,9 +1319,9 @@ class TestOracleCheckBytes:
 
     def test_json(self):
         want = (
-            b'[\n {\n  "E_analytic_over_m": -0.5660019996925445,\n'
+            b'[\n {\n  "E_analytic_over_m": -0.5660019996925443,\n'
             b'  "E_oracle_over_m": -0.5660019994849285,\n'
-            b'  "abs_diff_over_m": 2.076160354747003e-10,\n'
+            b'  "abs_diff_over_m": 2.0761581343009539e-10,\n'
             b'  "match_residual": 3.3982086828953154e-16,\n'
             b'  "r_min_sensitivity": 0.0,\n'
             b'  "convergence_order": 4.2736984253752635\n }\n]\n'
@@ -1158,11 +1331,13 @@ class TestOracleCheckBytes:
 
 
 class TestTableBytes:
-    """Two tables' stdout, byte for byte, as the package printed them when K's
-    series took 1/Gamma(1 +- mu) from a separate reciprocal gamma and each
-    table module laid out its own grid.  The wavefunction's radii reach
-    lambda r = 2.47, so its rows cross K's seam at z = 2; the sweep's grid
-    hits gamma = 0 and the regular rows."""
+    """Two tables' stdout, byte for byte.  The sweep's rows are those the
+    package printed when K's series took 1/Gamma(1 +- mu) from a separate
+    reciprocal gamma and each table module laid out its own grid; the
+    wavefunction's moved by up to 1e-15 relative when the Dirac Gamma ratio
+    came by duplication from the kernel's log_gamma_ratio.  The
+    wavefunction's radii reach lambda r = 2.47, so its rows cross K's seam at
+    z = 2; the sweep's grid hits gamma = 0 and the regular rows."""
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -1170,11 +1345,11 @@ class TestTableBytes:
             (
                 ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", "0.01:3:5"],
                 b"r_times_m,f1,f2\n"
-                b"0.01,0.21018553707939189,-2.2993359217407874\n"
-                b"0.75750000000000006,0.21591658090793767,-0.5290114927014794\n"
-                b"1.5050000000000001,0.12124297480167835,-0.26820607247885908\n"
-                b"2.2524999999999999,0.066534983931555464,-0.14103931132900185\n"
-                b"3,0.036250591661783037,-0.075039555675174799\n",
+                b"0.01,0.21018553707939194,-2.2993359217407883\n"
+                b"0.75750000000000006,0.21591658090793764,-0.52901149270147962\n"
+                b"1.5050000000000001,0.12124297480167842,-0.26820607247885891\n"
+                b"2.2524999999999999,0.066534983931555533,-0.14103931132900177\n"
+                b"3,0.03625059166178303,-0.075039555675174743\n",
             ),
             (
                 ["ac-sweep", "--xi", "-1", "--gamma-grid=-0.5:1.5:5"],
