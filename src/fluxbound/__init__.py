@@ -38,7 +38,6 @@ from .numkernel import (
 from .oracle import (
     OracleResult,
     ShootingConfig,
-    count_dirac_levels,
     dirac_shoot,
     schrodinger_shoot,
 )

@@ -4,11 +4,12 @@ Emits CSV (17 significant digits, '\\n' line endings) or JSON tables with
 deterministic, byte-identical output for identical inputs.  Exit codes:
 0 success, 2 with one JSON line ``{"error", "kind"}`` on stderr for a usage
 error (kind "usage": bad or missing flags, grids, config values, a grid of
-more than 100000 points, a radius beyond the double range, a mass whose square is not a finite normal float, a
-``--resolution`` outside [1e-3, 0.25), a NaN ``--xi`` or a ``--theta``
+more than 100000 points, a radius beyond the double range, a mass whose
+square is not a finite normal float, a NaN ``--xi`` or a ``--theta``
 outside [0, 2pi), a non-finite ``--mu``, ``--gamma`` or ``--coupling``, an
-``--l`` beyond 2**53 in magnitude; ``--r-min`` is an unknown flag, since the
-oracle's only length is the tail decay length 1/k) or a domain error (kind
+``--l`` beyond 2**53 in magnitude; ``--r-min`` and ``--resolution`` are
+unknown flags, since the oracle's only length is the tail decay length 1/k
+and it has no step to set) or a domain error (kind
 "domain": critical or regular regime requests, a
 neutral-fermion level beyond the double range, an ``ab-wavefunction`` level
 whose lambda underflows to 0), 1 internal failure.  ``oracle-check`` prints
@@ -21,15 +22,11 @@ the same extension as ``--xi inf``.  The ``xi`` column prints the stored xi.
 
 Rows hold NaN only in the level columns of a row without a level (sweeps,
 printed level-equation variants) and in ``oracle-check``'s
-``convergence_order`` when its resolution ladder (steps dx, 2dx and 4dx)
-does not converge, so no order can be read off it: when the coarser
-difference |E(2dx) - E(4dx)| is not larger than the finer |E(dx) - E(2dx)|,
-or the finer one is below the 1e-11 m rounding floor, as at every
-``--resolution`` up to 0.02 for ``--mu 0.25 --xi -1``, up to 0.01 for
-``--sector ac --gamma 0.5 --xi -1``, and at Dirac levels near -+m, whose
-differences shrink as lambda^2 (``--mu 0.25 --xi -1e-3``).  The only other
-non-finite value is ``inf`` in the ``xi`` column, for the theta = pi
-extension, whose rows have no level.
+``convergence_order``, which is always NaN: the oracle sums two series at
+one matching radius, with no step to refine, so no order can be read.  Its
+``error_bound_over_m`` column is the oracle's bound on |E_oracle - E| (see
+``oracle.OracleResult``).  The only other non-finite value is ``inf`` in the
+``xi`` column, for the theta = pi extension, whose rows have no level.
 
 A flat ``key = value`` config file (# comments) can prefill any long flag;
 its values pass the flag's own type and choices checks, and explicit flags
@@ -70,7 +67,7 @@ _ORACLE_COLUMNS = (
     "E_oracle_over_m",
     "abs_diff_over_m",
     "match_residual",
-    "r_min_sensitivity",
+    "error_bound_over_m",
     "convergence_order",
 )
 
@@ -194,7 +191,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("oracle-check", help="ODE eigensolver vs analytic level")
     common(p, ab_channel=True, ac_channel=True)
     p.add_argument("--sector", choices=("ab", "ac"), default="ab")
-    p.add_argument("--resolution", type=float, default=None, help="override integrator resolution")
     return parser, sub.choices
 
 
@@ -459,28 +455,16 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
         return rows, _AC_COLUMNS
 
     if spec.command == "oracle-check":
-        resolution = params["resolution"]
-        cfg = orc.ShootingConfig()
-        if resolution is not None:
-            # it sets numerov_dx, and the diagnostic ladder integrates at up
-            # to 4 times it, which must stay below 1.  A check's cost grows
-            # as 1/resolution, while rounding stops the levels from improving
-            # below about 1e-2: the golden Dirac shoot lands 2.3e-14 m from
-            # the analytic level at 1e-2, 2.9e-14 m at 1e-3 and 6.8e-13 m at
-            # 1e-4, where each integration takes 100000 steps
-            if not 1e-3 <= resolution < 0.25:
-                raise UsageError(f"--resolution must lie in [1e-3, 0.25), got {resolution!r}")
-            cfg = orc.ShootingConfig(numerov_dx=resolution)
         if params["sector"] == "ab":
             chd = _dirac_channel(params, "oracle-check --sector ab")
             level = ab.solve_bound_energy(chd, ext)
             e_an = None if level is None else level.E
-            numeric = orc.dirac_shoot(chd, ext, cfg)
+            numeric = orc.dirac_shoot(chd, ext)
         else:
             cha = _ac_channel(params)
             ac_level = ac.ac_bound_energy(cha, ext)
             e_an = None if ac_level is None else ac_level.E_n
-            numeric = orc.schrodinger_shoot(cha, ext, cfg)
+            numeric = orc.schrodinger_shoot(cha, ext)
         if e_an is None or numeric is None:
             return [], _ORACLE_COLUMNS
         return (
@@ -490,7 +474,7 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
                     numeric.E / mass,
                     abs(e_an - numeric.E) / mass,
                     numeric.match_residual / mass,
-                    numeric.r_min_sensitivity / mass,
+                    numeric.error_bound / mass,
                     numeric.convergence_order_estimate,
                 )
             ],

@@ -242,6 +242,7 @@ def bessel_j_pair(order: float, z: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 _K_SERIES_MAX_Z = 2.0
+_LN2 = math.log(2.0)
 
 # Taylor coefficients of 1/Gamma(1+x) = 1 + c2 x + c3 x^2 + ... (A&S 6.1.34);
 # only the even ones enter (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu)
@@ -253,7 +254,8 @@ _RG_C6 = -0.0421977345555443368
 def _k_temme(mu: float, z: float) -> tuple[float, float]:
     """(K_mu(z), K_{mu+1}(z)) for |mu| <= 0.5 and 0 < z <= 2 (Temme series)."""
     x2 = 0.5 * z
-    d = -math.log(x2)
+    # z/2 underflows to 0 for the smallest subnormal z, where ln 2 - ln z does not
+    d = -math.log(x2) if x2 > 0.0 else _LN2 - math.log(z)
     e = mu * d
     pimu = math.pi * mu
     if abs(pimu) < 1e-4:

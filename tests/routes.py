@@ -3,13 +3,18 @@
 Each function here re-derives a closed-form result by another road: a
 boundary parameter fitted from a profile's small-r coefficients, a level
 found by bisection on its level equation, a channel mapped to its
-radial conjugate, a tail mismatch integrated outward from the seed, a CLI
-argv parsed by argparse's full top-level pass.  No CLI command uses them,
+radial conjugate, a tail mismatch integrated outward from the seed, the
+level count's scan of the oracle's closed-form mismatch, a level from the
+oracle's line with the exact connection ratio at 50 digits, a CLI argv
+parsed by argparse's full top-level pass.  No CLI command uses them,
 so they live beside the tests that call them rather than in the package.
 """
 
 import math
+from typing import Callable, Sequence
 from unittest import mock
+
+import mpmath
 
 from fluxbound import ab_spectrum as ab
 from fluxbound import ac_spectrum as ac
@@ -147,7 +152,8 @@ def numerov_pass(c, k2, y0, y1, x0, h, n):
     values at the last two grid points, (y_(n-1), y_n), each a pair.  Each
     step computes x, the coefficient w and the denominator 1 - h^2 w/12 once
     and applies them to both solutions.  Nothing is renormalized: over the
-    oracle's grids, 10 decay lengths long, the solutions grow by about e^10.
+    grids of numerov_miss, 10 decay lengths long, the solutions grow by
+    about e^10.
     """
     hh = h * h
     h2_12 = hh / 12.0
@@ -171,20 +177,27 @@ def numerov_pass(c, k2, y0, y1, x0, h, n):
     return (a0, b0), (a1, b1)
 
 
+# numerov_miss's grid, in units of 1/k: from the seed radius, where the
+# summed template series hands over to Numerov, to the tail end, 10 decay
+# lengths further out
+SEED_Z = 2.0
+TAIL_Z = 12.0
+
+
 def numerov_miss(g, k, seed, dx):
     """Tail mismatches of two solutions of u'' = [(g^2 - 1/4)/r^2 + k^2] u,
     integrated outward in one Numerov sweep: the oracle's route before it
-    swept the decaying asymptote inward.
+    matched two series at one radius.
 
-    The grid runs from the seed radius _SEED_Z/k to the tail end _TAIL_Z/k
-    in _sweep_steps(dx) steps.  Each mismatch is the cross product of the
-    solution's last two tail values with the decaying asymptote
+    The grid runs from the seed radius SEED_Z/k to the tail end TAIL_Z/k in
+    ceil((TAIL_Z - SEED_Z)/dx) steps.  Each mismatch is the cross product of
+    the solution's last two tail values with the decaying asymptote
     sqrt(r) K_g(k r), times exp(-k*(r_tail - r_seed)).  seed(r) gives
     r^(-1/2) u(r) of both solutions, and its values at the first two grid
     points start the grid.
     """
-    r_seed, r_tail = orc._SEED_Z / k, orc._TAIL_Z / k
-    n = orc._sweep_steps(dx)
+    r_seed, r_tail = SEED_Z / k, TAIL_Z / k
+    n = math.ceil((TAIL_Z - SEED_Z) / dx)
     h_r = (r_tail - r_seed) / n
     r_1 = r_seed + h_r
     a_0, b_0 = seed(r_seed)
@@ -206,11 +219,125 @@ def numerov_miss(g, k, seed, dx):
     return (ua_a * asym_b - ub_a * asym_a) * scale, (ua_b * asym_b - ub_b * asym_a) * scale
 
 
+def branch_values(p, z):
+    """The branch pair z^(+-p) F_(+-p)(z^2) at z on the k = 1 grid."""
+    z2 = z**2
+    return z**p * nk.frobenius_factor(p, z2), z**-p * nk.frobenius_factor(-p, z2)
+
+
 def outward_branch_pair(p, dx):
     """(M_reg, M_irr) of the branches z^(+-p) F_(+-p)(z^2) on the k = 1
-    grid, both integrated outward to the tail: the reference for the
-    oracle's inward _branch_pair."""
-    return numerov_miss(abs(p), 1.0, lambda z: orc._branch_values(p, z), dx)
+    grid, both integrated outward to the tail at step dx: the Numerov
+    referee for the oracle's series match."""
+    return numerov_miss(abs(p), 1.0, lambda z: branch_values(p, z), dx)
+
+
+# mix(x) -> (k, c_reg, c_irr): the tail decay constant and the template's
+# coefficients of r^p F_p and r^-p F_-p at scan variable x
+Mix = Callable[[float], tuple[float, float, float]]
+
+
+def dirac_template(ch: ab.DiracChannel, xi_int: float) -> tuple[float, Mix]:
+    """(p, mix) of the f1 component of the oracle's Dirac domain template
+    (``oracle._dirac_line``) over s = ln((1 - u)/(1 + u)), u = tau*E, at the
+    internal weight xi_int = s*xi.
+
+    The mix takes u + 1 = 2/(1 + e^s), u - 1 = -2/(1 + e^-s) and
+    lambda = sech(s/2) from s itself, so none cancels where u rounds to -+1.
+    """
+    nu, s = ch.nu, ch.s
+
+    def lam(x: float) -> float:
+        return 1.0 / math.cosh(0.5 * x)
+
+    if ch.tau == 1:
+        w = -2.0 * xi_int / (s * (2.0 * nu - 1.0))
+        return nu - 0.5, lambda x: (lam(x), 1.0, w / (1.0 + math.exp(x)))
+    w = -2.0 / (s * (2.0 * nu + 1.0))
+    return nu + 0.5, lambda x: (lam(x), w / (1.0 + math.exp(-x)), -xi_int)
+
+
+def mismatch(p: float, mix: Mix, pair=None) -> Callable[[float], float]:
+    """x -> the template's tail mismatch at scan variable x (m = 1 units):
+    the closed form k^(-1/2) (c_reg k^(-p) M_reg + c_irr k^p M_irr), with
+    (M_reg, M_irr) the oracle's series match at p, or pair if given."""
+    m_reg, m_irr = orc._series_match(p)[:2] if pair is None else pair
+
+    def miss_x(x: float) -> float:
+        k, c_reg, c_irr = mix(x)
+        return (c_reg * k**-p * m_reg + c_irr * k**p * m_irr) / math.sqrt(k)
+
+    return miss_x
+
+
+def sign_changes(miss: Callable[[float], float], grid: Sequence[float]) -> int:
+    """Sign changes of the mismatch between neighbouring grid points; an
+    exact zero changes sign with the next point."""
+    f = [miss(x) for x in grid]
+    return sum(1 for a, b in zip(f, f[1:]) if a == 0.0 or a * b < 0.0)
+
+
+# the level count's scan of s = ln((1 - u)/(1 + u)): it holds the s of the
+# doubles next to u = -+1, about +-37.4
+COUNT_WINDOW = (-40.0, 40.0)
+COUNT_POINTS = 48
+
+
+def count_dirac_levels(ch: ab.DiracChannel, ext: ab.Extension) -> int:
+    """Number of mismatch sign changes over a 48-point scan of the gap.
+
+    A shoot never evaluates the mismatch: the level's uniqueness rests on
+    its line's monotonicity.  The count scans the closed-form mismatch
+    itself, from the oracle's one series match, and so checks that
+    uniqueness independently.  The scan runs over s = ln((1 - u)/(1 + u)),
+    u = tau*E/m, from -40 to 40, past the s of the doubles next to u = -+1
+    (about +-37.4), so it counts every level whose E does not round to -+m;
+    a level beyond |s| = 40 has E = -+m and is not counted."""
+    ab._require_extended(ch, "count_dirac_levels")
+    xi = ext.xi
+    if not xi < 0.0:
+        return 0
+    miss_s = mismatch(*dirac_template(ch, ch.s * xi))
+    return sign_changes(miss_s, nk.linear_grid(*COUNT_WINDOW, COUNT_POINTS))
+
+
+def exact_ratio(p):
+    """The connection ratio R = 2^(-2p) Gamma(1-p)/Gamma(1+p) in mpmath, at
+    the working precision."""
+    q = mpmath.mpf(p)
+    return 2 ** (-2 * q) * mpmath.gamma(1 - q) / mpmath.gamma(1 + q)
+
+
+def exact_root(p, line):
+    """The root of an oracle line a x + b softplus(x) = ln R_exact - c
+    (``oracle._dirac_line``, ``oracle._ac_line``) at 50 digits, by Newton
+    from x = 0: the line is convex, so the steps after the first descend
+    monotonically."""
+    with mpmath.workdps(50):
+        a, b, c = (mpmath.mpf(v) for v in line)
+        t = mpmath.log(exact_ratio(p)) - c
+        if b == 0:
+            return t / a
+        x = mpmath.mpf(0)
+        for _ in range(300):
+            sp = x + mpmath.log1p(mpmath.exp(-x)) if x > 0 else mpmath.log1p(mpmath.exp(x))
+            step = (a * x + b * sp - t) / (a + b / (1 + mpmath.exp(-x)))
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** -45 * (1 + abs(x)):
+                return x
+    raise AssertionError(f"no root of {line} at p={p}")
+
+
+def exact_dirac_energy(ch, xi):
+    """E/m of the oracle's Dirac line with the exact connection ratio."""
+    with mpmath.workdps(50):
+        return float(-ch.tau * mpmath.tanh(exact_root(*orc._dirac_line(ch, xi)) / 2))
+
+
+def exact_ac_energy(gamma, xi):
+    """E/m of the oracle's neutral-fermion line with the exact ratio."""
+    with mpmath.workdps(50):
+        return float(-mpmath.exp(exact_root(*orc._ac_line(gamma, xi))))
 
 
 def top_level_parse_args(argv) -> cli.RunSpec:

@@ -148,8 +148,7 @@ def test_a2_ac_closed_forms():
 # A3 oracle equivalence
 # ---------------------------------------------------------------------------
 
-_DEFAULT_CFG = orc.ShootingConfig(diagnostics=False)
-_REFINED_CFG = orc.ShootingConfig(numerov_dx=0.005, diagnostics=False)
+_SHOOT_CFG = orc.ShootingConfig(diagnostics=False)
 
 
 def test_a3_oracle_equivalence():
@@ -161,33 +160,24 @@ def test_a3_oracle_equivalence():
     ac_grid = [
         (g, x) for g in (0.25, 0.4, 0.55, 0.7, 0.85) for x in (-5.0, -3.0, -2.0, -1.2, -0.8)
     ]
-    worst = {"dirac-default": 0.0, "dirac-refined": 0.0, "ac-default": 0.0, "ac-refined": 0.0}
+    worst = {"dirac": 0.0, "ac": 0.0}
     for beta, x in dirac_grid:
         ch = dirac(beta)
         analytic = ab.solve_bound_energy(ch, xi(x)).E
-        d0 = abs(orc.dirac_shoot(ch, xi(x), _DEFAULT_CFG).E - analytic)
-        d1 = abs(orc.dirac_shoot(ch, xi(x), _REFINED_CFG).E - analytic)
-        worst["dirac-default"] = max(worst["dirac-default"], d0)
-        worst["dirac-refined"] = max(worst["dirac-refined"], d1)
+        d = abs(orc.dirac_shoot(ch, xi(x), _SHOOT_CFG).E - analytic)
+        worst["dirac"] = max(worst["dirac"], d)
     for g, x in ac_grid:
         ch = ac.ACChannel(m=1.0, coupling=-g, l=0, zeta=1)
         analytic = ac.ac_bound_energy(ch, xi(x)).E_n
-        d0 = abs(orc.schrodinger_shoot(ch, xi(x), _DEFAULT_CFG).E - analytic)
-        d1 = abs(orc.schrodinger_shoot(ch, xi(x), _REFINED_CFG).E - analytic)
-        worst["ac-default"] = max(worst["ac-default"], d0)
-        worst["ac-refined"] = max(worst["ac-refined"], d1)
-    ok = (
-        worst["dirac-default"] <= 1e-5
-        and worst["ac-default"] <= 1e-5
-        and worst["dirac-refined"] <= 1e-6
-        and worst["ac-refined"] <= 1e-6
-    )
+        d = abs(orc.schrodinger_shoot(ch, xi(x), _SHOOT_CFG).E - analytic)
+        worst["ac"] = max(worst["ac"], d)
+    ok = worst["dirac"] <= 1e-6 and worst["ac"] <= 1e-6
     report(
         "A3",
         ok,
         "worst |E_oracle - E_analytic|/m: "
         + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
-        + " (<=1e-5 default, <=1e-6 refined)",
+        + " (<=1e-6)",
     )
     assert ok
 
@@ -252,7 +242,7 @@ def test_a6_monotonicity_uniqueness():
         one_signed = all(d < 0.0 for d in diffs) or all(d > 0.0 for d in diffs)
         signs_ok = signs_ok and one_signed and all(d < 0.0 for d in diffs)
     counts = [
-        orc.count_dirac_levels(dirac(beta), xi(x), _DEFAULT_CFG)
+        routes.count_dirac_levels(dirac(beta), xi(x))
         for beta, x in ((0.25, -1.0), (0.4, -0.3), (0.6, -2.0), (0.85, -1.0))
     ]
     unique = all(c == 1 for c in counts)

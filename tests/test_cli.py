@@ -146,22 +146,14 @@ class TestUsageErrors:
             ["ab-solve", "--xi", "-1"],
             ["ab-sweep", "--xi", "-1", "--beta-grid", "0.9:0.1:5"],
             ["ac-solve", "--gamma", "0.5", "--xi", "-1", "--mass", "1e-200"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=-0.01"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=inf"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0"],
             ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--r-min=0"],
             ["oracle-check", "--mu", "0.25", "--xi", "-1", "--r-min", "1e-6"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e200"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=5"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=1e-8"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=9e-4"],
             ["ab-solve", "--mu", "0.25", "--xi", "nan"],
             ["ab-solve", "--mu", "0.25", "--theta", "nan"],
             ["ab-solve", "--mu", "0.25", "--theta", "7"],
             ["ac-solve", "--gamma", "0.5", "--theta", "-0.1"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0.25"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0.5"],
-            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0.99"],
+            ["oracle-check", "--sector", "ac", "--gamma", "0.5", "--xi", "-1", "--resolution=0.1"],
+            ["oracle-check", "--mu", "0.25", "--xi", "-1", "--resolution", "0.05"],
         ],
     )
     def test_one_json_usage_line(self, capsys, argv):
@@ -172,9 +164,9 @@ class TestUsageErrors:
         assert len(lines) == 1
         report = json.loads(lines[0])
         assert report["kind"] == "usage"
-        # a bad --resolution is reported under its own name and range
+        # the oracle has no step to set, so --resolution is an unknown flag
         if any(arg.startswith("--resolution") for arg in argv):
-            assert report["error"].startswith("--resolution must lie in [1e-3, 0.25)")
+            assert "unrecognized arguments: --resolution" in report["error"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -489,6 +481,22 @@ class TestRunCommands:
         assert len(rows) == 7
         assert set(rows[0]) == {"r_times_m", "f1", "f2"}
 
+    @pytest.mark.parametrize(
+        "grid", ["5e-324:1e-300:2", "1e-323:1e-300:3", "5e-324:1e-320:4"]
+    )
+    def test_wavefunction_at_subnormal_radii(self, capsys, grid):
+        # lambda r / 2 underflows to 0 at the smallest subnormal radii, where
+        # K's series takes ln(lambda r / 2) as ln(lambda r) - ln 2; the rows
+        # are finite, the components growing as r^(-nu) and r^(nu - 1/2)
+        argv = ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", grid]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == int(grid.rsplit(":", 1)[1])
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert rows[0][0] == 5e-324 or rows[0][0] == 1e-323
+
     def test_wavefunction_rows_scale_with_mass(self):
         args = ["ab-wavefunction", "--mu", "0.25", "--xi", "-1", "--r-grid", "0.1:2:3"]
 
@@ -514,13 +522,6 @@ class TestRunCommands:
         row = next(csv.DictReader(io.StringIO(out.decode())))
         assert float(row["abs_diff_over_m"]) <= 1e-5
 
-    def test_oracle_check_at_finest_resolution(self, capsys):
-        # the floor of --resolution is accepted and pays off
-        argv = ["oracle-check", "--mu", "0.25", "--xi", "-1", "--resolution=1e-3"]
-        assert cli.main(argv) == 0
-        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert float(row["abs_diff_over_m"]) <= 1e-10
-
     @pytest.mark.parametrize(
         "channel",
         [
@@ -529,43 +530,49 @@ class TestRunCommands:
             ["--sector", "ac", "--gamma", "0.3", "--xi", "-3"],
         ],
     )
-    def test_oracle_check_order_is_never_negative(self, capsys, channel):
-        # at the finest resolution the ladder's differences sit in rounding
-        # noise, and an order is printed only where the ladder converges
-        assert cli.main(["oracle-check", *channel, "--resolution=1e-3"]) == 0
-        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        order = float(row["convergence_order"])
-        assert math.isnan(order) or order > 0.0
-
-    @pytest.mark.parametrize(
-        "channel",
-        [
-            ["--mu", "0.25", "--xi", "-1"],
-            ["--mu", "0.7", "--xi", "-2"],
-            ["--sector", "ac", "--gamma", "0.3", "--xi", "-3"],
-        ],
-    )
-    def test_oracle_check_order_is_nan_at_the_rounding_floor(self, capsys, channel):
-        # at the finest resolution the ladder's finer difference lies below
-        # the 1e-11 m rounding floor, so no order is printed
-        assert cli.main(["oracle-check", *channel, "--resolution=1e-3"]) == 0
+    def test_oracle_check_order_is_nan(self, capsys, channel):
+        # the oracle sums two series at one radius, with no step to refine,
+        # so no order is printed; its error bound sits at the rounding floor
+        assert cli.main(["oracle-check", *channel]) == 0
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert math.isnan(float(row["convergence_order"]))
+        assert 0.0 < float(row["error_bound_over_m"]) < 1e-13
 
-    @pytest.mark.parametrize("resolution", ["1e-3", "0.01", "0.1", "0.2", "0.2499"])
+    @pytest.mark.parametrize("mass", ["1e-150", "1e-8", "1", "1e8", "1e150"])
     @pytest.mark.parametrize(
         "channel",
         [["--mu", "0.25", "--xi", "-1"], ["--sector", "ac", "--gamma", "0.5", "--xi", "-1"]],
     )
-    def test_oracle_check_columns_finite_over_the_resolution_range(
-        self, capsys, channel, resolution
-    ):
-        # every ladder rung solves its line, up to the coarsest rung
-        # 4 * 0.2499; only the order may be NaN
-        assert cli.main(["oracle-check", *channel, f"--resolution={resolution}"]) == 0
+    def test_oracle_check_columns_finite_at_every_mass(self, capsys, channel, mass):
+        # only the order is NaN, and the bound scales with m like the level
+        assert cli.main(["oracle-check", *channel, "--mass", mass]) == 0
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         del row["convergence_order"]
         assert all(math.isfinite(float(v)) for v in row.values()), row
+        assert 0.0 < float(row["error_bound_over_m"]) < 1e-13
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mu", "0.25", "--xi", "-1"],
+            ["--mu", "0.7", "--xi", "-2"],
+            ["--mu", "0.45", "--xi", "-1e-30"],
+            ["--mu", "0.25", "--xi", "-1e20"],
+            ["--sector", "ac", "--gamma", "0.5", "--xi", "-1"],
+            ["--sector", "ac", "--gamma", "0.05", "--xi", "-0.3"],
+        ],
+    )
+    def test_oracle_check_error_bound_holds(self, capsys, argv):
+        # error_bound_over_m bounds the printed level's distance from the
+        # oracle's line solved with the exact connection ratio at 50 digits
+        assert cli.main(["oracle-check", *argv]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        xi = float(argv[-1])
+        if argv[0] == "--sector":
+            exact = routes.exact_ac_energy(float(argv[3]), xi)
+        else:
+            exact = routes.exact_dirac_energy(ab.DiracChannel(m=1.0, l=0, s=-1, mu=float(argv[1])), xi)
+        assert abs(float(row["E_oracle_over_m"]) - exact) <= float(row["error_bound_over_m"])
 
     @pytest.mark.parametrize(
         "argv",
@@ -578,17 +585,16 @@ class TestRunCommands:
         ],
     )
     def test_oracle_check_reaches_every_level(self, capsys, argv):
-        # lambda = 1.75e-5 m, 4.5e-14 m and 1.2e-33 m, where E rounds to -+m
-        # and the ladder reads no order, and E = -5e19 m and -1.8e10 m; the
-        # neutral fermion's relative error is R's over gamma, 6.9e-9 at
-        # gamma = 0.5 and 8.1e-10 at 0.05
+        # lambda = 1.75e-5 m, 4.5e-14 m and 1.2e-33 m, where E rounds to -+m,
+        # and E = -5e19 m and -1.8e10 m; the neutral fermion's relative error
+        # is R's over gamma, with t's rounding
         assert cli.main(["oracle-check", *argv]) == 0
         (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
         order = float(row.pop("convergence_order"))
         values = {col: float(text) for col, text in row.items()}
         assert all(math.isfinite(v) for v in values.values()), row
-        assert math.isnan(order) or order > 0.0
-        assert values["abs_diff_over_m"] <= 1e-8 * max(1.0, abs(values["E_analytic_over_m"]))
+        assert math.isnan(order)
+        assert values["abs_diff_over_m"] <= 1e-12 * max(1.0, abs(values["E_analytic_over_m"]))
 
     @pytest.mark.parametrize("sector", [["--mu", "0.25"], ["--sector", "ac", "--gamma", "0.5"]])
     def test_oracle_check_without_a_level_prints_the_header(self, capsys, sector):
@@ -603,9 +609,11 @@ class TestRunCommands:
         base = row("1")
         assert base[3] > 0.0  # match_residual
         got = row("1e8")
-        # abs_diff_over_m is a difference of two energies that each move by an ulp
+        # abs_diff_over_m is a difference of two energies that each move by an
+        # ulp, and the order is NaN at every mass
         assert got[2] == pytest.approx(base[2], abs=1e-15)
-        del got[2], base[2]
+        assert math.isnan(got[5]) and math.isnan(base[5])
+        del got[5], base[5], got[2], base[2]
         assert got == pytest.approx(base, rel=1e-12, abs=0.0)
 
     def test_shallow_printed_level(self):
@@ -755,12 +763,6 @@ _COMMANDS = st.one_of(
     _AB_CHANNEL.map(lambda ch: ["oracle-check", *ch]),
     _AC_CHANNEL.map(lambda ch: ["oracle-check", "--sector", "ac", *ch]),
 )
-# oracle-check's resolution over its whole range [1e-3, 0.25), or the default
-_RESOLUTION = st.one_of(
-    st.just([]),
-    st.sampled_from([1e-3, 0.2499]).map(lambda r: [f"--resolution={r!r}"]),
-    st.floats(1e-3, 0.25, exclude_max=True).map(lambda r: [f"--resolution={r!r}"]),
-)
 # the default mass, the edges of the accepted range (1.5e-154 to 1.3e154)
 # and beyond them, or any double
 _MASS = st.one_of(
@@ -773,107 +775,99 @@ _MASS = st.one_of(
 
 class TestExtensionContract:
     """Every extension parameter, at the edges of the double range and off
-    them, with oracle-check's resolution anywhere in [1e-3, 0.25), any mass,
+    them, any mass,
     any double as the flux or the neutral fermion's index or coupling, any
     --l and grids of 2 to 5 points, gives exit 0 with finite rows or exit 2
     with one JSON line."""
 
     @settings(max_examples=400, deadline=None)
-    @given(command=_COMMANDS, extension=_EXTENSIONS, resolution=_RESOLUTION, mass=_MASS)
+    @given(command=_COMMANDS, extension=_EXTENSIONS, mass=_MASS)
     @example(
         command=["ac-sweep", "--gamma-grid", "0.001:0.5:3"],
         extension=["--xi", "-0.001"],
-        resolution=[],
         mass=[],
     )
     @example(
-        command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e-300"], resolution=[], mass=[]
+        command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e-300"], mass=[]
     )
     @example(
-        command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e300"], resolution=[], mass=[]
+        command=["ac-solve", "--gamma", "0.5"], extension=["--xi", "-1e300"], mass=[]
     )
     @example(
-        command=["ab-solve", "--mu", "0.25"], extension=["--xi", "-inf"], resolution=[], mass=[]
+        command=["ab-solve", "--mu", "0.25"], extension=["--xi", "-inf"], mass=[]
     )
     @example(  # E rounds to -m exactly, with lambda = 1.05e-8 m
         command=["ab-wavefunction", "--mu", "0.25", "--r-grid", "0.1:5:5"],
         extension=["--xi", "-883873354192"],
-        resolution=[],
         mass=[],
     )
-    @example(  # the finest resolution at the largest accepted mass
+    @example(  # the largest accepted mass
         command=["oracle-check", "--mu", "0.25"],
         extension=["--xi", "-1"],
-        resolution=["--resolution=0.001"],
         mass=["--mass=1.3e154"],
     )
-    @example(  # the coarsest resolution at the smallest accepted mass
+    @example(  # the smallest accepted mass
         command=["oracle-check", "--sector", "ac", "--gamma", "0.5"],
         extension=["--xi", "-1e-10"],
-        resolution=["--resolution=0.2499"],
         mass=["--mass=1.5e-154"],
     )
     # a flux whose 2 nu overflows, or that is not finite
-    @example(command=["ab-solve", "--mu", "inf"], extension=["--xi", "-1"], resolution=[], mass=[])
+    @example(command=["ab-solve", "--mu", "inf"], extension=["--xi", "-1"], mass=[])
     @example(
         command=["ab-density", "--mu", "-inf", "--energy-grid", "1.1:2:2"],
         extension=["--xi", "-1"],
-        resolution=[],
         mass=[],
     )
     @example(
         command=["ab-wavefunction", "--mu", "1e308", "--r-grid", "1:2:2"],
         extension=["--xi", "-1"],
-        resolution=[],
         mass=[],
     )
     @example(
-        command=["oracle-check", "--mu", "1e308"], extension=["--xi", "-1"], resolution=[], mass=[]
+        command=["oracle-check", "--mu", "1e308"], extension=["--xi", "-1"], mass=[]
     )
     @example(
         command=["ab-sweep", "--beta-grid=1e308:1.7e308:2", "--level-eq", "levab"],
         extension=["--xi", "-1"],
-        resolution=[],
         mass=[],
     )
     @example(  # an --l without a double
         command=["ac-solve", "--coupling", "0.3", "--l", str(10**400), "--zeta", "1"],
         extension=["--xi", "-1"],
-        resolution=[],
         mass=[],
     )
     @example(  # grid points beyond the double range
         command=["ab-sweep", "--beta-grid=0:8.98846567431158e307:4", "--level-eq", "levab"],
         extension=["--xi", "-1"],
-        resolution=[],
         mass=[],
     )
     @example(  # lambda r far beyond K's underflow, where z cosh(t) rounds to z
         command=["ab-wavefunction", "--mu", "0.25", "--r-grid", "1e17:1e18:3"],
         extension=["--xi", "-1"],
-        resolution=[],
+        mass=[],
+    )
+    @example(  # the smallest subnormal radius, where lambda r / 2 underflows to 0
+        command=["ab-wavefunction", "--mu", "0.25", "--r-grid", "5e-324:1e-300:2"],
+        extension=["--xi", "-1"],
         mass=[],
     )
     @example(  # a radius r = r_times_m/m beyond the double range
         command=["ab-wavefunction", "--mu", "0.25", "--r-grid", "1:1e308:2"],
         extension=["--xi", "-1"],
-        resolution=[],
         mass=["--mass=1e-150"],
     )
     @example(  # a grid of 10**12 points, which would not fit in memory
         command=["ac-sweep", "--gamma-grid", "0.1:0.9:1000000000000"],
         extension=["--xi", "-1"],
-        resolution=[],
         mass=[],
     )
-    def test_exit_0_with_finite_rows_or_exit_2(self, command, extension, resolution, mass):
+    def test_exit_0_with_finite_rows_or_exit_2(self, command, extension, mass):
         oracle = command[0] == "oracle-check"
-        argv = command + (resolution if oracle else []) + extension + mass
+        argv = command + extension + mass
         code, out, err = main_in_process(argv)
         if oracle:
             # the oracle reaches every level of an extended channel that the
-            # analytic route finds (gamma = 0 is log-critical, not extended),
-            # at every resolution
+            # analytic route finds (gamma = 0 is log-critical, not extended)
             if command[1] == "--sector":
                 solve = ["ac-solve", *command[3:]]
             else:
@@ -894,7 +888,7 @@ class TestExtensionContract:
         for row in csv.DictReader(io.StringIO(out.decode())):
             values = {col: float(text) for col, text in row.items()}
             nan_cols = {col for col, v in values.items() if math.isnan(v)}
-            # no level: all level columns NaN; an unconverged ladder: NaN order
+            # no level: all level columns NaN; oracle-check: the NaN order
             assert nan_cols <= {"convergence_order"} or nan_cols == _LEVEL_COLUMNS & set(row)
             for col, v in values.items():
                 if col == "xi":  # the stored xi, inf for the theta = pi extension
@@ -1262,51 +1256,56 @@ class TestTableErrorLines:
 
 _ORACLE_CHECK_HEADER = (
     b"E_analytic_over_m,E_oracle_over_m,abs_diff_over_m,match_residual,"
-    b"r_min_sensitivity,convergence_order\n"
+    b"error_bound_over_m,convergence_order\n"
 )
 
 
 class TestOracleCheckBytes:
-    """oracle-check's stdout, byte for byte, as the oracle prints it when
-    each rung sweeps the decaying asymptote inward and reads both branch
-    mismatches at the seed, and solves its line by the kernel's convex
-    Newton.  Against Brent on a closed-form bracket, which these rows pinned
-    before, the --resolution 0.05 level moved by 2 ulps and its order by
-    3.7e-7 relative (its finer ladder difference 1.05e-11 m sits at the
-    rounding floor), and the --xi -1e20 match_residual, 1e-15 |dE/ds| at
-    the root, in its last digits.  With the Dirac Gamma ratio taken by
-    duplication from the kernel's log_gamma_ratio instead of its own odd
-    series and an lgamma difference, the analytic --mu 0.25 level moved by
-    2 ulps and abs_diff with it."""
+    """oracle-check's stdout, byte for byte, as the oracle prints it when it
+    takes the connection ratio from two series matched at one radius.
+    Against the inward Numerov sweep at step 0.1, which these rows pinned
+    before, every E_oracle moved onto the analytic level or next to it: by
+    +2.1e-10 m at --mu 0.25 --xi -1 (abs_diff 2.1e-10 -> 0), by -3.4e-9 m at
+    --gamma 0.5 (3.4e-9 -> 2.2e-16, an ulp of the analytic level), and by
+    +1.5e1 m at --gamma 0.05 --xi -0.3, whose level is -1.8e10 m (14.5 ->
+    3.4e-5, 1.9e-15 relative).  match_residual, 1e-15 |dE/dx| at the root,
+    moved in its eighth to ninth digit with the root.  The column
+    r_min_sensitivity, 0 in every row, became error_bound_over_m, and
+    convergence_order, 4.27 and 3.66 before, reads nan in every row.  The
+    --resolution=0.05 row went with the flag; --mu 0.7 --xi -2, a tau = -1
+    channel, took its place."""
 
     @pytest.mark.parametrize(
         "args, row",
         [
             (
                 "--mu 0.25 --xi -1",
-                b"-0.56600199969254428,-0.56600199948492846,2.0761581343009539e-10,"
-                b"3.3982086828953154e-16,0,4.2736984253752635\n",
+                b"-0.56600199969254428,-0.56600199969254428,0,"
+                b"3.3982086817202066e-16,3.350791572145812e-15,nan\n",
             ),
             (
                 "--sector ac --gamma 0.5 --xi -1",
-                b"-0.50000000000000022,-0.49999999655447258,3.445527640977275e-09,"
-                b"4.9999999655447264e-16,0,3.6625634999209251\n",
+                b"-0.50000000000000022,-0.5,2.2204460492503131e-16,"
+                b"5.0000000000000004e-16,4.5443062430371939e-15,nan\n",
             ),
             (
-                "--mu 0.25 --xi -1 --resolution=0.05",
-                b"-0.56600199969254428,-0.56600199968201548,1.0528800054032672e-11,"
-                b"3.3982086817797986e-16,0,4.3633125546624338\n",
+                "--mu 0.7 --xi -2",
+                b"0.78529522053777367,0.7852952205377739,2.2204460492503131e-16,"
+                b"1.9165570830026461e-16,2.3143722911935759e-15,nan\n",
             ),
             (
                 "--mu 0.25 --xi -1 --mass 3",
-                b"-0.56600199969254428,-0.56600199948492846,2.0761585043752953e-10,"
-                b"3.3982086828953154e-16,0,4.2736984253752635\n",
+                b"-0.56600199969254428,-0.56600199969254428,0,"
+                b"3.3982086817202066e-16,3.3507915721458116e-15,nan\n",
             ),
-            ("--mu 0.25 --xi -1e20", b"-1,-1,0,1.0144569530822809e-42,0,nan\n"),
+            (
+                "--mu 0.25 --xi -1e20",
+                b"-1,-1,0,1.0144569525521644e-42,4.4408920985006262e-16,nan\n",
+            ),
             (
                 "--sector ac --gamma 0.05 --xi -0.3",
-                b"-18045567293.783653,-18045567308.327908,14.544254302978516,"
-                b"1.8045567308327909e-05,0,6.8798195700252771\n",
+                b"-18045567293.783653,-18045567293.783619,3.4332275390625e-05,"
+                b"1.8045567293783622e-05,0.0022379178937039432,nan\n",
             ),
         ],
     )
@@ -1320,11 +1319,11 @@ class TestOracleCheckBytes:
     def test_json(self):
         want = (
             b'[\n {\n  "E_analytic_over_m": -0.5660019996925443,\n'
-            b'  "E_oracle_over_m": -0.5660019994849285,\n'
-            b'  "abs_diff_over_m": 2.0761581343009539e-10,\n'
-            b'  "match_residual": 3.3982086828953154e-16,\n'
-            b'  "r_min_sensitivity": 0.0,\n'
-            b'  "convergence_order": 4.2736984253752635\n }\n]\n'
+            b'  "E_oracle_over_m": -0.5660019996925443,\n'
+            b'  "abs_diff_over_m": 0.0,\n'
+            b'  "match_residual": 3.3982086817202066e-16,\n'
+            b'  "error_bound_over_m": 3.350791572145812e-15,\n'
+            b'  "convergence_order": NaN\n }\n]\n'
         )
         argv = ["oracle-check", "--mu", "0.25", "--xi", "-1", "--format", "json"]
         assert main_in_process(argv) == (0, want, "")

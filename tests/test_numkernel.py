@@ -406,6 +406,17 @@ class TestBesselK:
         for order in (0.0, 0.25, 1.5, 12.0):
             assert nk.bessel_k(order, z) == 0.0
 
+    @pytest.mark.parametrize("order", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("z", [5e-324, 1e-323, 2.5e-308])
+    def test_smallest_arguments(self, order, z):
+        # z/2 underflows to 0 at the smallest subnormal, 5e-324, where the
+        # series takes ln(z/2) as ln 2 - ln z; the orders are those
+        # ab-wavefunction passes, and K_a grows there as Gamma(a) 2^(a-1) z^-a.
+        # The series forms (z/2)^-mu as exp(mu ln(2/z)), whose rounding is
+        # |mu ln z| eps relative: 4.9e-14 at worst here
+        want = float(mpmath.besselk(order, mpmath.mpf(z)))
+        assert nk.bessel_k(order, z) == pytest.approx(want, rel=1e-13)
+
 
 # ---------------------------------------------------------------------------
 # the level line

@@ -25,7 +25,8 @@ def test_library_quick_start_runs():
     level, check = names["level"], names["check"]
     # the values its comments state
     assert level.E == pytest.approx(-0.56600199969, abs=5e-12)
-    assert abs(check.E - level.E) == pytest.approx(2.1e-10, rel=0.05)
+    assert check.E == level.E
+    assert 0.0 < check.error_bound < 1e-14
 
 
 def cli_lines() -> list[list[str]]:
