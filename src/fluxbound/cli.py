@@ -1,42 +1,44 @@
 """Command-line front end: solves, sweeps, density scans, oracle checks.
 
-Emits CSV (17 significant digits, '\\n' line endings) or JSON tables with
-deterministic, byte-identical output for identical inputs.  Exit codes:
-0 success, 2 with one JSON line ``{"error", "kind"}`` on stderr for a usage
-error (kind "usage": bad or missing flags, grids, config values, a grid of
-more than 100000 points, a radius beyond the double range, a mass whose
-square is not a finite normal float, a NaN ``--xi`` or a ``--theta``
-outside [0, 2pi), a non-finite ``--mu``, ``--gamma`` or ``--coupling``, an
-``--l`` beyond 2**53 in magnitude; ``--r-min`` and ``--resolution`` are
-unknown flags, since the oracle's only length is the tail decay length 1/k
-and it has no step to set) or a domain error (kind
-"domain": critical or regular regime requests, a
-neutral-fermion level beyond the double range, an ``ab-wavefunction`` level
-whose lambda underflows to 0), 1 internal failure.  ``oracle-check`` prints
-its header alone where either route has no level; the oracle reaches every
-level of the double range.
+Each command's contract is one row of ``_COMMANDS``: its help text, the
+flags it reads besides the common ones, and its grid flag.  Other flags are
+unknown, but argparse expands a unique prefix (``ac-sweep --gamma 0.5``
+gives ``0.5`` to ``--gamma-grid``).  A command's argv is parsed by its own
+sub-parser, the top-level parser only argv that does not start with a
+command name (no command, an unknown one, ``--help``/``-h``, a leading
+``--``), with the result, message and exit code of argparse's full
+top-level pass.  A flat ``key = value`` config file (# comments) can
+prefill any flag the command reads; each value passes that flag's type and
+choices checks, and explicit flags win.
+
+``parse_args`` then makes every usage check, in this order: one of
+``--xi``/``--theta``; a mass whose square is a finite normal float; finite
+``--mu``, ``--gamma``, ``--coupling``; ``--l`` within 2**53; the extension
+(a NaN ``--xi`` or a ``--theta`` outside [0, 2pi), named by its flag); the
+channel flag the command needs; the grid ``lo:hi:n`` (2 to 100000 points,
+finite increasing bounds, no overflowing width or step product); the
+``ab-wavefunction`` radius ``hi/mass``.  A failure exits 2 with one JSON
+line ``{"error", "kind"}`` of kind "usage" on stderr.  What passes only
+computes, and its errors are of kind "domain": critical or regular
+channels, a neutral-fermion level beyond the double range, an
+``ab-wavefunction`` level whose lambda underflows to 0.  Exit 1 is an
+internal failure.  The oracle has no step and no length but the tail decay
+length 1/k, so ``--resolution`` and ``--r-min`` are unknown flags; it
+reaches every level of the double range, and ``oracle-check`` prints its
+header alone where either route has no level.
 
 The extension is the paper's xi, given by ``--xi`` and kept exactly, or by
 ``--theta``, converted once by ``Extension.from_theta``; ``--xi -inf`` names
 the same extension as ``--xi inf``.  The ``xi`` column prints the stored xi.
 
-Rows hold NaN only in the level columns of a row without a level (sweeps,
-printed level-equation variants) and in ``oracle-check``'s
-``convergence_order``, which is always NaN: the oracle sums two series at
-one matching radius, with no step to refine, so no order can be read.  Its
-``error_bound_over_m`` column is the oracle's bound on |E_oracle - E| (see
-``oracle.OracleResult``).  The only other non-finite value is ``inf`` in the
-``xi`` column, for the theta = pi extension, whose rows have no level.
-
-A flat ``key = value`` config file (# comments) can prefill any long flag;
-its values pass the flag's own type and choices checks, and explicit flags
-win.
-
-A command's argv is parsed by that command's own argparse sub-parser; the
-top-level parser parses only argv that does not start with a command name
-(no command, an unknown one, ``--help``/``-h``, a leading ``--``).  Every
-argv gets the result, message and exit code of argparse's full top-level
-pass.
+Tables are CSV (17 significant digits, '\\n' line endings) or JSON, and
+byte-identical for identical inputs.  Rows hold NaN only in the level
+columns of a row without a level (sweeps, printed level-equation variants)
+and in ``oracle-check``'s ``convergence_order``: the oracle sums two series
+at one matching radius, with no step to refine, so no order can be read.
+``error_bound_over_m`` is its bound on |E_oracle - E| (``OracleResult``).
+The ``xi`` column holds ``inf`` for the theta = pi extension, whose rows
+have no level.  JSON has no NaN or infinity and writes such cells as null.
 """
 
 from __future__ import annotations
@@ -76,9 +78,48 @@ class UsageError(ValueError):
     pass
 
 
+_COMMON_FLAGS = ("--config", "--mass", "--xi", "--theta", "--format", "--output")
+# command: (help, the flags it reads besides the common ones, its grid flag)
+_COMMANDS = {
+    "ab-solve": ("single Dirac bound level", ("--l", "--s", "--mu", "--level-eq"), None),
+    "ab-sweep": ("bound level along a flux grid", ("--l", "--s", "--level-eq"), "--beta-grid"),
+    "ab-density": ("continuum spectral density scan", ("--l", "--s", "--mu"), "--energy-grid"),
+    "ab-wavefunction": ("normalized bound doublet table", ("--l", "--s", "--mu"), "--r-grid"),
+    "ac-solve": ("single neutral-fermion level", ("--l", "--zeta", "--coupling", "--gamma"), None),
+    "ac-sweep": ("levels along a gamma grid (l=0 family)", (), "--gamma-grid"),
+    "oracle-check": (
+        "ODE eigensolver vs analytic level",
+        ("--l", "--s", "--mu", "--zeta", "--coupling", "--gamma", "--sector"),
+        None,
+    ),
+}
+# each flag's argparse keywords; a grid stays text until parse_args parses it
+_FLAGS = {
+    "--config": {"default": None, "help": "flat key=value config file"},
+    "--mass": {"type": float, "default": 1.0},
+    "--xi": {"type": float, "default": None},
+    "--theta": {"type": float, "default": None},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--output": {"default": None, "help": "path, defaults to stdout"},
+    "--l": {"type": int, "default": 0},
+    "--s": {"type": int, "choices": (-1, 1), "default": -1},
+    "--mu": {"type": float, "default": None},
+    "--zeta": {"type": int, "choices": (-1, 1), "default": 1},
+    "--coupling": {"type": float, "default": None, "help": "M*a product"},
+    "--gamma": {"type": float, "default": None, "help": "shortcut: coupling=-gamma, l=0, zeta=1"},
+    "--level-eq": {"choices": ("master", "wr00", "levab", "lev0lev1"), "default": "master"},
+    "--sector": {"choices": ("ab", "ac"), "default": "ab"},
+    "--beta-grid": {"required": True, "help": "lo:hi:n over the reduced flux"},
+    "--energy-grid": {"required": True, "help": "lo:hi:n in units of m, |E|>m"},
+    "--r-grid": {"required": True, "help": "lo:hi:n in units of 1/m"},
+    "--gamma-grid": {"required": True, "help": "lo:hi:n over gamma"},
+}
+
+
 @dataclass(frozen=True)
 class RunSpec:
-    """Validated run request: command, typed parameters, output destination."""
+    """Validated run request: command, typed parameters (with the built
+    ``extension`` and each grid parsed to (lo, hi, n)), output destination."""
 
     command: str
     params: dict
@@ -146,51 +187,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Bound states and spectral densities in point-flux backgrounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, ab_channel=False, ac_channel=False) -> None:
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--mass", type=float, default=1.0)
-        p.add_argument("--xi", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default=None, help="path, defaults to stdout")
-        if ab_channel or ac_channel:
-            p.add_argument("--l", type=int, default=0)
-        if ab_channel:
-            p.add_argument("--s", type=int, choices=(-1, 1), default=-1)
-            p.add_argument("--mu", type=float, default=None)
-        if ac_channel:
-            p.add_argument("--zeta", type=int, choices=(-1, 1), default=1)
-            p.add_argument("--coupling", type=float, default=None, help="M*a product")
-            p.add_argument("--gamma", type=float, default=None, help="shortcut: coupling=-gamma, l=0, zeta=1")
-
-    p = sub.add_parser("ab-solve", help="single Dirac bound level")
-    common(p, ab_channel=True)
-    p.add_argument("--level-eq", choices=("master", "wr00", "levab", "lev0lev1"), default="master")
-
-    p = sub.add_parser("ab-sweep", help="bound level along a flux grid")
-    common(p, ab_channel=True)
-    p.add_argument("--beta-grid", required=True, help="lo:hi:n over the reduced flux")
-    p.add_argument("--level-eq", choices=("master", "wr00", "levab", "lev0lev1"), default="master")
-
-    p = sub.add_parser("ab-density", help="continuum spectral density scan")
-    common(p, ab_channel=True)
-    p.add_argument("--energy-grid", required=True, help="lo:hi:n in units of m, |E|>m")
-
-    p = sub.add_parser("ab-wavefunction", help="normalized bound doublet table")
-    common(p, ab_channel=True)
-    p.add_argument("--r-grid", required=True, help="lo:hi:n in units of 1/m")
-
-    p = sub.add_parser("ac-solve", help="single neutral-fermion level")
-    common(p, ac_channel=True)
-
-    p = sub.add_parser("ac-sweep", help="levels along a gamma grid (l=0 family)")
-    common(p, ac_channel=True)
-    p.add_argument("--gamma-grid", required=True, help="lo:hi:n over gamma")
-
-    p = sub.add_parser("oracle-check", help="ODE eigensolver vs analytic level")
-    common(p, ab_channel=True, ac_channel=True)
-    p.add_argument("--sector", choices=("ab", "ac"), default="ab")
+    for command, (text, flags, grid) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag in (*_COMMON_FLAGS, *flags, grid):
+            if flag:
+                p.add_argument(flag, **_FLAGS[flag])
     return parser, sub.choices
 
 
@@ -214,10 +215,11 @@ def _parse(argv: list[str]) -> dict:
 
 
 def parse_args(argv: Sequence[str]) -> RunSpec:
-    """Parse and validate argv into a RunSpec; config-file values are
-    overridden by explicit flags.  A command's argv is parsed by that
-    command's own sub-parser, and argparse's top-level parser parses only
-    argv that does not start with a command name."""
+    """Parse argv into a RunSpec and run every usage check on it, in the
+    order of the module docstring; config-file values are overridden by
+    explicit flags.  A command's argv is parsed by that command's own
+    sub-parser, and argparse's top-level parser parses only argv that does
+    not start with a command name."""
     argv = _join_negative_values(argv)
     params = _parse(argv)
     config_path = params.pop("config")
@@ -254,6 +256,25 @@ def parse_args(argv: Sequence[str]) -> RunSpec:
     if "l" in params and not abs(params["l"]) <= 2**53:
         raise UsageError(f"--l must lie in [-2**53, 2**53], got {params['l']}")
     command = params.pop("command")
+    theta = params["theta"]
+    try:
+        params["extension"] = (
+            ab.Extension(params["xi"]) if theta is None else ab.Extension.from_theta(theta)
+        )
+    except ValueError as exc:
+        raise UsageError(f"{'--xi' if theta is None else '--theta'}: {exc}") from None
+    sector = params.get("sector")  # oracle-check reads one sector's channel flags
+    if "mu" in params and sector != "ac" and params["mu"] is None:
+        raise UsageError(f"{command}{' --sector ab' if sector else ''} needs --mu")
+    if "gamma" in params and sector != "ab" and params["gamma"] is None:
+        if params["coupling"] is None:
+            raise UsageError("ac commands need --coupling (or --gamma)")
+    grid = _COMMANDS[command][2]
+    if grid:
+        key = grid[2:].replace("-", "_")
+        params[key] = lo, hi, n = _parse_grid(params[key])
+        if grid == "--r-grid" and not hi / mass < math.inf:
+            raise UsageError(f"--r-grid: the radius {hi!r}/m overflows at --mass {mass!r}")
     fmt = params.pop("format")
     out_path = params.pop("output")
     return RunSpec(command=command, params=params, fmt=fmt, out_path=out_path)
@@ -286,27 +307,19 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _extension(params: dict) -> ab.Extension:
-    theta = params["theta"]
-    flag = "--xi" if theta is None else "--theta"
-    try:
-        return ab.Extension(params["xi"]) if theta is None else ab.Extension.from_theta(theta)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-
-
 def emit_table(rows: list[tuple], columns: Sequence[str], fmt: str) -> bytes:
     """Serialize rows, each a tuple of cells in column order, to CSV (header
     + 17-significant-digit values) or JSON.
 
     A CSV row is one %-template applied to its cells: "%s" (str) for an int
     or str cell, "%.17g" (format(v, ".17g")) for any other.  Rows whose cells
-    have the same types share one template.
+    have the same types share one template.  JSON has no NaN or infinity, so
+    a non-finite cell is written as null.
     """
     if fmt == "json":
         payload = [
             {
-                col: (v if isinstance(v, (int, str)) else float(v))
+                col: v if isinstance(v, (int, str)) else float(v) if math.isfinite(v) else None
                 for col, v in zip(columns, row)
             }
             for row in rows
@@ -355,9 +368,7 @@ def _ac_row(g: float, l: int, zeta: int, coupling: float, m: float, xi: float) -
     return (g, l, zeta, coupling, xi, E_n / m, kappa / m, residual)
 
 
-def _dirac_channel(params: dict, what: str) -> ab.DiracChannel:
-    if params["mu"] is None:
-        raise UsageError(f"{what} needs --mu")
+def _dirac_channel(params: dict) -> ab.DiracChannel:
     return ab.DiracChannel(m=params["mass"], l=params["l"], s=params["s"], mu=params["mu"])
 
 
@@ -365,8 +376,6 @@ def _ac_channel(params: dict) -> ac.ACChannel:
     mass = params["mass"]
     if params["gamma"] is not None:
         return ac.ACChannel(m=mass, coupling=-params["gamma"], l=0, zeta=1)
-    if params["coupling"] is None:
-        raise UsageError("ac commands need --coupling (or --gamma)")
     return ac.ACChannel(
         m=mass, coupling=params["coupling"], l=params["l"], zeta=params["zeta"]
     )
@@ -376,9 +385,8 @@ def run(spec: RunSpec) -> int:
     """Execute a RunSpec, write the table, return the exit code."""
     try:
         rows, columns = _dispatch(spec)
-    except ValueError as exc:  # every domain and usage error subclasses ValueError
-        kind = "usage" if isinstance(exc, UsageError) else "domain"
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": kind}) + "\n")
+    except ValueError as exc:  # parse_args made every usage check: the request is sound
+        sys.stderr.write(json.dumps({"error": str(exc), "kind": "domain"}) + "\n")
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "internal"}) + "\n")
@@ -393,12 +401,13 @@ def run(spec: RunSpec) -> int:
 
 
 def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
+    """The table of a RunSpec that parse_args checked: computes only."""
     params = spec.params
-    ext = _extension(params)
+    ext = params["extension"]
     mass = params["mass"]
 
     if spec.command == "ab-solve":
-        ch = _dirac_channel(params, "ab-solve")
+        ch = _dirac_channel(params)
         if ch.regime is not ab.Regime.EXTENDED:
             raise ab.RegimeError(
                 f"channel nu={ch.nu:.6g} is {ch.regime.value}: no extension family"
@@ -406,34 +415,25 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
         return [_sweep_row(ch, ext, params["level_eq"])], _SWEEP_COLUMNS
 
     if spec.command == "ab-sweep":
-        lo, hi, n = _parse_grid(params["beta_grid"])
         variant = params["level_eq"]
-
         rows = [
             _sweep_row(ab.DiracChannel(m=mass, l=params["l"], s=params["s"], mu=beta), ext, variant)
-            for beta in nk.linear_grid(lo, hi, n)
+            for beta in nk.linear_grid(*params["beta_grid"])
         ]
         return rows, _SWEEP_COLUMNS
 
     if spec.command == "ab-density":
-        ch = _dirac_channel(params, "ab-density")
-        lo, hi, n = _parse_grid(params["energy_grid"])
-
-        density = printed._density_on_rim(ch, ext)
-        rows = [(e, density(e * mass)) for e in nk.linear_grid(lo, hi, n)]
+        density = printed._density_on_rim(_dirac_channel(params), ext)
+        rows = [(e, density(e * mass)) for e in nk.linear_grid(*params["energy_grid"])]
         return rows, _DENSITY_COLUMNS
 
     if spec.command == "ab-wavefunction":
-        ch = _dirac_channel(params, "ab-wavefunction")
-        level = ab.solve_bound_energy(ch, ext)
+        level = ab.solve_bound_energy(_dirac_channel(params), ext)
         if level is None:
             return [], _WAVEFUNCTION_COLUMNS
         doublet = ab.bound_doublet(level)
-        lo, hi, n = _parse_grid(params["r_grid"])
-        if not hi / mass < math.inf:
-            raise UsageError(f"--r-grid: the radius {hi!r}/m overflows at --mass {mass!r}")
         rows = []
-        for rm in nk.linear_grid(lo, hi, n):
+        for rm in nk.linear_grid(*params["r_grid"]):
             f1, f2 = doublet(rm / mass)
             rows.append((rm, f1, f2))
         return rows, _WAVEFUNCTION_COLUMNS
@@ -447,41 +447,37 @@ def _dispatch(spec: RunSpec) -> tuple[list[tuple], Sequence[str]]:
         return [_ac_row(ch.gamma, ch.l, ch.zeta, ch.coupling, mass, ext.xi)], _AC_COLUMNS
 
     if spec.command == "ac-sweep":
-        lo, hi, n = _parse_grid(params["gamma_grid"])
-
         # the l = 0, zeta = 1 channel of coupling -g, whose gamma is |g|
         xi = ext.xi
-        rows = [_ac_row(abs(g), 0, 1, -g, mass, xi) for g in nk.linear_grid(lo, hi, n)]
+        rows = [_ac_row(abs(g), 0, 1, -g, mass, xi) for g in nk.linear_grid(*params["gamma_grid"])]
         return rows, _AC_COLUMNS
 
-    if spec.command == "oracle-check":
-        if params["sector"] == "ab":
-            chd = _dirac_channel(params, "oracle-check --sector ab")
-            level = ab.solve_bound_energy(chd, ext)
-            e_an = None if level is None else level.E
-            numeric = orc.dirac_shoot(chd, ext)
-        else:
-            cha = _ac_channel(params)
-            ac_level = ac.ac_bound_energy(cha, ext)
-            e_an = None if ac_level is None else ac_level.E_n
-            numeric = orc.schrodinger_shoot(cha, ext)
-        if e_an is None or numeric is None:
-            return [], _ORACLE_COLUMNS
-        return (
-            [
-                (
-                    e_an / mass,
-                    numeric.E / mass,
-                    abs(e_an - numeric.E) / mass,
-                    numeric.match_residual / mass,
-                    numeric.error_bound / mass,
-                    numeric.convergence_order_estimate,
-                )
-            ],
-            _ORACLE_COLUMNS,
-        )
-
-    raise UsageError(f"unknown command {spec.command!r}")
+    # oracle-check
+    if params["sector"] == "ab":
+        chd = _dirac_channel(params)
+        level = ab.solve_bound_energy(chd, ext)
+        e_an = None if level is None else level.E
+        numeric = orc.dirac_shoot(chd, ext)
+    else:
+        cha = _ac_channel(params)
+        ac_level = ac.ac_bound_energy(cha, ext)
+        e_an = None if ac_level is None else ac_level.E_n
+        numeric = orc.schrodinger_shoot(cha, ext)
+    if e_an is None or numeric is None:
+        return [], _ORACLE_COLUMNS
+    return (
+        [
+            (
+                e_an / mass,
+                numeric.E / mass,
+                abs(e_an - numeric.E) / mass,
+                numeric.match_residual / mass,
+                numeric.error_bound / mass,
+                numeric.convergence_order_estimate,
+            )
+        ],
+        _ORACLE_COLUMNS,
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -4,7 +4,6 @@ Provides the primitives everything else is built on:
 
 * the real-argument gamma function (``gamma_fn``) and both sectors' Gamma
   ratio ln Gamma(1+x)/Gamma(1-x) (``log_gamma_ratio``),
-* the origin's Frobenius series 0F1(; 1 + a; z^2/4) (``frobenius_factor``),
 * Bessel functions of real order (``bessel_j``, ``bessel_k``), the pair
   (J_{a-1}, J_a) from one J recurrence (``bessel_j_pair``), and the
   closed-form norm integral of K squared (``bessel_k_square_integral``),
@@ -38,7 +37,6 @@ __all__ = [
     "ConvergenceError",
     "gamma_fn",
     "log_gamma_ratio",
-    "frobenius_factor",
     "bessel_j",
     "bessel_j_pair",
     "bessel_k",
@@ -116,30 +114,6 @@ def log_gamma_ratio(x: float) -> float:
             acc = acc * x2 + c
         return acc * x
     return math.log(gamma_fn(1.0 + x) / gamma_fn(1.0 - x))
-
-
-# ---------------------------------------------------------------------------
-# Frobenius series at the origin
-# ---------------------------------------------------------------------------
-
-
-def frobenius_factor(a: float, z2: float) -> float:
-    """F_a(z^2) = 0F1(; 1 + a; z^2/4) = sum_n (z^2/4)^n / (n! (1 + a)_n).
-
-    Series factor of the local solution r^(a+1/2) about the origin, summed
-    by t_n = t_(n-1) (z^2/4) / (n (n + a)) until a term no longer changes the
-    sum.  The series converges for every z, and for a > -1 every term is
-    positive, so the sum carries no cancellation (DLMF 10.25.2).
-    """
-    q = 0.25 * z2
-    term = total = 1.0
-    n = 0
-    while True:
-        n += 1
-        term *= q / (n * (n + a))
-        if total + term == total:
-            return total
-        total += term
 
 
 # ---------------------------------------------------------------------------

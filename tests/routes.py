@@ -3,7 +3,8 @@
 Each function here re-derives a closed-form result by another road: a
 boundary parameter fitted from a profile's small-r coefficients, a level
 found by bisection on its level equation, a channel mapped to its
-radial conjugate, a tail mismatch integrated outward from the seed, the
+radial conjugate, the origin's Frobenius series summed term by term, a
+tail mismatch integrated outward from the seed, the
 level count's scan of the oracle's closed-form mismatch, a level from the
 oracle's line with the exact connection ratio at 50 digits, a CLI argv
 parsed by argparse's full top-level pass.  No CLI command uses them,
@@ -68,6 +69,25 @@ def conjugate_channel(
     return mapped, ext
 
 
+def frobenius_factor(a: float, z2: float) -> float:
+    """F_a(z^2) = 0F1(; 1 + a; z^2/4) = sum_n (z^2/4)^n / (n! (1 + a)_n).
+
+    Series factor of the local solution r^(a+1/2) about the origin, summed
+    by t_n = t_(n-1) (z^2/4) / (n (n + a)) until a term no longer changes the
+    sum.  The series converges for every z, and for a > -1 every term is
+    positive, so the sum carries no cancellation (DLMF 10.25.2).
+    """
+    q = 0.25 * z2
+    term = total = 1.0
+    n = 0
+    while True:
+        n += 1
+        term *= q / (n * (n + a))
+        if total + term == total:
+            return total
+        total += term
+
+
 def fit_ac_boundary_xi(doublet: ab.RadialDoublet, ch: ac.ACChannel, kappa: float) -> float:
     """Recover the extension parameter from the profile's boundary behavior.
 
@@ -86,8 +106,8 @@ def fit_ac_boundary_xi(doublet: ab.RadialDoublet, ch: ac.ACChannel, kappa: float
     def basis(r: float) -> tuple[float, float]:
         x2, mr = (kappa * r) ** 2, m * r
         sq = math.sqrt(mr)
-        b_reg = mr**g * nk.frobenius_factor(g, x2) * sq
-        b_irr = mr**-g * nk.frobenius_factor(-g, x2) * sq
+        b_reg = mr**g * frobenius_factor(g, x2) * sq
+        b_irr = mr**-g * frobenius_factor(-g, x2) * sq
         return b_reg, b_irr
 
     ra, rb = 0.35 / kappa, 0.85 / kappa
@@ -222,7 +242,7 @@ def numerov_miss(g, k, seed, dx):
 def branch_values(p, z):
     """The branch pair z^(+-p) F_(+-p)(z^2) at z on the k = 1 grid."""
     z2 = z**2
-    return z**p * nk.frobenius_factor(p, z2), z**-p * nk.frobenius_factor(-p, z2)
+    return z**p * frobenius_factor(p, z2), z**-p * frobenius_factor(-p, z2)
 
 
 def outward_branch_pair(p, dx):

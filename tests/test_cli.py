@@ -51,8 +51,7 @@ class TestParseArgs:
 
     def test_gamma_grid_points(self):
         spec = cli.parse_args(["ac-sweep", "--gamma-grid", "0.1:0.9:17", "--xi", "-1"])
-        lo, hi, n = cli._parse_grid(spec.params["gamma_grid"])
-        assert (lo, hi, n) == (0.1, 0.9, 17)
+        assert spec.params["gamma_grid"] == (0.1, 0.9, 17)
 
     def test_grid_validation(self):
         with pytest.raises(cli.UsageError):
@@ -74,6 +73,17 @@ class TestParseArgs:
         cfg.write_text("r_min = 0.1\nbogus = 3\n")
         spec = cli.parse_args(["oracle-check", "--config", str(cfg), "--mu", "0.25", "--xi", "-1"])
         assert "r_min" not in spec.params and "bogus" not in spec.params
+
+    def test_config_skips_keys_the_command_does_not_read(self, tmp_path):
+        # ab-sweep reads no --mu and ac-sweep no channel flag, so their keys
+        # are skipped like any other key without a flag, bad values and all
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = abc\n")
+        spec = cli.parse_args(["ab-sweep", "--config", str(cfg), "--beta-grid", "0.1:0.9:3", "--xi", "-1"])
+        assert "mu" not in spec.params
+        cfg.write_text("l = 1.5\nzeta = 2\ncoupling = x\ngamma = 0.3\n")
+        spec = cli.parse_args(["ac-sweep", "--config", str(cfg), "--gamma-grid", "0.1:0.9:3", "--xi", "-1"])
+        assert spec.params.keys().isdisjoint({"l", "zeta", "coupling", "gamma"})
 
     @pytest.mark.parametrize(
         "key, raw",
@@ -252,6 +262,71 @@ class TestUsageErrors:
         error = "grid takes at most 100000 points, got 100001"
         assert err == json.dumps({"error": error, "kind": "usage"}) + "\n"
 
+    @pytest.mark.parametrize("xi", ["-1", "1"])
+    @pytest.mark.parametrize(
+        "grid, error",
+        [
+            ("garbage", "grid must be 'lo:hi:n', got 'garbage'"),
+            ("0.9:0.1:5", "grid bounds must be finite and increasing, got '0.9:0.1:5'"),
+            ("0.1:0.9:1", "grid needs at least 2 points, got 1"),
+            ("0.1:0.9:100001", "grid takes at most 100000 points, got 100001"),
+        ],
+        ids=["malformed", "decreasing", "one-point", "over-the-cap"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["ab-sweep", "--beta-grid"],
+            ["ab-density", "--mu", "0.25", "--energy-grid"],
+            ["ab-wavefunction", "--mu", "0.25", "--r-grid"],
+            ["ac-sweep", "--gamma-grid"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_bad_grid_at_either_sign_of_xi(self, capsys, command, grid, error, xi):
+        # every grid is checked before a level is sought: at xi > 0 there is
+        # no level, and ab-wavefunction used to print its header alone
+        assert cli.main([*command, grid, "--xi", xi]) == 2
+        assert capsys.readouterr() == ("", json.dumps({"error": error, "kind": "usage"}) + "\n")
+
+    @pytest.mark.parametrize("xi", ["-1", "1", "-1e-300"])
+    def test_radius_checked_before_the_level(self, capsys, xi):
+        # without a level (xi = 1) or with one whose lambda underflows
+        # (xi = -1e-300), the radius is still a usage error
+        argv = ["ab-wavefunction", "--mu", "0.25", "--xi", xi, "--r-grid", "1:1e308:2"]
+        assert cli.main([*argv, "--mass", "1e-150"]) == 2
+        error = "--r-grid: the radius 1e+308/m overflows at --mass 1e-150"
+        assert capsys.readouterr() == ("", json.dumps({"error": error, "kind": "usage"}) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["ab-sweep", "--beta-grid", "0.1:0.9:3", "--mu", "0.25"], "--mu 0.25"),
+            (["ab-sweep", "--beta-grid", "0.1:0.9:3", "--mu", "inf"], "--mu inf"),
+            (["ac-sweep", "--gamma-grid", "0.1:0.9:3", "--l", "3"], "--l 3"),
+            (["ac-sweep", "--gamma-grid", "0.1:0.9:3", "--zeta", "-1"], "--zeta=-1"),
+            (["ac-sweep", "--gamma-grid", "0.1:0.9:3", "--coupling", "7"], "--coupling 7"),
+        ],
+        ids=["ab-sweep-mu", "ab-sweep-mu-inf", "ac-sweep-l", "ac-sweep-zeta", "ac-sweep-coupling"],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, argv, flags):
+        # ab-sweep takes its flux from the grid, and ac-sweep its channel
+        assert cli.main([*argv, "--xi", "-1"]) == 2
+        error = f"fluxbound: unrecognized arguments: {flags}"
+        assert capsys.readouterr() == ("", json.dumps({"error": error, "kind": "usage"}) + "\n")
+
+    def test_gamma_on_ac_sweep_is_its_grid(self, capsys):
+        # argparse expands a unique prefix of a flag, and ac-sweep declares
+        # --gamma-grid but no --gamma; the last value given wins
+        for argv in (["ac-sweep", "--gamma", "0.5"],
+                     ["ac-sweep", "--gamma-grid", "0.1:0.9:3", "--gamma", "0.5"]):
+            assert cli.main([*argv, "--xi", "-1"]) == 2
+            error = "grid must be 'lo:hi:n', got '0.5'"
+            assert capsys.readouterr() == ("", json.dumps({"error": error, "kind": "usage"}) + "\n")
+        grid = main_in_process(["ac-sweep", "--gamma-grid", "0.1:0.9:3", "--xi", "-1"])
+        assert grid[0] == 0
+        assert main_in_process(["ac-sweep", "--gamma", "0.1:0.9:3", "--xi", "-1"]) == grid
+
     @pytest.mark.parametrize("argv", [["--help"], ["ab-solve", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         assert cli.main(argv) == 0
@@ -300,6 +375,16 @@ class TestEmitTable:
         payload = cli.emit_table([(1.5,), (2.5,)], ("a",), "json")
         data = json.loads(payload)
         assert data == [{"a": 1.5}, {"a": 2.5}]
+
+    def test_json_writes_non_finite_cells_as_null(self):
+        rows = [(0.5, math.nan, math.inf, -math.inf, 3, "x")]
+        columns = ("a", "b", "c", "d", "e", "f")
+        payload = cli.emit_table(rows, columns, "json")
+        assert json.loads(payload, parse_constant=pytest.fail) == [
+            {"a": 0.5, "b": None, "c": None, "d": None, "e": 3, "f": "x"}
+        ]
+        csv_row = cli.emit_table(rows, columns, "csv").decode().splitlines()[1]
+        assert csv_row == "0.5,nan,inf,-inf,3,x"
 
     def test_newline_endings(self):
         payload = cli.emit_table([(1.0,)], ("a",), "csv")
@@ -730,8 +815,9 @@ def _or_any_double(*sampled):
 _MU = _or_any_double("0.25", "0.1", "0.7", "0.45")
 _GAMMA = _or_any_double("0.5", "0.2", "0.9", "0")
 _L = st.sampled_from(["0", "1", "-1"]) | st.integers().map(str)
-_AB_CHANNEL = _MU.map(lambda mu: ["--mu", mu]) | st.tuples(_MU, _L).map(
-    lambda pair: ["--mu", pair[0], "--l", pair[1]]
+_S = st.sampled_from(["-1", "1"]) | st.integers().map(str)
+_AB_CHANNEL = _MU.map(lambda mu: ["--mu", mu]) | st.tuples(_MU, _L, _S).map(
+    lambda t: ["--mu", t[0], "--l", t[1], "--s", t[2]]
 )
 _AC_CHANNEL = _GAMMA.map(lambda g: ["--gamma", g]) | st.tuples(
     _or_any_double("-0.3", "0.5", "1.2"), _L, st.sampled_from(["1", "-1"])
@@ -739,8 +825,10 @@ _AC_CHANNEL = _GAMMA.map(lambda g: ["--gamma", g]) | st.tuples(
 
 
 def _grid(lo, hi):
-    # lo:hi:n with n from 2 to 5
-    return st.integers(2, 5).map(lambda n: f"{lo}:{hi}:{n}")
+    # lo:hi:n with n from 2 to 5, each bound the given one or any double
+    return st.tuples(_or_any_double(lo), _or_any_double(hi), st.integers(2, 5)).map(
+        lambda t: ":".join(map(str, t))
+    )
 
 
 _PRINTED_LEVEL_EQ = st.sampled_from(["wr00", "levab", "lev0lev1"])
@@ -775,10 +863,11 @@ _MASS = st.one_of(
 
 class TestExtensionContract:
     """Every extension parameter, at the edges of the double range and off
-    them, any mass,
-    any double as the flux or the neutral fermion's index or coupling, any
-    --l and grids of 2 to 5 points, gives exit 0 with finite rows or exit 2
-    with one JSON line."""
+    them, any mass, any double as the flux or the neutral fermion's index or
+    coupling, any --l and --s, and grids of 2 to 5 points between any two
+    doubles, gives exit 0 with finite rows or exit 2 with one JSON line: of
+    kind usage where parse_args rejects the argv, and of kind domain where
+    it accepts it."""
 
     @settings(max_examples=400, deadline=None)
     @given(command=_COMMANDS, extension=_EXTENSIONS, mass=_MASS)
@@ -879,11 +968,17 @@ class TestExtensionContract:
             )
             if extended and math.isfinite(float(level["E_over_m"])):
                 assert code == 0
+        try:
+            cli.parse_args(argv)
+            phase = "domain"
+        except cli.UsageError:
+            phase = "usage"
         if code == 2:
             assert out == b""
             (line,) = err.splitlines()
-            assert json.loads(line)["kind"] in ("usage", "domain")
+            assert json.loads(line)["kind"] == phase
             return
+        assert phase == "domain"
         assert code == 0 and err == ""
         for row in csv.DictReader(io.StringIO(out.decode())):
             values = {col: float(text) for col, text in row.items()}
@@ -987,33 +1082,41 @@ _COMMON_FLAGS = [
     ("--output", ["out.csv"]),
 ]
 _AB_FLAGS = [
-    ("--mu", ["0.25", "0.7", "-0.3"]),
     ("--l", ["0", "-1", "x"]),
     ("--s", ["-1", "1", "3"]),
 ]
+_MU_FLAG = ("--mu", ["0.25", "0.7", "-0.3"])
+_GAMMA_FLAG = ("--gamma", ["0.5", "-0.2"])
 _AC_FLAGS = [
-    ("--gamma", ["0.5", "-0.2"]),
-    ("--coupling", ["-0.5", "-1e-3"]),
-    ("--zeta", ["1", "-1", "2"]),
     ("--l", ["0"]),
+    ("--zeta", ["1", "-1", "2"]),
+    ("--coupling", ["-0.5", "-1e-3"]),
 ]
+# the flags cli._COMMANDS declares for each command besides the common ones,
+# less the channel flag and the grid, which _REQUIRED_FLAGS draws;
+# oracle-check keeps its other sector's --gamma and the removed --resolution
 _COMMAND_FLAGS = {
     "ab-solve": _AB_FLAGS + [("--level-eq", ["master", "wr00", "bogus"])],
     "ab-sweep": _AB_FLAGS + [("--level-eq", ["levab"])],
     "ab-density": _AB_FLAGS,
     "ab-wavefunction": _AB_FLAGS,
     "ac-solve": _AC_FLAGS,
-    "ac-sweep": _AC_FLAGS,
+    "ac-sweep": [],
     "oracle-check": _AB_FLAGS
-    + _AC_FLAGS[:3]
-    + [("--sector", ["ab", "ac", "xy"]), ("--resolution", ["0.05", "-0.01", "1e-2"])],
+    + _AC_FLAGS[1:]
+    + [_GAMMA_FLAG, ("--sector", ["ab", "ac", "xy"])]
+    + [("--resolution", ["0.05", "-0.01", "1e-2"])],
 }
-# the extension and the grids that parse_args requires, drawn more often
+# the extension, each command's channel flag and its grid, which parse_args
+# requires, drawn more often
 _REQUIRED_FLAGS = {
+    "ab-solve": [_MU_FLAG],
     "ab-sweep": [("--beta-grid", ["0.1:0.9:5", "-1.5:1.5:7"])],
-    "ab-density": [("--energy-grid", ["-4:-1.01:5", "1.01:10:3"])],
-    "ab-wavefunction": [("--r-grid", ["0.1:5:3"])],
+    "ab-density": [_MU_FLAG, ("--energy-grid", ["-4:-1.01:5", "1.01:10:3"])],
+    "ab-wavefunction": [_MU_FLAG, ("--r-grid", ["0.1:5:3"])],
+    "ac-solve": [_GAMMA_FLAG],
     "ac-sweep": [("--gamma-grid", ["0.1:0.9:5", "-0.5:0.5:3"])],
+    "oracle-check": [_MU_FLAG],
 }
 _XI = ("--xi", ["-1", "-1e-3", "-inf", "2", "nan", "abc"])
 # stray tokens: unknown flags, extra positionals, help, '--', a flag without
@@ -1033,7 +1136,7 @@ def _parse_corpus(configs: list[str]) -> list[list[str]]:
     for _ in range(1500):
         command = rng.choice(list(_COMMAND_FLAGS))
         drawn = rng.sample(_COMMON_FLAGS + _COMMAND_FLAGS[command], rng.randint(0, 3))
-        drawn += [f for f in [_XI, *_REQUIRED_FLAGS.get(command, [])] if rng.random() < 0.85]
+        drawn += [f for f in [_XI, *_REQUIRED_FLAGS.get(command, [])] if rng.random() < 0.9]
         if rng.random() < 0.3:
             drawn.append(("--config", configs))
         rng.shuffle(drawn)
@@ -1098,6 +1201,23 @@ class TestParsePath:
         assert kinds["spec"] >= 300 and kinds["exit"] >= 100 and kinds["help"] == kinds["exit"]
         assert kinds["fluxbound"] >= 200 and kinds["fluxbound ab-solve"] >= 40
         assert kinds["unrecognized"] >= 100 and kinds["config"] >= 40
+
+    def test_run_reports_domain_errors_only(self, tmp_path, monkeypatch, capsys):
+        # parse_args makes every usage check, so what it accepts runs to a
+        # table or to a domain error
+        monkeypatch.chdir(tmp_path)  # where --output out.csv writes
+        codes = collections.Counter()
+        for argv in _parse_corpus(self.configs(tmp_path)):
+            try:
+                spec = cli.parse_args(argv)
+            except (cli.UsageError, SystemExit):
+                continue
+            code = cli.run(spec)
+            codes[code] += 1
+            err = capsys.readouterr().err
+            if code:
+                assert code == 2 and json.loads(err)["kind"] == "domain", argv
+        assert codes[0] >= 200 and codes[2] >= 20
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -1271,7 +1391,8 @@ class TestOracleCheckBytes:
     3.4e-5, 1.9e-15 relative).  match_residual, 1e-15 |dE/dx| at the root,
     moved in its eighth to ninth digit with the root.  The column
     r_min_sensitivity, 0 in every row, became error_bound_over_m, and
-    convergence_order, 4.27 and 3.66 before, reads nan in every row.  The
+    convergence_order, 4.27 and 3.66 before, reads nan in every row, and
+    JSON writes it null (it wrote NaN, which is not JSON).  The
     --resolution=0.05 row went with the flag; --mu 0.7 --xi -2, a tau = -1
     channel, took its place."""
 
@@ -1323,7 +1444,7 @@ class TestOracleCheckBytes:
             b'  "abs_diff_over_m": 0.0,\n'
             b'  "match_residual": 3.3982086817202066e-16,\n'
             b'  "error_bound_over_m": 3.350791572145812e-15,\n'
-            b'  "convergence_order": NaN\n }\n]\n'
+            b'  "convergence_order": null\n }\n]\n'
         )
         argv = ["oracle-check", "--mu", "0.25", "--xi", "-1", "--format", "json"]
         assert main_in_process(argv) == (0, want, "")

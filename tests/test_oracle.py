@@ -241,7 +241,7 @@ class TestDeepLevelRelativeAccuracy:
 
             def seed(r):
                 z2 = (kappa * r) ** 2
-                frob = nk.frobenius_factor
+                frob = routes.frobenius_factor
                 return r**gamma * frob(gamma, z2) - xi_int * r**-gamma * frob(-gamma, z2)
 
             return per_energy_miss(gamma, kappa, seed)
@@ -310,7 +310,7 @@ def template_f1(ch, xi_int, r, E):
     Frobenius factor: the seed a shoot integrated at each energy before the
     closed form.  The pair is built in u = tau*E with the r^(+nu) carrying
     component first; for tau = -1, f1 is the companion component."""
-    frob = nk.frobenius_factor
+    frob = routes.frobenius_factor
     nu, s, u = ch.nu, ch.s, ch.tau * E
     z2 = (1.0 - E) * (1.0 + E) * r * r
     reg = (
@@ -366,7 +366,7 @@ class TestClosedForm:
 
             def seed(r):
                 z2 = (kappa * r) ** 2
-                frob = nk.frobenius_factor
+                frob = routes.frobenius_factor
                 return r**gamma * frob(gamma, z2) - r**-gamma * frob(-gamma, z2)
 
             want = per_energy_miss(gamma, kappa, seed, dx)
@@ -511,8 +511,8 @@ class TestTruncationBound:
 
 class TestFrobeniusFactor:
     """The template's series factor is 0F1(; 1 + a; z^2/4) summed in full,
-    by the kernel's ``frobenius_factor``: the Numerov referee seeds its grid
-    from it at z = 2, and the AC boundary fit takes its basis from it."""
+    by ``routes.frobenius_factor``: the Numerov referee seeds its grid from
+    it at z = 2, and the AC boundary fit takes its basis from it."""
 
     @pytest.mark.parametrize("a", [-0.999, -0.75, -0.25, 0.15, 0.85])
     @pytest.mark.parametrize("z", [0.05, 0.5, 2.0, 8.0])
@@ -520,7 +520,7 @@ class TestFrobeniusFactor:
         import mpmath
 
         want = float(mpmath.hyp0f1(1 + mpmath.mpf(a), mpmath.mpf(z * z) / 4))
-        assert nk.frobenius_factor(a, z * z) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert routes.frobenius_factor(a, z * z) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestIndependence:
@@ -543,7 +543,6 @@ class TestIndependence:
             (nk, "bessel_j_pair"),
             (nk, "gamma_fn"),
             (nk, "log_gamma_ratio"),
-            (nk, "frobenius_factor"),
             (ab, "_log_gamma_ratio"),
             (ab, "log_abs_master_xi"),
             (math, "gamma"),
